@@ -26,7 +26,7 @@ namespace {
 double run_pool(int consumers, sim::Time crunch, int producers,
                 int shard_count = 1) {
   sim::Simulator sim(1);
-  space::TupleSpace space(sim, space::SpaceConfig{.shard_count = shard_count});
+  space::SpaceEngine space(sim, space::SpaceConfig{.shard_count = shard_count});
   svc::LocalSpaceApi api(space);
   std::vector<std::unique_ptr<svc::FftConsumer>> pool;
   svc::ConsumerConfig cc;

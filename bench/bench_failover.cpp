@@ -26,7 +26,7 @@ struct FailoverOutcome {
 
 FailoverOutcome run_failover(sim::Time tick, sim::Time grace) {
   sim::Simulator sim(1);
-  space::TupleSpace space(sim);
+  space::SpaceEngine space(sim);
   svc::LocalSpaceApi api(space);
   svc::FailoverConfig config;
   config.tick = tick;

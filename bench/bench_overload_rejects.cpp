@@ -15,7 +15,7 @@
 #include "src/cosim/report.hpp"
 #include "src/mw/client.hpp"
 #include "src/mw/loopback.hpp"
-#include "src/mw/server.hpp"
+#include "src/mw/node_core.hpp"
 #include "src/obs/report.hpp"
 #include "src/sim/process.hpp"
 
@@ -40,7 +40,7 @@ SweepOutcome run_overload(int service_slots, int queue_limit, int clients,
   mw::ServerConfig server_config;
   server_config.max_service_slots = service_slots;
   server_config.admission_queue_limit = queue_limit;
-  mw::SpaceServer server(space, hub, codec, server_config);
+  mw::NodeCore server(space, hub, codec, server_config);
 
   std::vector<std::unique_ptr<mw::SpaceClient>> fleet;
   for (int c = 0; c < clients; ++c) {

@@ -14,7 +14,7 @@
 
 #include "bench/gbench_report.hpp"
 #include "src/sim/simulator.hpp"
-#include "src/space/space.hpp"
+#include "src/space/engine.hpp"
 #include "src/space/threaded.hpp"
 
 namespace {
@@ -27,7 +27,7 @@ space::Template exact_template(int key) {
       {space::FieldPattern::exact(space::Value(std::int64_t{key}))});
 }
 
-void fill_noise(space::TupleSpace& space, int noise_tuples) {
+void fill_noise(space::SpaceEngine& space, int noise_tuples) {
   for (int i = 0; i < noise_tuples; ++i) {
     space.write(space::make_tuple("noise-" + std::to_string(i % 16),
                                   std::int64_t{i}, 1.5, "filler"));
@@ -39,7 +39,7 @@ void BM_WriteTake(benchmark::State& state) {
   space::SpaceConfig config;
   config.use_type_index = state.range(0) != 0;
   config.shard_count = static_cast<int>(state.range(2));
-  space::TupleSpace space(sim, config);
+  space::SpaceEngine space(sim, config);
   fill_noise(space, static_cast<int>(state.range(1)));
 
   int key = 0;
@@ -163,7 +163,7 @@ void BM_WriteTakeLargePayload(benchmark::State& state) {
   // and take moves them back out, so cost stays flat as the payload grows
   // (bytes/op here is the payload actually carried, not copied).
   sim::Simulator sim;
-  space::TupleSpace space(sim);
+  space::SpaceEngine space(sim);
   const auto payload_bytes = static_cast<std::size_t>(state.range(0));
 
   const space::Template tmpl(std::string("blob"),
@@ -188,7 +188,7 @@ void BM_ReadMissWorstCase(benchmark::State& state) {
   sim::Simulator sim;
   space::SpaceConfig config;
   config.use_type_index = state.range(0) != 0;
-  space::TupleSpace space(sim, config);
+  space::SpaceEngine space(sim, config);
   fill_noise(space, static_cast<int>(state.range(1)));
 
   const space::Template missing = exact_template(-1);
@@ -202,7 +202,7 @@ BENCHMARK(BM_ReadMissWorstCase)
 
 void BM_NotifyFanout(benchmark::State& state) {
   sim::Simulator sim;
-  space::TupleSpace space(sim);
+  space::SpaceEngine space(sim);
   const auto registrations = static_cast<int>(state.range(0));
   std::uint64_t fired = 0;
   for (int i = 0; i < registrations; ++i) {
@@ -221,7 +221,7 @@ BENCHMARK(BM_NotifyFanout)->Arg(1)->Arg(16)->Arg(128);
 
 void BM_BlockedTakeWakeup(benchmark::State& state) {
   sim::Simulator sim;
-  space::TupleSpace space(sim);
+  space::SpaceEngine space(sim);
   const space::Template tmpl(std::string("t"), {space::FieldPattern::any()});
   for (auto _ : state) {
     bool done = false;
@@ -237,7 +237,7 @@ BENCHMARK(BM_BlockedTakeWakeup);
 void BM_LeaseChurn(benchmark::State& state) {
   // Write with finite leases and let the expiry events fire.
   sim::Simulator sim;
-  space::TupleSpace space(sim);
+  space::SpaceEngine space(sim);
   using namespace tb::sim::literals;
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i) {

@@ -56,12 +56,12 @@ double measure(sim::Simulator& sim, mw::SpaceClient& client) {
 
 double loopback_case(bool xml, obs::Snapshot* snapshot_out = nullptr) {
   sim::Simulator sim(1);
-  space::TupleSpace space(sim);
+  space::SpaceEngine space(sim);
   std::unique_ptr<mw::Codec> codec;
   if (xml) codec = std::make_unique<mw::XmlCodec>();
   else codec = std::make_unique<mw::BinaryCodec>();
   mw::LoopbackHub hub(sim, 5_ms);
-  mw::SpaceServer server(space, hub, *codec);
+  mw::NodeCore server(space, hub, *codec);
   mw::LoopbackClient& transport = hub.create_client();
   mw::SpaceClient client(sim, transport, *codec);
   obs::Registry registry;
@@ -78,7 +78,7 @@ double loopback_case(bool xml, obs::Snapshot* snapshot_out = nullptr) {
 
 double net_case(bool xml, double bandwidth_bps) {
   sim::Simulator sim(1);
-  space::TupleSpace space(sim);
+  space::SpaceEngine space(sim);
   std::unique_ptr<mw::Codec> codec;
   if (xml) codec = std::make_unique<mw::XmlCodec>();
   else codec = std::make_unique<mw::BinaryCodec>();
@@ -90,7 +90,7 @@ double net_case(bool xml, double bandwidth_bps) {
   link.prop_delay = 1_ms;
   network.connect(board, host, link);
   mw::NetServerTransport server_transport(sim, host, 1);
-  mw::SpaceServer server(space, server_transport, *codec);
+  mw::NodeCore server(space, server_transport, *codec);
   mw::NetClientTransport client_transport(sim, board, 1,
                                           server_transport.listen_address());
   mw::SpaceClient client(sim, client_transport, *codec);
@@ -99,12 +99,12 @@ double net_case(bool xml, double bandwidth_bps) {
 
 double rsp_pipe_case(bool xml) {
   sim::Simulator sim(1);
-  space::TupleSpace space(sim);
+  space::SpaceEngine space(sim);
   std::unique_ptr<mw::Codec> codec;
   if (xml) codec = std::make_unique<mw::XmlCodec>();
   else codec = std::make_unique<mw::BinaryCodec>();
   cosim::RspPipe pipe(sim);  // 115200-baud serial, the gdb stub's tty
-  mw::SpaceServer server(space, pipe.server_end(), *codec);
+  mw::NodeCore server(space, pipe.server_end(), *codec);
   mw::SpaceClient client(sim, pipe.client_end(), *codec);
   return measure(sim, client);
 }

@@ -36,7 +36,7 @@ svc::ActuatorAgent* operating_one(const std::vector<svc::ActuatorAgent*>& agents
 
 int main() {
   sim::Simulator sim;
-  space::TupleSpace space(sim);
+  space::SpaceEngine space(sim);
   svc::LocalSpaceApi api(space);
 
   svc::FailoverConfig config;

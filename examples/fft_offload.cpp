@@ -28,7 +28,7 @@ struct SweepPoint {
 
 SweepPoint run_pool(int consumer_count) {
   sim::Simulator sim(1);
-  space::TupleSpace space(sim);
+  space::SpaceEngine space(sim);
   svc::LocalSpaceApi api(space);
   svc::Discovery discovery(api);
 

@@ -8,15 +8,15 @@
 #include <cstdio>
 
 #include "src/sim/process.hpp"
+#include "src/space/engine.hpp"
 #include "src/space/ops.hpp"
-#include "src/space/space.hpp"
 
 using namespace tb;
 using namespace tb::sim::literals;
 
 namespace {
 
-sim::Task<void> tour(sim::Simulator& sim, space::TupleSpace& space) {
+sim::Task<void> tour(sim::Simulator& sim, space::SpaceEngine& space) {
   // --- write ----------------------------------------------------------
   // A tuple is a named, ordered list of typed values. Leases bound its
   // lifetime; kLeaseForever keeps it until taken.
@@ -99,7 +99,7 @@ sim::Task<void> tour(sim::Simulator& sim, space::TupleSpace& space) {
 
 int main() {
   sim::Simulator sim;
-  space::TupleSpace space(sim);
+  space::SpaceEngine space(sim);
   sim::spawn(tour(sim, space));
   sim.run();
 

@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "src/sim/process.hpp"
-#include "src/space/space.hpp"
+#include "src/space/engine.hpp"
 #include "src/svc/sensor.hpp"
 #include "src/wire/bus.hpp"
 #include "src/wire/master.hpp"
@@ -33,7 +33,7 @@ int main() {
   wire::Master master(bus);
 
   // --- the space and the publishing agent --------------------------------
-  space::TupleSpace space(sim);
+  space::SpaceEngine space(sim);
   svc::LocalSpaceApi api(space);
   svc::SensorAgentConfig config;
   config.node = 1;

@@ -105,7 +105,7 @@ struct ModeBRig {
   mw::BinaryCodec binary_codec;
   space::SpaceEngine space;
   mw::WireServerTransport server_transport;
-  mw::SpaceServer server;
+  mw::NodeCore server;
   mw::WireClientTransport client_transport;
   mw::SpaceClient client;
 

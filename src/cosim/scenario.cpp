@@ -74,7 +74,7 @@ WireScenario::WireScenario(ScenarioConfig config) : config_(config) {
     space_ = std::make_unique<space::SpaceEngine>(*sim_, config.space);
     server_transport_ = std::make_unique<mw::WireServerTransport>(
         *sim_, *slaves_[config.server_slave], config.transport);
-    server_ = std::make_unique<mw::SpaceServer>(*space_, *server_transport_,
+    server_ = std::make_unique<mw::NodeCore>(*space_, *server_transport_,
                                                 *codec_, config.server);
   }
 

@@ -16,10 +16,10 @@
 #include "src/fault/plan.hpp"
 #include "src/mw/client.hpp"
 #include "src/mw/codec.hpp"
-#include "src/mw/server.hpp"
+#include "src/mw/node_core.hpp"
 #include "src/mw/wire_transport.hpp"
 #include "src/sim/simulator.hpp"
-#include "src/space/space.hpp"
+#include "src/space/engine.hpp"
 #include "src/util/status.hpp"
 #include "src/wire/bus_model.hpp"
 #include "src/wire/master.hpp"
@@ -128,7 +128,7 @@ class WireScenario {
   }
 
   space::SpaceEngine& space() { return *space_; }
-  mw::SpaceServer& server() { return *server_; }
+  mw::NodeCore& server() { return *server_; }
   /// Mailbox-pump stats for the server's endpoint (chaos tests inspect
   /// fragment loss and reassembly evictions here).
   mw::WireServerTransport& server_transport() { return *server_transport_; }
@@ -153,7 +153,7 @@ class WireScenario {
   std::unique_ptr<mw::Codec> codec_;
   std::unique_ptr<space::SpaceEngine> space_;
   std::unique_ptr<mw::WireServerTransport> server_transport_;
-  std::unique_ptr<mw::SpaceServer> server_;
+  std::unique_ptr<mw::NodeCore> server_;
   std::unique_ptr<fault::FaultPlan> fault_plan_;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<fault::InvariantChecker> checker_;

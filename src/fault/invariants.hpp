@@ -26,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "src/space/space.hpp"
+#include "src/space/engine.hpp"
 #include "src/wire/bus_model.hpp"
 #include "src/wire/master.hpp"
 

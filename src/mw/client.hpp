@@ -33,7 +33,7 @@
 #include "src/mw/transport.hpp"
 #include "src/sim/process.hpp"
 #include "src/sim/simulator.hpp"
-#include "src/space/space.hpp"
+#include "src/space/engine.hpp"
 #include "src/util/assert.hpp"
 #include "src/util/status.hpp"
 

@@ -1,6 +1,6 @@
 // In-process transport with a fixed one-way delay.
 //
-// Models the paper's pure-Java prototype (Figure 3): client and SpaceServer
+// Models the paper's pure-Java prototype (Figure 3): client and NodeCore
 // in one address space, messages crossing an RMI-priced hop. Also the
 // fastest harness for tuplespace-semantics tests.
 #pragma once

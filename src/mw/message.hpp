@@ -1,4 +1,4 @@
-// Space-protocol messages exchanged between SpaceClient and SpaceServer.
+// Space-protocol messages exchanged between SpaceClient and NodeCore.
 //
 // Mirrors the paper's client/server architecture (Figures 3-5): the C++
 // client on the board talks to the space server through a message protocol

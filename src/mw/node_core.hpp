@@ -1,7 +1,7 @@
 // The reusable space-server node core (DESIGN.md §10, §16).
 //
-// Historically this class WAS mw::SpaceServer: the session-based dispatcher
-// that exposes a SpaceEngine over a ServerTransport (the paper's
+// Historically this class was the single space server: the session-based
+// dispatcher that exposes a SpaceEngine over a ServerTransport (the paper's
 // "SpaceServer" Java class, Figures 3-5). The federation refactor extracted
 // it so that N nodes can be instantiated cheaply on one sim kernel, each
 // jointly owning a consistent-hash slice of the type_key space:
@@ -46,8 +46,8 @@
 #include "src/mw/codec.hpp"
 #include "src/mw/transport.hpp"
 #include "src/sim/simulator.hpp"
+#include "src/space/engine.hpp"
 #include "src/space/oplog.hpp"
-#include "src/space/space.hpp"
 
 namespace tb::obs {
 class Registry;

@@ -1,4 +1,4 @@
-// Message transports between SpaceClient and SpaceServer.
+// Message transports between SpaceClient and NodeCore.
 //
 // The transport is deliberately message-oriented: codecs produce whole
 // messages, and each implementation owns its own framing/segmentation. Three
@@ -33,7 +33,7 @@ struct TransportStats {
 /// encode buffer (transports copy what they must into their own wire
 /// containers), and received messages are views into the transport's framer
 /// storage, valid only for the duration of the emit. Handlers that need the
-/// bytes later must copy; SpaceClient/SpaceServer decode immediately instead.
+/// bytes later must copy; SpaceClient/NodeCore decode immediately instead.
 class ClientTransport {
  public:
   virtual ~ClientTransport() = default;

@@ -12,90 +12,59 @@ SpaceEngine::SpaceEngine(sim::Simulator& sim, SpaceConfig config)
   TB_REQUIRE_MSG(config_.execution_mode == ExecutionMode::kDeterministic,
                  "SpaceEngine is the deterministic runtime; threaded configs "
                  "belong to ThreadedSpaceEngine (threaded.hpp)");
-  shards_.resize(config_.shard_count < 1 ? 1 : config_.shard_count);
+  const int count = config_.shard_count < 1 ? 1 : config_.shard_count;
+  shards_.reserve(count);  // stores_ points into shards_: no reallocation
+  for (int s = 0; s < count; ++s) {
+    stores_.push_back(
+        &shards_.emplace_back(config_.use_type_index, wheel_).store);
+  }
 }
 
 std::size_t SpaceEngine::size() const { return entry_count_; }
 
 std::vector<Tuple> SpaceEngine::snapshot() const {
-  // Id-ordered merge across the shard maps, exactly like the wildcard read
-  // path — but without stats side effects, so snapshotting is observation.
+  // Observation only: no stats side effects.
   std::vector<Tuple> out;
   out.reserve(entry_count_);
-  const sim::Time now = sim_->now();
-  std::vector<std::map<std::uint64_t, Entry>::const_iterator> cursor;
-  cursor.reserve(shards_.size());
-  for (const Shard& shard : shards_) cursor.push_back(shard.entries.begin());
-  for (;;) {
-    int best = -1;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (cursor[s] == shards_[s].entries.end()) continue;
-      if (best < 0 || cursor[s]->first < cursor[best]->first) {
-        best = static_cast<int>(s);
-      }
-    }
-    if (best < 0) break;
-    const Entry& entry = (cursor[best]++)->second;
-    if (entry.expires_at <= now) continue;
-    out.push_back(entry.tuple);
-  }
+  Scan scan(stores_, now_ns());
+  while (const Hit hit = scan.next()) out.push_back(hit.it->second.tuple);
   return out;
 }
 
 std::optional<std::pair<std::uint64_t, Tuple>> SpaceEngine::peek_oldest(
     const Template& tmpl) {
-  const Found found = find_match(tmpl);
-  if (!found.ok) return std::nullopt;
-  return std::make_pair(found.it->first, found.it->second.tuple);
+  const Hit hit = find_match(tmpl);
+  if (!hit) return std::nullopt;
+  return std::make_pair(hit.it->first, hit.it->second.tuple);
 }
 
 std::optional<Tuple> SpaceEngine::take_by_id(std::uint64_t id) {
-  const sim::Time now = sim_->now();
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    auto it = shards_[s].entries.find(id);
-    if (it == shards_[s].entries.end()) continue;
-    if (it->second.expires_at <= now) return std::nullopt;  // expiry queued
-    Tuple tuple = std::move(it->second.tuple);
-    erase_entry(static_cast<int>(s), it);
-    ++stats_.takes;
-    return tuple;
-  }
-  return std::nullopt;
+  const Hit hit = ShardEntries::find_live(stores_, id, now_ns());
+  if (!hit) return std::nullopt;
+  ++stats_.takes;
+  return erase_entry(hit);
 }
 
 std::vector<std::pair<std::uint64_t, Tuple>> SpaceEngine::snapshot_with_ids()
     const {
   std::vector<std::pair<std::uint64_t, Tuple>> out;
   out.reserve(entry_count_);
-  const sim::Time now = sim_->now();
-  std::vector<std::map<std::uint64_t, Entry>::const_iterator> cursor;
-  cursor.reserve(shards_.size());
-  for (const Shard& shard : shards_) cursor.push_back(shard.entries.begin());
-  for (;;) {
-    int best = -1;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (cursor[s] == shards_[s].entries.end()) continue;
-      if (best < 0 || cursor[s]->first < cursor[best]->first) {
-        best = static_cast<int>(s);
-      }
-    }
-    if (best < 0) break;
-    const auto& [id, entry] = *(cursor[best]++);
-    if (entry.expires_at <= now) continue;
-    out.emplace_back(id, entry.tuple);
+  Scan scan(stores_, now_ns());
+  while (const Hit hit = scan.next()) {
+    out.emplace_back(hit.it->first, hit.it->second.tuple);
   }
   return out;
 }
 
 std::size_t SpaceEngine::stored_bytes() const {
   std::size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.stored_bytes;
+  for (const Shard& shard : shards_) total += shard.store.stored_bytes();
   return total;
 }
 
 std::size_t SpaceEngine::blocked_operations() const {
   std::size_t total = wildcard_waiters_.size();
-  for (const Shard& shard : shards_) total += shard.waiters.size();
+  for (const Shard& shard : shards_) total += shard.store.waiters().size();
   return total;
 }
 
@@ -134,58 +103,18 @@ void SpaceEngine::fire_notifications(const Tuple& tuple) {
 void SpaceEngine::publish(std::uint64_t id, Tuple tuple, sim::Time expires_at) {
   const std::uint64_t key = type_key(tuple.name, tuple.arity());
   const int shard_idx = shard_of(key);
-  Shard& shard = shards_[shard_idx];
-
-  // Serve blocked operations in registration order: the shard's queue and
-  // the cross-shard wildcard queue are each id-ordered (ids are monotonic
-  // and waiters append), so a two-pointer merge visits the union oldest
-  // registration first — the wakeup order is independent of shard layout.
-  // Blocked reads each get a copy; the first matching blocked take consumes
-  // the tuple.
-  auto named = shard.waiters.begin();
-  auto wild = wildcard_waiters_.begin();
-  while (named != shard.waiters.end() || wild != wildcard_waiters_.end()) {
-    const bool pick_named =
-        wild == wildcard_waiters_.end() ||
-        (named != shard.waiters.end() && named->id < wild->id);
-    std::list<Waiter>& queue = pick_named ? shard.waiters : wildcard_waiters_;
-    auto& pos = pick_named ? named : wild;
-    if (!pos->tmpl.matches(tuple)) {
-      ++pos;
-      continue;
-    }
-    Waiter waiter = std::move(*pos);
-    pos = queue.erase(pos);
-    sim_->cancel(waiter.timeout_event);
-    const std::uint64_t waited_ns =
-        static_cast<std::uint64_t>((sim_->now() - waiter.enqueued).count_ns());
-    if (waiter.take) {
-      ++stats_.takes;
-      record_match(shard_idx, /*take=*/true, waited_ns);
-      deliver(std::move(waiter.callback), std::move(tuple));
-      return;  // consumed before reaching the store
-    }
-    ++stats_.reads;
-    record_match(shard_idx, /*take=*/false, waited_ns);
-    deliver(std::move(waiter.callback), tuple);  // copy to each reader
-  }
-
-  Entry entry;
-  entry.id = id;
-  entry.expires_at = expires_at;
-  entry.type_key = key;
-  entry.byte_size = tuple.byte_size();
-  if (expires_at != sim::Time::max()) {
-    entry.expiry_timer = arm_lease_timer(expires_at, id);
-  }
-  if (config_.use_type_index) {
-    shard.index[key].insert(id);
-  }
-  shard.stored_bytes += entry.byte_size;
-  entry.tuple = std::move(tuple);
-  // Ids are monotonic, so every store lands past the shard's current
-  // maximum: the end() hint makes the map insert amortized O(1).
-  shard.entries.emplace_hint(shard.entries.end(), id, std::move(entry));
+  const bool consumed = shards_[shard_idx].store.publish(
+      id, key, std::move(tuple), expires_at.count_ns(), &wildcard_waiters_,
+      [this, shard_idx](Waiter waiter, bool /*from_wildcard*/, Tuple served) {
+        sim_->cancel(waiter.payload.timeout_event);
+        ++(waiter.take ? stats_.takes : stats_.reads);
+        record_match(shard_idx, waiter.take,
+                     static_cast<std::uint64_t>(
+                         (sim_->now() - waiter.payload.enqueued).count_ns()));
+        deliver(std::move(waiter.payload.callback), std::move(served));
+      });
+  if (consumed) return;
+  if (expires_at != sim::Time::max()) reschedule_wheel();
   ++entry_count_;
   stats_.peak_size = std::max(stats_.peak_size, entry_count_);
 }
@@ -213,83 +142,21 @@ Lease SpaceEngine::write(Tuple tuple, sim::Time lease_duration,
   return lease;
 }
 
-SpaceEngine::Found SpaceEngine::find_match(const Template& tmpl) {
-  const sim::Time now = sim_->now();
-  if (tmpl.name.has_value()) {
-    // Every tuple of this (name, arity) shape lives on one shard.
-    const std::uint64_t want = type_key(*tmpl.name, tmpl.arity());
-    const int shard_idx = shard_of(want);
-    Shard& shard = shards_[shard_idx];
-    if (config_.use_type_index) {
-      const auto bucket = shard.index.find(want);
-      if (bucket == shard.index.end()) return {};
-      for (std::uint64_t id : bucket->second) {
-        auto it = shard.entries.find(id);
-        TB_ASSERT(it != shard.entries.end());
-        ++stats_.scan_steps;
-        if (it->second.expires_at <= now) continue;  // expiry event queued
-        if (tmpl.matches(it->second.tuple)) return {shard_idx, it, true};
-      }
-      return {};
-    }
-    // Linear scan of the shard: still short-circuits on the cached
-    // (name, arity) key before the field-by-field match.
-    for (auto it = shard.entries.begin(); it != shard.entries.end(); ++it) {
-      ++stats_.scan_steps;
-      if (it->second.expires_at <= now) continue;
-      if (it->second.type_key != want) continue;
-      if (tmpl.matches(it->second.tuple)) return {shard_idx, it, true};
-    }
-    return {};
-  }
-  // Wildcard fan-out: ids are monotonic write timestamps, so an id-ordered
-  // merge across the shards' entry maps preserves the paper's oldest-first
-  // total order exactly as the monolithic scan did.
-  std::vector<std::map<std::uint64_t, Entry>::iterator> cursor(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    cursor[s] = shards_[s].entries.begin();
-  }
-  for (;;) {
-    int best = -1;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (cursor[s] == shards_[s].entries.end()) continue;
-      if (best < 0 || cursor[s]->first < cursor[best]->first) {
-        best = static_cast<int>(s);
-      }
-    }
-    if (best < 0) return {};
-    auto it = cursor[best]++;
-    ++stats_.scan_steps;
-    if (it->second.expires_at <= now) continue;
-    if (tmpl.matches(it->second.tuple)) return {best, it, true};
-  }
+SpaceEngine::Hit SpaceEngine::find_match(const Template& tmpl) {
+  return Scan(stores_, tmpl, now_ns(), &stats_.scan_steps).next();
 }
 
-void SpaceEngine::erase_entry(int shard_idx,
-                              std::map<std::uint64_t, Entry>::iterator it) {
-  Shard& shard = shards_[shard_idx];
-  wheel_.cancel(it->second.expiry_timer);
-  if (config_.use_type_index) {
-    // The cached key keeps this valid even after a take moved the tuple out.
-    const auto bucket = shard.index.find(it->second.type_key);
-    TB_ASSERT(bucket != shard.index.end());
-    bucket->second.erase(it->first);
-    // Emptied buckets are retained: a hot (write, take, write, ...) shape
-    // would otherwise churn two map nodes per cycle, and an empty bucket is
-    // indistinguishable from an absent one to every lookup (same scan_steps,
-    // same results) — the set of live type keys is small and stable.
-  }
-  shard.stored_bytes -= it->second.byte_size;
-  shard.entries.erase(it);
+Tuple SpaceEngine::erase_entry(Hit hit) {
   --entry_count_;
+  return shards_[hit.shard].store.erase(hit.it);
 }
 
 std::optional<Tuple> SpaceEngine::read_if_exists(const Template& tmpl,
                                                  std::uint64_t txn) {
-  Found found = find_match(tmpl);
-  if (found.ok) {
+  const Hit hit = find_match(tmpl);
+  if (hit) {
     ++stats_.reads;
-    return found.it->second.tuple;
+    return hit.it->second.tuple;
   }
   if (txn != kNoTxn) {
     Txn* transaction = find_txn(txn);
@@ -308,23 +175,19 @@ std::optional<Tuple> SpaceEngine::read_if_exists(const Template& tmpl,
 
 std::optional<Tuple> SpaceEngine::take_if_exists(const Template& tmpl,
                                                  std::uint64_t txn) {
-  Found found = find_match(tmpl);
-  if (found.ok) {
+  const Hit hit = find_match(tmpl);
+  if (hit) {
     ++stats_.takes;
     if (txn != kNoTxn) {
       Txn* transaction = find_txn(txn);
       TB_REQUIRE_MSG(transaction != nullptr, "unknown transaction");
       // Hold a copy of the committed entry: invisible to everyone until the
       // transaction resolves; abort restores it with its remaining lease.
-      transaction->held.push_back(HeldEntry{found.it->first,
-                                            found.it->second.tuple,
-                                            found.it->second.expires_at});
+      transaction->held.push_back(
+          HeldEntry{hit.it->first, hit.it->second.tuple,
+                    sim::Time::ns(hit.it->second.deadline)});
     }
-    // The stored tuple's buffers move out to the caller; erase_entry works
-    // from the cached type_key and never looks at the (now empty) tuple.
-    Tuple result = std::move(found.it->second.tuple);
-    erase_entry(found.shard, found.it);
-    return result;
+    return erase_entry(hit);  // the stored buffers move out to the caller
   }
   if (txn != kNoTxn) {
     Txn* transaction = find_txn(txn);
@@ -346,136 +209,20 @@ std::optional<Tuple> SpaceEngine::take_if_exists(const Template& tmpl,
 
 std::vector<Tuple> SpaceEngine::read_all(const Template& tmpl,
                                          std::size_t max) {
-  std::vector<Tuple> out;
-  const sim::Time now = sim_->now();
-  if (config_.use_type_index && tmpl.name.has_value()) {
-    const std::uint64_t want = type_key(*tmpl.name, tmpl.arity());
-    Shard& shard = shards_[shard_of(want)];
-    const auto bucket = shard.index.find(want);
-    if (bucket == shard.index.end()) return out;
-    for (std::uint64_t id : bucket->second) {
-      if (out.size() >= max) break;
-      auto it = shard.entries.find(id);
-      TB_ASSERT(it != shard.entries.end());
-      ++stats_.scan_steps;
-      if (it->second.expires_at <= now) continue;
-      if (tmpl.matches(it->second.tuple)) {
-        ++stats_.reads;
-        out.push_back(it->second.tuple);
-      }
-    }
-    return out;
-  }
-  if (tmpl.name.has_value()) {
-    // Index off, but the shape still routes to exactly one shard.
-    Shard& shard = shards_[shard_of(type_key(*tmpl.name, tmpl.arity()))];
-    for (const auto& [id, entry] : shard.entries) {
-      if (out.size() >= max) break;
-      ++stats_.scan_steps;
-      if (entry.expires_at <= now) continue;
-      if (tmpl.matches(entry.tuple)) {
-        ++stats_.reads;
-        out.push_back(entry.tuple);
-      }
-    }
-    return out;
-  }
-  // Wildcard: id-ordered merge across shards keeps oldest-first.
-  std::vector<std::map<std::uint64_t, Entry>::const_iterator> cursor;
-  cursor.reserve(shards_.size());
-  for (const Shard& shard : shards_) cursor.push_back(shard.entries.begin());
-  while (out.size() < max) {
-    int best = -1;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (cursor[s] == shards_[s].entries.end()) continue;
-      if (best < 0 || cursor[s]->first < cursor[best]->first) {
-        best = static_cast<int>(s);
-      }
-    }
-    if (best < 0) break;
-    const Entry& entry = (cursor[best]++)->second;
-    ++stats_.scan_steps;
-    if (entry.expires_at <= now) continue;
-    if (tmpl.matches(entry.tuple)) {
-      ++stats_.reads;
-      out.push_back(entry.tuple);
-    }
-  }
+  std::vector<Tuple> out = ShardEntries::bulk(stores_, tmpl, now_ns(), max,
+                                              /*take=*/false,
+                                              &stats_.scan_steps);
+  stats_.reads += out.size();
   return out;
 }
 
 std::vector<Tuple> SpaceEngine::take_all(const Template& tmpl,
                                          std::size_t max) {
-  // Single pass in id (= write) order, like read_all — not repeated
-  // find_match calls, which rescan the bucket from the start for every
-  // taken tuple (quadratic in the match count). Ids are monotonic, so the
-  // index bucket, the shard entry maps and the cross-shard merge all yield
-  // oldest-first.
-  std::vector<Tuple> out;
-  const sim::Time now = sim_->now();
-  if (config_.use_type_index && tmpl.name.has_value()) {
-    const std::uint64_t want = type_key(*tmpl.name, tmpl.arity());
-    const int shard_idx = shard_of(want);
-    Shard& shard = shards_[shard_idx];
-    const auto bucket = shard.index.find(want);
-    if (bucket == shard.index.end()) return out;
-    // erase_entry edits (and may erase) the bucket, so walk a snapshot of
-    // the candidate ids.
-    const std::vector<std::uint64_t> candidates(bucket->second.begin(),
-                                                bucket->second.end());
-    for (std::uint64_t id : candidates) {
-      if (out.size() >= max) break;
-      auto it = shard.entries.find(id);
-      TB_ASSERT(it != shard.entries.end());
-      ++stats_.scan_steps;
-      if (it->second.expires_at <= now) continue;  // expiry event queued
-      if (tmpl.matches(it->second.tuple)) {
-        ++stats_.takes;
-        out.push_back(std::move(it->second.tuple));
-        erase_entry(shard_idx, it);
-      }
-    }
-    return out;
-  }
-  if (tmpl.name.has_value()) {
-    const int shard_idx = shard_of(type_key(*tmpl.name, tmpl.arity()));
-    Shard& shard = shards_[shard_idx];
-    for (auto it = shard.entries.begin();
-         it != shard.entries.end() && out.size() < max;) {
-      const auto cur = it++;  // erase_entry invalidates only cur
-      ++stats_.scan_steps;
-      if (cur->second.expires_at <= now) continue;
-      if (tmpl.matches(cur->second.tuple)) {
-        ++stats_.takes;
-        out.push_back(std::move(cur->second.tuple));
-        erase_entry(shard_idx, cur);
-      }
-    }
-    return out;
-  }
-  // Wildcard: merge across shards; advance each cursor before a possible
-  // erase so only the already-consumed position is invalidated.
-  std::vector<std::map<std::uint64_t, Entry>::iterator> cursor;
-  cursor.reserve(shards_.size());
-  for (Shard& shard : shards_) cursor.push_back(shard.entries.begin());
-  while (out.size() < max) {
-    int best = -1;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (cursor[s] == shards_[s].entries.end()) continue;
-      if (best < 0 || cursor[s]->first < cursor[best]->first) {
-        best = static_cast<int>(s);
-      }
-    }
-    if (best < 0) break;
-    const auto cur = cursor[best]++;
-    ++stats_.scan_steps;
-    if (cur->second.expires_at <= now) continue;
-    if (tmpl.matches(cur->second.tuple)) {
-      ++stats_.takes;
-      out.push_back(std::move(cur->second.tuple));
-      erase_entry(best, cur);
-    }
-  }
+  std::vector<Tuple> out = ShardEntries::bulk(stores_, tmpl, now_ns(), max,
+                                              /*take=*/true,
+                                              &stats_.scan_steps);
+  stats_.takes += out.size();
+  entry_count_ -= out.size();
   return out;
 }
 
@@ -547,19 +294,11 @@ bool SpaceEngine::abort(std::uint64_t txn) {
 void SpaceEngine::blocking_match(Template tmpl, sim::Time timeout,
                                  MatchCallback callback, bool take) {
   TB_REQUIRE(callback != nullptr);
-  Found found = find_match(tmpl);
-  if (found.ok) {
-    if (take) {
-      ++stats_.takes;
-      record_match(found.shard, /*take=*/true, 0);
-      Tuple result = std::move(found.it->second.tuple);
-      erase_entry(found.shard, found.it);
-      deliver(std::move(callback), std::move(result));
-    } else {
-      ++stats_.reads;
-      record_match(found.shard, /*take=*/false, 0);
-      deliver(std::move(callback), found.it->second.tuple);
-    }
+  if (const Hit hit = find_match(tmpl)) {
+    ++(take ? stats_.takes : stats_.reads);
+    record_match(hit.shard, take, 0);
+    deliver(std::move(callback),
+            take ? erase_entry(hit) : hit.it->second.tuple);
     return;
   }
   if (timeout <= sim::Time::zero()) {
@@ -577,16 +316,16 @@ void SpaceEngine::blocking_match(Template tmpl, sim::Time timeout,
   waiter.id = next_id_++;
   waiter.tmpl = std::move(tmpl);
   waiter.take = take;
-  waiter.callback = std::move(callback);
-  waiter.enqueued = sim_->now();
+  waiter.payload.callback = std::move(callback);
+  waiter.payload.enqueued = sim_->now();
   if (timeout != kLeaseForever) {
-    waiter.timeout_event =
+    waiter.payload.timeout_event =
         sim_->schedule_in(timeout, [this, route, id = waiter.id] {
-          std::list<Waiter>& queue = waiter_queue(route);
+          Store::Waiters& queue = waiter_queue(route);
           auto pos = std::find_if(queue.begin(), queue.end(),
                                   [id](const Waiter& w) { return w.id == id; });
           TB_ASSERT(pos != queue.end());
-          MatchCallback cb = std::move(pos->callback);
+          MatchCallback cb = std::move(pos->payload.callback);
           queue.erase(pos);
           ++stats_.misses;
           cb(std::nullopt);  // already on an event: no extra hop needed
@@ -634,33 +373,22 @@ bool SpaceEngine::cancel_notify(std::uint64_t registration) {
 std::optional<Lease> SpaceEngine::renew(std::uint64_t tuple_id,
                                         sim::Time extension) {
   TB_REQUIRE(extension > sim::Time::zero());
-  // Ids don't encode their shard; probe the (few) shard maps.
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    auto it = shards_[s].entries.find(tuple_id);
-    if (it == shards_[s].entries.end()) continue;
-    wheel_.cancel(it->second.expiry_timer);
-    it->second.expires_at = extension == kLeaseForever
-                                ? sim::Time::max()
-                                : sim_->now() + extension;
-    it->second.expiry_timer =
-        it->second.expires_at == sim::Time::max()
-            ? 0
-            : arm_lease_timer(it->second.expires_at, tuple_id);
-    ++stats_.renewals;
-    return Lease{tuple_id, it->second.expires_at};
-  }
-  return std::nullopt;
+  const Hit hit = ShardEntries::find_live(stores_, tuple_id, now_ns());
+  if (!hit) return std::nullopt;
+  const sim::Time expires_at =
+      extension == kLeaseForever ? sim::Time::max() : sim_->now() + extension;
+  shards_[hit.shard].store.rearm(hit.it, expires_at.count_ns());
+  if (expires_at != sim::Time::max()) reschedule_wheel();
+  ++stats_.renewals;
+  return Lease{tuple_id, expires_at};
 }
 
 bool SpaceEngine::cancel(std::uint64_t tuple_id) {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    auto it = shards_[s].entries.find(tuple_id);
-    if (it == shards_[s].entries.end()) continue;
-    erase_entry(static_cast<int>(s), it);
-    ++stats_.cancellations;
-    return true;
-  }
-  return false;
+  const Hit hit = ShardEntries::find_live(stores_, tuple_id, now_ns());
+  if (!hit) return false;
+  erase_entry(hit);
+  ++stats_.cancellations;
+  return true;
 }
 
 sim::TimerWheel::TimerId SpaceEngine::arm_lease_timer(sim::Time expires_at,
@@ -706,15 +434,11 @@ void SpaceEngine::expire_payload(std::uint64_t payload) {
     notifies_.erase(payload & ~kNotifyTimer);
     return;
   }
-  // Entry expiry: ids don't encode their shard; probe like cancel(). The
-  // entry is guaranteed live — takes, cancels and renewals all cancel the
-  // wheel timer before this can fire.
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    auto it = shards_[s].entries.find(payload);
-    if (it == shards_[s].entries.end()) continue;
+  // Entry expiry: its deadline is now, so look it up by presence. Takes,
+  // cancels and renewals all cancel the wheel timer before this can fire.
+  if (const Hit hit = ShardEntries::find_live(stores_, payload, kAllVisible)) {
     ++stats_.expirations;
-    erase_entry(static_cast<int>(s), it);
-    return;
+    erase_entry(hit);
   }
 }
 
@@ -777,9 +501,9 @@ void SpaceEngine::bind_metrics(obs::Registry& registry,
     blocked.set(static_cast<double>(blocked_operations()));
     wildcard_blocked.set(static_cast<double>(wildcard_waiters_.size()));
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      per_shard[s].size->set(static_cast<double>(shards_[s].entries.size()));
-      per_shard[s].stored->set(static_cast<double>(shards_[s].stored_bytes));
-      per_shard[s].blocked->set(static_cast<double>(shards_[s].waiters.size()));
+      per_shard[s].size->set(static_cast<double>(shard_size(s)));
+      per_shard[s].stored->set(static_cast<double>(shard_stored_bytes(s)));
+      per_shard[s].blocked->set(static_cast<double>(shard_blocked(s)));
     }
   });
 }

@@ -17,14 +17,16 @@
 // failover election deterministic ("Just one of them will succeed").
 //
 // Sharding (DESIGN.md §10): the store is split into `SpaceConfig::
-// shard_count` shards keyed by the cached FNV-1a (name, arity) type_key.
+// shard_count` ShardStores (shard_store.hpp — the core this engine shares
+// with ThreadedSpaceEngine) keyed by the cached FNV-1a (name, arity)
+// type_key.
 // A name-constrained template touches exactly one shard; wildcard templates
 // fan out with an id-ordered merge across shards, so the paper's total
 // order survives partitioning. Blocked operations queue per shard (named
 // templates) or in a cross-shard wildcard queue; a published tuple serves
 // the union of its shard's queue and the wildcard queue in registration-id
 // order — oldest registration wins regardless of shard iteration order.
-// shard_count = 1 reproduces the historical monolithic TupleSpace exactly:
+// shard_count = 1 reproduces the historical monolithic store exactly:
 // same event schedule, same stats, same match order.
 //
 // Determinism contract: every result callback (blocked-op completion, timeout
@@ -36,16 +38,14 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/sim/simulator.hpp"
 #include "src/sim/timer_wheel.hpp"
+#include "src/space/shard_store.hpp"
 #include "src/space/tuple.hpp"
 
 namespace tb::obs {
@@ -86,7 +86,7 @@ struct SpaceConfig {
   bool use_type_index = true;
 
   /// Number of store shards (type_key-partitioned). 1 = the historical
-  /// monolithic store, bit-exact with the pre-sharding TupleSpace; values
+  /// monolithic store, bit-exact with the pre-sharding engine; values
   /// < 1 are clamped to 1. Sharding keeps the per-shard entry maps small,
   /// which is what dominates write/take cost on a populated space.
   int shard_count = 1;
@@ -230,20 +230,18 @@ class SpaceEngine {
   int shard_count() const { return static_cast<int>(shards_.size()); }
   /// Which shard a (name, arity) shape routes to.
   int shard_of(std::uint64_t key) const {
-    return shards_.size() == 1
-               ? 0
-               : static_cast<int>(key % shards_.size());
+    return shard_route(key, shards_.size());
   }
   std::size_t shard_size(int shard) const {
-    return shards_.at(shard).entries.size();
+    return shards_.at(shard).store.size();
   }
   std::size_t shard_stored_bytes(int shard) const {
-    return shards_.at(shard).stored_bytes;
+    return shards_.at(shard).store.stored_bytes();
   }
   /// Blocked operations parked on this shard's queue (excludes the
   /// cross-shard wildcard queue — see wildcard_blocked()).
   std::size_t shard_blocked(int shard) const {
-    return shards_.at(shard).waiters.size();
+    return shards_.at(shard).store.waiters().size();
   }
   std::size_t wildcard_blocked() const { return wildcard_waiters_.size(); }
 
@@ -277,30 +275,18 @@ class SpaceEngine {
   void bind_metrics(obs::Registry& registry, const std::string& prefix = "space");
 
  private:
-  struct Entry {
-    std::uint64_t id = 0;  ///< doubles as the write timestamp (total order)
-    Tuple tuple;
-    sim::Time expires_at;
-    sim::TimerWheel::TimerId expiry_timer = 0;  ///< wheel slot, not an event
-    /// (name, arity) hash, computed once at publish: matching short-circuits
-    /// on it, index maintenance never re-hashes the name, and it doubles as
-    /// the shard route — which also lets takes move the tuple out before
-    /// the entry is erased.
-    std::uint64_t type_key = 0;
-    std::size_t byte_size = 0;  ///< cached wire-footprint estimate
-  };
-
-  /// -1 routes to the cross-shard wildcard waiter queue.
-  static constexpr int kWildcardShard = -1;
-
-  struct Waiter {
-    std::uint64_t id = 0;
-    Template tmpl;
-    bool take = false;
+  /// What a blocked read/take needs to complete.
+  struct Parked {
     MatchCallback callback;
     sim::EventHandle timeout_event;
     sim::Time enqueued;  ///< registration time, for the match-latency histogram
   };
+  using Store = ShardStore<Parked>;
+  using Waiter = Store::Waiter;
+  using Hit = ShardEntries::Hit;
+
+  /// -1 routes to the cross-shard wildcard waiter queue.
+  static constexpr int kWildcardShard = -1;
 
   struct NotifyReg {
     std::uint64_t id = 0;
@@ -331,20 +317,11 @@ class SpaceEngine {
   };
 
   struct Shard {
-    std::map<std::uint64_t, Entry> entries;  ///< id-ordered = timestamp-ordered
-    /// (name, arity) -> ordered ids, maintained when use_type_index.
-    std::unordered_map<std::uint64_t, std::set<std::uint64_t>> index;
-    std::list<Waiter> waiters;  ///< FIFO (= id) order, name-keyed templates
-    std::size_t stored_bytes = 0;  ///< sum of entries' cached byte_size
+    Shard(bool use_type_index, sim::TimerWheel& wheel)
+        : store(use_type_index, wheel) {}
+    Store store;
     obs::Histogram* match_read_ns = nullptr;  ///< set by bind_metrics
     obs::Histogram* match_take_ns = nullptr;
-  };
-
-  /// A match location: shard index + entry iterator.
-  struct Found {
-    int shard = 0;
-    std::map<std::uint64_t, Entry>::iterator it;
-    bool ok = false;
   };
 
   /// Fires matching notify registrations for a (now public) write.
@@ -359,12 +336,10 @@ class SpaceEngine {
   void resolve_txn(std::map<std::uint64_t, Txn>::iterator it, bool commit_it);
 
   /// Oldest live entry matching `tmpl` across the relevant shard(s).
-  Found find_match(const Template& tmpl);
-
-  /// Serves one waiter from `pos` in `queue`: cancels its timeout, records
-  /// latency and delivers. Returns true when the waiter was a take (tuple
-  /// consumed).
-  void erase_entry(int shard, std::map<std::uint64_t, Entry>::iterator it);
+  Hit find_match(const Template& tmpl);
+  /// Removes a located entry, returning its tuple.
+  Tuple erase_entry(Hit hit);
+  std::int64_t now_ns() const { return sim_->now().count_ns(); }
   void blocking_match(Template tmpl, sim::Time timeout, MatchCallback callback,
                       bool take);
   void deliver(MatchCallback callback, std::optional<Tuple> result);
@@ -386,8 +361,9 @@ class SpaceEngine {
   /// Fires due timers and re-arms; spurious wakeups only tighten the bound.
   void service_wheel();
   void expire_payload(std::uint64_t payload);
-  std::list<Waiter>& waiter_queue(int shard) {
-    return shard == kWildcardShard ? wildcard_waiters_ : shards_[shard].waiters;
+  Store::Waiters& waiter_queue(int shard) {
+    return shard == kWildcardShard ? wildcard_waiters_
+                                   : shards_[shard].store.waiters();
   }
   void record_match(int shard, bool take, std::uint64_t waited_ns);
 
@@ -396,11 +372,12 @@ class SpaceEngine {
   std::uint64_t next_id_ = 1;
   std::size_t entry_count_ = 0;  ///< sum of shard entry maps, kept O(1)
 
-  std::vector<Shard> shards_;
-  std::list<Waiter> wildcard_waiters_;  ///< unnamed templates: watch all shards
-  sim::TimerWheel wheel_;               ///< every finite lease, O(1) arm/cancel
-  sim::EventHandle wheel_event_;        ///< single kernel event servicing it
-  std::int64_t wheel_armed_at_ = -1;    ///< deadline wheel_event_ is armed for
+  sim::TimerWheel wheel_;              ///< every finite lease, O(1) arm/cancel
+  sim::EventHandle wheel_event_;       ///< single kernel event servicing it
+  std::int64_t wheel_armed_at_ = -1;   ///< deadline wheel_event_ is armed for
+  std::vector<Shard> shards_;          ///< entry leases arm on wheel_
+  std::vector<ShardEntries*> stores_;  ///< &shards_[i].store, for Scan
+  Store::Waiters wildcard_waiters_;  ///< unnamed templates: watch all shards
   std::map<std::uint64_t, NotifyReg> notifies_;
   std::map<std::uint64_t, Txn> transactions_;
   Stats stats_;

@@ -1,14 +1,11 @@
 #include "src/space/oplog.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
-
-#include "src/sim/simulator.hpp"
 
 namespace tb::space {
 
-namespace {
+namespace detail {
 
 std::string describe(const std::optional<Tuple>& t) {
   return t.has_value() ? t->to_string() : std::string("<none>");
@@ -22,6 +19,8 @@ std::string describe(const std::vector<Tuple>& ts) {
   }
   return out + "]";
 }
+
+std::string describe(bool ok) { return ok ? "true" : "false"; }
 
 const char* kind_name(OpRecord::Kind kind) {
   switch (kind) {
@@ -45,7 +44,39 @@ const char* kind_name(OpRecord::Kind kind) {
   return "?";
 }
 
-}  // namespace
+LeasePlan plan_leases(const std::vector<OpRecord>& records) {
+  // Walk the records in ticket order; `arming` tracks the latest arming
+  // ticket per live entry (keyed by write ticket).
+  LeasePlan plan;
+  std::unordered_map<std::uint64_t, std::uint64_t> arming;
+  for (const OpRecord& r : records) {
+    switch (r.kind) {
+      case OpRecord::Kind::kWrite:
+        // Transactional writes are forever-lease in threaded mode; a
+        // post-commit renewal re-arms them below.
+        if (r.txn == kNoTxn) arming[r.ticket] = r.ticket;
+        break;
+      case OpRecord::Kind::kRenew:
+        if (r.ok) arming[r.target] = r.ticket;
+        break;
+      case OpRecord::Kind::kLeaseExpire: {
+        const auto it = arming.find(r.target);
+        if (it == arming.end()) break;
+        const std::uint64_t armed_at = it->second;
+        const std::int64_t duration = static_cast<std::int64_t>(
+            r.ticket > armed_at ? r.ticket - armed_at : 1);
+        (armed_at == r.target ? plan.write : plan.renew)[armed_at] = duration;
+        arming.erase(it);
+        break;
+      }
+      default:
+        break;
+    }
+  }
+  return plan;
+}
+
+}  // namespace detail
 
 std::vector<OpRecord> OpLog::sorted() const {
   std::vector<OpRecord> out;
@@ -65,271 +96,7 @@ ReplayReport replay_against_oracle(const OpLog& log, SpaceConfig config,
   config.execution_mode = ExecutionMode::kDeterministic;
   sim::Simulator sim;
   SpaceEngine oracle(sim, config);
-  ReplayReport report;
-
-  const std::vector<OpRecord> records = log.sorted();
-  report.ops_replayed = records.size();
-
-  auto diverge = [&report, &records](std::size_t i, const std::string& what) {
-    if (!report.equivalent) return;  // first divergence wins
-    report.equivalent = false;
-    report.divergence = "op[" + std::to_string(i) + "] ticket " +
-                        std::to_string(records[i].ticket) + " (" +
-                        kind_name(records[i].kind) + "): " + what;
-  };
-
-  // Per-blocked-record oracle outcome, filled by the completion callbacks.
-  struct BlockedOutcome {
-    bool completed = false;
-    std::optional<Tuple> result;
-  };
-  std::vector<BlockedOutcome> blocked(records.size());
-  std::unordered_map<std::uint64_t, std::uint64_t> txn_map;     // ticket -> id
-  std::unordered_map<std::uint64_t, std::uint64_t> notify_map;  // ticket -> id
-  std::unordered_map<std::uint64_t, std::uint64_t> tuple_map;   // ticket -> id
-
-  auto mapped_txn = [&txn_map](std::uint64_t threaded_txn) {
-    if (threaded_txn == kNoTxn) return kNoTxn;
-    const auto it = txn_map.find(threaded_txn);
-    return it == txn_map.end() ? kNoTxn : it->second;
-  };
-
-  // Lease pre-pass (expiry-at-ticket, see header): rewrite every arming to
-  // the ticket-space duration that makes the oracle's wheel reclaim the
-  // entry at exactly the recorded kLeaseExpire instant. `arming` tracks
-  // the latest arming ticket per live entry (keyed by write ticket).
-  std::unordered_map<std::uint64_t, std::uint64_t> arming;
-  std::unordered_map<std::uint64_t, std::int64_t> write_dur;  // write ticket
-  std::unordered_map<std::uint64_t, std::int64_t> renew_dur;  // renew ticket
-  for (const OpRecord& r : records) {
-    switch (r.kind) {
-      case OpRecord::Kind::kWrite:
-        // Transactional writes are forever-lease in threaded mode; a
-        // post-commit renewal re-arms them below.
-        if (r.txn == kNoTxn) arming[r.ticket] = r.ticket;
-        break;
-      case OpRecord::Kind::kRenew:
-        if (r.ok) arming[r.target] = r.ticket;
-        break;
-      case OpRecord::Kind::kLeaseExpire: {
-        const auto it = arming.find(r.target);
-        if (it == arming.end()) break;
-        const std::uint64_t armed_at = it->second;
-        const std::int64_t duration = static_cast<std::int64_t>(
-            r.ticket > armed_at ? r.ticket - armed_at : 1);
-        if (armed_at == r.target) {
-          write_dur[armed_at] = duration;
-        } else {
-          renew_dur[armed_at] = duration;
-        }
-        arming.erase(it);
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
-  auto apply = [&](std::size_t i) {
-    const OpRecord& r = records[i];
-    switch (r.kind) {
-      case OpRecord::Kind::kWrite: {
-        const auto dur = write_dur.find(r.ticket);
-        const sim::Time lease = dur == write_dur.end()
-                                    ? kLeaseForever
-                                    : sim::Time::ns(dur->second);
-        tuple_map[r.ticket] =
-            oracle.write(r.tuple, lease, mapped_txn(r.txn)).id;
-        break;
-      }
-      case OpRecord::Kind::kReadIfExists: {
-        const auto got = oracle.read_if_exists(r.tmpl, mapped_txn(r.txn));
-        if (got != r.result) {
-          diverge(i, "oracle " + describe(got) + " != recorded " +
-                         describe(r.result));
-        }
-        break;
-      }
-      case OpRecord::Kind::kTakeIfExists: {
-        const auto got = oracle.take_if_exists(r.tmpl, mapped_txn(r.txn));
-        if (got != r.result) {
-          diverge(i, "oracle " + describe(got) + " != recorded " +
-                         describe(r.result));
-        }
-        break;
-      }
-      case OpRecord::Kind::kReadAll: {
-        const auto got = oracle.read_all(r.tmpl, r.max);
-        if (got != r.results) {
-          diverge(i, "oracle " + describe(got) + " != recorded " +
-                         describe(r.results));
-        }
-        break;
-      }
-      case OpRecord::Kind::kTakeAll: {
-        const auto got = oracle.take_all(r.tmpl, r.max);
-        if (got != r.results) {
-          diverge(i, "oracle " + describe(got) + " != recorded " +
-                         describe(r.results));
-        }
-        break;
-      }
-      case OpRecord::Kind::kBlockingRead:
-      case OpRecord::Kind::kBlockingTake: {
-        // A record cancelled at ticket c parks with exactly the timeout
-        // that fires at sim time ns(c); a record that matched waits
-        // forever (the serving publish completes it, or nothing does and
-        // the non-completion is the divergence).
-        const sim::Time timeout =
-            r.timed_out ? sim::Time::ns(static_cast<std::int64_t>(
-                              r.cancel_ticket > r.ticket
-                                  ? r.cancel_ticket - r.ticket
-                                  : 0))
-                        : kLeaseForever;
-        auto callback = [&blocked, i](std::optional<Tuple> result) {
-          blocked[i].completed = true;
-          blocked[i].result = std::move(result);
-        };
-        if (r.kind == OpRecord::Kind::kBlockingTake) {
-          oracle.take_async(r.tmpl, timeout, std::move(callback));
-        } else {
-          oracle.read_async(r.tmpl, timeout, std::move(callback));
-        }
-        break;
-      }
-      case OpRecord::Kind::kBeginTxn:
-        txn_map[r.ticket] = oracle.begin_transaction();
-        break;
-      case OpRecord::Kind::kCommit: {
-        const bool got = oracle.commit(mapped_txn(r.txn));
-        if (got != r.ok) {
-          diverge(i, "oracle commit " + std::to_string(got) +
-                         " != recorded " + std::to_string(r.ok));
-        }
-        break;
-      }
-      case OpRecord::Kind::kAbort: {
-        const bool got = oracle.abort(mapped_txn(r.txn));
-        if (got != r.ok) {
-          diverge(i, "oracle abort " + std::to_string(got) +
-                         " != recorded " + std::to_string(r.ok));
-        }
-        break;
-      }
-      case OpRecord::Kind::kNotifyReg:
-        notify_map[r.ticket] = oracle.notify(
-            r.tmpl, kLeaseForever,
-            [&report, ticket = r.ticket](const Tuple&) {
-              ++report.notify_deliveries[ticket];
-            });
-        break;
-      case OpRecord::Kind::kNotifyCancel: {
-        const auto reg = notify_map.find(r.target);
-        const bool got =
-            reg != notify_map.end() && oracle.cancel_notify(reg->second);
-        if (got != r.ok) {
-          diverge(i, "oracle cancel_notify " + std::to_string(got) +
-                         " != recorded " + std::to_string(r.ok));
-        }
-        break;
-      }
-      case OpRecord::Kind::kRenew: {
-        const auto dur = renew_dur.find(r.ticket);
-        const sim::Time extension = dur == renew_dur.end()
-                                        ? kLeaseForever
-                                        : sim::Time::ns(dur->second);
-        const auto id = tuple_map.find(r.target);
-        const bool got = id != tuple_map.end() &&
-                         oracle.renew(id->second, extension).has_value();
-        if (got != r.ok) {
-          diverge(i, "oracle renew " + std::to_string(got) +
-                         " != recorded " + std::to_string(r.ok));
-        }
-        break;
-      }
-      case OpRecord::Kind::kCancelLease: {
-        const auto id = tuple_map.find(r.target);
-        const bool got =
-            id != tuple_map.end() && oracle.cancel(id->second);
-        if (got != r.ok) {
-          diverge(i, "oracle cancel " + std::to_string(got) +
-                         " != recorded " + std::to_string(r.ok));
-        }
-        break;
-      }
-      case OpRecord::Kind::kLeaseExpire:
-        // Nothing to apply: the pre-pass turned this record into the
-        // arming's replay duration, so the oracle's own wheel reclaims the
-        // entry at exactly this instant.
-        break;
-      case OpRecord::Kind::kSnapshot: {
-        // Mid-run consistent cut: the threaded engine's sequence-point
-        // snapshot must equal the oracle's space at the same ticket
-        // (snapshot() is const on the oracle — no stats side effects).
-        const auto got = oracle.snapshot();
-        if (got != r.results) {
-          diverge(i, "oracle cut " + describe(got) + " != recorded " +
-                         describe(r.results));
-        }
-        break;
-      }
-    }
-  };
-
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    sim.schedule_at(sim::Time::ns(static_cast<std::int64_t>(records[i].ticket)),
-                    [&apply, i] { apply(i); });
-  }
-  try {
-    sim.run();
-  } catch (const std::exception& e) {
-    diverge(0, std::string("oracle replay threw: ") + e.what());
-    return report;
-  }
-
-  // Blocked-op completions: the oracle must have produced exactly the
-  // recorded outcome. A forever-parked waiter whose record says "matched"
-  // never completes; a waiter the oracle served but the record says timed
-  // out completes with a tuple — both are divergences.
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const OpRecord& r = records[i];
-    if (r.kind != OpRecord::Kind::kBlockingRead &&
-        r.kind != OpRecord::Kind::kBlockingTake) {
-      continue;
-    }
-    const std::optional<Tuple> expected =
-        r.timed_out ? std::nullopt : r.result;
-    if (!blocked[i].completed) {
-      if (!r.timed_out) {
-        diverge(i, "oracle never completed; recorded " + describe(expected));
-      }
-      continue;
-    }
-    if (blocked[i].result != expected) {
-      diverge(i, "oracle " + describe(blocked[i].result) + " != recorded " +
-                     describe(expected));
-    }
-  }
-
-  // Final-state equivalence: same live tuples in the same total order.
-  const std::vector<Tuple> oracle_state = oracle.snapshot();
-  if (oracle_state.size() != final_state.size()) {
-    diverge(records.empty() ? 0 : records.size() - 1,
-            "final size: oracle " + std::to_string(oracle_state.size()) +
-                " != threaded " + std::to_string(final_state.size()));
-  } else {
-    for (std::size_t i = 0; i < oracle_state.size(); ++i) {
-      if (oracle_state[i] == final_state[i]) continue;
-      diverge(records.empty() ? 0 : records.size() - 1,
-              "final state[" + std::to_string(i) + "]: oracle " +
-                  oracle_state[i].to_string() + " != threaded " +
-                  final_state[i].to_string());
-      break;
-    }
-  }
-
-  report.oracle_stats = oracle.stats();
-  return report;
+  return replay_log(log, sim, oracle, final_state);
 }
 
 }  // namespace tb::space

@@ -25,9 +25,11 @@
 // matching expiry (taken, cancelled, renewed away, or still live at the
 // end) replay as forever.
 //
-// Every later scaling PR (federation, leases, notify fan-out) regresses
-// against this harness: record in the new runtime, replay through the
-// oracle, assert equivalence.
+// The replay is generic over the oracle: the differential tests replay
+// every threaded log through SpaceEngine and through a naive linear-scan
+// reference model that shares no code with either engine (both engines
+// share ShardStore, so SpaceEngine alone would check that core against
+// itself).
 #pragma once
 
 #include <cstdint>
@@ -35,6 +37,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/space/engine.hpp"
@@ -114,11 +117,208 @@ struct ReplayReport {
   SpaceEngine::Stats oracle_stats;
 };
 
-/// Replays `log` in ticket order through a fresh deterministic SpaceEngine
-/// and checks every recorded per-op result plus the final space state
-/// against `final_state` (the threaded engine's post-run snapshot()).
-/// `config` should match the recorded run's shard_count / use_type_index;
-/// execution_mode is forced to kDeterministic.
+namespace detail {
+
+std::string describe(const std::optional<Tuple>& t);
+std::string describe(const std::vector<Tuple>& ts);
+std::string describe(bool ok);
+const char* kind_name(OpRecord::Kind kind);
+
+/// The lease pre-pass (expiry-at-ticket, see the header comment): replay
+/// durations in ticket-ns for every arming that a kLeaseExpire record
+/// terminates; absent armings replay as forever.
+struct LeasePlan {
+  std::unordered_map<std::uint64_t, std::int64_t> write;  ///< by write ticket
+  std::unordered_map<std::uint64_t, std::int64_t> renew;  ///< by renew ticket
+};
+LeasePlan plan_leases(const std::vector<OpRecord>& records);
+
+}  // namespace detail
+
+/// Replays `log` in ticket order through `oracle` and checks every recorded
+/// per-op result plus the final space state against `final_state` (the
+/// threaded engine's post-run snapshot()). `oracle` is any store with
+/// SpaceEngine's operation surface — SpaceEngine itself, or the naive
+/// reference model the tests keep — running on `sim`, a fresh simulator
+/// whose clock is the ticket: record k executes at sim time Time::ns(k).
+template <class Oracle>
+ReplayReport replay_log(const OpLog& log, sim::Simulator& sim, Oracle& oracle,
+                        const std::vector<Tuple>& final_state) {
+  using Kind = OpRecord::Kind;
+  ReplayReport report;
+  const std::vector<OpRecord> records = log.sorted();
+  report.ops_replayed = records.size();
+
+  auto diverge = [&report, &records](std::size_t i, const std::string& what) {
+    if (!report.equivalent) return;  // first divergence wins
+    report.equivalent = false;
+    report.divergence = "op[" + std::to_string(i) + "]";
+    if (i < records.size()) {
+      report.divergence += " ticket " + std::to_string(records[i].ticket) +
+                           " (" + detail::kind_name(records[i].kind) + ")";
+    }
+    report.divergence += ": " + what;
+  };
+  auto check = [&diverge](std::size_t i, const auto& got, const auto& want) {
+    if (got != want) {
+      diverge(i, "oracle " + detail::describe(got) + " != recorded " +
+                     detail::describe(want));
+    }
+  };
+
+  // Per-blocked-record oracle outcome, filled by the completion callbacks.
+  struct BlockedOutcome {
+    bool completed = false;
+    std::optional<Tuple> result;
+  };
+  std::vector<BlockedOutcome> blocked(records.size());
+  std::unordered_map<std::uint64_t, std::uint64_t> txn_map;     // ticket -> id
+  std::unordered_map<std::uint64_t, std::uint64_t> notify_map;  // ticket -> id
+  std::unordered_map<std::uint64_t, std::uint64_t> tuple_map;   // ticket -> id
+  const detail::LeasePlan leases = detail::plan_leases(records);
+
+  auto mapped = [](const auto& map, std::uint64_t ticket) -> std::uint64_t {
+    const auto it = map.find(ticket);
+    return it == map.end() ? 0 : it->second;
+  };
+  auto lease_for = [](const auto& plan, std::uint64_t ticket) {
+    const auto it = plan.find(ticket);
+    return it == plan.end() ? kLeaseForever : sim::Time::ns(it->second);
+  };
+
+  auto apply = [&](std::size_t i) {
+    const OpRecord& r = records[i];
+    const std::uint64_t txn = mapped(txn_map, r.txn);
+    switch (r.kind) {
+      case Kind::kWrite:
+        tuple_map[r.ticket] =
+            oracle.write(r.tuple, lease_for(leases.write, r.ticket), txn).id;
+        break;
+      case Kind::kReadIfExists:
+        check(i, oracle.read_if_exists(r.tmpl, txn), r.result);
+        break;
+      case Kind::kTakeIfExists:
+        check(i, oracle.take_if_exists(r.tmpl, txn), r.result);
+        break;
+      case Kind::kReadAll:
+        check(i, oracle.read_all(r.tmpl, r.max), r.results);
+        break;
+      case Kind::kTakeAll:
+        check(i, oracle.take_all(r.tmpl, r.max), r.results);
+        break;
+      case Kind::kBlockingRead:
+      case Kind::kBlockingTake: {
+        // A record cancelled at ticket c parks with exactly the timeout
+        // that fires at sim time ns(c); a record that matched waits
+        // forever (the serving publish completes it, or nothing does and
+        // the non-completion is the divergence).
+        const sim::Time timeout =
+            r.timed_out ? sim::Time::ns(static_cast<std::int64_t>(
+                              r.cancel_ticket > r.ticket
+                                  ? r.cancel_ticket - r.ticket
+                                  : 0))
+                        : kLeaseForever;
+        auto callback = [&blocked, i](std::optional<Tuple> result) {
+          blocked[i].completed = true;
+          blocked[i].result = std::move(result);
+        };
+        if (r.kind == Kind::kBlockingTake) {
+          oracle.take_async(r.tmpl, timeout, std::move(callback));
+        } else {
+          oracle.read_async(r.tmpl, timeout, std::move(callback));
+        }
+        break;
+      }
+      case Kind::kBeginTxn:
+        txn_map[r.ticket] = oracle.begin_transaction();
+        break;
+      case Kind::kCommit:
+        check(i, oracle.commit(txn), r.ok);
+        break;
+      case Kind::kAbort:
+        check(i, oracle.abort(txn), r.ok);
+        break;
+      case Kind::kNotifyReg:
+        notify_map[r.ticket] = oracle.notify(
+            r.tmpl, kLeaseForever,
+            [&report, ticket = r.ticket](const Tuple&) {
+              ++report.notify_deliveries[ticket];
+            });
+        break;
+      case Kind::kNotifyCancel: {
+        const std::uint64_t reg = mapped(notify_map, r.target);
+        check(i, reg != 0 && oracle.cancel_notify(reg), r.ok);
+        break;
+      }
+      case Kind::kRenew: {
+        const std::uint64_t id = mapped(tuple_map, r.target);
+        check(i,
+              id != 0 &&
+                  oracle.renew(id, lease_for(leases.renew, r.ticket))
+                      .has_value(),
+              r.ok);
+        break;
+      }
+      case Kind::kCancelLease: {
+        const std::uint64_t id = mapped(tuple_map, r.target);
+        check(i, id != 0 && oracle.cancel(id), r.ok);
+        break;
+      }
+      case Kind::kLeaseExpire:
+        // Nothing to apply: the pre-pass turned this record into the
+        // arming's replay duration, so the oracle's own clock reclaims the
+        // entry at exactly this instant.
+        break;
+      case Kind::kSnapshot:
+        // Mid-run consistent cut: the threaded engine's sequence-point
+        // snapshot must equal the oracle's space at the same ticket.
+        check(i, oracle.snapshot(), r.results);
+        break;
+    }
+  };
+
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    sim.schedule_at(sim::Time::ns(static_cast<std::int64_t>(records[i].ticket)),
+                    [&apply, i] { apply(i); });
+  }
+  try {
+    sim.run();
+  } catch (const std::exception& e) {
+    diverge(0, std::string("oracle replay threw: ") + e.what());
+    return report;
+  }
+
+  // Blocked-op completions: the oracle must have produced exactly the
+  // recorded outcome. A forever-parked waiter whose record says "matched"
+  // never completes; a waiter the oracle served but the record says timed
+  // out completes with a tuple — both are divergences.
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const OpRecord& r = records[i];
+    if (r.kind != Kind::kBlockingRead && r.kind != Kind::kBlockingTake) {
+      continue;
+    }
+    const std::optional<Tuple> expected =
+        r.timed_out ? std::nullopt : r.result;
+    if (!blocked[i].completed) {
+      if (!r.timed_out) {
+        diverge(i, "oracle never completed; recorded " +
+                       detail::describe(expected));
+      }
+      continue;
+    }
+    check(i, blocked[i].result, expected);
+  }
+
+  // Final-state equivalence: same live tuples in the same total order.
+  check(records.empty() ? 0 : records.size() - 1, oracle.snapshot(),
+        final_state);
+  report.oracle_stats = oracle.stats();
+  return report;
+}
+
+/// replay_log through a fresh deterministic SpaceEngine. `config` should
+/// match the recorded run's shard_count / use_type_index; execution_mode
+/// is forced to kDeterministic.
 ReplayReport replay_against_oracle(const OpLog& log, SpaceConfig config,
                                    const std::vector<Tuple>& final_state);
 

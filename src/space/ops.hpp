@@ -11,7 +11,7 @@
 #include <optional>
 
 #include "src/sim/process.hpp"
-#include "src/space/space.hpp"
+#include "src/space/engine.hpp"
 
 namespace tb::space {
 

@@ -1,0 +1,160 @@
+#include "src/space/shard_store.hpp"
+
+#include "src/util/assert.hpp"
+
+namespace tb::space {
+
+void ShardEntries::store(std::uint64_t id, std::uint64_t key, Tuple&& tuple,
+                         std::int64_t deadline) {
+  Entry entry;
+  entry.deadline = deadline;
+  entry.type_key = key;
+  entry.byte_size = tuple.byte_size();
+  if (deadline != kNoDeadline) entry.timer = wheel_->arm(deadline, id);
+  if (use_type_index_) index_[key].insert(id);
+  stored_bytes_ += entry.byte_size;
+  entry.tuple = std::move(tuple);
+  // Ids are monotonic, so a fresh write lands past the current maximum and
+  // the end() hint makes the insert amortized O(1). Commit publication and
+  // abort restoration store older ids; the hint then just misses.
+  entries_.emplace_hint(entries_.end(), id, std::move(entry));
+}
+
+Tuple ShardEntries::erase(Map::iterator it) {
+  wheel_->cancel(it->second.timer);  // stale-safe after the timer fired
+  if (use_type_index_) {
+    const auto bucket = index_.find(it->second.type_key);
+    TB_ASSERT(bucket != index_.end());
+    bucket->second.erase(it->first);
+  }
+  stored_bytes_ -= it->second.byte_size;
+  Tuple tuple = std::move(it->second.tuple);
+  entries_.erase(it);
+  return tuple;
+}
+
+void ShardEntries::rearm(Map::iterator it, std::int64_t deadline) {
+  wheel_->cancel(it->second.timer);
+  it->second.deadline = deadline;
+  it->second.timer =
+      deadline == kNoDeadline ? 0 : wheel_->arm(deadline, it->first);
+}
+
+ShardEntries::Hit ShardEntries::find_live(
+    std::span<ShardEntries* const> shards, std::uint64_t id,
+    std::int64_t now) {
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    const auto it = shards[s]->entries_.find(id);
+    if (it == shards[s]->entries_.end()) continue;
+    if (it->second.deadline <= now) return {};  // expiry already due
+    return {static_cast<int>(s), it};
+  }
+  return {};
+}
+
+std::vector<Tuple> ShardEntries::bulk(std::span<ShardEntries* const> shards,
+                                      const Template& tmpl, std::int64_t now,
+                                      std::size_t max, bool take,
+                                      std::uint64_t* scan_steps) {
+  // One pass in id order — never repeated single matches, which would
+  // rescan from the start for every taken tuple.
+  std::vector<Tuple> out;
+  Scan scan(shards, tmpl, now, scan_steps);
+  while (out.size() < max) {
+    const Hit hit = scan.next();
+    if (!hit) break;
+    out.push_back(take ? shards[static_cast<std::size_t>(hit.shard)]->erase(
+                             hit.it)
+                       : hit.it->second.tuple);
+  }
+  return out;
+}
+
+Scan::Scan(std::span<ShardEntries* const> shards, std::int64_t now)
+    : shards_(shards), now_(now) {
+  start_merge();
+}
+
+Scan::Scan(std::span<ShardEntries* const> shards, const Template& tmpl,
+           std::int64_t now, std::uint64_t* scan_steps)
+    : shards_(shards), tmpl_(&tmpl), now_(now), scan_steps_(scan_steps) {
+  if (!tmpl.name.has_value()) {
+    start_merge();
+    return;
+  }
+  // Every tuple of this (name, arity) shape lives on one shard.
+  key_ = type_key(*tmpl.name, tmpl.arity());
+  shard_ = shard_route(key_, shards.size());
+  ShardEntries& shard = *shards[static_cast<std::size_t>(shard_)];
+  if (!shard.use_type_index_) {
+    mode_ = Mode::kLinear;
+    it_ = shard.entries_.begin();
+    return;
+  }
+  const auto bucket = shard.index_.find(key_);
+  if (bucket == shard.index_.end()) return;  // kDone
+  mode_ = Mode::kIndexed;
+  id_ = bucket->second.begin();
+  id_end_ = bucket->second.end();
+}
+
+void Scan::start_merge() {
+  mode_ = Mode::kMerge;
+  cursor_.reserve(shards_.size());
+  for (ShardEntries* shard : shards_) {
+    cursor_.push_back(shard->entries_.begin());
+  }
+}
+
+ShardEntries::Hit Scan::advance() {
+  switch (mode_) {
+    case Mode::kDone:
+      return {};
+    case Mode::kIndexed: {
+      if (id_ == id_end_) return {};
+      ShardEntries& shard = *shards_[static_cast<std::size_t>(shard_)];
+      // Step past the id first: erasing the returned entry removes it from
+      // the bucket, which must not invalidate our position.
+      const auto it = shard.entries_.find(*id_++);
+      TB_ASSERT(it != shard.entries_.end());
+      return {shard_, it};
+    }
+    case Mode::kLinear: {
+      if (it_ == shards_[static_cast<std::size_t>(shard_)]->entries_.end()) {
+        return {};
+      }
+      return {shard_, it_++};
+    }
+    case Mode::kMerge: {
+      // The id-ordered k-way merge: ids are monotonic write timestamps, so
+      // taking the smallest head across the shard maps preserves the
+      // paper's oldest-first total order under any partitioning.
+      std::size_t best = shards_.size();
+      for (std::size_t s = 0; s < shards_.size(); ++s) {
+        if (cursor_[s] == shards_[s]->entries_.end()) continue;
+        if (best == shards_.size() ||
+            cursor_[s]->first < cursor_[best]->first) {
+          best = s;
+        }
+      }
+      if (best == shards_.size()) return {};
+      return {static_cast<int>(best), cursor_[best]++};
+    }
+  }
+  return {};
+}
+
+ShardEntries::Hit Scan::next() {
+  for (;;) {
+    const ShardEntries::Hit hit = advance();
+    if (!hit) return hit;
+    if (scan_steps_ != nullptr) ++*scan_steps_;
+    const Entry& entry = hit.it->second;
+    if (entry.deadline <= now_) continue;  // expiry due, not yet reclaimed
+    if (tmpl_ == nullptr) return hit;
+    if (mode_ == Mode::kLinear && entry.type_key != key_) continue;
+    if (tmpl_->matches(entry.tuple)) return hit;
+  }
+}
+
+}  // namespace tb::space

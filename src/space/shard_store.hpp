@@ -1,0 +1,220 @@
+// One shard of a tuplespace store — the sequential, clock-agnostic core
+// both runtimes share (DESIGN.md §10). SpaceEngine wraps it in a sim clock,
+// one engine-level timer wheel and event-delivered callbacks; the
+// ThreadedSpaceEngine wraps it in an inbox ring, an ownership word, tickets
+// and a per-shard wheel. Everything the JavaSpaces rules need lives here
+// exactly once:
+//
+//  * the id-ordered entry map (ids are write timestamps: the total order),
+//    the (name, arity) type index and stored_bytes;
+//  * Scan — the named match (index bucket, or a linear scan on the cached
+//    type key when the index is off) and the one id-ordered k-way merge
+//    across shards that wildcard matches, bulk matches and snapshots use;
+//  * find_live — the one entry-by-id lookup;
+//  * ShardStore::publish — serve-then-store: blocked operations are served
+//    in registration order across the shard's FIFO queue and the
+//    cross-shard wildcard queue, and the tuple is stored unless a blocked
+//    take consumed it.
+//
+// Deadlines are plain int64 ns on whatever clock the owning engine runs;
+// timer ids are the engine's wheel handles (payload = entry id). Each
+// engine keeps its own visibility rule by choosing the `now` it matches
+// with: the deterministic engine passes its sim clock, so an entry whose
+// deadline has passed is hidden before its wheel event runs; the threaded
+// engine passes kAllVisible, so an entry is visible until it is reclaimed.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <list>
+#include <map>
+#include <set>
+#include <span>
+#include <unordered_map>
+#include <vector>
+
+#include "src/sim/timer_wheel.hpp"
+#include "src/space/tuple.hpp"
+
+namespace tb::space {
+
+/// Entry deadline meaning "never expires" (= sim::Time::max() in ns).
+inline constexpr std::int64_t kNoDeadline =
+    std::numeric_limits<std::int64_t>::max();
+
+/// Matching clock under which no stored entry is hidden.
+inline constexpr std::int64_t kAllVisible =
+    std::numeric_limits<std::int64_t>::min();
+
+/// Which shard a (name, arity) type key routes to.
+inline int shard_route(std::uint64_t key, std::size_t shard_count) {
+  return shard_count == 1 ? 0 : static_cast<int>(key % shard_count);
+}
+
+struct Entry {
+  Tuple tuple;
+  std::int64_t deadline = kNoDeadline;  ///< hidden once deadline <= now
+  sim::TimerWheel::TimerId timer = 0;   ///< lease timer; 0 = none
+  /// (name, arity) hash, computed once at publish: the linear scan
+  /// short-circuits on it and index maintenance never re-hashes the name.
+  std::uint64_t type_key = 0;
+  std::size_t byte_size = 0;  ///< cached wire-footprint estimate
+};
+// A map node is a 32 B tree header + the 8 B id + Entry. At <= 96 B it stays
+// in glibc's 144 B chunk; one word more lands in the 160 B chunk (+11% RSS
+// on a large store).
+static_assert(sizeof(Entry) <= 96, "Entry outgrew its malloc size class");
+
+/// The entry half of a shard: map, index, stored_bytes, lease timers.
+class ShardEntries {
+ public:
+  using Map = std::map<std::uint64_t, Entry>;  ///< id-ordered
+
+  /// A located entry; shard < 0 = none.
+  struct Hit {
+    int shard = -1;
+    Map::iterator it;
+    explicit operator bool() const { return shard >= 0; }
+  };
+
+  /// `use_type_index` off is the linear-scan ablation (bench_space_ops).
+  /// `wheel` holds this shard's lease timers; it must outlive the shard.
+  ShardEntries(bool use_type_index, sim::TimerWheel& wheel)
+      : wheel_(&wheel), use_type_index_(use_type_index) {}
+
+  std::size_t size() const { return entries_.size(); }
+  std::size_t stored_bytes() const { return stored_bytes_; }
+
+  /// Stores `tuple` (type key `key`) under `id`, arming a lease timer with
+  /// payload `id` when the deadline is finite.
+  void store(std::uint64_t id, std::uint64_t key, Tuple&& tuple,
+             std::int64_t deadline);
+  /// Removes the entry and cancels its timer; returns the tuple.
+  Tuple erase(Map::iterator it);
+  /// Moves the entry's deadline, re-arming its timer.
+  void rearm(Map::iterator it, std::int64_t deadline);
+  /// The entry with exactly this id, visible or not; end() when absent.
+  Map::iterator find(std::uint64_t id) { return entries_.find(id); }
+  Map::iterator end() { return entries_.end(); }
+
+  /// The entry with this id across `shards` (ids do not encode their
+  /// shard, so each is probed), or none when absent or hidden at `now`.
+  static Hit find_live(std::span<ShardEntries* const> shards,
+                       std::uint64_t id, std::int64_t now);
+
+  /// Up to `max` entries matching `tmpl` at `now`, oldest first, copied —
+  /// or removed when `take`. Counts inspected entries into *scan_steps.
+  static std::vector<Tuple> bulk(std::span<ShardEntries* const> shards,
+                                 const Template& tmpl, std::int64_t now,
+                                 std::size_t max, bool take,
+                                 std::uint64_t* scan_steps);
+
+ private:
+  friend class Scan;
+
+  Map entries_;
+  /// type key -> ordered ids, maintained when use_type_index_. Emptied
+  /// buckets are retained: a hot (write, take, write, ...) shape would
+  /// otherwise churn two nodes per cycle, and an empty bucket is
+  /// indistinguishable from an absent one to every lookup.
+  std::unordered_map<std::uint64_t, std::set<std::uint64_t>> index_;
+  std::size_t stored_bytes_ = 0;
+  sim::TimerWheel* wheel_;
+  bool use_type_index_;
+};
+
+/// Walks, oldest first, the entries of `shards` visible at `now` that a
+/// template matches: a named template reads one shard (its type-index
+/// bucket, or every entry filtered on the cached type key), a wildcard
+/// template the id-ordered merge of all shards. The caller may erase the
+/// entry next() returned before calling next() again.
+class Scan {
+ public:
+  /// Every visible entry, merged across shards (snapshots); counts nothing.
+  Scan(std::span<ShardEntries* const> shards, std::int64_t now);
+  /// Entries matching `tmpl`; each one inspected adds 1 to *scan_steps.
+  Scan(std::span<ShardEntries* const> shards, const Template& tmpl,
+       std::int64_t now, std::uint64_t* scan_steps);
+
+  /// The next match; an empty Hit when exhausted.
+  ShardEntries::Hit next();
+
+ private:
+  enum class Mode : std::uint8_t { kDone, kIndexed, kLinear, kMerge };
+
+  ShardEntries::Hit advance();
+  void start_merge();
+
+  std::span<ShardEntries* const> shards_;
+  const Template* tmpl_ = nullptr;
+  std::int64_t now_;
+  std::uint64_t* scan_steps_ = nullptr;
+  Mode mode_ = Mode::kDone;
+  int shard_ = 0;          ///< kIndexed / kLinear: the routed shard
+  std::uint64_t key_ = 0;  ///< kLinear: the wanted type key
+  std::set<std::uint64_t>::const_iterator id_, id_end_;
+  ShardEntries::Map::iterator it_;
+  std::vector<ShardEntries::Map::iterator> cursor_;  ///< kMerge, per shard
+};
+
+/// A shard: its entries plus the FIFO queue of operations blocked on a
+/// named template routed here. `Payload` is what the engine needs to
+/// complete a blocked operation (a callback, a parked request cell).
+template <class Payload>
+class ShardStore : public ShardEntries {
+ public:
+  struct Waiter {
+    std::uint64_t id = 0;  ///< registration order, shared with entry ids
+    Template tmpl;
+    bool take = false;
+    Payload payload{};
+  };
+  using Waiters = std::list<Waiter>;  ///< appended = id-ordered
+
+  using ShardEntries::ShardEntries;
+
+  Waiters& waiters() { return waiters_; }
+  const Waiters& waiters() const { return waiters_; }
+
+  /// Serve-then-store. Visits this shard's queue and `*wildcard` (the
+  /// cross-shard queue; nullptr = not visible to this publish) in
+  /// registration order — both are id-ordered, so a two-pointer merge
+  /// walks their union oldest first and the wakeup order is independent of
+  /// shard layout. Each matching waiter is removed and handed to
+  /// serve(Waiter&&, bool from_wildcard, Tuple): readers get a copy, the
+  /// first take gets the tuple itself and ends the walk. Otherwise the
+  /// tuple is stored. Returns true when a take consumed it.
+  template <class Serve>
+  bool publish(std::uint64_t id, std::uint64_t key, Tuple&& tuple,
+               std::int64_t deadline, Waiters* wildcard, Serve&& serve) {
+    auto named = waiters_.begin();
+    // No wildcard queue: an empty range that is never dereferenced.
+    auto wild = wildcard != nullptr ? wildcard->begin() : waiters_.end();
+    const auto wild_end = wildcard != nullptr ? wildcard->end() : wild;
+    while (named != waiters_.end() || wild != wild_end) {
+      const bool pick_named =
+          wild == wild_end || (named != waiters_.end() && named->id < wild->id);
+      Waiters& queue = pick_named ? waiters_ : *wildcard;
+      auto& pos = pick_named ? named : wild;
+      if (!pos->tmpl.matches(tuple)) {
+        ++pos;
+        continue;
+      }
+      Waiter waiter = std::move(*pos);
+      pos = queue.erase(pos);
+      if (waiter.take) {
+        serve(std::move(waiter), !pick_named, std::move(tuple));
+        return true;  // consumed before reaching the store
+      }
+      serve(std::move(waiter), !pick_named, Tuple(tuple));
+    }
+    store(id, key, std::move(tuple), deadline);
+    return false;
+  }
+
+ private:
+  Waiters waiters_;
+};
+
+}  // namespace tb::space

@@ -54,7 +54,7 @@ struct ThreadedSpaceEngine::Request {
   std::condition_variable cv;
   util::SlabPool<Request>::Handle pool_handle = 0;
   std::uint64_t ticket = 0;
-  std::int64_t deadline_ns = -1;  ///< kWrite result: steady-ns expiry
+  std::int64_t deadline = kNoDeadline;  ///< kWrite result: steady-ns expiry
   std::optional<Tuple> result;
   std::vector<Tuple> results;
 
@@ -70,7 +70,7 @@ struct ThreadedSpaceEngine::Request {
     lease = kLeaseForever;
     phase.store(0, std::memory_order_relaxed);
     ticket = 0;
-    deadline_ns = -1;
+    deadline = kNoDeadline;
     result.reset();
     results.clear();
   }
@@ -149,7 +149,9 @@ ThreadedSpaceEngine::ThreadedSpaceEngine(SpaceConfig config, OpLog* log)
   if (config_.inbox_capacity < 1) config_.inbox_capacity = 1;
   shards_.reserve(static_cast<std::size_t>(config_.shard_count));
   for (int s = 0; s < config_.shard_count; ++s) {
-    shards_.push_back(std::make_unique<Shard>(config_.inbox_capacity));
+    shards_.push_back(std::make_unique<Shard>(config_.inbox_capacity,
+                                              config_.use_type_index));
+    stores_.push_back(&shards_.back()->store);
   }
   for (int s = 0; s < config_.shard_count; ++s) {
     shards_[static_cast<std::size_t>(s)]->worker =
@@ -399,43 +401,43 @@ void ThreadedSpaceEngine::service_shard_wheel(int shard_idx) {
                      due.push_back(payload);
                    });
   for (const std::uint64_t id : due) {
-    auto it = sh.entries.find(id);
-    if (it == sh.entries.end()) continue;  // defensive: cancels are exact
+    const auto it = sh.store.find(id);
+    if (it == sh.store.end()) continue;  // defensive: cancels are exact
     // The reclamation *is* the expiry's linearization point: visibility in
     // threaded mode is presence, and the replay pre-pass arms the oracle
     // with exactly this ticket-space duration (oplog.hpp).
     const std::uint64_t ticket = next_ticket();
-    if (log_ != nullptr) {
-      OpRecord rec;
-      rec.ticket = ticket;
-      rec.kind = Kind::kLeaseExpire;
-      rec.target = id;
-      log_->append(rec);
-    }
+    record(ticket, Kind::kLeaseExpire,
+           [&](OpRecord& rec) { rec.target = id; });
     ++sh.stats.expirations;
-    erase_entry(shard_idx, it);
+    erase_entry({shard_idx, it});
   }
 }
 
 void ThreadedSpaceEngine::apply(int shard_idx, Request& req,
                                 FireBatch* fire) {
-  shards_[static_cast<std::size_t>(shard_idx)]->ops_applied.fetch_add(
-      1, std::memory_order_relaxed);
+  Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
+  sh.ops_applied.fetch_add(1, std::memory_order_relaxed);
   switch (req.kind) {
     case Request::Kind::kWrite:
       apply_write(shard_idx, req, fire);
       return;
     case Request::Kind::kReadIfExists:
-      apply_match(shard_idx, req, /*take=*/false);
+    case Request::Kind::kTakeIfExists: {
+      const bool take = req.kind == Request::Kind::kTakeIfExists;
+      req.ticket = next_ticket();
+      req.result = match_one(req.tmpl, req.txn_state, take, sh.stats);
+      log_result(req.ticket, take ? Kind::kTakeIfExists : Kind::kReadIfExists,
+                 req.txn, req.tmpl, req.result);
+      signal_phase(req, Request::kDone);
       return;
-    case Request::Kind::kTakeIfExists:
-      apply_match(shard_idx, req, /*take=*/true);
-      return;
+    }
     case Request::Kind::kReadAll:
-      apply_bulk(shard_idx, req, /*take=*/false);
-      return;
     case Request::Kind::kTakeAll:
-      apply_bulk(shard_idx, req, /*take=*/true);
+      req.ticket = next_ticket();
+      req.results = match_bulk(req.ticket, req.tmpl, req.max,
+                               req.kind == Request::Kind::kTakeAll, sh.stats);
+      signal_phase(req, Request::kDone);
       return;
     case Request::Kind::kBlockingRead:
       apply_blocking(shard_idx, req, /*take=*/false);
@@ -466,128 +468,68 @@ void ThreadedSpaceEngine::apply_write(int shard_idx, Request& req,
                                       FireBatch* fire) {
   const bool async = req.async;
   Tuple tuple = std::move(req.tuple);
-  std::uint64_t id = 0;
   // The deadline counts from the linearization point (the apply), not from
   // the client's enqueue — transit through a backlogged inbox eats into
   // nothing; the lease starts when the write becomes visible.
-  const std::int64_t deadline_ns =
-      req.lease == kLeaseForever ? -1
-                                 : steady_now_ns() + req.lease.count_ns();
+  const std::int64_t deadline = req.lease == kLeaseForever
+                                    ? kNoDeadline
+                                    : steady_now_ns() + req.lease.count_ns();
 
-  if (cross_possible()) {
-    // Slow path: wildcard waiters or notify registrations may exist, so the
-    // whole linearization (ticket, notify collection, waiter merge) runs
-    // under cross_mu_ — interacting publishes serialize in ticket order.
-    std::lock_guard<std::mutex> cl(cross_mu_);
-    id = next_ticket();
-    collect_notifications(tuple, fire);
-    if (log_ != nullptr) {
-      OpRecord rec;
-      rec.ticket = id;
-      rec.kind = Kind::kWrite;
-      rec.tuple = tuple;
-      log_->append(rec);
-    }
-    serve_and_store(shard_idx, id, std::move(tuple), /*cross_locked=*/true,
-                    deadline_ns);
-  } else {
-    // Fast path: no cross-shard state can appear mid-apply (registrations
-    // run under the all-shard acquisition), so this write commutes with
-    // everything it races and a racy ticket is a valid linearization point.
-    id = next_ticket();
-    if (log_ != nullptr) {
-      OpRecord rec;
-      rec.ticket = id;
-      rec.kind = Kind::kWrite;
-      rec.tuple = tuple;
-      log_->append(rec);
-    }
-    serve_and_store(shard_idx, id, std::move(tuple), /*cross_locked=*/false,
-                    deadline_ns);
-  }
+  // Slow path: wildcard waiters or notify registrations may exist, so the
+  // whole linearization (ticket, notify collection, waiter merge) runs
+  // under cross_mu_ — interacting publishes serialize in ticket order.
+  // Fast path: no cross-shard state can appear mid-apply (registrations
+  // run under the all-shard acquisition), so this write commutes with
+  // everything it races and a racy ticket is a valid linearization point.
+  const bool cross = cross_possible();
+  std::unique_lock<std::mutex> cl(cross_mu_, std::defer_lock);
+  if (cross) cl.lock();
+  const std::uint64_t id = next_ticket();
+  if (cross) collect_notifications(tuple, fire);
+  record(id, Kind::kWrite, [&](OpRecord& rec) { rec.tuple = tuple; });
+  publish(id, std::move(tuple), cross, deadline);
+  if (cross) cl.unlock();
   ++shards_[static_cast<std::size_t>(shard_idx)]->stats.writes;
 
   if (async) {
     release_request(&req);
   } else {
     req.ticket = id;
-    req.deadline_ns = deadline_ns;
+    req.deadline = deadline;
     signal_phase(req, Request::kDone);
   }
 }
 
-bool ThreadedSpaceEngine::serve_and_store(int shard_idx, std::uint64_t id,
-                                          Tuple tuple, bool cross_locked,
-                                          std::int64_t deadline_ns) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
-  // Registration-order merge of the shard queue and (when visible) the
-  // wildcard queue: both are ticket-ordered appends, so a two-pointer walk
-  // visits the union oldest registration first — same rule as the
-  // deterministic publish().
-  auto named = sh.waiters.begin();
-  auto wild =
-      cross_locked ? wildcard_waiters_.begin() : wildcard_waiters_.end();
-  const auto wild_end = wildcard_waiters_.end();
-  while (named != sh.waiters.end() || wild != wild_end) {
-    const bool pick_named =
-        wild == wild_end || (named != sh.waiters.end() && named->id < wild->id);
-    std::list<TWaiter>& queue = pick_named ? sh.waiters : wildcard_waiters_;
-    auto& pos = pick_named ? named : wild;
-    if (!pos->tmpl.matches(tuple)) {
-      ++pos;
-      continue;
-    }
-    TWaiter waiter = std::move(*pos);
-    pos = queue.erase(pos);
-    if (!pick_named) {
-      cross_count_.fetch_sub(1);
-      cross_serves_.fetch_add(1, std::memory_order_relaxed);
-    }
-    blocked_count_.fetch_sub(1, std::memory_order_relaxed);
-    Stats& stats = pick_named ? sh.stats : cross_stats_;
-    if (waiter.take) {
-      ++stats.takes;
-      complete_waiter(waiter, std::move(tuple));
-      return true;  // consumed before reaching the store
-    }
-    ++stats.reads;
-    complete_waiter(waiter, tuple);  // copy to each blocked reader
-  }
-  store_entry(shard_idx, id, std::move(tuple), deadline_ns);
-  return false;
-}
-
-void ThreadedSpaceEngine::store_entry(int shard_idx, std::uint64_t id,
-                                      Tuple tuple, std::int64_t deadline_ns) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
-  TEntry entry;
-  entry.id = id;
-  entry.type_key = type_key(tuple.name, tuple.arity());
-  entry.byte_size = tuple.byte_size();
-  entry.tuple = std::move(tuple);
-  if (deadline_ns >= 0) entry.expiry_timer = sh.wheel.arm(deadline_ns, id);
-  if (config_.use_type_index) {
-    sh.index[entry.type_key].insert(id);
-  }
-  sh.stored_bytes += entry.byte_size;
-  // No end() hint: commit publication inserts held-back (old) ids.
-  sh.entries.emplace(id, std::move(entry));
+void ThreadedSpaceEngine::publish(std::uint64_t id, Tuple tuple,
+                                  bool cross_locked, std::int64_t deadline) {
+  const std::uint64_t key = type_key(tuple.name, tuple.arity());
+  Shard& sh = *shards_[static_cast<std::size_t>(shard_of(key))];
+  const bool consumed = sh.store.publish(
+      id, key, std::move(tuple), deadline,
+      cross_locked ? &wildcard_waiters_ : nullptr,
+      [this, &sh](Waiter waiter, bool from_wildcard, Tuple served) {
+        if (from_wildcard) {
+          cross_count_.fetch_sub(1);
+          cross_serves_.fetch_add(1, std::memory_order_relaxed);
+        }
+        blocked_count_.fetch_sub(1, std::memory_order_relaxed);
+        Stats& stats = from_wildcard ? cross_stats_ : sh.stats;
+        ++(waiter.take ? stats.takes : stats.reads);
+        complete_waiter(waiter, std::move(served));
+      });
+  if (consumed) return;
   entry_count_.fetch_add(1, std::memory_order_relaxed);
   note_peak_size();
 }
 
-void ThreadedSpaceEngine::erase_entry(
-    int shard_idx, std::map<std::uint64_t, TEntry>::iterator it) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
-  sh.wheel.cancel(it->second.expiry_timer);  // stale-safe after an expiry
-  if (config_.use_type_index) {
-    const auto bucket = sh.index.find(it->second.type_key);
-    TB_ASSERT(bucket != sh.index.end());
-    bucket->second.erase(it->first);
-  }
-  sh.stored_bytes -= it->second.byte_size;
-  sh.entries.erase(it);
+Tuple ThreadedSpaceEngine::erase_entry(Hit hit) {
   entry_count_.fetch_sub(1, std::memory_order_relaxed);
+  return shards_[static_cast<std::size_t>(hit.shard)]->store.erase(hit.it);
+}
+
+Tuple ThreadedSpaceEngine::consume(Hit hit, bool take, Stats& stats) {
+  ++(take ? stats.takes : stats.reads);
+  return take ? erase_entry(hit) : hit.it->second.tuple;
 }
 
 Lease ThreadedSpaceEngine::write(Tuple tuple, std::uint64_t txn) {
@@ -606,14 +548,10 @@ Lease ThreadedSpaceEngine::write(Tuple tuple, sim::Time lease_duration,
     // its (single-owner) transaction.
     TxnState* state = find_txn(txn);
     const std::uint64_t ticket = next_ticket();
-    if (log_ != nullptr) {
-      OpRecord rec;
-      rec.ticket = ticket;
-      rec.kind = Kind::kWrite;
+    record(ticket, Kind::kWrite, [&](OpRecord& rec) {
       rec.txn = txn;
       rec.tuple = tuple;
-      log_->append(rec);
-    }
+    });
     state->writes.emplace_back(ticket, std::move(tuple));
     return Lease{ticket, sim::Time::max()};
   }
@@ -624,9 +562,7 @@ Lease ThreadedSpaceEngine::write(Tuple tuple, sim::Time lease_duration,
   const int shard_idx = shard_of(type_key(req->tuple.name, req->tuple.arity()));
   push_request(shard_idx, req, /*allow_combine=*/true);
   wait_phase(shard_idx, *req, Request::kDone);
-  const Lease out{req->ticket, req->deadline_ns < 0
-                                   ? sim::Time::max()
-                                   : sim::Time::ns(req->deadline_ns)};
+  const Lease out{req->ticket, sim::Time::ns(req->deadline)};
   release_request(req);
   return out;
 }
@@ -642,164 +578,102 @@ void ThreadedSpaceEngine::write_async(Tuple tuple) {
 
 // --- matching ---------------------------------------------------------------
 
-std::map<std::uint64_t, ThreadedSpaceEngine::TEntry>::iterator
-ThreadedSpaceEngine::find_in_shard(int shard_idx, const Template& tmpl) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
-  const std::uint64_t want = type_key(*tmpl.name, tmpl.arity());
-  if (config_.use_type_index) {
-    const auto bucket = sh.index.find(want);
-    if (bucket == sh.index.end()) return sh.entries.end();
-    for (std::uint64_t id : bucket->second) {
-      auto it = sh.entries.find(id);
-      TB_ASSERT(it != sh.entries.end());
-      ++sh.stats.scan_steps;
-      if (tmpl.matches(it->second.tuple)) return it;
-    }
-    return sh.entries.end();
-  }
-  for (auto it = sh.entries.begin(); it != sh.entries.end(); ++it) {
-    ++sh.stats.scan_steps;
-    if (it->second.type_key != want) continue;
-    if (tmpl.matches(it->second.tuple)) return it;
-  }
-  return sh.entries.end();
-}
-
-void ThreadedSpaceEngine::apply_match(int shard_idx, Request& req, bool take) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
-  auto it = find_in_shard(shard_idx, req.tmpl);
-  const std::uint64_t ticket = next_ticket();
+std::optional<Tuple> ThreadedSpaceEngine::match_one(const Template& tmpl,
+                                                    TxnState* txn, bool take,
+                                                    Stats& stats) {
   std::optional<Tuple> result;
-  if (it != sh.entries.end()) {
-    if (take) {
-      ++sh.stats.takes;
-      if (req.txn_state != nullptr) {
-        TEntry held;
-        held.id = it->first;
-        held.tuple = it->second.tuple;
-        held.type_key = it->second.type_key;
-        held.byte_size = it->second.byte_size;
-        req.txn_state->held.push_back(std::move(held));
-      }
-      result = std::move(it->second.tuple);
-      erase_entry(shard_idx, it);
-    } else {
-      ++sh.stats.reads;
-      result = it->second.tuple;
+  if (const Hit hit =
+          Scan(stores_, tmpl, kAllVisible, &stats.scan_steps).next()) {
+    if (take && txn != nullptr) {
+      txn->held.emplace_back(hit.it->first, hit.it->second.tuple);
     }
-  } else if (req.txn_state != nullptr) {
+    result = consume(hit, take, stats);
+  } else if (txn != nullptr) {
     // The transaction sees (and may un-write) its own provisional writes.
-    auto& writes = req.txn_state->writes;
-    for (auto pending = writes.begin(); pending != writes.end(); ++pending) {
-      if (!req.tmpl.matches(pending->second)) continue;
+    auto& writes = txn->writes;
+    const auto pending =
+        std::find_if(writes.begin(), writes.end(),
+                     [&](const auto& w) { return tmpl.matches(w.second); });
+    if (pending != writes.end()) {
+      ++(take ? stats.takes : stats.reads);
       if (take) {
-        ++sh.stats.takes;
         result = std::move(pending->second);
         writes.erase(pending);
       } else {
-        ++sh.stats.reads;
         result = pending->second;
       }
-      break;
     }
   }
-  if (!result.has_value()) ++sh.stats.misses;
-  if (log_ != nullptr) {
-    OpRecord rec;
-    rec.ticket = ticket;
-    rec.kind = take ? Kind::kTakeIfExists : Kind::kReadIfExists;
-    rec.txn = req.txn;
-    rec.tmpl = req.tmpl;
-    rec.result = result;
-    log_->append(rec);
-  }
-  req.ticket = ticket;
-  req.result = std::move(result);
-  signal_phase(req, Request::kDone);
+  if (!result.has_value()) ++stats.misses;
+  return result;
 }
 
-void ThreadedSpaceEngine::apply_bulk(int shard_idx, Request& req, bool take) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
-  const std::uint64_t ticket = next_ticket();
-  const std::uint64_t want = type_key(*req.tmpl.name, req.tmpl.arity());
-  std::vector<Tuple> out;
-  if (config_.use_type_index) {
-    const auto bucket = sh.index.find(want);
-    if (bucket != sh.index.end()) {
-      // erase_entry edits the bucket: walk a snapshot of the candidates.
-      const std::vector<std::uint64_t> candidates(bucket->second.begin(),
-                                                  bucket->second.end());
-      for (std::uint64_t id : candidates) {
-        if (out.size() >= req.max) break;
-        auto it = sh.entries.find(id);
-        TB_ASSERT(it != sh.entries.end());
-        ++sh.stats.scan_steps;
-        if (!req.tmpl.matches(it->second.tuple)) continue;
-        if (take) {
-          ++sh.stats.takes;
-          out.push_back(std::move(it->second.tuple));
-          erase_entry(shard_idx, it);
-        } else {
-          ++sh.stats.reads;
-          out.push_back(it->second.tuple);
-        }
-      }
-    }
-  } else {
-    for (auto it = sh.entries.begin();
-         it != sh.entries.end() && out.size() < req.max;) {
-      const auto cur = it++;
-      ++sh.stats.scan_steps;
-      if (cur->second.type_key != want) continue;
-      if (!req.tmpl.matches(cur->second.tuple)) continue;
-      if (take) {
-        ++sh.stats.takes;
-        out.push_back(std::move(cur->second.tuple));
-        erase_entry(shard_idx, cur);
-      } else {
-        ++sh.stats.reads;
-        out.push_back(cur->second.tuple);
-      }
-    }
-  }
-  if (log_ != nullptr) {
-    OpRecord rec;
-    rec.ticket = ticket;
-    rec.kind = take ? Kind::kTakeAll : Kind::kReadAll;
-    rec.tmpl = req.tmpl;
-    rec.max = req.max;
+std::vector<Tuple> ThreadedSpaceEngine::match_bulk(std::uint64_t ticket,
+                                                   const Template& tmpl,
+                                                   std::size_t max, bool take,
+                                                   Stats& stats) {
+  std::vector<Tuple> out = ShardEntries::bulk(stores_, tmpl, kAllVisible, max,
+                                              take, &stats.scan_steps);
+  (take ? stats.takes : stats.reads) += out.size();
+  if (take) entry_count_.fetch_sub(out.size(), std::memory_order_relaxed);
+  record(ticket, take ? Kind::kTakeAll : Kind::kReadAll, [&](OpRecord& rec) {
+    rec.tmpl = tmpl;
+    rec.max = max;
     rec.results = out;
-    log_->append(rec);
-  }
-  req.ticket = ticket;
-  req.results = std::move(out);
-  signal_phase(req, Request::kDone);
+  });
+  return out;
+}
+
+void ThreadedSpaceEngine::log_result(std::uint64_t ticket, OpRecord::Kind kind,
+                                     std::uint64_t txn, const Template& tmpl,
+                                     const std::optional<Tuple>& result) {
+  record(ticket, kind, [&](OpRecord& rec) {
+    rec.txn = txn;
+    rec.tmpl = tmpl;
+    rec.result = result;
+  });
 }
 
 std::optional<Tuple> ThreadedSpaceEngine::read_if_exists(const Template& tmpl,
                                                          std::uint64_t txn) {
-  if (!tmpl.name.has_value()) return wildcard_if_exists(tmpl, txn, false);
-  Request* req = acquire_request();
-  req->kind = Request::Kind::kReadIfExists;
-  req->tmpl = tmpl;
-  req->txn = txn;
-  req->txn_state = find_txn(txn);
-  const int shard_idx = shard_of(type_key(*tmpl.name, tmpl.arity()));
-  push_request(shard_idx, req, /*allow_combine=*/true);
-  wait_phase(shard_idx, *req, Request::kDone);
-  auto out = std::move(req->result);
-  release_request(req);
-  return out;
+  return if_exists(tmpl, txn, /*take=*/false);
 }
 
 std::optional<Tuple> ThreadedSpaceEngine::take_if_exists(const Template& tmpl,
                                                          std::uint64_t txn) {
-  if (!tmpl.name.has_value()) return wildcard_if_exists(tmpl, txn, true);
+  return if_exists(tmpl, txn, /*take=*/true);
+}
+
+std::vector<Tuple> ThreadedSpaceEngine::read_all(const Template& tmpl,
+                                                 std::size_t max) {
+  return bulk(tmpl, max, /*take=*/false);
+}
+
+std::vector<Tuple> ThreadedSpaceEngine::take_all(const Template& tmpl,
+                                                 std::size_t max) {
+  return bulk(tmpl, max, /*take=*/true);
+}
+
+std::optional<Tuple> ThreadedSpaceEngine::if_exists(const Template& tmpl,
+                                                    std::uint64_t txn,
+                                                    bool take) {
+  TxnState* state = find_txn(txn);
+  if (!tmpl.name.has_value()) {
+    // Wildcard: an all-shard sequence-point op.
+    barrier_acquire();
+    const std::uint64_t ticket = next_ticket();
+    std::optional<Tuple> result = match_one(tmpl, state, take, barrier_stats_);
+    log_result(ticket, take ? Kind::kTakeIfExists : Kind::kReadIfExists, txn,
+               tmpl, result);
+    barrier_release();
+    return result;
+  }
   Request* req = acquire_request();
-  req->kind = Request::Kind::kTakeIfExists;
+  req->kind =
+      take ? Request::Kind::kTakeIfExists : Request::Kind::kReadIfExists;
   req->tmpl = tmpl;
   req->txn = txn;
-  req->txn_state = find_txn(txn);
+  req->txn_state = state;
   const int shard_idx = shard_of(type_key(*tmpl.name, tmpl.arity()));
   push_request(shard_idx, req, /*allow_combine=*/true);
   wait_phase(shard_idx, *req, Request::kDone);
@@ -808,11 +682,17 @@ std::optional<Tuple> ThreadedSpaceEngine::take_if_exists(const Template& tmpl,
   return out;
 }
 
-std::vector<Tuple> ThreadedSpaceEngine::read_all(const Template& tmpl,
-                                                 std::size_t max) {
-  if (!tmpl.name.has_value()) return wildcard_bulk(tmpl, max, false);
+std::vector<Tuple> ThreadedSpaceEngine::bulk(const Template& tmpl,
+                                             std::size_t max, bool take) {
+  if (!tmpl.name.has_value()) {
+    barrier_acquire();
+    std::vector<Tuple> out =
+        match_bulk(next_ticket(), tmpl, max, take, barrier_stats_);
+    barrier_release();
+    return out;
+  }
   Request* req = acquire_request();
-  req->kind = Request::Kind::kReadAll;
+  req->kind = take ? Request::Kind::kTakeAll : Request::Kind::kReadAll;
   req->tmpl = tmpl;
   req->max = max;
   const int shard_idx = shard_of(type_key(*tmpl.name, tmpl.arity()));
@@ -820,145 +700,6 @@ std::vector<Tuple> ThreadedSpaceEngine::read_all(const Template& tmpl,
   wait_phase(shard_idx, *req, Request::kDone);
   auto out = std::move(req->results);
   release_request(req);
-  return out;
-}
-
-std::vector<Tuple> ThreadedSpaceEngine::take_all(const Template& tmpl,
-                                                 std::size_t max) {
-  if (!tmpl.name.has_value()) return wildcard_bulk(tmpl, max, true);
-  Request* req = acquire_request();
-  req->kind = Request::Kind::kTakeAll;
-  req->tmpl = tmpl;
-  req->max = max;
-  const int shard_idx = shard_of(type_key(*tmpl.name, tmpl.arity()));
-  push_request(shard_idx, req, /*allow_combine=*/true);
-  wait_phase(shard_idx, *req, Request::kDone);
-  auto out = std::move(req->results);
-  release_request(req);
-  return out;
-}
-
-// --- wildcard (all-shard sequence-point) ops --------------------------------
-
-std::pair<int, std::map<std::uint64_t, ThreadedSpaceEngine::TEntry>::iterator>
-ThreadedSpaceEngine::find_across(const Template& tmpl) {
-  // Id-ordered merge across the held shards: tickets are monotonic write
-  // timestamps, so the oldest-first total order survives sharding.
-  std::vector<std::map<std::uint64_t, TEntry>::iterator> cursor;
-  cursor.reserve(shards_.size());
-  for (auto& sh : shards_) cursor.push_back(sh->entries.begin());
-  for (;;) {
-    int best = -1;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (cursor[s] == shards_[s]->entries.end()) continue;
-      if (best < 0 ||
-          cursor[s]->first < cursor[static_cast<std::size_t>(best)]->first) {
-        best = static_cast<int>(s);
-      }
-    }
-    if (best < 0) {
-      return {-1, std::map<std::uint64_t, TEntry>::iterator{}};
-    }
-    auto it = cursor[static_cast<std::size_t>(best)]++;
-    ++barrier_stats_.scan_steps;
-    if (tmpl.matches(it->second.tuple)) return {best, it};
-  }
-}
-
-std::optional<Tuple> ThreadedSpaceEngine::wildcard_if_exists(
-    const Template& tmpl, std::uint64_t txn, bool take) {
-  TxnState* state = find_txn(txn);
-  barrier_acquire();
-  const std::uint64_t ticket = next_ticket();
-  std::optional<Tuple> result;
-  auto [shard_idx, it] = find_across(tmpl);
-  if (shard_idx >= 0) {
-    if (take) {
-      ++barrier_stats_.takes;
-      if (state != nullptr) {
-        TEntry held;
-        held.id = it->first;
-        held.tuple = it->second.tuple;
-        held.type_key = it->second.type_key;
-        held.byte_size = it->second.byte_size;
-        state->held.push_back(std::move(held));
-      }
-      result = std::move(it->second.tuple);
-      erase_entry(shard_idx, it);
-    } else {
-      ++barrier_stats_.reads;
-      result = it->second.tuple;
-    }
-  } else if (state != nullptr) {
-    auto& writes = state->writes;
-    for (auto pending = writes.begin(); pending != writes.end(); ++pending) {
-      if (!tmpl.matches(pending->second)) continue;
-      if (take) {
-        ++barrier_stats_.takes;
-        result = std::move(pending->second);
-        writes.erase(pending);
-      } else {
-        ++barrier_stats_.reads;
-        result = pending->second;
-      }
-      break;
-    }
-  }
-  if (!result.has_value()) ++barrier_stats_.misses;
-  if (log_ != nullptr) {
-    OpRecord rec;
-    rec.ticket = ticket;
-    rec.kind = take ? Kind::kTakeIfExists : Kind::kReadIfExists;
-    rec.txn = txn;
-    rec.tmpl = tmpl;
-    rec.result = result;
-    log_->append(rec);
-  }
-  barrier_release();
-  return result;
-}
-
-std::vector<Tuple> ThreadedSpaceEngine::wildcard_bulk(const Template& tmpl,
-                                                      std::size_t max,
-                                                      bool take) {
-  barrier_acquire();
-  const std::uint64_t ticket = next_ticket();
-  std::vector<Tuple> out;
-  std::vector<std::map<std::uint64_t, TEntry>::iterator> cursor;
-  cursor.reserve(shards_.size());
-  for (auto& sh : shards_) cursor.push_back(sh->entries.begin());
-  while (out.size() < max) {
-    int best = -1;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (cursor[s] == shards_[s]->entries.end()) continue;
-      if (best < 0 ||
-          cursor[s]->first < cursor[static_cast<std::size_t>(best)]->first) {
-        best = static_cast<int>(s);
-      }
-    }
-    if (best < 0) break;
-    const auto cur = cursor[static_cast<std::size_t>(best)]++;
-    ++barrier_stats_.scan_steps;
-    if (!tmpl.matches(cur->second.tuple)) continue;
-    if (take) {
-      ++barrier_stats_.takes;
-      out.push_back(std::move(cur->second.tuple));
-      erase_entry(best, cur);
-    } else {
-      ++barrier_stats_.reads;
-      out.push_back(cur->second.tuple);
-    }
-  }
-  if (log_ != nullptr) {
-    OpRecord rec;
-    rec.ticket = ticket;
-    rec.kind = take ? Kind::kTakeAll : Kind::kReadAll;
-    rec.tmpl = tmpl;
-    rec.max = max;
-    rec.results = out;
-    log_->append(rec);
-  }
-  barrier_release();
   return out;
 }
 
@@ -967,88 +708,64 @@ std::vector<Tuple> ThreadedSpaceEngine::wildcard_bulk(const Template& tmpl,
 void ThreadedSpaceEngine::apply_blocking(int shard_idx, Request& req,
                                          bool take) {
   Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
-  auto it = find_in_shard(shard_idx, req.tmpl);
   const std::uint64_t ticket = next_ticket();
-  if (it != sh.entries.end()) {
-    std::optional<Tuple> result;
-    if (take) {
-      ++sh.stats.takes;
-      result = std::move(it->second.tuple);
-      erase_entry(shard_idx, it);
-    } else {
-      ++sh.stats.reads;
-      result = it->second.tuple;
-    }
-    if (log_ != nullptr) {
-      OpRecord rec;
-      rec.ticket = ticket;
-      rec.kind = take ? Kind::kBlockingTake : Kind::kBlockingRead;
-      rec.tmpl = req.tmpl;
-      rec.result = result;
-      log_->append(rec);
-    }
-    req.ticket = ticket;
-    req.result = std::move(result);
+  req.ticket = ticket;
+  if (const Hit hit =
+          Scan(stores_, req.tmpl, kAllVisible, &sh.stats.scan_steps).next()) {
+    req.result = consume(hit, take, sh.stats);
+    log_result(ticket, take ? Kind::kBlockingTake : Kind::kBlockingRead,
+               kNoTxn, req.tmpl, req.result);
     signal_phase(req, Request::kDone);
     return;
   }
   // Park. The record is written by whoever resolves the waiter: a serving
-  // publish (complete_waiter) or a cancellation (cancel_waiter_record).
-  TWaiter waiter;
+  // publish (complete_waiter) or a cancellation (cancel_waiter).
+  Waiter waiter;
   waiter.id = ticket;
   waiter.tmpl = req.tmpl;
   waiter.take = take;
-  waiter.req = &req;
-  sh.waiters.push_back(std::move(waiter));
+  waiter.payload = &req;
+  sh.store.waiters().push_back(std::move(waiter));
   blocked_count_.fetch_add(1, std::memory_order_relaxed);
   note_peak_blocked();
-  req.ticket = ticket;
   signal_phase(req, Request::kParked);
 }
 
 void ThreadedSpaceEngine::apply_cancel_waiter(int shard_idx, Request& req) {
   Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
+  Store::Waiters& waiters = sh.store.waiters();
   const auto pos =
-      std::find_if(sh.waiters.begin(), sh.waiters.end(),
-                   [&](const TWaiter& w) { return w.id == req.target; });
-  if (pos != sh.waiters.end()) {
-    TWaiter waiter = std::move(*pos);
-    sh.waiters.erase(pos);
-    blocked_count_.fetch_sub(1, std::memory_order_relaxed);
-    ++sh.stats.misses;
-    const std::uint64_t cancel_ticket = next_ticket();
-    cancel_waiter_record(waiter, cancel_ticket);
-    waiter.req->result = std::nullopt;
-    signal_phase(*waiter.req, Request::kDone);
+      std::find_if(waiters.begin(), waiters.end(),
+                   [&](const Waiter& w) { return w.id == req.target; });
+  if (pos != waiters.end()) {
+    const Waiter waiter = std::move(*pos);
+    waiters.erase(pos);
+    cancel_waiter(waiter, sh.stats);
   }
   // Not found: a publish served the waiter concurrently with the timeout;
   // the serve's completion wins and the cancel is a no-op.
   signal_phase(req, Request::kDone);
 }
 
-void ThreadedSpaceEngine::complete_waiter(const TWaiter& waiter, Tuple tuple) {
-  if (log_ != nullptr) {
-    OpRecord rec;
-    rec.ticket = waiter.id;
-    rec.kind = waiter.take ? Kind::kBlockingTake : Kind::kBlockingRead;
-    rec.tmpl = waiter.tmpl;
-    rec.result = tuple;
-    log_->append(rec);
-  }
-  waiter.req->result = std::move(tuple);
-  signal_phase(*waiter.req, Request::kDone);
+void ThreadedSpaceEngine::complete_waiter(const Waiter& waiter, Tuple tuple) {
+  log_result(waiter.id, waiter.take ? Kind::kBlockingTake : Kind::kBlockingRead,
+             kNoTxn, waiter.tmpl, tuple);
+  waiter.payload->result = std::move(tuple);
+  signal_phase(*waiter.payload, Request::kDone);
 }
 
-void ThreadedSpaceEngine::cancel_waiter_record(const TWaiter& waiter,
-                                               std::uint64_t cancel_ticket) {
-  if (log_ == nullptr) return;
-  OpRecord rec;
-  rec.ticket = waiter.id;
-  rec.kind = waiter.take ? Kind::kBlockingTake : Kind::kBlockingRead;
-  rec.tmpl = waiter.tmpl;
-  rec.timed_out = true;
-  rec.cancel_ticket = cancel_ticket;
-  log_->append(rec);
+void ThreadedSpaceEngine::cancel_waiter(const Waiter& waiter, Stats& stats) {
+  const std::uint64_t cancel_ticket = next_ticket();
+  const Kind kind = waiter.take ? Kind::kBlockingTake : Kind::kBlockingRead;
+  record(waiter.id, kind, [&](OpRecord& rec) {
+    rec.tmpl = waiter.tmpl;
+    rec.timed_out = true;
+    rec.cancel_ticket = cancel_ticket;
+  });
+  blocked_count_.fetch_sub(1, std::memory_order_relaxed);
+  ++stats.misses;
+  waiter.payload->result = std::nullopt;
+  signal_phase(*waiter.payload, Request::kDone);
 }
 
 std::optional<Tuple> ThreadedSpaceEngine::blocking_op(
@@ -1097,36 +814,22 @@ std::optional<Tuple> ThreadedSpaceEngine::blocking_op(
   // cross_mu_.
   barrier_acquire();
   const std::uint64_t ticket = next_ticket();
-  auto [shard_idx, it] = find_across(tmpl);
-  if (shard_idx >= 0) {
-    std::optional<Tuple> result;
-    if (take) {
-      ++barrier_stats_.takes;
-      result = std::move(it->second.tuple);
-      erase_entry(shard_idx, it);
-    } else {
-      ++barrier_stats_.reads;
-      result = it->second.tuple;
-    }
-    if (log_ != nullptr) {
-      OpRecord rec;
-      rec.ticket = ticket;
-      rec.kind = take ? Kind::kBlockingTake : Kind::kBlockingRead;
-      rec.tmpl = tmpl;
-      rec.result = result;
-      log_->append(rec);
-    }
+  if (const Hit hit =
+          Scan(stores_, tmpl, kAllVisible, &barrier_stats_.scan_steps).next()) {
+    std::optional<Tuple> result = consume(hit, take, barrier_stats_);
+    log_result(ticket, take ? Kind::kBlockingTake : Kind::kBlockingRead,
+               kNoTxn, tmpl, result);
     barrier_release();
     release_request(req);
     return result;
   }
   {
     std::lock_guard<std::mutex> cl(cross_mu_);
-    TWaiter waiter;
+    Waiter waiter;
     waiter.id = ticket;
     waiter.tmpl = tmpl;
     waiter.take = take;
-    waiter.req = req;
+    waiter.payload = req;
     wildcard_waiters_.push_back(std::move(waiter));
     cross_count_.fetch_add(1);
     blocked_count_.fetch_add(1, std::memory_order_relaxed);
@@ -1141,20 +844,15 @@ std::optional<Tuple> ThreadedSpaceEngine::blocking_op(
       std::lock_guard<std::mutex> cl(cross_mu_);
       const auto pos = std::find_if(
           wildcard_waiters_.begin(), wildcard_waiters_.end(),
-          [&](const TWaiter& w) { return w.id == ticket; });
+          [&](const Waiter& w) { return w.id == ticket; });
       if (pos != wildcard_waiters_.end()) {
         // Still parked — no publish can be serving it (we hold cross_mu_).
         // Ticket before the count decrement: a publisher that fast-paths on
         // the decremented count is ordered after this cancellation.
-        TWaiter waiter = std::move(*pos);
+        const Waiter waiter = std::move(*pos);
         wildcard_waiters_.erase(pos);
-        const std::uint64_t cancel_ticket = next_ticket();
+        cancel_waiter(waiter, cross_stats_);
         cross_count_.fetch_sub(1);
-        blocked_count_.fetch_sub(1, std::memory_order_relaxed);
-        ++cross_stats_.misses;
-        cancel_waiter_record(waiter, cancel_ticket);
-        waiter.req->result = std::nullopt;
-        signal_phase(*waiter.req, Request::kDone);
       }
     }
     wait_phase(-1, *req, Request::kDone);
@@ -1191,12 +889,7 @@ std::uint64_t ThreadedSpaceEngine::begin_transaction() {
     std::lock_guard<std::mutex> lk(txn_mu_);
     txns_.emplace(ticket, std::make_unique<TxnState>());
   }
-  if (log_ != nullptr) {
-    OpRecord rec;
-    rec.ticket = ticket;
-    rec.kind = Kind::kBeginTxn;
-    log_->append(rec);
-  }
+  record(ticket, Kind::kBeginTxn, [](OpRecord&) {});
   return ticket;
 }
 
@@ -1224,20 +917,14 @@ bool ThreadedSpaceEngine::commit(std::uint64_t txn) {
       for (auto& [write_id, tuple] : state->writes) {
         ++barrier_stats_.writes;
         collect_notifications(tuple, &fire);
-        const int shard_idx = shard_of(type_key(tuple.name, tuple.arity()));
-        serve_and_store(shard_idx, write_id, std::move(tuple),
-                        /*cross_locked=*/true, /*deadline_ns=*/-1);
+        publish(write_id, std::move(tuple), /*cross_locked=*/true, kNoDeadline);
       }
       // Held takes become permanent: nothing to restore.
     }
-    if (log_ != nullptr) {
-      OpRecord rec;
-      rec.ticket = ticket;
-      rec.kind = Kind::kCommit;
+    record(ticket, Kind::kCommit, [&](OpRecord& rec) {
       rec.txn = txn;
       rec.ok = ok;
-      log_->append(rec);
-    }
+    });
   }
   barrier_release();
   fire_collected(std::move(fire));
@@ -1267,20 +954,14 @@ bool ThreadedSpaceEngine::abort(std::uint64_t txn) {
       // A held finite-lease entry's timer was cancelled at take time, so
       // the restore is forever — mirrored exactly by the replay pre-pass:
       // no kLeaseExpire record ever terminates that write's arming.
-      for (TEntry& held : state->held) {
-        const int shard_idx = shard_of(held.type_key);
-        serve_and_store(shard_idx, held.id, std::move(held.tuple),
-                        /*cross_locked=*/true, /*deadline_ns=*/-1);
+      for (auto& [id, tuple] : state->held) {
+        publish(id, std::move(tuple), /*cross_locked=*/true, kNoDeadline);
       }
     }
-    if (log_ != nullptr) {
-      OpRecord rec;
-      rec.ticket = ticket;
-      rec.kind = Kind::kAbort;
+    record(ticket, Kind::kAbort, [&](OpRecord& rec) {
       rec.txn = txn;
       rec.ok = ok;
-      log_->append(rec);
-    }
+    });
   }
   barrier_release();
   return ok;
@@ -1329,13 +1010,8 @@ std::uint64_t ThreadedSpaceEngine::notify(Template tmpl,
     ticket = next_ticket();
     notifies_.emplace(ticket, NotifyReg{tmpl, std::move(callback)});
     cross_count_.fetch_add(1);
-    if (log_ != nullptr) {
-      OpRecord rec;
-      rec.ticket = ticket;
-      rec.kind = Kind::kNotifyReg;
-      rec.tmpl = std::move(tmpl);
-      log_->append(rec);
-    }
+    record(ticket, Kind::kNotifyReg,
+           [&](OpRecord& rec) { rec.tmpl = std::move(tmpl); });
   }
   barrier_release();
   return ticket;
@@ -1354,14 +1030,10 @@ bool ThreadedSpaceEngine::cancel_notify(std::uint64_t registration) {
     notifies_.erase(it);
     cross_count_.fetch_sub(1);
   }
-  if (log_ != nullptr) {
-    OpRecord rec;
-    rec.ticket = ticket;
-    rec.kind = Kind::kNotifyCancel;
+  record(ticket, Kind::kNotifyCancel, [&](OpRecord& rec) {
     rec.target = registration;
     rec.ok = ok;
-    log_->append(rec);
-  }
+  });
   return ok;
 }
 
@@ -1380,29 +1052,19 @@ std::optional<Lease> ThreadedSpaceEngine::renew(std::uint64_t tuple_id,
   barrier_acquire();
   const std::uint64_t ticket = next_ticket();
   std::optional<Lease> out;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& sh = *shards_[s];
-    auto it = sh.entries.find(tuple_id);
-    if (it == sh.entries.end()) continue;
-    sh.wheel.cancel(it->second.expiry_timer);
-    const std::int64_t deadline_ns =
-        extension == kLeaseForever ? -1
-                                   : steady_now_ns() + extension.count_ns();
-    it->second.expiry_timer =
-        deadline_ns < 0 ? 0 : sh.wheel.arm(deadline_ns, tuple_id);
+  if (const Hit hit = ShardEntries::find_live(stores_, tuple_id, kAllVisible)) {
+    const std::int64_t deadline = extension == kLeaseForever
+                                      ? kNoDeadline
+                                      : steady_now_ns() + extension.count_ns();
+    shards_[static_cast<std::size_t>(hit.shard)]->store.rearm(hit.it,
+                                                              deadline);
     ++barrier_stats_.renewals;
-    out = Lease{tuple_id, deadline_ns < 0 ? sim::Time::max()
-                                          : sim::Time::ns(deadline_ns)};
-    break;
+    out = Lease{tuple_id, sim::Time::ns(deadline)};
   }
-  if (log_ != nullptr) {
-    OpRecord rec;
-    rec.ticket = ticket;
-    rec.kind = Kind::kRenew;
+  record(ticket, Kind::kRenew, [&](OpRecord& rec) {
     rec.target = tuple_id;
     rec.ok = out.has_value();
-    log_->append(rec);
-  }
+  });
   barrier_release();
   return out;
 }
@@ -1410,23 +1072,16 @@ std::optional<Lease> ThreadedSpaceEngine::renew(std::uint64_t tuple_id,
 bool ThreadedSpaceEngine::cancel(std::uint64_t tuple_id) {
   barrier_acquire();
   const std::uint64_t ticket = next_ticket();
-  bool ok = false;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    auto it = shards_[s]->entries.find(tuple_id);
-    if (it == shards_[s]->entries.end()) continue;
-    erase_entry(static_cast<int>(s), it);
+  const Hit hit = ShardEntries::find_live(stores_, tuple_id, kAllVisible);
+  const bool ok = static_cast<bool>(hit);
+  if (ok) {
+    erase_entry(hit);
     ++barrier_stats_.cancellations;
-    ok = true;
-    break;
   }
-  if (log_ != nullptr) {
-    OpRecord rec;
-    rec.ticket = ticket;
-    rec.kind = Kind::kCancelLease;
+  record(ticket, Kind::kCancelLease, [&](OpRecord& rec) {
     rec.target = tuple_id;
     rec.ok = ok;
-    log_->append(rec);
-  }
+  });
   barrier_release();
   return ok;
 }
@@ -1497,31 +1152,12 @@ std::vector<Tuple> ThreadedSpaceEngine::snapshot() {
   const std::uint64_t ticket = next_ticket();
   std::vector<Tuple> out;
   out.reserve(entry_count_.load(std::memory_order_relaxed));
-  std::vector<std::map<std::uint64_t, TEntry>::const_iterator> cursor;
-  cursor.reserve(shards_.size());
-  for (auto& sh : shards_) cursor.push_back(sh->entries.cbegin());
-  for (;;) {
-    int best = -1;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (cursor[s] == shards_[s]->entries.cend()) continue;
-      if (best < 0 ||
-          cursor[s]->first < cursor[static_cast<std::size_t>(best)]->first) {
-        best = static_cast<int>(s);
-      }
-    }
-    if (best < 0) break;
-    out.push_back((cursor[static_cast<std::size_t>(best)]++)->second.tuple);
-  }
-  if (log_ != nullptr) {
-    // The cut is itself a linearized op: the replay rebuilds the oracle's
-    // space at this ticket and compares cuts, so mid-run consistency is
-    // checked, not just the final state.
-    OpRecord rec;
-    rec.ticket = ticket;
-    rec.kind = Kind::kSnapshot;
-    rec.results = out;
-    log_->append(rec);
-  }
+  Scan scan(stores_, kAllVisible);
+  while (const Hit hit = scan.next()) out.push_back(hit.it->second.tuple);
+  // The cut is itself a linearized op: the replay rebuilds the oracle's
+  // space at this ticket and compares cuts, so mid-run consistency is
+  // checked, not just the final state.
+  record(ticket, Kind::kSnapshot, [&](OpRecord& rec) { rec.results = out; });
   barrier_release();
   return out;
 }
@@ -1619,15 +1255,8 @@ void ThreadedSpaceEngine::shutdown() {
   // Workers are gone: complete every parked blocking op with nullopt,
   // logged exactly like a timeout so the oracle replay cancels them at the
   // same instant.
-  auto cancel_all = [this](std::list<TWaiter>& queue, Stats& stats) {
-    for (TWaiter& waiter : queue) {
-      ++stats.misses;
-      const std::uint64_t cancel_ticket = next_ticket();
-      cancel_waiter_record(waiter, cancel_ticket);
-      blocked_count_.fetch_sub(1, std::memory_order_relaxed);
-      waiter.req->result = std::nullopt;
-      signal_phase(*waiter.req, Request::kDone);
-    }
+  auto cancel_all = [this](Store::Waiters& queue, Stats& stats) {
+    for (const Waiter& waiter : queue) cancel_waiter(waiter, stats);
     queue.clear();
   };
   // Joined workers don't make the shard words free-for-all: the timeout
@@ -1638,7 +1267,7 @@ void ThreadedSpaceEngine::shutdown() {
   // finds its waiter already completed — a logged no-op, never a double
   // signal on a recycled request cell.
   own_all_shards();
-  for (auto& sh : shards_) cancel_all(sh->waiters, sh->stats);
+  for (auto& sh : shards_) cancel_all(sh->store.waiters(), sh->stats);
   disown_all_shards();
   {
     std::lock_guard<std::mutex> cl(cross_mu_);

@@ -1,6 +1,7 @@
 // Real-thread concurrent tuplespace runtime (DESIGN.md §11, hot path §15).
 //
-// Shard state (entry map, type index, named-waiter queue, stats, timer
+// Shard state (its ShardStore — the entry map, type index and named-waiter
+// queue SpaceEngine shares, shard_store.hpp — plus stats and the lease
 // wheel) is touched only while holding the shard's atomic *ownership word*
 // — a one-word CAS lock that replaces the actor mailbox handshake. Named
 // operations enqueue a pooled request cell into the shard's bounded MPSC
@@ -65,19 +66,17 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "src/space/engine.hpp"
 #include "src/space/oplog.hpp"
+#include "src/space/shard_store.hpp"
 #include "src/space/tuple.hpp"
 #include "src/util/mpsc_ring.hpp"
 
@@ -202,8 +201,7 @@ class ThreadedSpaceEngine {
   }
   int shard_count() const { return static_cast<int>(shards_.size()); }
   int shard_of(std::uint64_t key) const {
-    return shards_.size() == 1 ? 0
-                               : static_cast<int>(key % shards_.size());
+    return shard_route(key, shards_.size());
   }
   std::size_t inbox_depth(int shard) const {
     return shards_.at(static_cast<std::size_t>(shard))->ring.approx_size();
@@ -234,24 +232,13 @@ class ThreadedSpaceEngine {
  private:
   struct Request;
 
-  struct TEntry {
-    std::uint64_t id = 0;  ///< the write's linearization ticket
-    Tuple tuple;
-    std::uint64_t type_key = 0;
-    std::size_t byte_size = 0;
-    sim::TimerWheel::TimerId expiry_timer = 0;  ///< on the shard's wheel
-  };
-
-  struct TWaiter {
-    std::uint64_t id = 0;  ///< registration ticket
-    Template tmpl;
-    bool take = false;
-    Request* req = nullptr;  ///< pooled cell owned by the parked client
-  };
+  using Store = ShardStore<Request*>;  ///< waiter payload: the parked cell
+  using Waiter = Store::Waiter;
+  using Hit = ShardEntries::Hit;
 
   struct TxnState {
     std::vector<std::pair<std::uint64_t, Tuple>> writes;  ///< (ticket, tuple)
-    std::vector<TEntry> held;
+    std::vector<std::pair<std::uint64_t, Tuple>> held;    ///< (id, tuple)
   };
 
   /// Notification deliveries collected while holding shard state; flushed
@@ -259,7 +246,8 @@ class ThreadedSpaceEngine {
   using FireBatch = std::vector<std::pair<NotifyCallback, Tuple>>;
 
   struct Shard {
-    explicit Shard(std::size_t inbox_capacity) : ring(inbox_capacity) {}
+    Shard(std::size_t inbox_capacity, bool use_type_index)
+        : ring(inbox_capacity), store(use_type_index, wheel) {}
 
     /// Data-plane inbox: bounded MPSC ring of pooled request cells.
     util::MpscRing<Request*> ring;
@@ -283,14 +271,11 @@ class ThreadedSpaceEngine {
     std::condition_variable park_cv;
 
     // Owner-only shard state.
-    std::map<std::uint64_t, TEntry> entries;
-    std::unordered_map<std::uint64_t, std::set<std::uint64_t>> index;
-    std::list<TWaiter> waiters;
-    std::size_t stored_bytes = 0;
     Stats stats;
     /// Finite-lease timers, payload = entry id, deadlines in
-    /// engine-relative steady ns. Owner-only like the entry map.
+    /// engine-relative steady ns.
     sim::TimerWheel wheel;
+    Store store;  ///< entries on `wheel`, plus the named-waiter queue
 
     // Exported metrics: atomics, safe to read from any thread.
     std::atomic<std::size_t> inbox_peak{0};
@@ -331,29 +316,46 @@ class ThreadedSpaceEngine {
 
   void apply(int shard_idx, Request& req, FireBatch* fire);
   void apply_write(int shard_idx, Request& req, FireBatch* fire);
-  void apply_match(int shard_idx, Request& req, bool take);
-  void apply_bulk(int shard_idx, Request& req, bool take);
   void apply_blocking(int shard_idx, Request& req, bool take);
   void apply_cancel_waiter(int shard_idx, Request& req);
 
-  /// Serves waiters then stores; returns true when a blocked take consumed
-  /// the tuple. `cross_locked` = cross_mu_ is held, so the wildcard queue
-  /// participates in the registration-order merge. `deadline_ns` is the
-  /// entry's steady-ns expiry (-1 = forever).
-  bool serve_and_store(int shard_idx, std::uint64_t id, Tuple tuple,
-                       bool cross_locked, std::int64_t deadline_ns);
-  void store_entry(int shard_idx, std::uint64_t id, Tuple tuple,
-                   std::int64_t deadline_ns);
+  /// Serve-then-store on the tuple's shard (caller owns it).
+  /// `cross_locked` = cross_mu_ is held, so the wildcard queue joins the
+  /// registration-order merge. `deadline` is the entry's steady-ns expiry.
+  void publish(std::uint64_t id, Tuple tuple, bool cross_locked,
+               std::int64_t deadline);
   /// Reclaims every entry whose wheel deadline has passed, drawing one
   /// ticket per expiry (logged as kLeaseExpire). Caller owns the shard.
   void service_shard_wheel(int shard_idx);
   /// Nanoseconds since the engine's steady-clock epoch.
   std::int64_t steady_now_ns() const;
-  /// Oldest live entry matching tmpl on one shard; entries.end() when none.
-  std::map<std::uint64_t, TEntry>::iterator find_in_shard(
-      int shard_idx, const Template& tmpl);
-  void erase_entry(int shard_idx,
-                   std::map<std::uint64_t, TEntry>::iterator it);
+  /// Removes a located entry, returning its tuple.
+  Tuple erase_entry(Hit hit);
+  /// Reads (copies) or takes a located entry, counting it in `stats`.
+  Tuple consume(Hit hit, bool take, Stats& stats);
+  /// The if-exists match: oldest entry, else (under a transaction) the
+  /// transaction's own provisional write; counts a miss when neither.
+  /// Caller owns the shard(s) `tmpl` can touch.
+  std::optional<Tuple> match_one(const Template& tmpl, TxnState* txn,
+                                 bool take, Stats& stats);
+  /// The bulk match, logged at `ticket`. Caller owns the shard(s).
+  std::vector<Tuple> match_bulk(std::uint64_t ticket, const Template& tmpl,
+                                std::size_t max, bool take, Stats& stats);
+  /// Appends an op record at `ticket` (no-op without a log); `fill` sets
+  /// the kind-specific fields.
+  template <class Fill>
+  void record(std::uint64_t ticket, OpRecord::Kind kind, Fill&& fill) {
+    if (log_ == nullptr) return;
+    OpRecord rec;
+    rec.ticket = ticket;
+    rec.kind = kind;
+    fill(rec);
+    log_->append(std::move(rec));
+  }
+  /// Logs a single-result op.
+  void log_result(std::uint64_t ticket, OpRecord::Kind kind,
+                  std::uint64_t txn, const Template& tmpl,
+                  const std::optional<Tuple>& result);
   /// Collects matching notify callbacks (cross_mu_ held); deliver after
   /// the exclusive section via fire_collected().
   void collect_notifications(const Tuple& tuple, FireBatch* fire);
@@ -362,8 +364,10 @@ class ThreadedSpaceEngine {
   void fire_collected(FireBatch fire);
   /// Completes a served waiter: logs the blocked-op record and wakes the
   /// parked client.
-  void complete_waiter(const TWaiter& waiter, Tuple tuple);
-  void cancel_waiter_record(const TWaiter& waiter, std::uint64_t cancel_ticket);
+  void complete_waiter(const Waiter& waiter, Tuple tuple);
+  /// Completes a waiter removed from its queue with nullopt, logging a
+  /// cancellation at a fresh ticket (timeout or shutdown).
+  void cancel_waiter(const Waiter& waiter, Stats& stats);
 
   /// Acquires every shard's ownership word in index order (serialized by
   /// barrier_mu_); returns with exclusive access to all shard state.
@@ -375,10 +379,6 @@ class ThreadedSpaceEngine {
   /// flat-combines the shard once the workers are joined).
   void own_all_shards();
   void disown_all_shards();
-
-  /// Oldest live entry matching tmpl across all shards (all owned).
-  std::pair<int, std::map<std::uint64_t, TEntry>::iterator> find_across(
-      const Template& tmpl);
 
   std::uint64_t next_ticket() {
     return lin_ticket_.fetch_add(1, std::memory_order_relaxed);
@@ -407,10 +407,11 @@ class ThreadedSpaceEngine {
   std::optional<Tuple> blocking_op(const Template& tmpl,
                                    std::chrono::nanoseconds timeout,
                                    bool take);
-  std::optional<Tuple> wildcard_if_exists(const Template& tmpl,
-                                          std::uint64_t txn, bool take);
-  std::vector<Tuple> wildcard_bulk(const Template& tmpl, std::size_t max,
-                                   bool take);
+  /// The if-exists and bulk ops: a named template goes through its
+  /// shard's ring, a wildcard one is an all-shard sequence-point op.
+  std::optional<Tuple> if_exists(const Template& tmpl, std::uint64_t txn,
+                                 bool take);
+  std::vector<Tuple> bulk(const Template& tmpl, std::size_t max, bool take);
   void note_peak_size();
   void note_peak_blocked();
 
@@ -423,6 +424,7 @@ class ThreadedSpaceEngine {
       std::chrono::steady_clock::now();
 
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<ShardEntries*> stores_;  ///< &shards_[i]->store, for Scan
 
   /// Slab of reusable request cells (zero heap allocation per op); sync
   /// ops release their cell on return, drains release async cells.
@@ -439,7 +441,7 @@ class ThreadedSpaceEngine {
   /// (sound because registrations run under the all-shard acquisition —
   /// see header).
   std::mutex cross_mu_;
-  std::list<TWaiter> wildcard_waiters_;
+  Store::Waiters wildcard_waiters_;
   std::map<std::uint64_t, NotifyReg> notifies_;
   std::atomic<std::size_t> cross_count_{0};
   Stats cross_stats_;  ///< cross_mu_-guarded (notifications, wildcard serves)

@@ -12,8 +12,8 @@
 
 #include "src/mw/client.hpp"
 #include "src/sim/process.hpp"
+#include "src/space/engine.hpp"
 #include "src/space/ops.hpp"
-#include "src/space/space.hpp"
 #include "src/util/status.hpp"
 
 namespace tb::svc {

@@ -1,33 +1,10 @@
 #include "src/util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
 
 #include "src/util/assert.hpp"
 
 namespace tb::util {
-
-void RunningStats::add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 void SampleSet::ensure_sorted() const {
   if (!sorted_) {
@@ -53,46 +30,6 @@ double SampleSet::percentile(double p) const {
   const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return samples_[lo] + frac * (samples_[hi] - samples_[lo]);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), bins_(bins, 0) {
-  TB_REQUIRE(hi > lo);
-  TB_REQUIRE(bins > 0);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    const double frac = (x - lo_) / (hi_ - lo_);
-    auto idx = static_cast<std::size_t>(frac * static_cast<double>(bins_.size()));
-    if (idx >= bins_.size()) idx = bins_.size() - 1;  // guards fp edge at hi
-    ++bins_[idx];
-  }
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(bins_.size());
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : bins_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(bins_[i]) / static_cast<double>(peak) *
-        static_cast<double>(width));
-    os << '[' << bin_lo(i) << ", " << bin_hi(i) << ") "
-       << std::string(bar, '#') << ' ' << bins_[i] << '\n';
-  }
-  if (underflow_ != 0) os << "underflow: " << underflow_ << '\n';
-  if (overflow_ != 0) os << "overflow: " << overflow_ << '\n';
-  return os.str();
 }
 
 }  // namespace tb::util

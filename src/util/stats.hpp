@@ -1,34 +1,10 @@
-// Online statistics used by benchmark harnesses and flow monitors.
+// Exact-percentile sample sets used by net flow sinks and svc::WorkerPool.
 #pragma once
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 namespace tb::util {
-
-/// Welford single-pass mean / variance / min / max accumulator.
-class RunningStats {
- public:
-  void add(double x);
-
-  std::uint64_t count() const { return count_; }
-  double mean() const { return mean_; }
-  /// Unbiased sample variance; 0 for fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-  double sum() const { return sum_; }
-
- private:
-  std::uint64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 /// Stores every sample; supports exact percentiles. Use for bounded-size
 /// experiment result sets (bench harnesses), not unbounded traces.
@@ -49,30 +25,6 @@ class SampleSet {
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;
   void ensure_sorted() const;
-};
-
-/// Fixed-width linear histogram over [lo, hi); out-of-range samples land in
-/// saturating under/overflow bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::uint64_t bin_count(std::size_t i) const { return bins_.at(i); }
-  std::size_t bin_count_size() const { return bins_.size(); }
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-  std::uint64_t total() const { return total_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
-  /// Multi-line ASCII rendering, for quick inspection in example binaries.
-  std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> bins_;
-  std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
 };
 
 }  // namespace tb::util

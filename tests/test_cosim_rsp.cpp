@@ -6,9 +6,9 @@
 
 #include "src/cosim/rsp_pipe.hpp"
 #include "src/mw/client.hpp"
-#include "src/mw/server.hpp"
+#include "src/mw/node_core.hpp"
 #include "src/sim/process.hpp"
-#include "src/space/space.hpp"
+#include "src/space/engine.hpp"
 
 namespace tb::cosim {
 namespace {
@@ -121,10 +121,10 @@ TEST(Rsp, WireSizeAccountsForEscapesAndAck) {
 TEST(RspPipe, CarriesSpaceOperations) {
   using namespace tb::sim::literals;
   sim::Simulator sim(1);
-  space::TupleSpace space(sim);
+  space::SpaceEngine space(sim);
   mw::XmlCodec codec;
   RspPipe pipe(sim);
-  mw::SpaceServer server(space, pipe.server_end(), codec);
+  mw::NodeCore server(space, pipe.server_end(), codec);
   mw::SpaceClient client(sim, pipe.client_end(), codec);
 
   bool done = false;

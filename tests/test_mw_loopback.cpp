@@ -6,7 +6,7 @@
 
 #include "src/mw/client.hpp"
 #include "src/mw/loopback.hpp"
-#include "src/mw/server.hpp"
+#include "src/mw/node_core.hpp"
 #include "src/sim/process.hpp"
 
 namespace tb::mw {
@@ -40,10 +40,10 @@ class LoopbackTest : public ::testing::Test {
   }
 
   sim::Simulator sim_{1};
-  space::TupleSpace space_;
+  space::SpaceEngine space_;
   XmlCodec codec_;
   LoopbackHub hub_;
-  SpaceServer server_;
+  NodeCore server_;
   LoopbackClient& client_transport_;
   SpaceClient client_;
 };

@@ -12,7 +12,7 @@
 #include "co_gtest.hpp"
 #include "src/mw/client.hpp"
 #include "src/mw/loopback.hpp"
-#include "src/mw/server.hpp"
+#include "src/mw/node_core.hpp"
 #include "src/sim/process.hpp"
 
 namespace tb::mw {
@@ -39,7 +39,7 @@ class PipelineTest : public ::testing::Test {
   space::SpaceEngine space_;
   XmlCodec codec_;
   LoopbackHub hub_;
-  SpaceServer server_;
+  NodeCore server_;
   LoopbackClient& client_transport_;
   SpaceClient client_;
 };

@@ -8,9 +8,9 @@
 
 #include "co_gtest.hpp"
 #include "src/mw/client.hpp"
-#include "src/mw/server.hpp"
+#include "src/mw/node_core.hpp"
 #include "src/sim/process.hpp"
-#include "src/space/space.hpp"
+#include "src/space/engine.hpp"
 
 namespace tb::mw {
 namespace {
@@ -99,12 +99,12 @@ class ReliabilityTest : public ::testing::Test {
 
   sim::Simulator sim_{1};
   LossyPair pair_;
-  space::TupleSpace space_;
+  space::SpaceEngine space_;
   XmlCodec codec_;
 };
 
 TEST_F(ReliabilityTest, LostRequestIsRetransmitted) {
-  SpaceServer server(space_, pair_.server_endpoint, codec_);
+  NodeCore server(space_, pair_.server_endpoint, codec_);
   SpaceClient client = make_client(100_ms, 3);
   pair_.drop_client = {true};  // first request vanishes
 
@@ -122,7 +122,7 @@ TEST_F(ReliabilityTest, LostRequestIsRetransmitted) {
 }
 
 TEST_F(ReliabilityTest, LostResponseReplayedNotReExecuted) {
-  SpaceServer server(space_, pair_.server_endpoint, codec_);
+  NodeCore server(space_, pair_.server_endpoint, codec_);
   SpaceClient client = make_client(100_ms, 3);
   pair_.drop_server = {true};  // the first response vanishes
 
@@ -142,7 +142,7 @@ TEST_F(ReliabilityTest, LostResponseReplayedNotReExecuted) {
 }
 
 TEST_F(ReliabilityTest, RetriesExhaustedYieldsNullResult) {
-  SpaceServer server(space_, pair_.server_endpoint, codec_);
+  NodeCore server(space_, pair_.server_endpoint, codec_);
   SpaceClient client = make_client(50_ms, 2);
   pair_.drop_client = {true, true, true};  // every attempt lost
 
@@ -162,7 +162,7 @@ TEST_F(ReliabilityTest, RetriesExhaustedYieldsNullResult) {
 }
 
 TEST_F(ReliabilityTest, DuplicateOfParkedTakeIsIgnoredThenAnswered) {
-  SpaceServer server(space_, pair_.server_endpoint, codec_);
+  NodeCore server(space_, pair_.server_endpoint, codec_);
   SpaceClient client = make_client(200_ms, 5);
 
   // A blocking take parks server-side; the client's retransmissions must
@@ -185,7 +185,7 @@ TEST_F(ReliabilityTest, DuplicateOfParkedTakeIsIgnoredThenAnswered) {
 }
 
 TEST_F(ReliabilityTest, LateResponseAfterTimeoutIsCountedStray) {
-  SpaceServer server(space_, pair_.server_endpoint, codec_);
+  NodeCore server(space_, pair_.server_endpoint, codec_);
   // Transport delay far beyond the rpc timeout and no retries.
   pair_.delay = 300_ms;
   SpaceClient client = make_client(50_ms, 0);

@@ -4,11 +4,12 @@
 
 #include <memory>
 
+#include "naive_space.hpp"
 #include "src/cosim/rsp.hpp"
 #include "src/mw/codec.hpp"
 #include "src/mw/framing.hpp"
 #include "src/sim/process.hpp"
-#include "src/space/space.hpp"
+#include "src/space/engine.hpp"
 #include "src/util/rng.hpp"
 #include "src/wire/bus.hpp"
 #include "src/wire/master.hpp"
@@ -350,17 +351,21 @@ TEST(RspProperty, RandomPayloadsWithInterPacketNoise) {
 }
 
 // ---------------------------------------------------------------------------
-// Tuplespace: indexed and linear stores behave identically under a random
-// operation sequence (a small model-equivalence check).
+// Tuplespace: the indexed engine, the unindexed (linear-scan, sharded)
+// engine and the naive reference model behave identically under a random
+// operation sequence with finite leases racing matches, renewals and
+// cancels (a small model-equivalence check).
 
 class SpaceEquivalenceProperty : public ::testing::TestWithParam<int> {};
 
-TEST_P(SpaceEquivalenceProperty, IndexedAndLinearAgreeOnRandomOps) {
+TEST_P(SpaceEquivalenceProperty, EnginesAgreeWithNaiveModelOnRandomOps) {
   util::Xoshiro256 rng(GetParam() * 104'729);
-  sim::Simulator sim_a(1), sim_b(1);
-  space::SpaceConfig no_index;
-  no_index.use_type_index = false;
-  space::TupleSpace indexed(sim_a), linear(sim_b, no_index);
+  sim::Simulator sim_indexed(1), sim_linear(1), sim_naive(1);
+  space::SpaceEngine indexed(sim_indexed);
+  space::SpaceEngine linear(
+      sim_linear,
+      space::SpaceConfig{.use_type_index = false, .shard_count = 4});
+  space::NaiveSpace naive(sim_naive);
 
   auto random_tuple = [&] {
     return space::make_tuple(
@@ -378,26 +383,87 @@ TEST_P(SpaceEquivalenceProperty, IndexedAndLinearAgreeOnRandomOps) {
     }
     return tmpl;
   };
+  std::vector<std::uint64_t> ids;  // same on all three: ids follow op order
 
   for (int op = 0; op < 500; ++op) {
-    switch (rng.uniform(0, 2)) {
-      case 0: {
+    switch (rng.uniform(0, 6)) {
+      case 0:
+      case 1: {
         const space::Tuple t = random_tuple();
-        indexed.write(t);
-        linear.write(t);
+        // Lease in whole ms against 1 ms steps: some deadlines land exactly
+        // on an operation's instant.
+        const sim::Time lease = rng.bernoulli(0.5)
+                                    ? space::kLeaseForever
+                                    : sim::Time::ms(rng.uniform(1, 6));
+        const std::uint64_t id = indexed.write(t, lease).id;
+        EXPECT_EQ(linear.write(t, lease).id, id);
+        EXPECT_EQ(naive.write(t, lease).id, id);
+        ids.push_back(id);
         break;
       }
-      case 1: {
+      case 2: {
         const space::Template tmpl = random_template();
-        EXPECT_EQ(indexed.take_if_exists(tmpl), linear.take_if_exists(tmpl));
+        const auto got = indexed.take_if_exists(tmpl);
+        EXPECT_EQ(linear.take_if_exists(tmpl), got);
+        EXPECT_EQ(naive.take_if_exists(tmpl), got);
+        break;
+      }
+      case 3: {
+        const space::Template tmpl = random_template();
+        const auto got = indexed.read_if_exists(tmpl);
+        EXPECT_EQ(linear.read_if_exists(tmpl), got);
+        EXPECT_EQ(naive.read_if_exists(tmpl), got);
+        break;
+      }
+      case 4: {
+        const space::Template tmpl = random_template();
+        const std::size_t max = rng.uniform(0, 3);
+        const bool take = rng.bernoulli(0.5);
+        const auto got =
+            take ? indexed.take_all(tmpl, max) : indexed.read_all(tmpl, max);
+        EXPECT_EQ(
+            take ? linear.take_all(tmpl, max) : linear.read_all(tmpl, max),
+            got);
+        EXPECT_EQ(take ? naive.take_all(tmpl, max) : naive.read_all(tmpl, max),
+                  got);
+        break;
+      }
+      case 5: {
+        if (ids.empty()) break;
+        const std::uint64_t id = ids[rng.uniform(0, ids.size() - 1)];
+        if (rng.bernoulli(0.5)) {
+          const sim::Time extension = sim::Time::ms(rng.uniform(1, 6));
+          const bool renewed = indexed.renew(id, extension).has_value();
+          EXPECT_EQ(linear.renew(id, extension).has_value(), renewed);
+          EXPECT_EQ(naive.renew(id, extension).has_value(), renewed);
+        } else {
+          const bool cancelled = indexed.cancel(id);
+          EXPECT_EQ(linear.cancel(id), cancelled);
+          EXPECT_EQ(naive.cancel(id), cancelled);
+        }
         break;
       }
       default: {
-        const space::Template tmpl = random_template();
-        EXPECT_EQ(indexed.read_if_exists(tmpl), linear.read_if_exists(tmpl));
+        const sim::Time until = sim_indexed.now() + sim::Time::ms(1);
+        sim_indexed.run_until(until);
+        sim_linear.run_until(until);
+        sim_naive.run_until(until);
       }
     }
-    ASSERT_EQ(indexed.size(), linear.size());
+    const auto state = indexed.snapshot();
+    ASSERT_EQ(linear.snapshot(), state) << "op " << op;
+    ASSERT_EQ(naive.snapshot(), state) << "op " << op;
+  }
+
+  const space::SpaceEngine::Stats a = indexed.stats();
+  for (const space::SpaceEngine::Stats& b : {linear.stats(), naive.stats()}) {
+    EXPECT_EQ(b.writes, a.writes);
+    EXPECT_EQ(b.reads, a.reads);
+    EXPECT_EQ(b.takes, a.takes);
+    EXPECT_EQ(b.misses, a.misses);
+    EXPECT_EQ(b.expirations, a.expirations);
+    EXPECT_EQ(b.renewals, a.renewals);
+    EXPECT_EQ(b.cancellations, a.cancellations);
   }
 }
 

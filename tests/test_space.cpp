@@ -1,4 +1,4 @@
-#include "src/space/space.hpp"
+#include "src/space/engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,7 @@ Template any_named(const std::string& name, std::size_t arity) {
 class SpaceTest : public ::testing::Test {
  protected:
   sim::Simulator sim_{1};
-  TupleSpace space_{sim_};
+  SpaceEngine space_{sim_};
 };
 
 TEST_F(SpaceTest, WriteThenReadIfExists) {
@@ -209,6 +209,40 @@ TEST_F(SpaceTest, RenewGoneTupleFails) {
   EXPECT_FALSE(space_.renew(lease.id, 100_ms).has_value());
 }
 
+// At t == expires_at the entry is already gone to every lookup, even while
+// its wheel event is still queued behind other events at that instant. The
+// probe is scheduled before the write, so it runs ahead of the expiry event.
+TEST_F(SpaceTest, RenewAtDeadlineBeforeExpiryEventFails) {
+  std::uint64_t id = 0;
+  std::optional<Lease> renewed;
+  bool probed = false;
+  sim_.schedule_at(10_ms, [&] {
+    EXPECT_FALSE(space_.read_if_exists(any_named("t", 1)).has_value());
+    renewed = space_.renew(id, 20_ms);
+    probed = true;
+  });
+  id = space_.write(Tuple("t", {Value(1)}), 10_ms).id;
+  sim_.run_until(30_ms);
+  ASSERT_TRUE(probed);
+  EXPECT_FALSE(renewed.has_value());  // no resurrection
+  EXPECT_FALSE(space_.read_if_exists(any_named("t", 1)).has_value());
+  EXPECT_EQ(space_.size(), 0u);
+  EXPECT_EQ(space_.stats().renewals, 0u);
+  EXPECT_EQ(space_.stats().expirations, 1u);
+}
+
+TEST_F(SpaceTest, CancelAtDeadlineBeforeExpiryEventFails) {
+  std::uint64_t id = 0;
+  bool cancelled = true;
+  sim_.schedule_at(10_ms, [&] { cancelled = space_.cancel(id); });
+  id = space_.write(Tuple("t", {Value(1)}), 10_ms).id;
+  sim_.run_until(30_ms);
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(space_.size(), 0u);
+  EXPECT_EQ(space_.stats().cancellations, 0u);
+  EXPECT_EQ(space_.stats().expirations, 1u);  // counted as what it was
+}
+
 TEST_F(SpaceTest, CancelRemovesTuple) {
   Lease lease = space_.write(Tuple("t", {Value(1)}));
   EXPECT_TRUE(space_.cancel(lease.id));
@@ -279,7 +313,7 @@ TEST_F(SpaceTest, IndexedAndLinearModesAgree) {
   SpaceConfig no_index;
   no_index.use_type_index = false;
   sim::Simulator sim2(1);
-  TupleSpace linear(sim2, no_index);
+  SpaceEngine linear(sim2, no_index);
 
   for (int i = 0; i < 50; ++i) {
     Tuple t(i % 2 == 0 ? "even" : "odd", {Value(i)});
@@ -302,7 +336,7 @@ TEST_F(SpaceTest, IndexReducesScanSteps) {
   SpaceConfig no_index;
   no_index.use_type_index = false;
   sim::Simulator sim2(1);
-  TupleSpace linear(sim2, no_index);
+  SpaceEngine linear(sim2, no_index);
 
   for (int i = 0; i < 100; ++i) {
     space_.write(Tuple("noise", {Value(i), Value(i)}));
@@ -449,7 +483,7 @@ TEST_F(SpaceTest, ReadAllAndTakeAllOrderMatchWithoutIndex) {
   // must match the indexed path exactly.
   SpaceConfig config;
   config.use_type_index = false;
-  TupleSpace flat(sim_, config);
+  SpaceEngine flat(sim_, config);
   for (int i = 0; i < 4; ++i) flat.write(space::make_tuple("t", std::int64_t{i}));
   const auto read = flat.read_all(any_named("t", 1));
   ASSERT_EQ(read.size(), 4u);

@@ -5,11 +5,13 @@
 // Zipf-skewed keys), blocking takes with short timeouts, transactions, and
 // notify churn, and mid-run consistent-cut snapshots — while every
 // operation is recorded in an OpLog at its linearization ticket. The log
-// is then replayed in ticket order through
-// the single-threaded deterministic SpaceEngine (expiry-at-ticket, see
-// oplog.hpp); any per-op result mismatch, lost wakeup, mis-ordered
-// wildcard merge, lease reclaimed at the wrong instant, or final-state
-// difference is a concurrency bug and fails the seed.
+// is then replayed in ticket order (expiry-at-ticket, see oplog.hpp)
+// through two oracles: the single-threaded deterministic SpaceEngine, and
+// the naive linear-scan model in naive_space.hpp, which shares no code with
+// either engine — the engines share ShardStore, so a bug there would
+// otherwise replay identically through both. Any per-op result mismatch,
+// lost wakeup, mis-ordered wildcard merge, lease reclaimed at the wrong
+// instant, or final-state difference fails the seed.
 //
 // 32 seeds x shard_count {1, 4, 16} run under ctest (label: threaded); the
 // CI thread-sanitizer job runs the same binary under TSan, and the nightly
@@ -25,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "naive_space.hpp"
 #include "src/space/oplog.hpp"
 #include "src/space/threaded.hpp"
 
@@ -223,34 +226,45 @@ void run_differential_seed(std::uint64_t seed, int shard_count) {
   const std::vector<Tuple> final_state = space.snapshot();
   const ThreadedSpaceEngine::Stats threaded_stats = space.stats();
 
-  const ReplayReport report = replay_against_oracle(log, config, final_state);
-  EXPECT_TRUE(report.equivalent) << report.divergence;
-  if (!report.equivalent) return;
+  sim::Simulator naive_sim;
+  NaiveSpace naive(naive_sim);
+  const ReplayReport engine_report =
+      replay_against_oracle(log, config, final_state);
+  const ReplayReport naive_report =
+      replay_log(log, naive_sim, naive, final_state);
 
-  // Notify deliveries: the threaded callbacks and the oracle replay must
-  // have observed the same per-registration counts.
-  const auto oracle_count = [&report](std::uint64_t reg) -> std::uint64_t {
-    const auto it = report.notify_deliveries.find(reg);
-    return it == report.notify_deliveries.end() ? 0 : it->second;
-  };
-  EXPECT_EQ(named_hits.load(), oracle_count(named_reg));
-  EXPECT_EQ(wild_hits.load(), oracle_count(wild_reg));
+  for (const ReplayReport* report : {&engine_report, &naive_report}) {
+    SCOPED_TRACE(report == &engine_report ? "oracle=SpaceEngine"
+                                          : "oracle=NaiveSpace");
+    EXPECT_TRUE(report->equivalent) << report->divergence;
+    if (!report->equivalent) continue;
 
-  // Aggregate op counts must agree with the oracle's replay of the same
-  // linearization (peaks and scan_steps are runtime-specific and excluded).
-  const SpaceEngine::Stats& oracle = report.oracle_stats;
-  EXPECT_EQ(threaded_stats.writes, oracle.writes);
-  EXPECT_EQ(threaded_stats.reads, oracle.reads);
-  EXPECT_EQ(threaded_stats.takes, oracle.takes);
-  EXPECT_EQ(threaded_stats.misses, oracle.misses);
-  EXPECT_EQ(threaded_stats.notifications, oracle.notifications);
-  EXPECT_EQ(threaded_stats.commits, oracle.commits);
-  EXPECT_EQ(threaded_stats.aborts, oracle.aborts);
-  // Lease machinery: every threaded reclamation, renewal hit, and cancel
-  // hit must have replayed through the oracle's wheel at the same ticket.
-  EXPECT_EQ(threaded_stats.expirations, oracle.expirations);
-  EXPECT_EQ(threaded_stats.renewals, oracle.renewals);
-  EXPECT_EQ(threaded_stats.cancellations, oracle.cancellations);
+    // Notify deliveries: the threaded callbacks and the oracle replay must
+    // have observed the same per-registration counts.
+    const auto oracle_count = [report](std::uint64_t reg) -> std::uint64_t {
+      const auto it = report->notify_deliveries.find(reg);
+      return it == report->notify_deliveries.end() ? 0 : it->second;
+    };
+    EXPECT_EQ(named_hits.load(), oracle_count(named_reg));
+    EXPECT_EQ(wild_hits.load(), oracle_count(wild_reg));
+
+    // Aggregate op counts must agree with the oracle's replay of the same
+    // linearization (peaks and scan_steps are runtime-specific and
+    // excluded).
+    const SpaceEngine::Stats& oracle = report->oracle_stats;
+    EXPECT_EQ(threaded_stats.writes, oracle.writes);
+    EXPECT_EQ(threaded_stats.reads, oracle.reads);
+    EXPECT_EQ(threaded_stats.takes, oracle.takes);
+    EXPECT_EQ(threaded_stats.misses, oracle.misses);
+    EXPECT_EQ(threaded_stats.notifications, oracle.notifications);
+    EXPECT_EQ(threaded_stats.commits, oracle.commits);
+    EXPECT_EQ(threaded_stats.aborts, oracle.aborts);
+    // Lease machinery: every threaded reclamation, renewal hit, and cancel
+    // hit must have replayed through the oracle's clock at the same ticket.
+    EXPECT_EQ(threaded_stats.expirations, oracle.expirations);
+    EXPECT_EQ(threaded_stats.renewals, oracle.renewals);
+    EXPECT_EQ(threaded_stats.cancellations, oracle.cancellations);
+  }
 }
 
 TEST(SpaceDifferential, ThreadedMatchesOracleSingleShard) {

@@ -1,5 +1,5 @@
 // JavaSpaces-style transactions: isolation, commit/abort, holds, timeouts.
-#include "src/space/space.hpp"
+#include "src/space/engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,7 @@ Template any_named(const std::string& name, std::size_t arity) {
 class TxnTest : public ::testing::Test {
  protected:
   sim::Simulator sim_{1};
-  TupleSpace space_{sim_};
+  SpaceEngine space_{sim_};
 };
 
 TEST_F(TxnTest, ProvisionalWriteInvisibleOutside) {

@@ -29,7 +29,7 @@ class DiscoveryTest : public ::testing::Test {
   }
 
   sim::Simulator sim_{1};
-  space::TupleSpace space_;
+  space::SpaceEngine space_;
   LocalSpaceApi api_;
   Discovery discovery_;
 };

@@ -26,7 +26,7 @@ class FailoverTest : public ::testing::Test {
   }
 
   sim::Simulator sim_{1};
-  space::TupleSpace space_;
+  space::SpaceEngine space_;
   LocalSpaceApi api_;
 };
 

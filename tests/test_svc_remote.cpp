@@ -7,7 +7,7 @@
 #include "co_gtest.hpp"
 #include "src/mw/client.hpp"
 #include "src/mw/loopback.hpp"
-#include "src/mw/server.hpp"
+#include "src/mw/node_core.hpp"
 #include "src/sim/process.hpp"
 #include "src/svc/discovery.hpp"
 #include "src/svc/failover.hpp"
@@ -32,10 +32,10 @@ class RemoteSvcTest : public ::testing::Test {
   }
 
   sim::Simulator sim_{1};
-  space::TupleSpace space_;
+  space::SpaceEngine space_;
   mw::XmlCodec codec_;
   mw::LoopbackHub hub_;
-  mw::SpaceServer server_;
+  mw::NodeCore server_;
   std::vector<std::unique_ptr<mw::SpaceClient>> clients_;
   std::vector<std::unique_ptr<RemoteSpaceApi>> apis_;
 };

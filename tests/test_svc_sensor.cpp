@@ -76,7 +76,7 @@ class SensorAgentTest : public ::testing::Test {
   wire::OneWireBus bus_;
   wire::SlaveDevice slave_;
   wire::Master master_;
-  space::TupleSpace space_;
+  space::SpaceEngine space_;
   LocalSpaceApi api_;
   TemperatureSensor* sensor_ = nullptr;
 };

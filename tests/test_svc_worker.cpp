@@ -28,7 +28,7 @@ class WorkerTest : public ::testing::Test {
   WorkerTest() : space_(sim_), api_(space_) {}
 
   sim::Simulator sim_{1};
-  space::TupleSpace space_;
+  space::SpaceEngine space_;
   LocalSpaceApi api_;
 };
 
@@ -91,7 +91,7 @@ TEST_F(WorkerTest, ThroughputScalesWithConsumers) {
   // shrink roughly linearly in the consumer count.
   auto makespan_with = [&](int consumers) {
     sim::Simulator sim(1);
-    space::TupleSpace space(sim);
+    space::SpaceEngine space(sim);
     LocalSpaceApi api(space);
     std::vector<std::unique_ptr<FftConsumer>> pool;
     ConsumerConfig cc;

@@ -7,42 +7,6 @@
 namespace tb::util {
 namespace {
 
-TEST(RunningStats, EmptyState) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, SingleSample) {
-  RunningStats s;
-  s.add(5.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 5.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, KnownMeanAndVariance) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  // Sample (unbiased) variance of this classic set is 32/7.
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, NegativeValues) {
-  RunningStats s;
-  s.add(-3.0);
-  s.add(3.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), -3.0);
-}
-
 TEST(SampleSet, PercentilesExact) {
   SampleSet s;
   for (int i = 1; i <= 100; ++i) s.add(static_cast<double>(i));
@@ -74,45 +38,6 @@ TEST(SampleSet, UnsortedInputHandled) {
   EXPECT_DOUBLE_EQ(s.median(), 5.0);
   s.add(2.0);  // adding after sort re-dirties
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
-}
-
-TEST(Histogram, BinsCountCorrectly) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(h.bin_count(i), 1u);
-  EXPECT_EQ(h.underflow(), 0u);
-  EXPECT_EQ(h.overflow(), 0u);
-  EXPECT_EQ(h.total(), 10u);
-}
-
-TEST(Histogram, OutOfRangeGoesToOverflowBins) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-0.1);
-  h.add(1.0);  // hi edge is exclusive
-  h.add(2.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-}
-
-TEST(Histogram, RenderShowsCounts) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  const std::string rendered = h.render(10);
-  EXPECT_NE(rendered.find('#'), std::string::npos);
-}
-
-TEST(Histogram, RejectsBadRange) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), PreconditionError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), PreconditionError);
 }
 
 }  // namespace

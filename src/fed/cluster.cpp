@@ -130,14 +130,9 @@ std::size_t SimCluster::kill_primary() {
   return promote_standby();
 }
 
-void SimCluster::merge_oplogs(space::OpLog& out) const {
-  auto drain = [&out](const mw::NodeCore& core) {
-    for (space::OpRecord& record : core.oplog().sorted()) {
-      out.append(std::move(record));
-    }
-  };
-  for (const auto& node : nodes_) drain(node->core);
-  if (standby_) drain(standby_->core);
+void SimCluster::merge_oplogs(space::OpLog& out) {
+  for (auto& node : nodes_) out.splice(node->core.oplog());
+  if (standby_) out.splice(standby_->core.oplog());
 }
 
 std::vector<space::Tuple> SimCluster::merged_final_state() const {

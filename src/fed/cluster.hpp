@@ -12,7 +12,8 @@
 // table is republished one epoch up with the standby holding the primary's
 // ring slot. merge_oplogs()/merged_final_state() assemble the cross-node
 // evidence the differential oracle (space/oplog.hpp) replays to prove no
-// acked write was lost.
+// acked write was lost; the merge moves the records out of the nodes, so
+// the evidence is held once.
 #pragma once
 
 #include <cstdint>
@@ -89,9 +90,10 @@ class SimCluster {
   /// Both halves back to back (detection-less drill).
   std::size_t kill_primary();
 
-  /// Union of every node's OpLog (the dead primary's included — its acked
-  /// operations happened), ready for the oracle.
-  void merge_oplogs(space::OpLog& out) const;
+  /// Moves every node's OpLog records (the dead primary's included — its
+  /// acked operations happened) into `out`, ready for the oracle; the
+  /// per-node logs are left empty. Unsorted: the replay sorts.
+  void merge_oplogs(space::OpLog& out);
 
   /// Live cluster contents in global-ticket order (dead nodes excluded;
   /// their surviving state lives on in the promoted standby).

@@ -8,24 +8,6 @@
 #include "src/util/status.hpp"
 
 namespace tb::mw {
-namespace {
-
-/// The OpLog's take discipline (DESIGN.md §16): a take completion is
-/// recorded as take-if-exists with the exact-value template of its result.
-/// The oldest equal-valued entry is necessarily the one the original match
-/// removed — any older equal-valued tuple would also have matched the
-/// original template — so the replay removes the same entry.
-space::Template exact_template_of(const space::Tuple& tuple) {
-  space::Template tmpl;
-  tmpl.name = tuple.name;
-  tmpl.fields.reserve(tuple.fields.size());
-  for (const space::Value& value : tuple.fields) {
-    tmpl.fields.push_back(space::FieldPattern::exact(value));
-  }
-  return tmpl;
-}
-
-}  // namespace
 
 NodeCore::NodeCore(space::SpaceEngine& space, ServerTransport& transport,
                    const Codec& codec, ServerConfig config)
@@ -89,8 +71,7 @@ void NodeCore::record_write(std::uint64_t entry_id, const space::Tuple& tuple,
 void NodeCore::record_take(const space::Tuple& taken, std::uint64_t ticket) {
   space::OpRecord record;
   record.ticket = ticket;
-  record.kind = space::OpRecord::Kind::kTakeIfExists;
-  record.tmpl = exact_template_of(taken);
+  record.kind = space::OpRecord::Kind::kTakeExact;
   record.result = taken;
   oplog_.append(std::move(record));
 }
@@ -625,7 +606,7 @@ void NodeCore::handle_match(SessionId session, Message& request, bool take) {
       if (standby_) {
         Message frame;
         frame.type = MsgType::kReplicateTakeRequest;
-        frame.tmpl = exact_template_of(*result);
+        frame.tmpl = space::Template::exact_of(*result);
         frame.handle = ticket;
         response.tuple = std::move(result);
         replicate(std::move(frame),
@@ -734,7 +715,7 @@ void NodeCore::handle_take_by_id(SessionId session, const Message& request) {
     if (standby_) {
       Message frame;
       frame.type = MsgType::kReplicateTakeRequest;
-      frame.tmpl = exact_template_of(*tuple);
+      frame.tmpl = space::Template::exact_of(*tuple);
       frame.handle = take_ticket;
       response.ok = true;
       response.tuple = std::move(tuple);

@@ -157,7 +157,8 @@ class NodeCore {
   void set_ticket_counter(std::shared_ptr<std::uint64_t> counter);
 
   /// This node's operation log (empty unless a ticket counter is set).
-  const space::OpLog& oplog() const { return oplog_; }
+  /// Mutable so a cluster can splice the records out for the oracle.
+  space::OpLog& oplog() { return oplog_; }
 
   /// Installs the primary→standby replication stream: every acked write
   /// and take is forwarded to `standby` (a SpaceClient connected to the
@@ -213,9 +214,9 @@ class NodeCore {
   };
 
   /// One primary→standby stream record, buffered on the standby until
-  /// promote(). Writes carry the tuple + lease duration; takes carry the
-  /// exact-value template of the removed tuple (the same discipline the
-  /// OpLog uses: the oldest equal-valued entry IS the taken one).
+  /// promote(). Writes carry the tuple + lease duration; takes carry
+  /// space::Template::exact_of the removed tuple (the same discipline the
+  /// OpLog replay uses: the oldest equal-valued entry IS the taken one).
   struct ReplRecord {
     std::uint64_t ticket = 0;
     bool take = false;
@@ -266,7 +267,7 @@ class NodeCore {
   /// Records a write apply into the OpLog and the id<->ticket maps.
   void record_write(std::uint64_t entry_id, const space::Tuple& tuple,
                     std::uint64_t ticket);
-  /// Records a take completion (exact-value template discipline).
+  /// Records a take completion as kTakeExact: the removed tuple only.
   void record_take(const space::Tuple& taken, std::uint64_t ticket);
   /// Forwards one record on the replication stream; `on_acked` runs when
   /// the standby confirms (immediately when no standby is attached).

@@ -1,6 +1,7 @@
 #include "src/space/oplog.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 namespace tb::space {
@@ -40,16 +41,18 @@ const char* kind_name(OpRecord::Kind kind) {
     case OpRecord::Kind::kCancelLease: return "cancel_lease";
     case OpRecord::Kind::kLeaseExpire: return "lease_expire";
     case OpRecord::Kind::kSnapshot: return "snapshot";
+    case OpRecord::Kind::kTakeExact: return "take_exact";
   }
   return "?";
 }
 
-LeasePlan plan_leases(const std::vector<OpRecord>& records) {
+LeasePlan plan_leases(const std::vector<const OpRecord*>& records) {
   // Walk the records in ticket order; `arming` tracks the latest arming
   // ticket per live entry (keyed by write ticket).
   LeasePlan plan;
   std::unordered_map<std::uint64_t, std::uint64_t> arming;
-  for (const OpRecord& r : records) {
+  for (const OpRecord* record : records) {
+    const OpRecord& r = *record;
     switch (r.kind) {
       case OpRecord::Kind::kWrite:
         // Transactional writes are forever-lease in threaded mode; a
@@ -78,16 +81,25 @@ LeasePlan plan_leases(const std::vector<OpRecord>& records) {
 
 }  // namespace detail
 
-std::vector<OpRecord> OpLog::sorted() const {
-  std::vector<OpRecord> out;
+void OpLog::splice(OpLog& from) {
+  if (&from == this) return;
+  std::scoped_lock lock(mu_, from.mu_);
+  records_.reserve(records_.size() + from.records_.size());
+  std::move(from.records_.begin(), from.records_.end(),
+            std::back_inserter(records_));
+  from.records_ = {};
+}
+
+std::vector<const OpRecord*> OpLog::by_ticket() const {
+  std::vector<const OpRecord*> out;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    out = records_;
+    out.reserve(records_.size());
+    for (const OpRecord& record : records_) out.push_back(&record);
   }
-  std::sort(out.begin(), out.end(),
-            [](const OpRecord& a, const OpRecord& b) {
-              return a.ticket < b.ticket;
-            });
+  std::sort(out.begin(), out.end(), [](const OpRecord* a, const OpRecord* b) {
+    return a->ticket < b->ticket;
+  });
   return out;
 }
 

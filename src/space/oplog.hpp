@@ -30,6 +30,13 @@
 // reference model that shares no code with either engine (both engines
 // share ShardStore, so SpaceEngine alone would check that core against
 // itself).
+//
+// The evidence is held once. Replay walks a ticket-sorted view of pointers
+// into the log (OpLog::by_ticket) and never copies a record; the federation
+// builds its merged log by splice(), which moves every node's records
+// instead of copying them; and a federated take is logged as kTakeExact,
+// which keeps only the removed tuple — the replay derives the exact-value
+// template from it (Template::exact_of) rather than storing a second copy.
 #pragma once
 
 #include <cstdint>
@@ -65,6 +72,8 @@ struct OpRecord {
                     ///< worker reclaims the entry (expiry-at-ticket)
     kSnapshot,      ///< results = the consistent cut snapshot() returned;
                     ///< replay checks the oracle's cut at the same ticket
+    kTakeExact,     ///< result only; replays as take_if_exists of
+                    ///< Template::exact_of(result)
   };
 
   std::uint64_t ticket = 0;  ///< linearization point; unique, total order
@@ -85,7 +94,7 @@ struct OpRecord {
 };
 
 /// Thread-safe append-only record of engine operations. Appends may arrive
-/// in any wall-clock order; sorted() restores the linearization order.
+/// in any wall-clock order; by_ticket() restores the linearization order.
 class OpLog {
  public:
   void append(OpRecord record) {
@@ -93,13 +102,19 @@ class OpLog {
     records_.push_back(std::move(record));
   }
 
+  /// Moves every record of `from` to the end of this log and leaves `from`
+  /// empty, its storage released. Records keep their buffers: nothing is
+  /// copied, and nothing is sorted (the replay sorts).
+  void splice(OpLog& from);
+
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return records_.size();
   }
 
-  /// All records, ascending by ticket.
-  std::vector<OpRecord> sorted() const;
+  /// Every record, ascending by ticket, as pointers into this log. The view
+  /// is valid until the next append() or splice() into or out of the log.
+  std::vector<const OpRecord*> by_ticket() const;
 
  private:
   mutable std::mutex mu_;
@@ -131,7 +146,7 @@ struct LeasePlan {
   std::unordered_map<std::uint64_t, std::int64_t> write;  ///< by write ticket
   std::unordered_map<std::uint64_t, std::int64_t> renew;  ///< by renew ticket
 };
-LeasePlan plan_leases(const std::vector<OpRecord>& records);
+LeasePlan plan_leases(const std::vector<const OpRecord*>& records);
 
 }  // namespace detail
 
@@ -146,7 +161,7 @@ ReplayReport replay_log(const OpLog& log, sim::Simulator& sim, Oracle& oracle,
                         const std::vector<Tuple>& final_state) {
   using Kind = OpRecord::Kind;
   ReplayReport report;
-  const std::vector<OpRecord> records = log.sorted();
+  const std::vector<const OpRecord*> records = log.by_ticket();
   report.ops_replayed = records.size();
 
   auto diverge = [&report, &records](std::size_t i, const std::string& what) {
@@ -154,8 +169,8 @@ ReplayReport replay_log(const OpLog& log, sim::Simulator& sim, Oracle& oracle,
     report.equivalent = false;
     report.divergence = "op[" + std::to_string(i) + "]";
     if (i < records.size()) {
-      report.divergence += " ticket " + std::to_string(records[i].ticket) +
-                           " (" + detail::kind_name(records[i].kind) + ")";
+      report.divergence += " ticket " + std::to_string(records[i]->ticket) +
+                           " (" + detail::kind_name(records[i]->kind) + ")";
     }
     report.divergence += ": " + what;
   };
@@ -166,12 +181,14 @@ ReplayReport replay_log(const OpLog& log, sim::Simulator& sim, Oracle& oracle,
     }
   };
 
-  // Per-blocked-record oracle outcome, filled by the completion callbacks.
+  // Oracle outcome of each blocking record, in replay order, filled by the
+  // completion callbacks (which hold a slot index, so growth is safe).
   struct BlockedOutcome {
+    std::size_t index = 0;  ///< into records
     bool completed = false;
     std::optional<Tuple> result;
   };
-  std::vector<BlockedOutcome> blocked(records.size());
+  std::vector<BlockedOutcome> blocked;
   std::unordered_map<std::uint64_t, std::uint64_t> txn_map;     // ticket -> id
   std::unordered_map<std::uint64_t, std::uint64_t> notify_map;  // ticket -> id
   std::unordered_map<std::uint64_t, std::uint64_t> tuple_map;   // ticket -> id
@@ -186,8 +203,10 @@ ReplayReport replay_log(const OpLog& log, sim::Simulator& sim, Oracle& oracle,
     return it == plan.end() ? kLeaseForever : sim::Time::ns(it->second);
   };
 
+  std::size_t applying = 0;  // the record being applied, for a throw
   auto apply = [&](std::size_t i) {
-    const OpRecord& r = records[i];
+    applying = i;
+    const OpRecord& r = *records[i];
     const std::uint64_t txn = mapped(txn_map, r.txn);
     switch (r.kind) {
       case Kind::kWrite:
@@ -199,6 +218,14 @@ ReplayReport replay_log(const OpLog& log, sim::Simulator& sim, Oracle& oracle,
         break;
       case Kind::kTakeIfExists:
         check(i, oracle.take_if_exists(r.tmpl, txn), r.result);
+        break;
+      case Kind::kTakeExact:
+        if (!r.result) {
+          diverge(i, "take record without a result");
+          break;
+        }
+        check(i, oracle.take_if_exists(Template::exact_of(*r.result), txn),
+              r.result);
         break;
       case Kind::kReadAll:
         check(i, oracle.read_all(r.tmpl, r.max), r.results);
@@ -218,9 +245,11 @@ ReplayReport replay_log(const OpLog& log, sim::Simulator& sim, Oracle& oracle,
                                   ? r.cancel_ticket - r.ticket
                                   : 0))
                         : kLeaseForever;
-        auto callback = [&blocked, i](std::optional<Tuple> result) {
-          blocked[i].completed = true;
-          blocked[i].result = std::move(result);
+        const std::size_t slot = blocked.size();
+        blocked.push_back(BlockedOutcome{i, false, std::nullopt});
+        auto callback = [&blocked, slot](std::optional<Tuple> result) {
+          blocked[slot].completed = true;
+          blocked[slot].result = std::move(result);
         };
         if (r.kind == Kind::kBlockingTake) {
           oracle.take_async(r.tmpl, timeout, std::move(callback));
@@ -278,13 +307,14 @@ ReplayReport replay_log(const OpLog& log, sim::Simulator& sim, Oracle& oracle,
   };
 
   for (std::size_t i = 0; i < records.size(); ++i) {
-    sim.schedule_at(sim::Time::ns(static_cast<std::int64_t>(records[i].ticket)),
-                    [&apply, i] { apply(i); });
+    sim.schedule_at(
+        sim::Time::ns(static_cast<std::int64_t>(records[i]->ticket)),
+        [&apply, i] { apply(i); });
   }
   try {
     sim.run();
   } catch (const std::exception& e) {
-    diverge(0, std::string("oracle replay threw: ") + e.what());
+    diverge(applying, std::string("oracle replay threw: ") + e.what());
     return report;
   }
 
@@ -292,21 +322,18 @@ ReplayReport replay_log(const OpLog& log, sim::Simulator& sim, Oracle& oracle,
   // recorded outcome. A forever-parked waiter whose record says "matched"
   // never completes; a waiter the oracle served but the record says timed
   // out completes with a tuple — both are divergences.
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const OpRecord& r = records[i];
-    if (r.kind != Kind::kBlockingRead && r.kind != Kind::kBlockingTake) {
-      continue;
-    }
+  for (const BlockedOutcome& outcome : blocked) {
+    const OpRecord& r = *records[outcome.index];
     const std::optional<Tuple> expected =
         r.timed_out ? std::nullopt : r.result;
-    if (!blocked[i].completed) {
+    if (!outcome.completed) {
       if (!r.timed_out) {
-        diverge(i, "oracle never completed; recorded " +
-                       detail::describe(expected));
+        diverge(outcome.index, "oracle never completed; recorded " +
+                                   detail::describe(expected));
       }
       continue;
     }
-    check(i, blocked[i].result, expected);
+    check(outcome.index, outcome.result, expected);
   }
 
   // Final-state equivalence: same live tuples in the same total order.

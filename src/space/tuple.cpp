@@ -49,6 +49,16 @@ std::string FieldPattern::to_string() const {
   return "?";
 }
 
+Template Template::exact_of(const Tuple& tuple) {
+  Template tmpl;
+  tmpl.name = tuple.name;
+  tmpl.fields.reserve(tuple.fields.size());
+  for (const Value& value : tuple.fields) {
+    tmpl.fields.push_back(FieldPattern::exact(value));
+  }
+  return tmpl;
+}
+
 bool Template::matches(const Tuple& tuple) const {
   if (name.has_value() && *name != tuple.name) return false;
   if (fields.size() != tuple.fields.size()) return false;

@@ -113,6 +113,14 @@ struct Template {
     return Template(std::move(name), std::move(fields));
   }
 
+  /// The exact-value template of `tuple`: its name and every field as an
+  /// actual. This is the take discipline of the federation's OpLog and
+  /// replication stream (DESIGN.md §16): a take is re-applied as "take the
+  /// oldest entry equal to the result". The oldest equal-valued entry is
+  /// necessarily the one the original match removed — any older equal-valued
+  /// tuple would also have matched the original template.
+  static Template exact_of(const Tuple& tuple);
+
   /// Matches iff the name agrees (when constrained), arity is equal, and
   /// every field pattern accepts the corresponding value.
   bool matches(const Tuple& tuple) const;

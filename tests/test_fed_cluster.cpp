@@ -6,6 +6,7 @@
 #include <string>
 
 #include "co_gtest.hpp"
+#include "naive_space.hpp"
 #include "src/cosim/federation.hpp"
 #include "src/sim/process.hpp"
 #include "src/space/oplog.hpp"
@@ -15,6 +16,20 @@ namespace tb::fed {
 namespace {
 
 using namespace tb::sim::literals;
+
+std::string blob_name(int i) { return "blob-" + std::to_string(i % 3); }
+
+space::Tuple blob_job(int i) {
+  return space::make_tuple(
+      blob_name(i), static_cast<std::int64_t>(i),
+      std::vector<std::uint8_t>(64, static_cast<std::uint8_t>(i)));
+}
+
+space::Template blob_template(int i) {
+  return space::Template(
+      blob_name(i), {space::FieldPattern::typed(space::ValueType::kInt),
+                     space::FieldPattern::typed(space::ValueType::kBytes)});
+}
 
 class FedClusterTest : public ::testing::Test {
  protected:
@@ -27,6 +42,26 @@ class FedClusterTest : public ::testing::Test {
     });
     sim.run();
     ASSERT_TRUE(done);
+  }
+
+  /// Writes `jobs` blob-carrying tuples over three names through a router,
+  /// then takes the first half back by name, so the node logs hold writes
+  /// and result-only takes.
+  void write_then_take_half(sim::Simulator& sim, SimCluster& cluster,
+                            int jobs) {
+    auto router = cluster.make_router();
+    drive(sim, [&]() -> sim::Task<void> {
+      for (int i = 0; i < jobs; ++i) {
+        const bool ok =
+            co_await router->write(blob_job(i), space::kLeaseForever);
+        CO_ASSERT_TRUE(ok);
+      }
+      for (int i = 0; i < jobs / 2; ++i) {
+        std::optional<space::Tuple> got =
+            co_await router->take(blob_template(i), sim::Time::zero());
+        CO_ASSERT_TRUE(got.has_value());
+      }
+    });
   }
 };
 
@@ -68,14 +103,14 @@ TEST_F(FedClusterTest, NamedOpsRouteToExactlyOneNode) {
   std::uint64_t named_ops = 0;
   for (std::size_t i = 0; i < cluster.node_count(); ++i) {
     named_ops += cluster.core(i).stats().named_ops;
-    for (const space::OpRecord& record : cluster.core(i).oplog().sorted()) {
-      if (record.kind != space::OpRecord::Kind::kWrite) continue;
+    for (const space::OpRecord* record : cluster.core(i).oplog().by_ticket()) {
+      if (record->kind != space::OpRecord::Kind::kWrite) continue;
       auto [it, inserted] =
-          seen_on.emplace(record.tuple.name, cluster.node_id(i));
+          seen_on.emplace(record->tuple.name, cluster.node_id(i));
       EXPECT_TRUE(inserted || it->second == cluster.node_id(i))
-          << record.tuple.name << " spread across nodes";
-      EXPECT_EQ(table.owner_of(space::type_key(record.tuple.name,
-                                               record.tuple.arity())),
+          << record->tuple.name << " spread across nodes";
+      EXPECT_EQ(table.owner_of(space::type_key(record->tuple.name,
+                                               record->tuple.arity())),
                 cluster.node_id(i));
     }
   }
@@ -309,6 +344,100 @@ TEST_F(FedClusterTest, PromotionPreservesPrimaryState) {
   const space::ReplayReport verdict = space::replay_against_oracle(
       merged, space::SpaceConfig{}, cluster.merged_final_state());
   EXPECT_TRUE(verdict.equivalent) << verdict.divergence;
+}
+
+// merge_oplogs moves the evidence: the node logs end empty, nothing is lost,
+// and a logged write's payload buffer is the same allocation afterwards.
+TEST_F(FedClusterTest, MergeOplogsMovesEveryRecord) {
+  sim::Simulator sim{1};
+  SimCluster cluster(sim, {.nodes = 3, .with_standby = true});
+  write_then_take_half(sim, cluster, 24);
+
+  std::size_t logged = 0;
+  std::uint64_t write_ticket = 0;
+  const std::uint8_t* blob = nullptr;
+  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
+    logged += cluster.core(i).oplog().size();
+    for (const space::OpRecord* record : cluster.core(i).oplog().by_ticket()) {
+      if (blob == nullptr && record->kind == space::OpRecord::Kind::kWrite) {
+        write_ticket = record->ticket;
+        blob = record->tuple.fields[1].as_bytes().data();
+      }
+    }
+  }
+  ASSERT_NE(blob, nullptr);
+  EXPECT_EQ(logged, 24u + 12u);  // every write and every take, once
+
+  space::OpLog merged;
+  cluster.merge_oplogs(merged);
+  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
+    EXPECT_EQ(cluster.core(i).oplog().size(), 0u);
+  }
+  EXPECT_EQ(cluster.standby_core().oplog().size(), 0u);
+  EXPECT_EQ(merged.size(), logged);
+
+  const space::OpRecord* moved = nullptr;
+  for (const space::OpRecord* record : merged.by_ticket()) {
+    if (record->ticket == write_ticket) moved = record;
+  }
+  ASSERT_NE(moved, nullptr);
+  EXPECT_EQ(moved->tuple.fields[1].as_bytes().data(), blob);
+
+  const space::ReplayReport verdict = space::replay_against_oracle(
+      merged, space::SpaceConfig{}, cluster.merged_final_state());
+  EXPECT_TRUE(verdict.equivalent) << verdict.divergence;
+  EXPECT_EQ(verdict.ops_replayed, logged);
+}
+
+// A take record holds only its result, and the replay still checks it:
+// corrupting one record's result makes both oracles diverge on exactly that
+// record's ticket and kind.
+TEST_F(FedClusterTest, CorruptTakeResultDivergesOnItsTicket) {
+  sim::Simulator sim{1};
+  SimCluster cluster(sim, {.nodes = 3});
+  write_then_take_half(sim, cluster, 24);
+  space::OpLog merged;
+  cluster.merge_oplogs(merged);
+  const std::vector<space::Tuple> final_state = cluster.merged_final_state();
+
+  space::OpLog corrupt;
+  std::size_t bad_index = 0;
+  std::uint64_t bad_ticket = 0;
+  const std::vector<const space::OpRecord*> records = merged.by_ticket();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    space::OpRecord copy = *records[i];
+    if (copy.kind == space::OpRecord::Kind::kTakeExact) {
+      EXPECT_FALSE(copy.tmpl.name.has_value());
+      EXPECT_TRUE(copy.tmpl.fields.empty());
+      ASSERT_TRUE(copy.result.has_value());
+      if (bad_ticket == 0) {
+        copy.result->fields[0] = space::Value(std::int64_t{-1});
+        bad_index = i;
+        bad_ticket = copy.ticket;
+      }
+    }
+    corrupt.append(std::move(copy));
+  }
+  ASSERT_NE(bad_ticket, 0u);
+  const std::string expected = "op[" + std::to_string(bad_index) +
+                               "] ticket " + std::to_string(bad_ticket) +
+                               " (take_exact): ";
+
+  const space::ReplayReport clean =
+      space::replay_against_oracle(merged, space::SpaceConfig{}, final_state);
+  EXPECT_TRUE(clean.equivalent) << clean.divergence;
+
+  const space::ReplayReport engine =
+      space::replay_against_oracle(corrupt, space::SpaceConfig{}, final_state);
+  sim::Simulator naive_sim;
+  space::NaiveSpace naive(naive_sim);
+  const space::ReplayReport reference =
+      space::replay_log(corrupt, naive_sim, naive, final_state);
+  for (const space::ReplayReport* report : {&engine, &reference}) {
+    EXPECT_FALSE(report->equivalent);
+    EXPECT_EQ(report->divergence.rfind(expected, 0), 0u)
+        << report->divergence;
+  }
 }
 
 }  // namespace

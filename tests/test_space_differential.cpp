@@ -18,11 +18,13 @@
 // workflow sweeps TB_DIFF_SEEDS=192 (6x) under TSan as a long soak.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -292,6 +294,43 @@ TEST(SpaceDifferential, ThreadedMatchesOracleSixteenShards) {
     run_differential_seed(seed, /*shard_count=*/16);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+/// The naive model, except that writing a tuple named "boom" throws.
+class ThrowingSpace : public NaiveSpace {
+ public:
+  using NaiveSpace::NaiveSpace;
+  Lease write(Tuple tuple, sim::Time lease, std::uint64_t txn) {
+    if (tuple.name == "boom") throw std::runtime_error("boom");
+    return NaiveSpace::write(std::move(tuple), lease, txn);
+  }
+};
+
+// A throw inside the oracle names the record being applied, not op[0]. The
+// log is appended out of ticket order, so the report's index is the
+// ticket-sorted one.
+TEST(SpaceDifferential, OracleThrowNamesTheRecordBeingApplied) {
+  constexpr std::size_t kRecords = 40;
+  std::mt19937_64 rng(13);
+  const std::size_t k = 1 + static_cast<std::size_t>(rng() % (kRecords - 1));
+  std::vector<OpRecord> records(kRecords);
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    records[i].ticket = 10 * (i + 1);
+    records[i].kind = OpRecord::Kind::kWrite;
+    records[i].tuple =
+        make_tuple(i == k ? "boom" : "ok", static_cast<std::int64_t>(i));
+  }
+  std::shuffle(records.begin(), records.end(), rng);
+  OpLog log;
+  for (OpRecord& record : records) log.append(std::move(record));
+
+  sim::Simulator sim;
+  ThrowingSpace oracle(sim);
+  const ReplayReport report = replay_log(log, sim, oracle, {});
+  EXPECT_FALSE(report.equivalent);
+  EXPECT_EQ(report.divergence, "op[" + std::to_string(k) + "] ticket " +
+                                   std::to_string(10 * (k + 1)) +
+                                   " (write): oracle replay threw: boom");
 }
 
 }  // namespace

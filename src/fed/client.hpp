@@ -27,10 +27,15 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <string>
 
 #include "src/fed/routing.hpp"
 #include "src/mw/client.hpp"
 #include "src/svc/space_api.hpp"
+
+namespace tb::obs {
+class Registry;
+}
 
 namespace tb::fed {
 
@@ -84,6 +89,13 @@ class FederatedClient final : public svc::SpaceApi {
     std::uint64_t polls = 0;  ///< blocking-wildcard sleep rounds
   };
   const Stats& stats() const { return stats_; }
+
+  /// Observability hook (DESIGN.md §7): mirrors every Stats field into a
+  /// `<p>.<field>` counter at snapshot time (`<p>.routed_writes`, ...,
+  /// `<p>.polls`). The registry must outlive the client. Default prefix:
+  /// "fed.router".
+  void bind_metrics(obs::Registry& registry,
+                    const std::string& prefix = "fed.router");
 
  private:
   /// Fetches a table when none is cached; false when the source has none.

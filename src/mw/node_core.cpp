@@ -43,6 +43,8 @@ void NodeCore::set_ownership(std::function<bool(std::uint64_t)> owns,
 
 void NodeCore::set_ticket_counter(std::shared_ptr<std::uint64_t> counter) {
   ticket_counter_ = std::move(counter);
+  space_->set_removal_listener(
+      [this](std::uint64_t entry_id) { forget_entry(entry_id); });
 }
 
 void NodeCore::set_standby(SpaceClient* standby) {
@@ -64,15 +66,30 @@ void NodeCore::record_write(std::uint64_t entry_id, const space::Tuple& tuple,
   record.kind = space::OpRecord::Kind::kWrite;
   record.tuple = tuple;
   oplog_.append(std::move(record));
+  map_ticket(entry_id, ticket);
+}
+
+void NodeCore::map_ticket(std::uint64_t entry_id, std::uint64_t ticket) {
+  // A write that a parked take consumed was never stored: the engine
+  // reported its removal inside write(), before the id reached us.
+  if (entry_id == last_removed_) return;
   ticket_of_id_[entry_id] = ticket;
   id_of_ticket_[ticket] = entry_id;
+}
+
+void NodeCore::forget_entry(std::uint64_t entry_id) {
+  last_removed_ = entry_id;
+  const auto it = ticket_of_id_.find(entry_id);
+  if (it == ticket_of_id_.end()) return;
+  id_of_ticket_.erase(it->second);
+  ticket_of_id_.erase(it);
 }
 
 void NodeCore::record_take(const space::Tuple& taken, std::uint64_t ticket) {
   space::OpRecord record;
   record.ticket = ticket;
   record.kind = space::OpRecord::Kind::kTakeExact;
-  record.result = taken;
+  record.tuple = taken;
   oplog_.append(std::move(record));
 }
 
@@ -97,23 +114,18 @@ std::size_t NodeCore::promote() {
             });
   std::size_t applied = 0;
   for (ReplRecord& record : repl_buffer_) {
-    if (!record.take) {
+    if (space::Tuple* tuple = std::get_if<space::Tuple>(&record.payload)) {
       const space::Lease lease =
-          space_->write(std::move(record.tuple), duration_of(record.duration_ns));
-      ticket_of_id_[lease.id] = record.ticket;
-      id_of_ticket_[record.ticket] = lease.id;
+          space_->write(std::move(*tuple), duration_of(record.duration_ns));
+      map_ticket(lease.id, record.ticket);
       ++applied;
       continue;
     }
-    // Peek first to learn the victim's engine id, then remove by id, so the
-    // ticket maps shed the entry along with the store.
-    if (auto found = space_->peek_oldest(record.tmpl)) {
+    // Peek first to learn the victim's engine id, then remove by id; the
+    // removal listener sheds its ticket mapping.
+    if (auto found =
+            space_->peek_oldest(std::get<space::Template>(record.payload))) {
       space_->take_by_id(found->first);
-      if (auto it = ticket_of_id_.find(found->first);
-          it != ticket_of_id_.end()) {
-        id_of_ticket_.erase(it->second);
-        ticket_of_id_.erase(it);
-      }
       ++applied;
     }
   }
@@ -692,18 +704,15 @@ void NodeCore::handle_take_by_id(SessionId session, const Message& request) {
   const std::uint64_t ticket = request.handle;
   const auto it = id_of_ticket_.find(ticket);
   if (it == id_of_ticket_.end()) {
-    // Never ours, or already removed by a named take that pruned the maps:
-    // a clean miss — the router re-scatters.
+    // Never ours, or already removed: a clean miss — the router
+    // re-scatters.
     response.ok = false;
     respond(session, response);
     return;
   }
-  const std::uint64_t entry_id = it->second;
-  std::optional<space::Tuple> tuple = space_->take_by_id(entry_id);
-  // Win or lose, the mapping is spent: either the entry just left the
-  // store, or it was already gone (expired/taken) and the mapping is stale.
-  id_of_ticket_.erase(it);
-  ticket_of_id_.erase(entry_id);
+  // A win drops the mapping through the removal listener. A miss means the
+  // entry's lease ran out and its reclamation, which drops it, is due.
+  std::optional<space::Tuple> tuple = space_->take_by_id(it->second);
   if (!tuple) {
     response.ok = false;
     respond(session, response);
@@ -731,7 +740,7 @@ void NodeCore::handle_take_by_id(SessionId session, const Message& request) {
   respond(session, response);
 }
 
-void NodeCore::handle_replicate(SessionId session, const Message& request) {
+void NodeCore::handle_replicate(SessionId session, Message& request) {
   Message response;
   response.type = MsgType::kReplicateResponse;
   response.request_id = request.request_id;
@@ -747,7 +756,7 @@ void NodeCore::handle_replicate(SessionId session, const Message& request) {
       respond(session, response);
       return;
     }
-    record.tuple = *request.tuple;
+    record.payload = std::move(*request.tuple);
     record.duration_ns = request.duration_ns;
   } else {
     if (!request.tmpl) {
@@ -758,8 +767,7 @@ void NodeCore::handle_replicate(SessionId session, const Message& request) {
       respond(session, response);
       return;
     }
-    record.take = true;
-    record.tmpl = *request.tmpl;
+    record.payload = std::move(*request.tmpl);
   }
   // Standby discipline: buffer, never apply. Applying eagerly would race
   // the primary's in-flight completions; promote() replays the buffer in
@@ -898,11 +906,15 @@ void NodeCore::bind_metrics(obs::Registry& registry,
   obs::Counter& enc_bytes = registry.counter(prefix + ".codec.bytes_encoded");
   obs::Counter& dec_msgs = registry.counter(prefix + ".codec.messages_decoded");
   obs::Counter& dec_bytes = registry.counter(prefix + ".codec.bytes_decoded");
+  obs::Gauge& oplog_records = registry.gauge(prefix + ".oplog_records");
+  obs::Gauge& mappings = registry.gauge(prefix + ".ticket_mappings");
+  obs::Gauge& standby_buffered = registry.gauge(prefix + ".standby_buffered");
   registry.add_collector([this, &requests, &responses, &events, &decode_errors,
                           &doa, &replayed, &ignored, &rejected, &queued,
                           &adm_queued, &overload, &flushes, &batched,
                           &misroutes, &unknown, &enc_msgs, &enc_bytes,
-                          &dec_msgs, &dec_bytes] {
+                          &dec_msgs, &dec_bytes, &oplog_records, &mappings,
+                          &standby_buffered] {
     requests.set(stats_.requests);
     responses.set(stats_.responses);
     events.set(stats_.events_pushed);
@@ -922,6 +934,9 @@ void NodeCore::bind_metrics(obs::Registry& registry,
     enc_bytes.set(stats_.bytes_encoded);
     dec_msgs.set(stats_.messages_decoded);
     dec_bytes.set(stats_.bytes_decoded);
+    oplog_records.set(static_cast<double>(oplog_.size()));
+    mappings.set(static_cast<double>(ticket_of_id_.size()));
+    standby_buffered.set(static_cast<double>(repl_buffer_.size()));
   });
 }
 

@@ -40,6 +40,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "src/mw/client.hpp"
@@ -131,8 +132,11 @@ class NodeCore {
   std::size_t peak_in_service() const { return peak_in_service_; }
 
   /// Observability hook (DESIGN.md §7): mirrors Stats into `<p>.*` counters
-  /// at snapshot time. The registry must outlive the server. Default
-  /// prefix: "mw.server".
+  /// at snapshot time, plus the federation evidence footprint as gauges:
+  /// `<p>.oplog_records`, `<p>.ticket_mappings` (live entries mapped to a
+  /// ticket) and `<p>.standby_buffered` (replication records awaiting
+  /// promote()). The registry must outlive the server. Default prefix:
+  /// "mw.server".
   void bind_metrics(obs::Registry& registry,
                     const std::string& prefix = "mw.server");
 
@@ -214,15 +218,14 @@ class NodeCore {
   };
 
   /// One primary→standby stream record, buffered on the standby until
-  /// promote(). Writes carry the tuple + lease duration; takes carry
-  /// space::Template::exact_of the removed tuple (the same discipline the
-  /// OpLog replay uses: the oldest equal-valued entry IS the taken one).
+  /// promote(). A write carries the tuple + lease duration; a take carries
+  /// the frame's template, space::Template::exact_of the removed tuple (the
+  /// same discipline the OpLog replay uses: the oldest equal-valued entry
+  /// IS the taken one).
   struct ReplRecord {
     std::uint64_t ticket = 0;
-    bool take = false;
-    space::Tuple tuple;          ///< write payload
-    space::Template tmpl;        ///< take target (exact-value template)
     std::int64_t duration_ns = 0;  ///< write lease; INT64_MAX = forever
+    std::variant<space::Tuple, space::Template> payload;  ///< write | take
   };
 
   void handle_bytes(SessionId session, std::span<const std::uint8_t> bytes);
@@ -253,7 +256,7 @@ class NodeCore {
   // Federation frames.
   void handle_peek(SessionId session, const Message& request);
   void handle_take_by_id(SessionId session, const Message& request);
-  void handle_replicate(SessionId session, const Message& request);
+  void handle_replicate(SessionId session, Message& request);
 
   /// The mis-routed-key reject: kError + kFailedPrecondition + epoch.
   void reject_misroute(SessionId session, const Message& request);
@@ -269,6 +272,11 @@ class NodeCore {
                     std::uint64_t ticket);
   /// Records a take completion as kTakeExact: the removed tuple only.
   void record_take(const space::Tuple& taken, std::uint64_t ticket);
+  /// Maps a stored entry to its ticket (skipped when the write never
+  /// reached the store).
+  void map_ticket(std::uint64_t entry_id, std::uint64_t ticket);
+  /// The engine's removal listener: drops the entry's ticket mapping.
+  void forget_entry(std::uint64_t entry_id);
   /// Forwards one record on the replication stream; `on_acked` runs when
   /// the standby confirms (immediately when no standby is attached).
   void replicate(Message frame, std::function<void()> on_acked);
@@ -300,14 +308,16 @@ class NodeCore {
   std::uint64_t epoch_ = 0;
   std::shared_ptr<std::uint64_t> ticket_counter_;
   space::OpLog oplog_;
-  /// Engine entry id <-> global ticket. Entries leave lazily: a named take
-  /// removes an entry without telling us its id, so its mapping lingers
-  /// until a directed take misses on it (the engine stays authoritative —
-  /// the maps are advisory routing state, never consulted for matching).
+  /// Engine entry id <-> global ticket, for stored entries only: the
+  /// engine's removal listener drops a mapping on every removal path (the
+  /// maps are advisory routing state, never consulted for matching).
   std::unordered_map<std::uint64_t, std::uint64_t> ticket_of_id_;
   std::unordered_map<std::uint64_t, std::uint64_t> id_of_ticket_;
+  std::uint64_t last_removed_ = 0;  ///< newest id the listener reported
   SpaceClient* standby_ = nullptr;
-  std::vector<ReplRecord> repl_buffer_;  ///< standby role: buffered stream
+  /// Standby role: the buffered stream. A deque grows by blocks and never
+  /// copies what it holds.
+  std::deque<ReplRecord> repl_buffer_;
   bool dead_ = false;
 
   Stats stats_;

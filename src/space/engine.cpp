@@ -113,7 +113,10 @@ void SpaceEngine::publish(std::uint64_t id, Tuple tuple, sim::Time expires_at) {
                          (sim_->now() - waiter.payload.enqueued).count_ns()));
         deliver(std::move(waiter.payload.callback), std::move(served));
       });
-  if (consumed) return;
+  if (consumed) {
+    if (removed_) removed_(id);
+    return;
+  }
   if (expires_at != sim::Time::max()) reschedule_wheel();
   ++entry_count_;
   stats_.peak_size = std::max(stats_.peak_size, entry_count_);
@@ -146,8 +149,9 @@ SpaceEngine::Hit SpaceEngine::find_match(const Template& tmpl) {
   return Scan(stores_, tmpl, now_ns(), &stats_.scan_steps).next();
 }
 
-Tuple SpaceEngine::erase_entry(Hit hit) {
+Tuple SpaceEngine::erase_entry(Hit hit, bool for_good) {
   --entry_count_;
+  if (for_good && removed_) removed_(hit.it->first);
   return shards_[hit.shard].store.erase(hit.it);
 }
 
@@ -178,7 +182,8 @@ std::optional<Tuple> SpaceEngine::take_if_exists(const Template& tmpl,
   const Hit hit = find_match(tmpl);
   if (hit) {
     ++stats_.takes;
-    if (txn != kNoTxn) {
+    const bool held = txn != kNoTxn;
+    if (held) {
       Txn* transaction = find_txn(txn);
       TB_REQUIRE_MSG(transaction != nullptr, "unknown transaction");
       // Hold a copy of the committed entry: invisible to everyone until the
@@ -187,7 +192,8 @@ std::optional<Tuple> SpaceEngine::take_if_exists(const Template& tmpl,
           HeldEntry{hit.it->first, hit.it->second.tuple,
                     sim::Time::ns(hit.it->second.deadline)});
     }
-    return erase_entry(hit);  // the stored buffers move out to the caller
+    // The stored buffers move out to the caller.
+    return erase_entry(hit, /*for_good=*/!held);
   }
   if (txn != kNoTxn) {
     Txn* transaction = find_txn(txn);
@@ -218,9 +224,12 @@ std::vector<Tuple> SpaceEngine::read_all(const Template& tmpl,
 
 std::vector<Tuple> SpaceEngine::take_all(const Template& tmpl,
                                          std::size_t max) {
+  std::vector<std::uint64_t> ids;
   std::vector<Tuple> out = ShardEntries::bulk(stores_, tmpl, now_ns(), max,
                                               /*take=*/true,
-                                              &stats_.scan_steps);
+                                              &stats_.scan_steps,
+                                              removed_ ? &ids : nullptr);
+  for (const std::uint64_t id : ids) removed_(id);
   stats_.takes += out.size();
   entry_count_ -= out.size();
   return out;
@@ -263,7 +272,10 @@ void SpaceEngine::resolve_txn(std::map<std::uint64_t, Txn>::iterator it,
       fire_notifications(pending.tuple);
       publish(pending.id, std::move(pending.tuple), pending.expires_at);
     }
-    // Held takes become permanent: nothing to do.
+    // Held takes become permanent.
+    if (removed_) {
+      for (const HeldEntry& held : transaction.held) removed_(held.original_id);
+    }
     return;
   }
 
@@ -272,7 +284,10 @@ void SpaceEngine::resolve_txn(std::map<std::uint64_t, Txn>::iterator it,
   // notifications: their writes were already announced. Blocked operations
   // do get served — the entry is available again.
   for (HeldEntry& held : transaction.held) {
-    if (held.expires_at <= sim_->now()) continue;
+    if (held.expires_at <= sim_->now()) {  // expired while held: gone
+      if (removed_) removed_(held.original_id);
+      continue;
+    }
     publish(held.original_id, std::move(held.tuple), held.expires_at);
   }
 }

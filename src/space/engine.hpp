@@ -213,6 +213,17 @@ class SpaceEngine {
   /// node layer).
   std::vector<std::pair<std::uint64_t, Tuple>> snapshot_with_ids() const;
 
+  /// Called with an entry's id when the entry leaves the space for good:
+  /// taken (by template, by id or in bulk), cancelled, expired, or consumed
+  /// by a parked take before it was ever stored — the last one happens
+  /// inside write(), before it returns the id. A take under a transaction
+  /// reports at commit (an abort restores the entry under its id). Lets the
+  /// node layer drop per-entry routing state. Empty = none (the default).
+  using RemovalListener = std::function<void(std::uint64_t id)>;
+  void set_removal_listener(RemovalListener listener) {
+    removed_ = std::move(listener);
+  }
+
   // --- introspection -----------------------------------------------------------
 
   std::size_t size() const;
@@ -337,8 +348,9 @@ class SpaceEngine {
 
   /// Oldest live entry matching `tmpl` across the relevant shard(s).
   Hit find_match(const Template& tmpl);
-  /// Removes a located entry, returning its tuple.
-  Tuple erase_entry(Hit hit);
+  /// Removes a located entry, returning its tuple. `for_good` = false only
+  /// for a transactional take, whose entry an abort may restore.
+  Tuple erase_entry(Hit hit, bool for_good = true);
   std::int64_t now_ns() const { return sim_->now().count_ns(); }
   void blocking_match(Template tmpl, sim::Time timeout, MatchCallback callback,
                       bool take);
@@ -383,6 +395,7 @@ class SpaceEngine {
   Stats stats_;
   obs::Histogram* match_read_ns_ = nullptr;  ///< aggregate, set by bind_metrics
   obs::Histogram* match_take_ns_ = nullptr;
+  RemovalListener removed_;
 };
 
 }  // namespace tb::space

@@ -8,6 +8,8 @@ namespace tb::space {
 
 namespace detail {
 
+std::string describe(const Tuple& t) { return t.to_string(); }
+
 std::string describe(const std::optional<Tuple>& t) {
   return t.has_value() ? t->to_string() : std::string("<none>");
 }
@@ -81,21 +83,50 @@ LeasePlan plan_leases(const std::vector<const OpRecord*>& records) {
 
 }  // namespace detail
 
+OpRecord::OpRecord(const OpRecord& other)
+    : ticket(other.ticket),
+      txn(other.txn),
+      target(other.target),
+      kind(other.kind),
+      ok(other.ok),
+      tuple(other.tuple),
+      match_(other.match_ ? std::make_unique<Match>(*other.match_) : nullptr) {
+}
+
+OpRecord& OpRecord::operator=(const OpRecord& other) {
+  if (this != &other) *this = OpRecord(other);
+  return *this;
+}
+
+void OpLog::append(OpRecord record) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // A spliced-in chunk may be partly full; its reserved capacity is still
+  // kChunkRecords, so filling it never reallocates.
+  if (chunks_.empty() || chunks_.back().size() == kChunkRecords) {
+    chunks_.emplace_back().reserve(kChunkRecords);
+  }
+  chunks_.back().push_back(std::move(record));
+  ++size_;
+}
+
 void OpLog::splice(OpLog& from) {
   if (&from == this) return;
   std::scoped_lock lock(mu_, from.mu_);
-  records_.reserve(records_.size() + from.records_.size());
-  std::move(from.records_.begin(), from.records_.end(),
-            std::back_inserter(records_));
-  from.records_ = {};
+  chunks_.insert(chunks_.end(), std::make_move_iterator(from.chunks_.begin()),
+                 std::make_move_iterator(from.chunks_.end()));
+  size_ += from.size_;
+  from.chunks_ = {};
+  from.size_ = 0;
 }
 
 std::vector<const OpRecord*> OpLog::by_ticket() const {
   std::vector<const OpRecord*> out;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    out.reserve(records_.size());
-    for (const OpRecord& record : records_) out.push_back(&record);
+    out.reserve(size_);
+    for (const Chunk& chunk : chunks_) {
+      for (const OpRecord& record : chunk) out.push_back(&record);
+    }
   }
   std::sort(out.begin(), out.end(), [](const OpRecord* a, const OpRecord* b) {
     return a->ticket < b->ticket;

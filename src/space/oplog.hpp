@@ -37,10 +37,22 @@
 // instead of copying them; and a federated take is logged as kTakeExact,
 // which keeps only the removed tuple — the replay derives the exact-value
 // template from it (Template::exact_of) rather than storing a second copy.
+//
+// The evidence is also held compactly. A record is a 32 B header (ticket,
+// txn, target, kind, ok), one inline Tuple — a kWrite's argument or a
+// kTakeExact's result — and a pointer to a side payload (template, single
+// and bulk results, bulk bound, blocked-op outcome) that only the match
+// kinds allocate: 96 B. With its tuple's heap, a federated job record
+// (three fields, a 16-256 B blob) costs about 377 B. Records live in 64 KiB
+// chunks, below glibc's 128 KiB mmap threshold: a contiguous log grows by
+// doubling, and each freed multi-megabyte block leaves a hole the next,
+// larger log cannot reuse, so peak RSS grows with every log built and
+// freed (DESIGN.md §16 has the numbers).
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -55,70 +67,116 @@ namespace tb::space {
 struct OpRecord {
   enum class Kind : std::uint8_t {
     kWrite,         ///< tuple (+txn when provisional)
-    kReadIfExists,  ///< tmpl (+txn); result
-    kTakeIfExists,  ///< tmpl (+txn); result
-    kReadAll,       ///< tmpl, max; results
-    kTakeAll,       ///< tmpl, max; results
-    kBlockingRead,  ///< tmpl; ticket = registration point
-    kBlockingTake,  ///< tmpl; ticket = registration point
+    kReadIfExists,  ///< match: tmpl, result (+txn)
+    kTakeIfExists,  ///< match: tmpl, result (+txn)
+    kReadAll,       ///< match: tmpl, max, results
+    kTakeAll,       ///< match: tmpl, max, results
+    kBlockingRead,  ///< match: tmpl (+result, timed_out, cancel_ticket);
+                    ///< ticket = registration point
+    kBlockingTake,  ///< as kBlockingRead
     kBeginTxn,      ///< ticket doubles as the transaction id
     kCommit,        ///< txn; ok
     kAbort,         ///< txn; ok
-    kNotifyReg,     ///< tmpl; ticket doubles as the registration id
+    kNotifyReg,     ///< match: tmpl; ticket doubles as the registration id
     kNotifyCancel,  ///< target = registration ticket; ok
     kRenew,         ///< target = entry write ticket; ok = entry was live
     kCancelLease,   ///< target = entry write ticket; ok = entry was live
     kLeaseExpire,   ///< target = entry write ticket; drawn when the shard
                     ///< worker reclaims the entry (expiry-at-ticket)
-    kSnapshot,      ///< results = the consistent cut snapshot() returned;
-                    ///< replay checks the oracle's cut at the same ticket
-    kTakeExact,     ///< result only; replays as take_if_exists of
-                    ///< Template::exact_of(result)
+    kSnapshot,      ///< match: results = the consistent cut snapshot()
+                    ///< returned; replay checks the oracle's cut at the
+                    ///< same ticket
+    kTakeExact,     ///< tuple = the removed tuple; replays as
+                    ///< take_if_exists of Template::exact_of(tuple)
+  };
+
+  /// The match-op side payload. Only the kinds marked "match" above
+  /// allocate one; writes, exact takes and the id-only kinds never do.
+  struct Match {
+    Template tmpl;                ///< match-op argument
+    std::optional<Tuple> result;  ///< single-match result
+    std::vector<Tuple> results;   ///< bulk results, oldest first
+    std::size_t max = 0;          ///< kReadAll / kTakeAll bound
+    /// Blocked ops only: the ticket consumed when the waiter was cancelled
+    /// (timeout or shutdown). 0 = completed at its own ticket (immediate
+    /// result) or served by a later publish.
+    std::uint64_t cancel_ticket = 0;
+    bool timed_out = false;  ///< blocked op completed with no match
   };
 
   std::uint64_t ticket = 0;  ///< linearization point; unique, total order
-  Kind kind = Kind::kWrite;
   std::uint64_t txn = 0;     ///< owning transaction ticket; kNoTxn = none
-  std::uint64_t target = 0;  ///< kNotifyCancel: registration being cancelled
-  /// Blocked ops only: the ticket consumed when the waiter was cancelled
-  /// (timeout or shutdown). 0 = completed at its own ticket (immediate
-  /// result) or served by a later publish.
-  std::uint64_t cancel_ticket = 0;
-  bool timed_out = false;  ///< blocked op completed with no match
-  bool ok = false;         ///< kCommit / kAbort / kNotifyCancel result
-  std::size_t max = 0;     ///< kReadAll / kTakeAll bound
-  Tuple tuple;             ///< kWrite argument
-  Template tmpl;           ///< match-op argument
-  std::optional<Tuple> result;  ///< single-match result
-  std::vector<Tuple> results;   ///< bulk results, oldest first
+  std::uint64_t target = 0;  ///< id-only kinds: the ticket acted on
+  Kind kind = Kind::kWrite;
+  bool ok = false;           ///< kCommit / kAbort / kNotifyCancel result
+  Tuple tuple;               ///< kWrite argument; kTakeExact result
+
+  OpRecord() = default;
+  /// Copies deep-copy the side payload.
+  OpRecord(const OpRecord& other);
+  OpRecord& operator=(const OpRecord& other);
+  OpRecord(OpRecord&&) noexcept = default;
+  OpRecord& operator=(OpRecord&&) noexcept = default;
+
+  bool has_match() const { return match_ != nullptr; }
+  /// The side payload, allocated on first use.
+  Match& match() {
+    if (!match_) match_ = std::make_unique<Match>();
+    return *match_;
+  }
+  /// The side payload; an empty one for a record that has none.
+  const Match& match() const {
+    static const Match kNone;
+    return match_ ? *match_ : kNone;
+  }
+
+ private:
+  std::unique_ptr<Match> match_;
 };
+// A 32 B header + the inline Tuple (56 B) + the side pointer. A federated
+// write or take fills only the header and the tuple; at <= 96 B a 64 KiB
+// chunk holds 682 records.
+static_assert(sizeof(OpRecord) <= 96, "OpRecord outgrew its chunk stride");
 
 /// Thread-safe append-only record of engine operations. Appends may arrive
 /// in any wall-clock order; by_ticket() restores the linearization order.
+///
+/// Records live in fixed-size chunks, each one allocation of at most
+/// kChunkBytes: append() never moves a record, and splice() moves chunks,
+/// not records. A chunk stays under glibc's 128 KiB mmap threshold, so
+/// chunks come from the heap and a freed one is reused by the next log
+/// instead of leaving a hole that the next, larger block cannot use.
 class OpLog {
  public:
-  void append(OpRecord record) {
-    std::lock_guard<std::mutex> lock(mu_);
-    records_.push_back(std::move(record));
-  }
+  static constexpr std::size_t kChunkBytes = std::size_t{64} << 10;
+  static constexpr std::size_t kChunkRecords = kChunkBytes / sizeof(OpRecord);
+  static_assert(kChunkBytes < (std::size_t{128} << 10),
+                "a chunk must stay under the mmap threshold");
 
-  /// Moves every record of `from` to the end of this log and leaves `from`
-  /// empty, its storage released. Records keep their buffers: nothing is
-  /// copied, and nothing is sorted (the replay sorts).
+  void append(OpRecord record);
+
+  /// Moves every chunk of `from` to the end of this log and leaves `from`
+  /// empty. Records keep their addresses and buffers: nothing is copied,
+  /// and nothing is sorted (the replay sorts).
   void splice(OpLog& from);
 
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return records_.size();
+    return size_;
   }
 
-  /// Every record, ascending by ticket, as pointers into this log. The view
-  /// is valid until the next append() or splice() into or out of the log.
+  /// Every record, ascending by ticket, as pointers into this log. A
+  /// pointer stays valid while its record is in this log; splice() carries
+  /// it over to the destination log.
   std::vector<const OpRecord*> by_ticket() const;
 
  private:
+  /// Reserved to kChunkRecords when created and never grown past it.
+  using Chunk = std::vector<OpRecord>;
+
   mutable std::mutex mu_;
-  std::vector<OpRecord> records_;
+  std::vector<Chunk> chunks_;
+  std::size_t size_ = 0;
 };
 
 struct ReplayReport {
@@ -134,6 +192,7 @@ struct ReplayReport {
 
 namespace detail {
 
+std::string describe(const Tuple& t);
 std::string describe(const std::optional<Tuple>& t);
 std::string describe(const std::vector<Tuple>& ts);
 std::string describe(bool ok);
@@ -207,6 +266,7 @@ ReplayReport replay_log(const OpLog& log, sim::Simulator& sim, Oracle& oracle,
   auto apply = [&](std::size_t i) {
     applying = i;
     const OpRecord& r = *records[i];
+    const OpRecord::Match& m = r.match();
     const std::uint64_t txn = mapped(txn_map, r.txn);
     switch (r.kind) {
       case Kind::kWrite:
@@ -214,24 +274,20 @@ ReplayReport replay_log(const OpLog& log, sim::Simulator& sim, Oracle& oracle,
             oracle.write(r.tuple, lease_for(leases.write, r.ticket), txn).id;
         break;
       case Kind::kReadIfExists:
-        check(i, oracle.read_if_exists(r.tmpl, txn), r.result);
+        check(i, oracle.read_if_exists(m.tmpl, txn), m.result);
         break;
       case Kind::kTakeIfExists:
-        check(i, oracle.take_if_exists(r.tmpl, txn), r.result);
+        check(i, oracle.take_if_exists(m.tmpl, txn), m.result);
         break;
       case Kind::kTakeExact:
-        if (!r.result) {
-          diverge(i, "take record without a result");
-          break;
-        }
-        check(i, oracle.take_if_exists(Template::exact_of(*r.result), txn),
-              r.result);
+        check(i, oracle.take_if_exists(Template::exact_of(r.tuple), txn),
+              r.tuple);
         break;
       case Kind::kReadAll:
-        check(i, oracle.read_all(r.tmpl, r.max), r.results);
+        check(i, oracle.read_all(m.tmpl, m.max), m.results);
         break;
       case Kind::kTakeAll:
-        check(i, oracle.take_all(r.tmpl, r.max), r.results);
+        check(i, oracle.take_all(m.tmpl, m.max), m.results);
         break;
       case Kind::kBlockingRead:
       case Kind::kBlockingTake: {
@@ -240,9 +296,9 @@ ReplayReport replay_log(const OpLog& log, sim::Simulator& sim, Oracle& oracle,
         // forever (the serving publish completes it, or nothing does and
         // the non-completion is the divergence).
         const sim::Time timeout =
-            r.timed_out ? sim::Time::ns(static_cast<std::int64_t>(
-                              r.cancel_ticket > r.ticket
-                                  ? r.cancel_ticket - r.ticket
+            m.timed_out ? sim::Time::ns(static_cast<std::int64_t>(
+                              m.cancel_ticket > r.ticket
+                                  ? m.cancel_ticket - r.ticket
                                   : 0))
                         : kLeaseForever;
         const std::size_t slot = blocked.size();
@@ -252,9 +308,9 @@ ReplayReport replay_log(const OpLog& log, sim::Simulator& sim, Oracle& oracle,
           blocked[slot].result = std::move(result);
         };
         if (r.kind == Kind::kBlockingTake) {
-          oracle.take_async(r.tmpl, timeout, std::move(callback));
+          oracle.take_async(m.tmpl, timeout, std::move(callback));
         } else {
-          oracle.read_async(r.tmpl, timeout, std::move(callback));
+          oracle.read_async(m.tmpl, timeout, std::move(callback));
         }
         break;
       }
@@ -269,7 +325,7 @@ ReplayReport replay_log(const OpLog& log, sim::Simulator& sim, Oracle& oracle,
         break;
       case Kind::kNotifyReg:
         notify_map[r.ticket] = oracle.notify(
-            r.tmpl, kLeaseForever,
+            m.tmpl, kLeaseForever,
             [&report, ticket = r.ticket](const Tuple&) {
               ++report.notify_deliveries[ticket];
             });
@@ -301,7 +357,7 @@ ReplayReport replay_log(const OpLog& log, sim::Simulator& sim, Oracle& oracle,
       case Kind::kSnapshot:
         // Mid-run consistent cut: the threaded engine's sequence-point
         // snapshot must equal the oracle's space at the same ticket.
-        check(i, oracle.snapshot(), r.results);
+        check(i, oracle.snapshot(), m.results);
         break;
     }
   };
@@ -323,11 +379,11 @@ ReplayReport replay_log(const OpLog& log, sim::Simulator& sim, Oracle& oracle,
   // never completes; a waiter the oracle served but the record says timed
   // out completes with a tuple — both are divergences.
   for (const BlockedOutcome& outcome : blocked) {
-    const OpRecord& r = *records[outcome.index];
+    const OpRecord::Match& m = records[outcome.index]->match();
     const std::optional<Tuple> expected =
-        r.timed_out ? std::nullopt : r.result;
+        m.timed_out ? std::nullopt : m.result;
     if (!outcome.completed) {
-      if (!r.timed_out) {
+      if (!m.timed_out) {
         diverge(outcome.index, "oracle never completed; recorded " +
                                    detail::describe(expected));
       }

@@ -55,7 +55,8 @@ ShardEntries::Hit ShardEntries::find_live(
 std::vector<Tuple> ShardEntries::bulk(std::span<ShardEntries* const> shards,
                                       const Template& tmpl, std::int64_t now,
                                       std::size_t max, bool take,
-                                      std::uint64_t* scan_steps) {
+                                      std::uint64_t* scan_steps,
+                                      std::vector<std::uint64_t>* taken_ids) {
   // One pass in id order — never repeated single matches, which would
   // rescan from the start for every taken tuple.
   std::vector<Tuple> out;
@@ -63,6 +64,7 @@ std::vector<Tuple> ShardEntries::bulk(std::span<ShardEntries* const> shards,
   while (out.size() < max) {
     const Hit hit = scan.next();
     if (!hit) break;
+    if (take && taken_ids != nullptr) taken_ids->push_back(hit.it->first);
     out.push_back(take ? shards[static_cast<std::size_t>(hit.shard)]->erase(
                              hit.it)
                        : hit.it->second.tuple);

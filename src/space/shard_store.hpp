@@ -104,11 +104,14 @@ class ShardEntries {
                        std::uint64_t id, std::int64_t now);
 
   /// Up to `max` entries matching `tmpl` at `now`, oldest first, copied —
-  /// or removed when `take`. Counts inspected entries into *scan_steps.
+  /// or removed when `take`, their ids appended to *taken_ids when given.
+  /// Counts inspected entries into *scan_steps.
   static std::vector<Tuple> bulk(std::span<ShardEntries* const> shards,
                                  const Template& tmpl, std::int64_t now,
                                  std::size_t max, bool take,
-                                 std::uint64_t* scan_steps);
+                                 std::uint64_t* scan_steps,
+                                 std::vector<std::uint64_t>* taken_ids =
+                                     nullptr);
 
  private:
   friend class Scan;

@@ -617,9 +617,10 @@ std::vector<Tuple> ThreadedSpaceEngine::match_bulk(std::uint64_t ticket,
   (take ? stats.takes : stats.reads) += out.size();
   if (take) entry_count_.fetch_sub(out.size(), std::memory_order_relaxed);
   record(ticket, take ? Kind::kTakeAll : Kind::kReadAll, [&](OpRecord& rec) {
-    rec.tmpl = tmpl;
-    rec.max = max;
-    rec.results = out;
+    OpRecord::Match& m = rec.match();
+    m.tmpl = tmpl;
+    m.max = max;
+    m.results = out;
   });
   return out;
 }
@@ -629,8 +630,9 @@ void ThreadedSpaceEngine::log_result(std::uint64_t ticket, OpRecord::Kind kind,
                                      const std::optional<Tuple>& result) {
   record(ticket, kind, [&](OpRecord& rec) {
     rec.txn = txn;
-    rec.tmpl = tmpl;
-    rec.result = result;
+    OpRecord::Match& m = rec.match();
+    m.tmpl = tmpl;
+    m.result = result;
   });
 }
 
@@ -758,9 +760,10 @@ void ThreadedSpaceEngine::cancel_waiter(const Waiter& waiter, Stats& stats) {
   const std::uint64_t cancel_ticket = next_ticket();
   const Kind kind = waiter.take ? Kind::kBlockingTake : Kind::kBlockingRead;
   record(waiter.id, kind, [&](OpRecord& rec) {
-    rec.tmpl = waiter.tmpl;
-    rec.timed_out = true;
-    rec.cancel_ticket = cancel_ticket;
+    OpRecord::Match& m = rec.match();
+    m.tmpl = waiter.tmpl;
+    m.timed_out = true;
+    m.cancel_ticket = cancel_ticket;
   });
   blocked_count_.fetch_sub(1, std::memory_order_relaxed);
   ++stats.misses;
@@ -1011,7 +1014,7 @@ std::uint64_t ThreadedSpaceEngine::notify(Template tmpl,
     notifies_.emplace(ticket, NotifyReg{tmpl, std::move(callback)});
     cross_count_.fetch_add(1);
     record(ticket, Kind::kNotifyReg,
-           [&](OpRecord& rec) { rec.tmpl = std::move(tmpl); });
+           [&](OpRecord& rec) { rec.match().tmpl = std::move(tmpl); });
   }
   barrier_release();
   return ticket;
@@ -1157,7 +1160,8 @@ std::vector<Tuple> ThreadedSpaceEngine::snapshot() {
   // The cut is itself a linearized op: the replay rebuilds the oracle's
   // space at this ticket and compares cuts, so mid-run consistency is
   // checked, not just the final state.
-  record(ticket, Kind::kSnapshot, [&](OpRecord& rec) { rec.results = out; });
+  record(ticket, Kind::kSnapshot,
+         [&](OpRecord& rec) { rec.match().results = out; });
   barrier_release();
   return out;
 }

@@ -8,6 +8,7 @@
 #include "co_gtest.hpp"
 #include "naive_space.hpp"
 #include "src/cosim/federation.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/sim/process.hpp"
 #include "src/space/oplog.hpp"
 #include "src/util/status.hpp"
@@ -347,7 +348,8 @@ TEST_F(FedClusterTest, PromotionPreservesPrimaryState) {
 }
 
 // merge_oplogs moves the evidence: the node logs end empty, nothing is lost,
-// and a logged write's payload buffer is the same allocation afterwards.
+// every record keeps its address, and a logged write's payload buffer is the
+// same allocation afterwards.
 TEST_F(FedClusterTest, MergeOplogsMovesEveryRecord) {
   sim::Simulator sim{1};
   SimCluster cluster(sim, {.nodes = 3, .with_standby = true});
@@ -356,9 +358,11 @@ TEST_F(FedClusterTest, MergeOplogsMovesEveryRecord) {
   std::size_t logged = 0;
   std::uint64_t write_ticket = 0;
   const std::uint8_t* blob = nullptr;
+  std::map<std::uint64_t, const space::OpRecord*> address_of;
   for (std::size_t i = 0; i < cluster.node_count(); ++i) {
     logged += cluster.core(i).oplog().size();
     for (const space::OpRecord* record : cluster.core(i).oplog().by_ticket()) {
+      address_of[record->ticket] = record;
       if (blob == nullptr && record->kind == space::OpRecord::Kind::kWrite) {
         write_ticket = record->ticket;
         blob = record->tuple.fields[1].as_bytes().data();
@@ -377,9 +381,12 @@ TEST_F(FedClusterTest, MergeOplogsMovesEveryRecord) {
   EXPECT_EQ(merged.size(), logged);
 
   const space::OpRecord* moved = nullptr;
+  std::size_t same_address = 0;
   for (const space::OpRecord* record : merged.by_ticket()) {
     if (record->ticket == write_ticket) moved = record;
+    same_address += address_of.at(record->ticket) == record;
   }
+  EXPECT_EQ(same_address, logged);
   ASSERT_NE(moved, nullptr);
   EXPECT_EQ(moved->tuple.fields[1].as_bytes().data(), blob);
 
@@ -407,11 +414,10 @@ TEST_F(FedClusterTest, CorruptTakeResultDivergesOnItsTicket) {
   for (std::size_t i = 0; i < records.size(); ++i) {
     space::OpRecord copy = *records[i];
     if (copy.kind == space::OpRecord::Kind::kTakeExact) {
-      EXPECT_FALSE(copy.tmpl.name.has_value());
-      EXPECT_TRUE(copy.tmpl.fields.empty());
-      ASSERT_TRUE(copy.result.has_value());
+      EXPECT_FALSE(copy.has_match());
+      ASSERT_EQ(copy.tuple.arity(), 2u);
       if (bad_ticket == 0) {
-        copy.result->fields[0] = space::Value(std::int64_t{-1});
+        copy.tuple.fields[0] = space::Value(std::int64_t{-1});
         bad_index = i;
         bad_ticket = copy.ticket;
       }
@@ -438,6 +444,152 @@ TEST_F(FedClusterTest, CorruptTakeResultDivergesOnItsTicket) {
     EXPECT_EQ(report->divergence.rfind(expected, 0), 0u)
         << report->divergence;
   }
+}
+
+// Seed-pinned regression: the engine-id <-> ticket maps hold live entries
+// only. Entries leaving by a named take, a lease expiry, a cancel or a
+// parked take consuming the write used to leave their mappings behind.
+TEST_F(FedClusterTest, TicketMappingsDropOnEveryRemovalPath) {
+  sim::Simulator sim{1};
+  SimCluster cluster(sim, {.nodes = 1});
+  auto router = cluster.make_router();
+  mw::SpaceClient& direct = cluster.channel(cluster.node_id(0));
+  obs::Registry registry;
+  cluster.core(0).bind_metrics(registry, "mw.node");
+  auto gauge = [&registry](const char* name) {
+    const obs::Snapshot snap = registry.snapshot();
+    const obs::Snapshot::GaugeSample* sample =
+        snap.find_gauge(std::string("mw.node.") + name);
+    return sample == nullptr ? -1.0 : sample->value;
+  };
+
+  constexpr int kJobs = 40;
+  drive(sim, [&]() -> sim::Task<void> {
+    for (int i = 0; i < kJobs; ++i) {
+      CO_ASSERT_TRUE(co_await router->write(blob_job(i), space::kLeaseForever));
+    }
+    CO_ASSERT_EQ(gauge("ticket_mappings"), kJobs);
+    for (int i = 0; i < kJobs; ++i) {
+      CO_ASSERT_TRUE(
+          (co_await router->take(blob_template(i), sim::Time::zero()))
+              .has_value());
+    }
+    CO_ASSERT_EQ(gauge("ticket_mappings"), 0.0);
+
+    // Lease expiry.
+    CO_ASSERT_TRUE(co_await router->write(blob_job(0), 5_ms));
+    co_await sim::delay(sim, 50_ms);
+    CO_ASSERT_EQ(gauge("ticket_mappings"), 0.0);
+
+    // Cancel.
+    const mw::SpaceClient::WriteResult wrote =
+        co_await direct.write(blob_job(1), space::kLeaseForever);
+    CO_ASSERT_TRUE(wrote.ok);
+    CO_ASSERT_EQ(gauge("ticket_mappings"), 1.0);
+    CO_ASSERT_TRUE(co_await direct.cancel(wrote.lease.id));
+    CO_ASSERT_EQ(gauge("ticket_mappings"), 0.0);
+
+    // A parked take consumes the write before it is stored.
+    bool served = false;
+    sim::spawn([&]() -> sim::Task<void> {
+      served = (co_await router->take(blob_template(2), 1_s)).has_value();
+    });
+    co_await sim::delay(sim, 20_ms);
+    CO_ASSERT_TRUE(co_await router->write(blob_job(2), space::kLeaseForever));
+    co_await sim::delay(sim, 20_ms);
+    CO_ASSERT_TRUE(served);
+    CO_ASSERT_EQ(gauge("ticket_mappings"), 0.0);
+  });
+  EXPECT_EQ(cluster.core(0).space().size(), 0u);
+  // Every write and every take is still on the record (the node logs
+  // writes and takes only, so expiries and cancels leave no record).
+  EXPECT_EQ(gauge("oplog_records"), 2.0 * kJobs + 3 + 1);
+  EXPECT_EQ(gauge("standby_buffered"), 0.0);
+}
+
+// The standby's gauge counts the replication records awaiting promotion.
+TEST_F(FedClusterTest, StandbyBufferedGaugeTracksTheStream) {
+  sim::Simulator sim{1};
+  SimCluster cluster(sim, {.nodes = 1, .with_standby = true});
+  obs::Registry registry;
+  cluster.standby_core().bind_metrics(registry, "mw.standby");
+  write_then_take_half(sim, cluster, 10);
+  const obs::Snapshot snap = registry.snapshot();
+  ASSERT_NE(snap.find_gauge("mw.standby.standby_buffered"), nullptr);
+  EXPECT_EQ(snap.find_gauge("mw.standby.standby_buffered")->value, 15.0);
+  EXPECT_EQ(cluster.standby_core().standby_buffer_size(), 15u);
+  EXPECT_EQ(cluster.kill_primary(), 15u);
+  EXPECT_EQ(
+      registry.snapshot().find_gauge("mw.standby.standby_buffered")->value,
+      0.0);
+}
+
+// Router metrics: every Stats field is exported under its own name.
+TEST_F(FedClusterTest, RouterMetricsMirrorStats) {
+  sim::Simulator sim{1};
+  SimCluster cluster(sim, {.nodes = 3});
+  auto router = cluster.make_router();
+  auto rival = cluster.make_router();
+  obs::Registry registry;
+  router->bind_metrics(registry, "fed.r");
+  int won = 0;
+  auto take_one = [](FederatedClient& taker, int& wins) -> sim::Task<void> {
+    std::optional<space::Tuple> got =
+        co_await taker.take(wildcard_template(), sim::Time::zero());
+    wins += got.has_value();
+  };
+  const space::Template unmatched(
+      std::nullopt, {space::FieldPattern::typed(space::ValueType::kString)});
+
+  constexpr int kJobs = 12;
+  drive(sim, [&]() -> sim::Task<void> {
+    for (int i = 0; i < kJobs; ++i) {
+      CO_ASSERT_TRUE(co_await router->write(
+          space::make_tuple("job-" + std::to_string(i % 4),
+                            static_cast<std::int64_t>(i)),
+          space::kLeaseForever));
+    }
+    CO_ASSERT_TRUE(
+        (co_await router->read(named_template("job-0"), sim::Time::zero()))
+            .has_value());
+    // Two routers race for the same oldest wildcard match.
+    for (int r = 0; r < 4; ++r) {
+      sim::spawn(take_one(*rival, won));
+      std::optional<space::Tuple> got =
+          co_await router->take(wildcard_template(), sim::Time::zero());
+      won += got.has_value();
+    }
+    co_await sim::delay(sim, 50_ms);
+    // A blocking wildcard with nothing to match polls until its deadline.
+    std::optional<space::Tuple> none =
+        co_await router->read(unmatched, 20_ms);
+    CO_ASSERT_FALSE(none.has_value());
+  });
+  EXPECT_EQ(won, 8);
+
+  const FederatedClient::Stats& stats = router->stats();
+  const obs::Snapshot snap = registry.snapshot();
+  const std::pair<const char*, std::uint64_t> expected[] = {
+      {"fed.r.routed_writes", stats.routed_writes},
+      {"fed.r.routed_matches", stats.routed_matches},
+      {"fed.r.wildcard_matches", stats.wildcard_matches},
+      {"fed.r.peeks_sent", stats.peeks_sent},
+      {"fed.r.directed_takes", stats.directed_takes},
+      {"fed.r.directed_take_misses", stats.directed_take_misses},
+      {"fed.r.misroute_refreshes", stats.misroute_refreshes},
+      {"fed.r.table_fetches", stats.table_fetches},
+      {"fed.r.polls", stats.polls},
+  };
+  for (const auto& [name, value] : expected) {
+    ASSERT_NE(snap.find_counter(name), nullptr) << name;
+    EXPECT_EQ(snap.counter_value(name), value) << name;
+  }
+  EXPECT_EQ(stats.routed_writes, static_cast<std::uint64_t>(kJobs));
+  EXPECT_EQ(stats.routed_matches, 1u);
+  EXPECT_EQ(stats.wildcard_matches, 5u);
+  EXPECT_GT(stats.peeks_sent, 0u);
+  EXPECT_GT(stats.directed_takes, 0u);
+  EXPECT_GT(stats.polls, 0u);
 }
 
 }  // namespace

@@ -243,6 +243,61 @@ TEST_F(SpaceTest, CancelAtDeadlineBeforeExpiryEventFails) {
   EXPECT_EQ(space_.stats().expirations, 1u);  // counted as what it was
 }
 
+// The removal listener reports an entry's id once, when it leaves for good,
+// on every path; a transactional take reports only when it commits.
+TEST_F(SpaceTest, RemovalListenerReportsEveryRemovalPath) {
+  std::vector<std::uint64_t> removed;
+  space_.set_removal_listener(
+      [&removed](std::uint64_t id) { removed.push_back(id); });
+  auto expect_removed = [&removed](std::vector<std::uint64_t> ids) {
+    EXPECT_EQ(removed, ids);
+    removed.clear();
+  };
+
+  const std::uint64_t taken = space_.write(Tuple("t", {Value(1)})).id;
+  ASSERT_TRUE(space_.take_if_exists(any_named("t", 1)).has_value());
+  expect_removed({taken});
+
+  const std::uint64_t a = space_.write(Tuple("b", {Value(1)})).id;
+  const std::uint64_t b = space_.write(Tuple("b", {Value(2)})).id;
+  EXPECT_EQ(space_.take_all(any_named("b", 1)).size(), 2u);
+  expect_removed({a, b});
+
+  const std::uint64_t by_id = space_.write(Tuple("t", {Value(2)})).id;
+  ASSERT_TRUE(space_.take_by_id(by_id).has_value());
+  expect_removed({by_id});
+
+  const std::uint64_t cancelled = space_.write(Tuple("t", {Value(3)})).id;
+  ASSERT_TRUE(space_.cancel(cancelled));
+  expect_removed({cancelled});
+
+  const std::uint64_t expiring =
+      space_.write(Tuple("t", {Value(4)}), 10_ms).id;
+  sim_.run_until(20_ms);
+  expect_removed({expiring});
+
+  // A parked take consumes the write before it is stored: reported inside
+  // write(), before the id is returned.
+  space_.take_async(any_named("t", 1), kLeaseForever, [](auto) {});
+  const std::uint64_t consumed = space_.write(Tuple("t", {Value(5)})).id;
+  expect_removed({consumed});
+  sim_.run_until(30_ms);
+
+  // Transactional takes: an abort restores the entry (no report), a commit
+  // makes the removal permanent.
+  const std::uint64_t held = space_.write(Tuple("t", {Value(6)})).id;
+  std::uint64_t txn = space_.begin_transaction();
+  ASSERT_TRUE(space_.take_if_exists(any_named("t", 1), txn).has_value());
+  ASSERT_TRUE(space_.abort(txn));
+  expect_removed({});
+  txn = space_.begin_transaction();
+  ASSERT_TRUE(space_.take_if_exists(any_named("t", 1), txn).has_value());
+  expect_removed({});
+  ASSERT_TRUE(space_.commit(txn));
+  expect_removed({held});
+  EXPECT_EQ(space_.size(), 0u);
+}
+
 TEST_F(SpaceTest, CancelRemovesTuple) {
   Lease lease = space_.write(Tuple("t", {Value(1)}));
   EXPECT_TRUE(space_.cancel(lease.id));

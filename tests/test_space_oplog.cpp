@@ -1,0 +1,138 @@
+// OpLog storage and OpRecord layout: chunked append and splice keep every
+// record where it is, by_ticket() restores the global order across chunks
+// and logs, and copying a record deep-copies its side payload.
+#include "src/space/oplog.hpp"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <random>
+#include <vector>
+
+namespace tb::space {
+namespace {
+
+OpRecord write_record(std::uint64_t ticket) {
+  OpRecord record;
+  record.ticket = ticket;
+  record.kind = OpRecord::Kind::kWrite;
+  record.tuple = make_tuple("w", static_cast<std::int64_t>(ticket));
+  return record;
+}
+
+std::map<std::uint64_t, const OpRecord*> addresses(const OpLog& log) {
+  std::map<std::uint64_t, const OpRecord*> out;
+  for (const OpRecord* record : log.by_ticket()) out[record->ticket] = record;
+  return out;
+}
+
+TEST(OpLog, SpliceAcrossChunkBoundariesKeepsEveryAddress) {
+  constexpr std::size_t kChunk = OpLog::kChunkRecords;
+  OpLog into;
+  OpLog from;
+  for (std::uint64_t t = 1; t <= kChunk + 5; ++t) {
+    into.append(write_record(2 * t));
+  }
+  for (std::uint64_t t = 1; t <= 2 * kChunk + 3; ++t) {
+    from.append(write_record(2 * t + 1));
+  }
+  std::map<std::uint64_t, const OpRecord*> before = addresses(into);
+  const std::map<std::uint64_t, const OpRecord*> moved = addresses(from);
+  before.insert(moved.begin(), moved.end());
+  ASSERT_EQ(before.size(), 3 * kChunk + 8);
+
+  into.splice(from);
+  EXPECT_EQ(from.size(), 0u);
+  EXPECT_TRUE(from.by_ticket().empty());
+  EXPECT_EQ(into.size(), 3 * kChunk + 8);
+  EXPECT_EQ(addresses(into), before);
+
+  // Appends after the splice fill the spliced-in partial chunk and open new
+  // ones; nothing already in the log moves.
+  for (std::uint64_t t = 1; t <= kChunk; ++t) {
+    into.append(write_record(10 * kChunk + t));
+  }
+  const std::map<std::uint64_t, const OpRecord*> after = addresses(into);
+  for (const auto& [ticket, record] : before) {
+    EXPECT_EQ(after.at(ticket), record) << ticket;
+  }
+  // The emptied log is usable again.
+  from.append(write_record(1));
+  EXPECT_EQ(from.size(), 1u);
+}
+
+TEST(OpLog, ByTicketOrdersTicketsInterleavedAcrossChunksAndLogs) {
+  constexpr std::size_t kRecords = 3 * OpLog::kChunkRecords + 17;
+  std::vector<std::uint64_t> tickets(kRecords);
+  for (std::size_t i = 0; i < kRecords; ++i) tickets[i] = 3 * i + 7;
+  std::mt19937_64 rng(5);
+  std::shuffle(tickets.begin(), tickets.end(), rng);
+
+  // Three logs, dealt round-robin, each appended out of ticket order.
+  OpLog logs[3];
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    logs[i % 3].append(write_record(tickets[i]));
+  }
+  OpLog merged;
+  for (OpLog& log : logs) merged.splice(log);
+
+  const std::vector<const OpRecord*> ordered = merged.by_ticket();
+  ASSERT_EQ(ordered.size(), kRecords);
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    EXPECT_EQ(ordered[i]->ticket, 3 * i + 7);
+    EXPECT_EQ(ordered[i]->tuple.fields[0].as_int(),
+              static_cast<std::int64_t>(3 * i + 7));
+  }
+}
+
+TEST(OpRecord, CopyDeepCopiesTheSidePayload) {
+  OpRecord original;
+  original.ticket = 9;
+  original.kind = OpRecord::Kind::kTakeAll;
+  OpRecord::Match& m = original.match();
+  m.tmpl = Template("job", {FieldPattern::typed(ValueType::kInt)});
+  m.max = 4;
+  m.results = {make_tuple("job", std::int64_t{1}),
+               make_tuple("job", std::int64_t{2})};
+
+  OpRecord copy = original;
+  ASSERT_TRUE(copy.has_match());
+  EXPECT_NE(&copy.match(), &original.match());
+  EXPECT_EQ(copy.match().tmpl, m.tmpl);
+  EXPECT_EQ(copy.match().max, 4u);
+  EXPECT_EQ(copy.match().results, m.results);
+
+  copy.match().results[0].fields[0] = Value(std::int64_t{-1});
+  copy.match().tmpl.name = "other";
+  EXPECT_EQ(original.match().results[0].fields[0].as_int(), 1);
+  EXPECT_EQ(original.match().tmpl.name, "job");
+
+  OpRecord assigned = write_record(3);
+  assigned = original;
+  ASSERT_TRUE(assigned.has_match());
+  EXPECT_NE(&assigned.match(), &original.match());
+  EXPECT_EQ(assigned.match().results, original.match().results);
+  EXPECT_EQ(assigned.ticket, 9u);
+}
+
+TEST(OpRecord, WritesAndExactTakesCarryNoSidePayload) {
+  const OpRecord write = write_record(1);
+  OpRecord take;
+  take.kind = OpRecord::Kind::kTakeExact;
+  take.tuple = make_tuple("w", std::int64_t{1});
+  const OpRecord* records[] = {&write, &take};
+  for (const OpRecord* record : records) {
+    EXPECT_FALSE(record->has_match());
+    // The const view of a missing payload is an empty one, not an
+    // allocation.
+    EXPECT_FALSE(record->match().result.has_value());
+    EXPECT_FALSE(record->has_match());
+    const OpRecord copy = *record;
+    EXPECT_FALSE(copy.has_match());
+    EXPECT_EQ(copy.tuple, record->tuple);
+  }
+}
+
+}  // namespace
+}  // namespace tb::space

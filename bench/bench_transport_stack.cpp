@@ -3,8 +3,7 @@
 //  * transport: in-process RMI (Fig. 3) vs Ethernet/TCP socket (Fig. 4) vs
 //    TpWIRE mailboxes through the master relay (Fig. 5/7);
 //  * representation: XML entries (the paper's choice) vs a binary codec —
-//    including raw encode/decode throughput of the buffer-reuse hot path
-//    (and the legacy tree-building XML encoder it replaced);
+//    including raw encode/decode throughput of the buffer-reuse hot path;
 //  * co-simulation plumbing: GDB remote-serial-protocol framing overhead.
 #include <chrono>
 #include <cstdio>
@@ -127,24 +126,18 @@ struct CodecThroughput {
 };
 
 /// Wall-clock throughput of the buffer-reuse encode path and the decode
-/// path. `tree` selects XmlCodec's legacy tree-building encoder, kept to
-/// quantify the writer-path speedup against identical output bytes.
-CodecThroughput codec_throughput(const mw::Codec& codec, bool tree = false) {
+/// path.
+CodecThroughput codec_throughput(const mw::Codec& codec) {
   using Clock = std::chrono::steady_clock;
   const mw::Message request = sample_request();
   const int iters = obs::bench_short_mode() ? 2'000 : 20'000;
-  const auto* xml = dynamic_cast<const mw::XmlCodec*>(&codec);
 
   CodecThroughput result;
   std::vector<std::uint8_t> buf;
   const auto encode_start = Clock::now();
   for (int i = 0; i < iters; ++i) {
-    if (tree) {
-      buf = xml->encode_via_tree(request);
-    } else {
-      buf.clear();
-      codec.encode_into(request, buf);
-    }
+    buf.clear();
+    codec.encode_into(request, buf);
   }
   const double encode_s =
       std::chrono::duration<double>(Clock::now() - encode_start).count();
@@ -214,9 +207,8 @@ int main() {
   bench.add_table("round_trips", table.headers(), table.rows());
   bench.add_registry(loopback_snapshot, "loopback_xml");
 
-  // Raw codec throughput: the buffer-reuse hot path, plus the legacy XML
-  // tree encoder for the writer-vs-tree speedup. Items/s is wall-clock
-  // (report-only); bytes/op is deterministic and gates.
+  // Raw codec throughput of the buffer-reuse hot path. Items/s is
+  // wall-clock (report-only); bytes/op is deterministic and gates.
   std::printf("Codec throughput (write-request with a 64-byte entry):\n");
   mw::XmlCodec xml_codec;
   mw::BinaryCodec binary_codec;
@@ -224,13 +216,10 @@ int main() {
     const char* label;
     const char* key;
     CodecThroughput t;
-    bool gate_bytes;
   };
   const Row rows[] = {
-      {"xml (writer)", "codec.xml", codec_throughput(xml_codec), true},
-      {"xml (legacy tree)", "codec.xml_tree",
-       codec_throughput(xml_codec, /*tree=*/true), false},
-      {"binary", "codec.binary", codec_throughput(binary_codec), true},
+      {"xml (writer)", "codec.xml", codec_throughput(xml_codec)},
+      {"binary", "codec.binary", codec_throughput(binary_codec)},
   };
   cosim::TablePrinter codec_table(
       {"codec", "encode items/s", "decode items/s", "bytes/op"});
@@ -245,13 +234,11 @@ int main() {
     bench.add_key_metric(std::string(row.key) + ".decode_items_per_s",
                          row.t.decode_items_per_s, obs::Better::kHigher,
                          {.unit = "items/s", .gate = false});
-    if (row.gate_bytes) {
-      // Encoded size must not creep: it feeds straight into the paper's
-      // bus-load estimates.
-      bench.add_key_metric(std::string(row.key) + ".bytes_per_op",
-                           row.t.bytes_per_op, obs::Better::kLower,
-                           {.unit = "B"});
-    }
+    // Encoded size must not creep: it feeds straight into the paper's
+    // bus-load estimates.
+    bench.add_key_metric(std::string(row.key) + ".bytes_per_op",
+                         row.t.bytes_per_op, obs::Better::kLower,
+                         {.unit = "B"});
   }
   std::printf("%s\n", codec_table.render().c_str());
   bench.add_table("codec_throughput", codec_table.headers(),

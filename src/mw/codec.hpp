@@ -48,11 +48,6 @@ class XmlCodec final : public Codec {
   std::optional<Message> decode(
       std::span<const std::uint8_t> bytes) const override;
   const char* name() const override { return "xml"; }
-
-  /// Legacy tree-building encoder (XmlNode + ostringstream). Kept so the
-  /// benches can quantify the writer-path speedup against the same bytes;
-  /// output is byte-identical to encode().
-  std::vector<std::uint8_t> encode_via_tree(const Message& message) const;
 };
 
 class BinaryCodec final : public Codec {

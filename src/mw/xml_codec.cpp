@@ -21,8 +21,6 @@ std::optional<MsgType> msg_type_from(std::string_view tag) {
   return MsgType::kUnknownFrame;
 }
 
-std::string i64_str(std::int64_t v) { return std::to_string(v); }
-
 std::optional<std::int64_t> parse_i64(std::string_view s) {
   std::int64_t v = 0;
   auto trimmed = util::trim(s);
@@ -45,13 +43,6 @@ std::optional<std::uint64_t> parse_u64(std::string_view s) {
   return v;
 }
 
-void add_text_child(XmlNode& parent, const char* name, std::string text) {
-  XmlNode child;
-  child.name = name;
-  child.text = std::move(text);
-  parent.children.push_back(std::move(child));
-}
-
 }  // namespace
 
 void XmlCodec::encode_into(const Message& message,
@@ -66,8 +57,8 @@ void XmlCodec::encode_into(const Message& message,
 
   XmlWriter w(out);
   w.open("msg");
-  // Attribute order matches XmlNode::serialize(), whose std::map emits keys
-  // alphabetically — keeps the two encode paths byte-for-byte identical.
+  // Attributes in alphabetical order, as XmlNode::serialize() emits them;
+  // tests/golden/xml_codec.txt pins the resulting bytes.
   w.attr_i64("at", message.created_at_ns);
   w.attr_u64("id", message.request_id);
   w.attr("type", msg_type_tag(message.type));
@@ -137,55 +128,6 @@ void XmlCodec::encode_into(const Message& message,
     w.close();
   }
   w.close();
-}
-
-std::vector<std::uint8_t> XmlCodec::encode_via_tree(const Message& message) const {
-  XmlNode root;
-  root.name = "msg";
-  root.attributes["type"] = msg_type_tag(message.type);
-  root.attributes["id"] = std::to_string(message.request_id);
-  root.attributes["at"] = i64_str(message.created_at_ns);
-  if (message.tuple) root.children.push_back(tuple_to_xml(*message.tuple));
-  if (message.tmpl) root.children.push_back(template_to_xml(*message.tmpl));
-  if (!message.batch_tuples.empty()) {
-    XmlNode batch;
-    batch.name = "batch";
-    for (std::size_t i = 0; i < message.batch_tuples.size(); ++i) {
-      XmlNode w;
-      w.name = "w";
-      w.attributes["lease"] = i64_str(message.batch_durations[i]);
-      w.children.push_back(tuple_to_xml(message.batch_tuples[i]));
-      batch.children.push_back(std::move(w));
-    }
-    root.children.push_back(std::move(batch));
-  }
-  if (!message.batch_handles.empty()) {
-    XmlNode leases;
-    leases.name = "leases";
-    for (std::size_t i = 0; i < message.batch_handles.size(); ++i) {
-      XmlNode l;
-      l.name = "l";
-      l.attributes["expires"] = i64_str(message.batch_expires[i]);
-      l.attributes["id"] = std::to_string(message.batch_handles[i]);
-      leases.children.push_back(std::move(l));
-    }
-    root.children.push_back(std::move(leases));
-  }
-  if (message.duration_ns != 0)
-    add_text_child(root, "duration", i64_str(message.duration_ns));
-  if (message.handle != 0)
-    add_text_child(root, "handle", std::to_string(message.handle));
-  if (message.expires_at_ns != 0)
-    add_text_child(root, "expires", i64_str(message.expires_at_ns));
-  if (message.txn != 0) add_text_child(root, "txn", std::to_string(message.txn));
-  if (message.status != 0)
-    add_text_child(root, "status", std::to_string(message.status));
-  if (message.epoch != 0)
-    add_text_child(root, "epoch", std::to_string(message.epoch));
-  add_text_child(root, "ok", message.ok ? "true" : "false");
-  if (!message.error.empty()) add_text_child(root, "error", message.error);
-  const std::string xml = root.serialize();
-  return {xml.begin(), xml.end()};
 }
 
 std::optional<Message> XmlCodec::decode(

@@ -1,34 +1,91 @@
 #include "src/space/shard_store.hpp"
 
+#include <iterator>
+
 #include "src/util/assert.hpp"
 
 namespace tb::space {
+
+ShardEntries::ShardEntries(ShardEntries&& other) noexcept
+    : wheel_(other.wheel_), use_type_index_(other.use_type_index_) {
+  TB_ASSERT(other.entries_.empty());
+}
 
 void ShardEntries::store(std::uint64_t id, std::uint64_t key, Tuple&& tuple,
                          std::int64_t deadline) {
   Entry entry;
   entry.deadline = deadline;
   entry.type_key = key;
-  entry.byte_size = tuple.byte_size();
+  entry.prev_of_type = entry.next_of_type = entries_.end();
   if (deadline != kNoDeadline) entry.timer = wheel_->arm(deadline, id);
-  if (use_type_index_) index_[key].insert(id);
-  stored_bytes_ += entry.byte_size;
+  stored_bytes_ += tuple.byte_size();
   entry.tuple = std::move(tuple);
   // Ids are monotonic, so a fresh write lands past the current maximum and
   // the end() hint makes the insert amortized O(1). Commit publication and
   // abort restoration store older ids; the hint then just misses.
-  entries_.emplace_hint(entries_.end(), id, std::move(entry));
+  const std::size_t before = entries_.size();
+  const auto it = entries_.emplace_hint(entries_.end(), id, std::move(entry));
+  TB_ASSERT(entries_.size() == before + 1);  // ids are unique
+  if (use_type_index_) link(it);
+}
+
+void ShardEntries::link(Map::iterator it) {
+  const Map::iterator none = entries_.end();
+  const std::uint64_t id = it->first;
+  Chain& chain =
+      index_.try_emplace(it->second.type_key, Chain{none, none}).first->second;
+  if (chain.tail == none) {
+    chain.head = chain.tail = it;
+    return;
+  }
+  if (chain.tail->first < id) {  // a fresh write
+    it->second.prev_of_type = chain.tail;
+    chain.tail->second.next_of_type = it;
+    chain.tail = it;
+    return;
+  }
+  // An older id: find its successor. Inside the chain (head < id < tail),
+  // walk from whichever end is nearer in id; neither walk can pass an end.
+  Map::iterator next = chain.head;
+  if (chain.head->first < id) {
+    if (id - chain.head->first < chain.tail->first - id) {
+      while (next->first < id) next = next->second.next_of_type;
+    } else {
+      next = chain.tail;
+      while (next->second.prev_of_type->first > id) {
+        next = next->second.prev_of_type;
+      }
+    }
+  }
+  const Map::iterator prev = next->second.prev_of_type;
+  it->second.prev_of_type = prev;
+  it->second.next_of_type = next;
+  next->second.prev_of_type = it;
+  if (prev == none) {
+    chain.head = it;
+  } else {
+    prev->second.next_of_type = it;
+  }
+}
+
+void ShardEntries::unlink(Map::iterator it) {
+  const Map::iterator none = entries_.end();
+  const Map::iterator prev = it->second.prev_of_type;
+  const Map::iterator next = it->second.next_of_type;
+  if (prev != none) prev->second.next_of_type = next;
+  if (next != none) next->second.prev_of_type = prev;
+  if (prev != none && next != none) return;  // mid-chain: no index lookup
+  const auto chain = index_.find(it->second.type_key);
+  TB_ASSERT(chain != index_.end());
+  if (prev == none) chain->second.head = next;
+  if (next == none) chain->second.tail = prev;
 }
 
 Tuple ShardEntries::erase(Map::iterator it) {
   wheel_->cancel(it->second.timer);  // stale-safe after the timer fired
-  if (use_type_index_) {
-    const auto bucket = index_.find(it->second.type_key);
-    TB_ASSERT(bucket != index_.end());
-    bucket->second.erase(it->first);
-  }
-  stored_bytes_ -= it->second.byte_size;
+  if (use_type_index_) unlink(it);
   Tuple tuple = std::move(it->second.tuple);
+  stored_bytes_ -= tuple.byte_size();
   entries_.erase(it);
   return tuple;
 }
@@ -93,11 +150,10 @@ Scan::Scan(std::span<ShardEntries* const> shards, const Template& tmpl,
     it_ = shard.entries_.begin();
     return;
   }
-  const auto bucket = shard.index_.find(key_);
-  if (bucket == shard.index_.end()) return;  // kDone
+  const auto chain = shard.index_.find(key_);
+  if (chain == shard.index_.end()) return;  // kDone
   mode_ = Mode::kIndexed;
-  id_ = bucket->second.begin();
-  id_end_ = bucket->second.end();
+  it_ = chain->second.head;
 }
 
 void Scan::start_merge() {
@@ -112,20 +168,16 @@ ShardEntries::Hit Scan::advance() {
   switch (mode_) {
     case Mode::kDone:
       return {};
-    case Mode::kIndexed: {
-      if (id_ == id_end_) return {};
-      ShardEntries& shard = *shards_[static_cast<std::size_t>(shard_)];
-      // Step past the id first: erasing the returned entry removes it from
-      // the bucket, which must not invalidate our position.
-      const auto it = shard.entries_.find(*id_++);
-      TB_ASSERT(it != shard.entries_.end());
-      return {shard_, it};
-    }
+    case Mode::kIndexed:
     case Mode::kLinear: {
       if (it_ == shards_[static_cast<std::size_t>(shard_)]->entries_.end()) {
         return {};
       }
-      return {shard_, it_++};
+      // Step past the entry first: the caller may erase it, which unlinks
+      // it from its chain and must not invalidate our position.
+      const auto it = it_;
+      it_ = mode_ == Mode::kIndexed ? it->second.next_of_type : std::next(it);
+      return {shard_, it};
     }
     case Mode::kMerge: {
       // The id-ordered k-way merge: ids are monotonic write timestamps, so

@@ -7,7 +7,7 @@
 //
 //  * the id-ordered entry map (ids are write timestamps: the total order),
 //    the (name, arity) type index and stored_bytes;
-//  * Scan — the named match (index bucket, or a linear scan on the cached
+//  * Scan — the named match (type chain, or a linear scan on the cached
 //    type key when the index is off) and the one id-ordered k-way merge
 //    across shards that wildcard matches, bulk matches and snapshots use;
 //  * find_live — the one entry-by-id lookup;
@@ -15,6 +15,23 @@
 //    in registration order across the shard's FIFO queue and the
 //    cross-shard wildcard queue, and the tuple is stored unless a blocked
 //    take consumed it.
+//
+// The type index is a chain per (name, arity) type threaded through the map
+// nodes themselves: each Entry links its id-ordered neighbours of the same
+// type, and the index maps a type key to the chain's head and tail. A fresh
+// write appends at the tail in O(1), because ids are monotonic; the older
+// ids that commit publication and abort restoration store are linked in id
+// order by walking from the nearer end. Erase unlinks in O(1), and a named
+// scan follows the links with no map lookup per step. There is no id set
+// per type: its 48 B node per entry would be a second copy of the id the
+// map node already holds. Heap per stored (name, int, int) entry, 64-bit
+// glibc (test_space's ShardStoreMemory.HeapPerIndexedEntry gates it):
+//
+//                  map node   field vector   index   measured
+//   per-type id set   144 B        96 B       48 B    289.8 B
+//   per-type chain    144 B        96 B        0 B    241.2 B
+//
+// The map node stays a 144 B chunk only while sizeof(Entry) <= 96 (below).
 //
 // Deadlines are plain int64 ns on whatever clock the owning engine runs;
 // timer ids are the engine's wheel handles (payload = entry id). Each
@@ -29,7 +46,6 @@
 #include <limits>
 #include <list>
 #include <map>
-#include <set>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -52,6 +68,10 @@ inline int shard_route(std::uint64_t key, std::size_t shard_count) {
   return shard_count == 1 ? 0 : static_cast<int>(key % shard_count);
 }
 
+struct Entry;
+/// A shard's entries by id, oldest first.
+using EntryMap = std::map<std::uint64_t, Entry>;
+
 struct Entry {
   Tuple tuple;
   std::int64_t deadline = kNoDeadline;  ///< hidden once deadline <= now
@@ -59,17 +79,20 @@ struct Entry {
   /// (name, arity) hash, computed once at publish: the linear scan
   /// short-circuits on it and index maintenance never re-hashes the name.
   std::uint64_t type_key = 0;
-  std::size_t byte_size = 0;  ///< cached wire-footprint estimate
+  /// The id-ordered neighbours of the same type key in this shard's type
+  /// chain; the map's end() = none (always, when the index is off).
+  EntryMap::iterator prev_of_type, next_of_type;
 };
 // A map node is a 32 B tree header + the 8 B id + Entry. At <= 96 B it stays
 // in glibc's 144 B chunk; one word more lands in the 160 B chunk (+11% RSS
-// on a large store).
+// on a large store). This is why Entry caches no byte size: the chain links
+// took its word, and erase recomputes the size in O(arity) instead.
 static_assert(sizeof(Entry) <= 96, "Entry outgrew its malloc size class");
 
 /// The entry half of a shard: map, index, stored_bytes, lease timers.
 class ShardEntries {
  public:
-  using Map = std::map<std::uint64_t, Entry>;  ///< id-ordered
+  using Map = EntryMap;
 
   /// A located entry; shard < 0 = none.
   struct Hit {
@@ -82,6 +105,14 @@ class ShardEntries {
   /// `wheel` holds this shard's lease timers; it must outlive the shard.
   ShardEntries(bool use_type_index, sim::TimerWheel& wheel)
       : wheel_(&wheel), use_type_index_(use_type_index) {}
+  // Chain links and chain ends name entries_.end(), which does not survive
+  // a copy or a move of the map. std::vector<Shard> needs a move
+  // constructor, but the engines reserve their shards, so it only ever
+  // runs on an empty shard and asserts that it does.
+  ShardEntries(ShardEntries&& other) noexcept;
+  ShardEntries(const ShardEntries&) = delete;
+  ShardEntries& operator=(const ShardEntries&) = delete;
+  ShardEntries& operator=(ShardEntries&&) = delete;
 
   std::size_t size() const { return entries_.size(); }
   std::size_t stored_bytes() const { return stored_bytes_; }
@@ -116,22 +147,34 @@ class ShardEntries {
  private:
   friend class Scan;
 
+  /// One type's entries, oldest first, threaded through Entry's links;
+  /// end() = none. Walking it visits the type's entries and nothing else,
+  /// with no lookup per step.
+  struct Chain {
+    Map::iterator head, tail;
+  };
+
+  /// Links a stored entry into its type's chain in id order.
+  void link(Map::iterator it);
+  /// Unlinks an entry about to be erased from its type's chain.
+  void unlink(Map::iterator it);
+
   Map entries_;
-  /// type key -> ordered ids, maintained when use_type_index_. Emptied
-  /// buckets are retained: a hot (write, take, write, ...) shape would
-  /// otherwise churn two nodes per cycle, and an empty bucket is
-  /// indistinguishable from an absent one to every lookup.
-  std::unordered_map<std::uint64_t, std::set<std::uint64_t>> index_;
+  /// type key -> chain, maintained when use_type_index_. Emptied chains are
+  /// retained: a hot (write, take, write, ...) shape would otherwise churn a
+  /// node per cycle, and an empty chain is indistinguishable from an absent
+  /// one to every lookup.
+  std::unordered_map<std::uint64_t, Chain> index_;
   std::size_t stored_bytes_ = 0;
   sim::TimerWheel* wheel_;
   bool use_type_index_;
 };
 
 /// Walks, oldest first, the entries of `shards` visible at `now` that a
-/// template matches: a named template reads one shard (its type-index
-/// bucket, or every entry filtered on the cached type key), a wildcard
-/// template the id-ordered merge of all shards. The caller may erase the
-/// entry next() returned before calling next() again.
+/// template matches: a named template reads one shard (its type chain, or
+/// every entry filtered on the cached type key), a wildcard template the
+/// id-ordered merge of all shards. The caller may erase the entry next()
+/// returned before calling next() again.
 class Scan {
  public:
   /// Every visible entry, merged across shards (snapshots); counts nothing.
@@ -156,8 +199,7 @@ class Scan {
   Mode mode_ = Mode::kDone;
   int shard_ = 0;          ///< kIndexed / kLinear: the routed shard
   std::uint64_t key_ = 0;  ///< kLinear: the wanted type key
-  std::set<std::uint64_t>::const_iterator id_, id_end_;
-  ShardEntries::Map::iterator it_;
+  ShardEntries::Map::iterator it_;  ///< kIndexed / kLinear: the next entry
   std::vector<ShardEntries::Map::iterator> cursor_;  ///< kMerge, per shard
 };
 

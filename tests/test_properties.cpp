@@ -2,7 +2,14 @@
 // input sweeps rather than hand-picked cases.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
+#include <limits>
+#include <map>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "naive_space.hpp"
 #include "src/cosim/rsp.hpp"
@@ -288,15 +295,118 @@ TEST_P(CodecProperty, EncodeIntoAppendsAndReusedBufferMatchesFresh) {
 INSTANTIATE_TEST_SUITE_P(Codecs, CodecProperty,
                          ::testing::Values("xml", "binary"));
 
-TEST(CodecProperty, XmlWriterMatchesLegacyTreeEncoder) {
-  // The append-only XmlWriter replaced the XmlNode-tree encoder; the benches
-  // (and any recorded traces) rely on the two emitting identical bytes.
+// XmlWriter's output is the XML wire format, so it is pinned byte for byte
+// to fixtures in tests/golden/xml_codec.txt: a "## <name>" line, then the
+// message's exact encoding on one line. Together the messages below set
+// every field the codec emits: tuple values of every type (XML
+// metacharacters, empty and non-empty blobs), named and nameless templates
+// with exact, typed and any patterns, batch writes and their leases,
+// duration, handle, expires, txn, status, epoch and error.
+std::vector<std::pair<std::string, mw::Message>> golden_messages() {
+  using mw::MsgType;
+  using space::FieldPattern;
+  using space::Tuple;
+  using space::Value;
+  using space::ValueType;
+  using Bytes = std::vector<std::uint8_t>;
+  constexpr std::int64_t kForever = std::numeric_limits<std::int64_t>::max();
+  std::vector<std::pair<std::string, mw::Message>> out;
+  // The returned reference is valid until the next add() reallocates, so
+  // each message is filled in before the next one is added.
+  auto add = [&](const char* name, MsgType type, std::uint64_t id,
+                 std::int64_t at) -> mw::Message& {
+    mw::Message m;
+    m.type = type;
+    m.request_id = id;
+    m.created_at_ns = at;
+    return out.emplace_back(name, std::move(m)).second;
+  };
+
+  auto& write = add("write_request", MsgType::kWriteRequest, 7, 1500);
+  write.tuple = Tuple("sensor", {Value(42), Value(1.5), Value(true)});
+  write.tuple->fields.emplace_back(std::string("a<b & \"c\" 'd'>"));
+  write.tuple->fields.emplace_back(Bytes{0x00, 0xAB, 0xFF});
+  write.tuple->fields.emplace_back(Bytes{});
+  write.duration_ns = 60'000'000'000;
+
+  auto& take = add("take_request", MsgType::kTakeRequest, 8, -3);
+  take.tmpl = space::Template("job", {});
+  take.tmpl->fields.push_back(FieldPattern::exact(Value(-5)));
+  take.tmpl->fields.push_back(FieldPattern::typed(ValueType::kString));
+  take.tmpl->fields.push_back(FieldPattern::any());
+  take.tmpl->fields.push_back(FieldPattern::exact(Value(Bytes{1, 2})));
+  take.duration_ns = kForever;
+  take.txn = 12;
+
+  auto& read = add("read_wildcard", MsgType::kReadRequest, 9, 0);
+  read.tmpl = space::Template(std::nullopt, {});
+  read.tmpl->fields.push_back(FieldPattern::typed(ValueType::kFloat));
+  read.tmpl->fields.push_back(FieldPattern::typed(ValueType::kBool));
+  read.tmpl->fields.push_back(FieldPattern::exact(Value("&")));
+
+  auto& batch = add("write_batch", MsgType::kWriteBatchRequest, 10, 2000);
+  batch.batch_tuples = {Tuple("a", {Value(1)}), Tuple("b", {})};
+  batch.batch_durations = {1000, kForever};
+
+  auto& leases =
+      add("write_batch_response", MsgType::kWriteBatchResponse, 10, 2100);
+  leases.batch_handles = {3, 4};
+  leases.batch_expires = {3000, kForever};
+  leases.ok = true;
+
+  auto& renew = add("renew_response", MsgType::kRenewResponse, 11, 2200);
+  renew.handle = 99;
+  renew.expires_at_ns = 123'456'789;
+  renew.ok = true;
+
+  auto& commit = add("txn_commit", MsgType::kTxnCommitRequest, 12, 2300);
+  commit.txn = 31;
+
+  auto& reject = add("misroute_reject", MsgType::kError, 13, 2400);
+  reject.status = 9;
+  reject.epoch = 4;
+  reject.error = "stale table: epoch 3 < 4 & \"retry\"";
+
+  auto& peek = add("peek_response", MsgType::kPeekResponse, 14, 2500);
+  peek.tuple = Tuple("job", {Value(-1), Value(0.25)});
+  peek.handle = 1'000'000'007;
+  peek.ok = true;
+
+  auto& miss = add("match_miss", MsgType::kMatchResponse, 15, 2600);
+  miss.tuple = Tuple("empty", {});
+  return out;
+}
+
+/// name -> bytes from a golden file (format above).
+std::map<std::string, std::string> read_golden(const std::string& path) {
+  std::ifstream in(path);
+  std::map<std::string, std::string> golden;
+  std::string line, name;
+  while (std::getline(in, line)) {
+    if (line.rfind("## ", 0) == 0) {
+      name = line.substr(3);
+    } else if (!name.empty()) {
+      golden[name] = line;
+      name.clear();
+    }
+  }
+  return golden;
+}
+
+TEST(CodecProperty, XmlWriterMatchesGoldenBytes) {
+  const auto golden = read_golden(TB_TEST_GOLDEN_DIR "/xml_codec.txt");
+  const auto messages = golden_messages();
+  ASSERT_EQ(golden.size(), messages.size());
   mw::XmlCodec codec;
-  util::Xoshiro256 rng(45);
-  for (int i = 0; i < 100; ++i) {
-    const mw::Message original = random_message(rng);
-    EXPECT_EQ(codec.encode(original), codec.encode_via_tree(original))
-        << original.to_string();
+  for (const auto& [name, message] : messages) {
+    SCOPED_TRACE(name);
+    const auto expected = golden.find(name);
+    ASSERT_NE(expected, golden.end());
+    const std::vector<std::uint8_t> bytes = codec.encode(message);
+    EXPECT_EQ(std::string(bytes.begin(), bytes.end()), expected->second);
+    const auto decoded = codec.decode(bytes);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(*decoded, message);
   }
 }
 

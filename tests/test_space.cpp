@@ -4,10 +4,18 @@
 
 #include "src/util/assert.hpp"
 
+#include <map>
+#include <numeric>
+#include <string>
 #include <vector>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "src/sim/process.hpp"
 #include "src/space/ops.hpp"
+#include "src/space/shard_store.hpp"
 
 namespace tb::space {
 namespace {
@@ -554,6 +562,195 @@ TEST_F(SpaceTest, ReadAllAndTakeAllOrderMatchWithoutIndex) {
 TEST_F(SpaceTest, RejectsNonPositiveLease) {
   EXPECT_THROW(space_.write(Tuple("t", {}), sim::Time::zero()),
                util::PreconditionError);
+}
+
+// --- type chains (shard_store.hpp) -----------------------------------------
+// Commit publication and abort restoration store ids older than their
+// chain's tail, so they are linked into the middle of it. Each case ends by
+// draining type "t" through named takes, read_all and take_all, which must
+// return ids oldest first and agree exactly across the index and shard
+// layouts. String-valued "t" tuples sit between the ints in every chain, so
+// take_all erases the entry Scan just returned with survivors around it.
+
+Template t_ints() {
+  return Template(std::string("t"), {FieldPattern::typed(ValueType::kInt)});
+}
+
+Template t_exact(std::int64_t v) {
+  return Template(std::string("t"), {FieldPattern::exact(Value(v))});
+}
+
+/// Writes ("t", i) for i in [from, to), with a string-valued "t" after
+/// every fifth int; `in_txn(i)` puts a write under `txn`.
+template <class InTxn>
+void write_ts(SpaceEngine& space, int from, int to, std::uint64_t txn,
+              InTxn in_txn) {
+  for (int i = from; i < to; ++i) {
+    space.write(space::make_tuple("t", std::int64_t{i}), kLeaseForever,
+                in_txn(i) ? txn : kNoTxn);
+    if (i % 5 == 2) space.write(space::make_tuple("t", std::string("skip")));
+  }
+}
+
+/// What draining "t" returned, as the ints' values.
+struct Drained {
+  std::vector<std::int64_t> read_all, takes, take_all;
+  bool operator==(const Drained&) const = default;
+};
+
+std::vector<std::int64_t> values_of(const std::vector<Tuple>& tuples) {
+  std::vector<std::int64_t> out;
+  for (const Tuple& t : tuples) out.push_back(t.fields[0].as_int());
+  return out;
+}
+
+Drained drain_ts(SpaceEngine& space) {
+  // Ids from the entry map's merge walk, which does not use the chains.
+  std::map<std::int64_t, std::uint64_t> id_of;
+  std::size_t skips = 0;
+  for (const auto& [id, t] : space.snapshot_with_ids()) {
+    if (t.fields[0].is(ValueType::kInt)) {
+      id_of[t.fields[0].as_int()] = id;
+    } else {
+      ++skips;
+    }
+  }
+  Drained out;
+  out.read_all = values_of(space.read_all(t_ints()));
+  for (int i = 0; i < 2; ++i) {
+    if (auto t = space.take_if_exists(t_ints())) {
+      out.takes.push_back(t->fields[0].as_int());
+    }
+  }
+  out.take_all = values_of(space.take_all(t_ints()));
+
+  EXPECT_EQ(out.read_all.size(), id_of.size());
+  for (std::size_t i = 1; i < out.read_all.size(); ++i) {
+    EXPECT_LT(id_of.at(out.read_all[i - 1]), id_of.at(out.read_all[i]));
+  }
+  std::vector<std::int64_t> taken = out.takes;
+  taken.insert(taken.end(), out.take_all.begin(), out.take_all.end());
+  EXPECT_EQ(taken, out.read_all);  // takes are oldest first too
+  EXPECT_EQ(space.read_all(any_named("t", 1)).size(), skips);
+  return out;
+}
+
+/// Runs `scenario` then drains "t" under every index/shard layout; all must
+/// agree with the linear-scan single-shard store. Returns its drain.
+template <class Scenario>
+Drained drain_every_layout(Scenario scenario) {
+  std::vector<Drained> drained;
+  for (const bool index : {false, true}) {
+    for (const int shards : {1, 4}) {
+      std::string layout = index ? "indexed" : "linear";
+      layout += ", shards=" + std::to_string(shards);
+      SCOPED_TRACE(layout);
+      sim::Simulator sim(1);
+      SpaceConfig config;
+      config.use_type_index = index;
+      config.shard_count = shards;
+      SpaceEngine space(sim, config);
+      scenario(space);
+      drained.push_back(drain_ts(space));
+      EXPECT_EQ(drained.back(), drained.front());
+    }
+  }
+  return drained.front();
+}
+
+std::vector<std::int64_t> iota_values(std::size_t n) {
+  std::vector<std::int64_t> out(n);
+  std::iota(out.begin(), out.end(), 0);
+  return out;
+}
+
+TEST(TypeChain, CommitLinksOlderWritesBetweenNewerOnes) {
+  const Drained drained = drain_every_layout([](SpaceEngine& space) {
+    // Ints 0, 4 and 15 commit after every newer write: 0 goes before the
+    // chain's head, 4 is found from the head, 15 from the tail.
+    const std::uint64_t txn = space.begin_transaction();
+    const auto in_txn = [](int i) { return i == 0 || i == 4 || i == 15; };
+    write_ts(space, 0, 20, txn, in_txn);
+    ASSERT_TRUE(space.commit(txn));
+  });
+  EXPECT_EQ(drained.read_all, iota_values(20));
+  EXPECT_EQ(drained.takes, (std::vector<std::int64_t>{0, 1}));
+}
+
+TEST(TypeChain, AbortRelinksTakenEntriesInPlace) {
+  const Drained drained = drain_every_layout([](SpaceEngine& space) {
+    write_ts(space, 0, 20, kNoTxn, [](int) { return false; });
+    const std::uint64_t txn = space.begin_transaction();
+    // The oldest, then one near the head and one near the tail.
+    const auto oldest = space.take_if_exists(t_ints(), txn);
+    ASSERT_TRUE(oldest.has_value());
+    ASSERT_EQ(oldest->fields[0].as_int(), 0);
+    ASSERT_TRUE(space.take_if_exists(t_exact(3), txn).has_value());
+    ASSERT_TRUE(space.take_if_exists(t_exact(16), txn).has_value());
+    write_ts(space, 20, 22, kNoTxn, [](int) { return false; });
+    ASSERT_TRUE(space.abort(txn));
+  });
+  EXPECT_EQ(drained.read_all, iota_values(22));
+  EXPECT_EQ(drained.takes, (std::vector<std::int64_t>{0, 1}));
+}
+
+TEST(TypeChain, TakeAllEmptiesTheChainAndLeavesItReusable) {
+  // take_all erases every entry of the chain while Scan walks it; the
+  // emptied chain is kept and must serve later writes in order.
+  const Drained drained = drain_every_layout([](SpaceEngine& space) {
+    write_ts(space, 0, 10, kNoTxn, [](int) { return false; });
+    ASSERT_EQ(space.take_all(any_named("t", 1)).size(), 12u);
+    write_ts(space, 10, 13, kNoTxn, [](int) { return false; });
+  });
+  EXPECT_EQ(drained.read_all, (std::vector<std::int64_t>{10, 11, 12}));
+}
+
+// --- shard-store memory -----------------------------------------------------
+
+TEST(ShardStoreMemory, EntryFillsItsMallocSizeClass) {
+  // 32 B tree header + 8 B id + 96 B Entry = 136 B: glibc's 144 B chunk.
+  // A larger Entry moves every map node to the 160 B chunk (+11% RSS on a
+  // large store); a smaller one means the layout comment is stale.
+  EXPECT_EQ(sizeof(Entry), 96u);
+}
+
+// ASan and TSan replace the allocator, so mallinfo2 does not see the store.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define TB_TEST_REPLACED_ALLOCATOR 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define TB_TEST_REPLACED_ALLOCATOR 1
+#endif
+#endif
+#if defined(__GLIBC__) && !defined(TB_TEST_REPLACED_ALLOCATOR) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
+#define TB_TEST_HAS_MALLINFO2 1
+#endif
+
+TEST(ShardStoreMemory, HeapPerIndexedEntry) {
+#if !defined(TB_TEST_HAS_MALLINFO2)
+  GTEST_SKIP() << "needs glibc's mallinfo2 and its own allocator";
+#else
+  // A (k<i % 1024>, int, int) entry costs a 144 B map node and a 96 B field
+  // vector; the name fits the string's inline buffer. The type index adds
+  // nothing per entry. With a 48 B id-set node per entry it was ~290 B.
+  constexpr int kEntries = 50'000;
+  sim::TimerWheel wheel;
+  ShardEntries store(/*use_type_index=*/true, wheel);
+  const std::size_t before = mallinfo2().uordblks;
+  for (int i = 0; i < kEntries; ++i) {
+    const std::int64_t v = i;
+    Tuple tuple = space::make_tuple("k" + std::to_string(i % 1024), v, v);
+    const std::uint64_t key = type_key(tuple.name, tuple.arity());
+    store.store(static_cast<std::uint64_t>(i) + 1, key, std::move(tuple),
+                kNoDeadline);
+  }
+  const std::size_t after = mallinfo2().uordblks;
+  ASSERT_EQ(store.size(), static_cast<std::size_t>(kEntries));
+  const double per_entry = static_cast<double>(after - before) / kEntries;
+  RecordProperty("heap_bytes_per_entry", std::to_string(per_entry));
+  EXPECT_LE(per_entry, 248.0);
+#endif
 }
 
 }  // namespace

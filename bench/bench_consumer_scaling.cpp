@@ -50,7 +50,6 @@ double run_pool(int consumers, sim::Time crunch, int producers,
     });
   }
   sim.run_until(3600_s);
-  for (auto& c : pool) c->stop();
   return all_done.seconds();
 }
 

@@ -65,7 +65,6 @@ SweepPoint run_pool(int consumer_count) {
     });
   }
   sim.run_until(300_s);
-  for (auto& consumer : pool) consumer->stop();
 
   SweepPoint point;
   point.consumers = consumer_count;

@@ -171,7 +171,6 @@ FederationReport run_federation_scenario(const FederationConfig& config) {
   }
 
   sim.run_until(config.run_deadline);
-  if (guard) guard->stop();
 
   FederationReport report = std::move(state.report);
   if (!state.done) report.makespan = sim.now();

@@ -170,7 +170,6 @@ ImpactResult run_impact_mode_b(const ImpactConfig& config) {
   });
 
   rig.sim.run_until(config.max_sim_time);
-  rig.relay.stop();
 
   result.bus_utilization =
       (rig.system.bus(0).utilization() + rig.system.bus(1).utilization()) / 2.0;

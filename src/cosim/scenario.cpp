@@ -93,22 +93,14 @@ WireScenario::WireScenario(ScenarioConfig config) : config_(config) {
   if (space_) checker_->watch_space(*space_);
 }
 
-WireScenario::~WireScenario() {
-  // Stop the relay's polling coroutine before the members it uses vanish.
-  if (relay_) relay_->stop();
-}
-
 void WireScenario::start() { relay_->start(); }
 
 void WireScenario::shutdown() {
   if (!relay_->running()) return;
   relay_->stop();
-  // Run the clock forward until the relay's poll coroutine resumes, sees
-  // the stop flag and falls off the end of its frame. A coroutine still
-  // suspended when the simulator is torn down can never complete, so its
-  // frame would outlive the run (LeakSanitizer flags exactly this under
-  // TB_SANITIZE=address). Five seconds covers a full poll round plus the
-  // in-flight transaction even at the slowest configured bit rates.
+  // Five seconds covers a full poll round plus the in-flight transaction
+  // even at the slowest configured bit rates, so the relay has finished
+  // its last bus cycle when this returns.
   sim_->run_until(sim_->now() + sim::Time::sec(5));
 }
 

@@ -98,14 +98,13 @@ class WireScenario {
 
   WireScenario(const WireScenario&) = delete;
   WireScenario& operator=(const WireScenario&) = delete;
-  ~WireScenario();
 
   /// Starts the master relay (must run for any slave-to-slave traffic).
   void start();
 
-  /// Stops the relay and lets its poll coroutine run to completion so no
-  /// suspended frame outlives the simulator (keeps sanitized runs clean).
-  /// Call after the workload, before reading end-of-run assertions.
+  /// Stops the relay and runs the clock until its poll coroutine has
+  /// finished, leaving the bus idle. Optional: the simulator reaps any
+  /// process still suspended when the scenario dies.
   void shutdown();
 
   /// Creates a space client whose transport lives on the given slave.

@@ -213,9 +213,6 @@ SpaceClient::WriteResult SpaceClient::write_result_of(
     result.lease.expires_at = response->expires_at_ns == INT64_MAX
                                   ? sim::Time::max()
                                   : sim::Time::ns(response->expires_at_ns);
-  } else if (result.status.ok()) {
-    // kWriteResponse with ok=false and no wire status (legacy server).
-    result.status = util::Aborted(response->error);
   }
   return result;
 }

@@ -6,8 +6,7 @@
 // each map to a request/response pair, and notify events are pushed
 // server -> client.
 //
-// `created_at_ns` is the sender-side timestamp. With
-// ServerConfig::lease_from_send_time (default), a written entry's lease
+// `created_at_ns` is the sender-side timestamp. A written entry's lease
 // counts from this instant rather than from server arrival — the entry's
 // lifetime is a property of the tuple, not of the transport. This is what
 // makes Table 4's "Out of Time" observable: when bus congestion stretches

@@ -26,7 +26,8 @@ sim::Time NodeCore::duration_of(std::int64_t ns) {
 std::optional<sim::Time> NodeCore::remaining_lease(
     std::int64_t duration_ns, std::int64_t created_at_ns) const {
   sim::Time lease_duration = duration_of(duration_ns);
-  if (config_.lease_from_send_time && lease_duration != space::kLeaseForever) {
+  if (lease_duration != space::kLeaseForever) {
+    // The lease counts from the send timestamp (message.hpp).
     const sim::Time in_transit =
         space_->simulator().now() - sim::Time::ns(created_at_ns);
     lease_duration -= in_transit;

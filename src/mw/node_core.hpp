@@ -29,7 +29,8 @@
 //
 // Session/dispatch semantics are unchanged from the pre-federation server:
 // see ServerConfig below for pipeline_depth / max_service_slots /
-// admission_queue_limit, and message.hpp for lease_from_send_time.
+// admission_queue_limit, and message.hpp for why leases count from the
+// request's send timestamp.
 #pragma once
 
 #include <cstdint>
@@ -59,10 +60,6 @@ namespace tb::mw {
 struct ServerConfig {
   /// Per-request processing latency (RMI dispatch + socket wrapper).
   sim::Time service_delay = sim::Time::ms(2);
-
-  /// Count entry leases from the request's send timestamp rather than from
-  /// server arrival.
-  bool lease_from_send_time = true;
 
   /// Max requests per session concurrently in the service stage; excess
   /// arrivals queue FIFO in the session. 0 = unbounded (legacy behavior,

@@ -4,6 +4,8 @@
 // node / address pointer across frames, so a SELECT + WRITE_ADDR + READ_DATA
 // sequence must not interleave with another coroutine's sequence. FIFO
 // handoff keeps scheduling fair and deterministic.
+// A mutex may die before the suspended frame holding its Guard, which the
+// Simulator reaps later, so it detaches its one live Guard when it dies.
 #pragma once
 
 #include <coroutine>
@@ -20,6 +22,9 @@ class CoMutex {
 
   CoMutex(const CoMutex&) = delete;
   CoMutex& operator=(const CoMutex&) = delete;
+  ~CoMutex() {
+    if (guard_) guard_->mutex_ = nullptr;
+  }
 
   /// co_await mutex.lock(); pair each lock with exactly one unlock().
   auto lock() { return LockAwaiter{*this}; }
@@ -40,19 +45,20 @@ class CoMutex {
   bool locked() const { return locked_; }
   std::size_t waiter_count() const { return waiters_.size(); }
 
-  /// RAII ownership: unlocks when destroyed.
+  /// RAII ownership: unlocks when destroyed, unless the mutex died first.
   class Guard {
    public:
-    explicit Guard(CoMutex& m) : mutex_(&m) {}
-    Guard(Guard&& o) noexcept : mutex_(o.mutex_) { o.mutex_ = nullptr; }
+    explicit Guard(CoMutex& m) : mutex_(&m) { m.guard_ = this; }
     Guard(const Guard&) = delete;
     Guard& operator=(const Guard&) = delete;
-    Guard& operator=(Guard&&) = delete;
     ~Guard() {
-      if (mutex_) mutex_->unlock();
+      if (!mutex_) return;
+      mutex_->guard_ = nullptr;
+      mutex_->unlock();
     }
 
    private:
+    friend class CoMutex;
     CoMutex* mutex_;
   };
 
@@ -72,6 +78,7 @@ class CoMutex {
 
   Simulator* sim_;
   bool locked_ = false;
+  Guard* guard_ = nullptr;  ///< the live Guard holding the lock, if any
   std::deque<std::coroutine_handle<>> waiters_;
 };
 

@@ -2,10 +2,13 @@
 
 namespace tb::sim {
 
+namespace {
+detail::Process run_task(Task<void> task) { co_await std::move(task); }
+}  // namespace
+
 void spawn(Task<void> task) {
   TB_REQUIRE_MSG(task.valid(), "cannot spawn an empty task");
-  auto handle = task.release_detached();
-  handle.resume();  // run to the first suspension point (or completion)
+  run_task(std::move(task));
 }
 
 }  // namespace tb::sim

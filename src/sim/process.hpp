@@ -10,16 +10,23 @@
 //     co_await delay(sim, Time::ms(10));
 //     ...
 //   }
-//   spawn(producer(sim, ...));   // detached: runs to completion
+//   spawn(producer(sim, ...));   // detached: runs under the simulator
 //
 // Tasks are lazy: nothing runs until the task is spawned or co_awaited.
 // A co_awaited child propagates its exception to the awaiting parent; an
 // exception escaping a detached process propagates out of Simulator::run().
+//
+// Ownership: a detached process frees itself when it finishes or when its
+// simulator dies. spawn() binds it to the simulator being run on this thread
+// (inside run(), run_until() or step()), otherwise to the most recently
+// constructed live Simulator on this thread. Destroying a process destroys
+// the child tasks it awaits, so every frame's locals are destroyed.
 #pragma once
 
 #include <coroutine>
 #include <exception>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "src/sim/simulator.hpp"
@@ -96,23 +103,22 @@ class FrameArena {
   }
 };
 
-struct PromiseBase {
-  // Route every coroutine-frame allocation through the arena. The compiler
-  // resolves these in the promise's scope, so all Task<T> frames qualify.
+/// Routes every coroutine-frame allocation through the arena. The compiler
+/// resolves these in the promise's scope, so every frame type qualifies.
+struct ArenaFrame {
   void* operator new(std::size_t n) { return FrameArena::allocate(n); }
   void operator delete(void* p, std::size_t n) noexcept {
     FrameArena::release(p, n);
   }
+};
 
+struct PromiseBase : ArenaFrame {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
-  bool detached = false;
 
   struct FinalAwaiter {
-    bool detached;
     std::coroutine_handle<> continuation;
-    // Detached frames self-destruct by completing the final suspend.
-    bool await_ready() const noexcept { return detached; }
+    bool await_ready() const noexcept { return false; }
     std::coroutine_handle<> await_suspend(std::coroutine_handle<>) const noexcept {
       return continuation ? continuation : std::noop_coroutine();
     }
@@ -120,29 +126,31 @@ struct PromiseBase {
   };
 
   std::suspend_always initial_suspend() noexcept { return {}; }
-  FinalAwaiter final_suspend() noexcept { return {detached, continuation}; }
+  FinalAwaiter final_suspend() noexcept { return {continuation}; }
+  void unhandled_exception() { exception = std::current_exception(); }
+};
 
-  void unhandled_exception() {
-    if (detached) throw;  // surfaces through Simulator::run()
-    exception = std::current_exception();
-  }
+template <typename T>
+struct ResultPromise : PromiseBase {
+  std::optional<T> value;
+  void return_value(T v) { value = std::move(v); }
+};
+
+template <>
+struct ResultPromise<void> : PromiseBase {
+  void return_void() noexcept {}
 };
 
 }  // namespace detail
 
-/// Lazily started coroutine returning T. Move-only; owns the frame unless
-/// detached via spawn().
+/// Lazily started coroutine returning T. Move-only; owns its frame.
 template <typename T = void>
-class [[nodiscard]] Task;
-
-template <>
-class [[nodiscard]] Task<void> {
+class [[nodiscard]] Task {
  public:
-  struct promise_type : detail::PromiseBase {
+  struct promise_type : detail::ResultPromise<T> {
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
     }
-    void return_void() noexcept {}
   };
   using handle_type = std::coroutine_handle<promise_type>;
 
@@ -162,7 +170,6 @@ class [[nodiscard]] Task<void> {
   Task& operator=(const Task&) = delete;
 
   bool valid() const { return handle_ != nullptr; }
-  bool done() const { return !handle_ || handle_.done(); }
 
   /// Awaiting a task starts it (symmetric transfer) and resumes the awaiter
   /// on completion, rethrowing any exception from the child.
@@ -174,72 +181,12 @@ class [[nodiscard]] Task<void> {
         h.promise().continuation = cont;
         return h;
       }
-      void await_resume() {
-        if (h && h.promise().exception) std::rethrow_exception(h.promise().exception);
-      }
-    };
-    return Awaiter{handle_};
-  }
-
-  /// Releases ownership: the frame destroys itself on completion.
-  handle_type release_detached() {
-    TB_REQUIRE(handle_ != nullptr);
-    handle_.promise().detached = true;
-    return std::exchange(handle_, nullptr);
-  }
-
- private:
-  void destroy() {
-    if (handle_) {
-      handle_.destroy();
-      handle_ = nullptr;
-    }
-  }
-  handle_type handle_ = nullptr;
-};
-
-template <typename T>
-class [[nodiscard]] Task {
- public:
-  struct promise_type : detail::PromiseBase {
-    std::optional<T> value;
-    Task get_return_object() {
-      return Task(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    void return_value(T v) { value = std::move(v); }
-  };
-  using handle_type = std::coroutine_handle<promise_type>;
-
-  Task() = default;
-  explicit Task(handle_type h) : handle_(h) {}
-  Task(Task&& other) noexcept : handle_(std::exchange(other.handle_, nullptr)) {}
-  Task& operator=(Task&& other) noexcept {
-    if (this != &other) {
-      destroy();
-      handle_ = std::exchange(other.handle_, nullptr);
-    }
-    return *this;
-  }
-  ~Task() { destroy(); }
-
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-
-  bool valid() const { return handle_ != nullptr; }
-  bool done() const { return !handle_ || handle_.done(); }
-
-  auto operator co_await() && {
-    struct Awaiter {
-      handle_type h;
-      bool await_ready() const { return !h || h.done(); }
-      std::coroutine_handle<> await_suspend(std::coroutine_handle<> cont) {
-        h.promise().continuation = cont;
-        return h;
-      }
       T await_resume() {
-        if (h.promise().exception) std::rethrow_exception(h.promise().exception);
-        TB_ASSERT(h.promise().value.has_value());
-        return std::move(*h.promise().value);
+        if (h && h.promise().exception) std::rethrow_exception(h.promise().exception);
+        if constexpr (!std::is_void_v<T>) {
+          TB_ASSERT(h.promise().value.has_value());
+          return std::move(*h.promise().value);
+        }
       }
     };
     return Awaiter{handle_};
@@ -255,35 +202,49 @@ class [[nodiscard]] Task {
   handle_type handle_ = nullptr;
 };
 
-/// Starts a detached process: runs synchronously until its first suspension,
-/// then continues under simulator control. The frame frees itself when the
-/// coroutine finishes.
+namespace detail {
+
+/// Root frame of a detached process: the only frame type with a
+/// ProcessLink, so per-cycle child frames stay small. It binds itself to
+/// Simulator::current() and starts at once.
+struct Process {
+  struct promise_type : ArenaFrame, ProcessLink {
+    promise_type() { Simulator::current().adopt(*this); }
+    Process get_return_object() noexcept { return {}; }
+    std::suspend_never initial_suspend() noexcept { return {}; }
+    std::suspend_never final_suspend() noexcept { return {}; }
+    void return_void() noexcept {}
+    // Surfaces through Simulator::run(); the simulator frees the frame.
+    void unhandled_exception() { throw; }
+  };
+};
+
+template <typename Fn>
+Process run_callable(Fn fn) {
+  co_await fn();
+}
+
+}  // namespace detail
+
+/// Starts a detached process: runs synchronously until its first
+/// suspension, then continues under simulator control.
 ///
 /// LIFETIME: the coroutine frame stores references to its *parameters*, but
 /// a lambda coroutine's captures live in the closure object, which the frame
 /// only points to. `spawn(lambda())` would therefore dangle once the
 /// temporary closure dies — use the callable overload below, which copies
-/// the closure into a wrapper frame that owns it for the process lifetime.
+/// the closure into the process's root frame for the process lifetime.
 void spawn(Task<void> task);
 
-namespace detail {
-/// Wrapper frame that keeps the closure alive for the whole process.
-template <typename Fn>
-Task<void> run_owned_callable(Fn fn) {
-  co_await fn();
-}
-}  // namespace detail
-
 /// Spawns `fn()` as a detached process, keeping a copy of the callable (and
-/// thus a lambda's captures) alive until the process completes. Prefer this
-/// for lambda coroutines: `spawn([&]() -> Task<void> { ... });`
+/// thus a lambda's captures) alive until the process ends. Prefer this for
+/// lambda coroutines: `spawn([&]() -> Task<void> { ... });`
 template <typename Fn>
   requires(!std::same_as<std::remove_cvref_t<Fn>, Task<void>> &&
            std::same_as<std::invoke_result_t<std::remove_cvref_t<Fn>&>,
                         Task<void>>)
 void spawn(Fn&& fn) {
-  spawn(detail::run_owned_callable<std::remove_cvref_t<Fn>>(
-      std::forward<Fn>(fn)));
+  detail::run_callable<std::remove_cvref_t<Fn>>(std::forward<Fn>(fn));
 }
 
 /// Awaitable that resumes the coroutine after `d` of simulated time.

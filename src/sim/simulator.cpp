@@ -2,8 +2,11 @@
 
 #include <cassert>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "src/obs/metrics.hpp"
+#include "src/sim/process.hpp"
 #include "src/util/assert.hpp"
 #include "src/util/strings.hpp"
 
@@ -13,7 +16,49 @@ std::string Time::to_string() const {
   return util::format_seconds(seconds());
 }
 
-Simulator::Simulator(std::uint64_t seed) : rng_(seed) {}
+namespace {
+
+thread_local Simulator* t_running = nullptr;  ///< innermost run on this thread
+thread_local std::vector<Simulator*> t_live;  ///< in construction order
+
+/// Marks a simulator as the one being run on this thread for one scope.
+struct RunScope {
+  explicit RunScope(Simulator* sim) : outer(std::exchange(t_running, sim)) {}
+  RunScope(const RunScope&) = delete;
+  RunScope& operator=(const RunScope&) = delete;
+  ~RunScope() { t_running = outer; }
+  Simulator* outer;
+};
+
+}  // namespace
+
+Simulator::Simulator(std::uint64_t seed) : rng_(seed) {
+  t_live.push_back(this);
+}
+
+Simulator::~Simulator() {
+  // Destroying a root unlinks it, so the head walks the list newest first.
+  using Root = detail::Process::promise_type;
+  while (processes_ != nullptr) {
+    std::coroutine_handle<Root>::from_promise(static_cast<Root&>(*processes_))
+        .destroy();
+  }
+  std::erase(t_live, this);
+}
+
+Simulator& Simulator::current() {
+  Simulator* sim = t_running;
+  if (sim == nullptr && !t_live.empty()) sim = t_live.back();
+  TB_REQUIRE_MSG(sim != nullptr, "no live Simulator on this thread");
+  return *sim;
+}
+
+void Simulator::adopt(detail::ProcessLink& root) {
+  root.next = processes_;
+  root.prev_next = &processes_;
+  if (processes_ != nullptr) processes_->prev_next = &root.next;
+  processes_ = &root;
+}
 
 EventHandle Simulator::schedule_at(Time at, detail::EventFn fn) {
   TB_REQUIRE(fn != nullptr);
@@ -77,9 +122,13 @@ std::optional<Time> Simulator::next_event_time() {
   return std::nullopt;
 }
 
-bool Simulator::step() { return dispatch_next(Time::zero(), /*bounded=*/false); }
+bool Simulator::step() {
+  const RunScope scope(this);
+  return dispatch_next(Time::zero(), /*bounded=*/false);
+}
 
 void Simulator::run() {
+  const RunScope scope(this);
   stop_requested_ = false;
   while (!stop_requested_ && dispatch_next(Time::zero(), /*bounded=*/false)) {
   }
@@ -87,6 +136,7 @@ void Simulator::run() {
 
 void Simulator::run_until(Time until) {
   TB_REQUIRE(until >= now_);
+  const RunScope scope(this);
   stop_requested_ = false;
   while (!stop_requested_ && dispatch_next(until, /*bounded=*/true)) {
   }

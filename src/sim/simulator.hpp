@@ -26,6 +26,20 @@ class Registry;
 
 namespace tb::sim {
 
+namespace detail {
+/// Intrusive link of a detached process's root frame (process.hpp) into its
+/// Simulator; it unlinks itself when the frame dies.
+struct ProcessLink {
+  ProcessLink* next = nullptr;
+  ProcessLink** prev_next = nullptr;  ///< the pointer that points here
+  ~ProcessLink() {
+    if (prev_next == nullptr) return;  // never adopted
+    if (next != nullptr) next->prev_next = prev_next;
+    *prev_next = next;
+  }
+};
+}  // namespace detail
+
 /// Identifies a scheduled event; value-semantic and cheap to copy.
 /// A default-constructed handle is "null" and safe to cancel (no-op).
 /// The id packs a pool slot index with a generation tag, so a handle left
@@ -46,13 +60,24 @@ class EventHandle {
 /// The event-driven simulator. Single-threaded by design: all model code runs
 /// on the scheduler's call stack, so models need no locking. Independent
 /// Simulator instances share no state at all, which is what lets tb::par run
-/// one per thread.
+/// one per thread. A Simulator is created and destroyed on the same thread.
+/// It owns the detached processes bound to it and destroys those still
+/// suspended when it dies, newest first (DESIGN.md §8).
 class Simulator {
  public:
   explicit Simulator(std::uint64_t seed = 1);
+  ~Simulator();
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
+
+  /// The simulator a process spawned now binds to: the one whose run(),
+  /// run_until() or step() is executing on this thread, otherwise the most
+  /// recently constructed live Simulator on this thread. Requires one.
+  static Simulator& current();
+
+  /// Takes ownership of a detached process's root frame.
+  void adopt(detail::ProcessLink& root);
 
   /// Current simulated time. Monotonically non-decreasing.
   Time now() const { return now_; }
@@ -139,6 +164,7 @@ class Simulator {
   detail::EventQueue queue_;
   util::Xoshiro256 rng_;
   DelayPerturbation perturb_delay_;
+  detail::ProcessLink* processes_ = nullptr;  ///< live roots, newest first
 };
 
 }  // namespace tb::sim

@@ -83,9 +83,8 @@ sim::Task<void> ActuatorAgent::operate() {
     if (actuate_) actuate_(tick_number);
     ++stats_.ticks_operated;
     ++tick_number;
-    const util::Status wrote = co_await write_with_retry(
-        *api_, heartbeat_tuple(config_.role, id_), config_.heartbeat_lease,
-        config_.write_retries, config_.write_backoff);
+    const util::Status wrote = co_await api_->write_status(
+        heartbeat_tuple(config_.role, id_), config_.heartbeat_lease);
     if (!wrote.ok()) ++stats_.heartbeats_dropped;
     co_await sim::delay(api_->simulator(), config_.tick);
   }
@@ -162,10 +161,6 @@ sim::Task<void> StandbyGuard::run() {
   while (state_ == State::kWatching) {
     std::optional<space::Tuple> beat = co_await api_->take(
         node_heartbeat_template(watched_node_), config_.grace);
-    if (stopped_) {
-      state_ = State::kIdle;
-      co_return;
-    }
     if (beat.has_value()) {
       ++stats_.heartbeats_consumed;
       continue;
@@ -182,9 +177,8 @@ sim::Task<void> StandbyGuard::run() {
 sim::Task<bool> ControlAgent::arm(sim::Time timeout) {
   // Step 1: put the start tuple into the space...
   const util::Status written =
-      co_await write_with_retry(*api_, start_tuple(config_.role),
-                                space::kLeaseForever, config_.write_retries,
-                                config_.write_backoff);
+      co_await api_->write_status(start_tuple(config_.role),
+                                  space::kLeaseForever);
   if (!written.ok()) co_return false;
   // ...and wait until it has been removed.
   const sim::Time deadline = api_->simulator().now() + timeout;

@@ -37,12 +37,6 @@ struct FailoverConfig {
   /// for backup ("The others will set their states to backup"). A backup's
   /// grace machinery still recovers the role if nobody won.
   sim::Time election_timeout = sim::Time::sec(1);
-  /// Heartbeat/start writes that come back with a retryable canonical
-  /// status (server overload shed, transport exhaustion) are re-attempted
-  /// up to this many times before the agent drops the beat. 0 = single
-  /// attempt (legacy behavior, bit-exact schedule).
-  int write_retries = 0;
-  sim::Time write_backoff = sim::Time::ms(1);  ///< pause between re-attempts
 };
 
 class ActuatorAgent {
@@ -73,7 +67,7 @@ class ActuatorAgent {
     std::uint64_t ticks_operated = 0;
     std::uint64_t heartbeats_consumed = 0;  ///< as backup
     std::uint64_t takeovers = 0;
-    std::uint64_t heartbeats_dropped = 0;  ///< write failed after retries
+    std::uint64_t heartbeats_dropped = 0;  ///< heartbeat write failed
     sim::Time became_operating_at;          ///< last transition to operating
   };
   const Stats& stats() const { return stats_; }
@@ -137,8 +131,6 @@ class StandbyGuard {
 
   /// Spawns the watch loop.
   void start();
-  /// Stops a watching guard (e.g. controlled shutdown); no promotion runs.
-  void stop() { stopped_ = true; }
 
   State state() const { return state_; }
 
@@ -163,7 +155,6 @@ class StandbyGuard {
   FailoverConfig config_;
   std::function<void()> promote_;
   State state_ = State::kIdle;
-  bool stopped_ = false;
   Stats stats_;
 };
 

@@ -39,22 +39,6 @@ class SpaceApi {
   }
 };
 
-/// Retry policy over the typed write path: re-attempts only canonical
-/// retryable codes, backing off between tries. `retries == 0` degenerates
-/// to a single attempt (byte-exact with a plain write_status call).
-inline sim::Task<util::Status> write_with_retry(SpaceApi& api,
-                                                space::Tuple tuple,
-                                                sim::Time lease, int retries,
-                                                sim::Time backoff) {
-  util::Status status = co_await api.write_status(tuple, lease);
-  while (!status.ok() && status.retryable() && retries-- > 0) {
-    if (backoff > sim::Time::zero())
-      co_await sim::delay(api.simulator(), backoff);
-    status = co_await api.write_status(tuple, lease);
-  }
-  co_return status;
-}
-
 /// Direct binding to an in-process SpaceEngine.
 class LocalSpaceApi final : public SpaceApi {
  public:

@@ -30,13 +30,12 @@ struct ConsumerConfig {
 };
 
 /// Takes fft-req tuples forever, computes magnitude spectra, writes
-/// fft-resp tuples.
+/// fft-resp tuples. The process runs until its simulator dies.
 class FftConsumer {
  public:
   FftConsumer(SpaceApi& api, std::string consumer_id, ConsumerConfig config = {});
 
   void start();
-  void stop() { running_ = false; }
 
   std::uint64_t jobs_done() const { return jobs_done_; }
   const std::string& id() const { return id_; }
@@ -47,7 +46,7 @@ class FftConsumer {
   SpaceApi* api_;
   std::string id_;
   ConsumerConfig config_;
-  bool running_ = false;
+  bool started_ = false;
   std::uint64_t jobs_done_ = 0;
 };
 

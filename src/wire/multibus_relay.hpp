@@ -35,9 +35,8 @@ class MultiBusRelay {
   MultiBusRelay(MultiBusSystem& system, std::vector<std::uint8_t> nodes,
                 RelayConfig config = {});
 
+  /// Spawns the poll and push processes; they run until the simulator dies.
   void start();
-  void stop() { running_ = false; }
-  bool running() const { return running_; }
 
   const MasterRelay::Stats& stats() const { return stats_; }
 
@@ -60,7 +59,7 @@ class MultiBusRelay {
   MultiBusSystem* system_;
   std::vector<std::uint8_t> nodes_;
   RelayConfig config_;
-  bool running_ = false;
+  bool started_ = false;
   std::unordered_map<std::uint8_t, SegmentParser> parsers_;
   std::vector<std::unique_ptr<BusQueue>> queues_;  ///< one per bus
   MasterRelay::Stats stats_;  ///< aggregated over all buses

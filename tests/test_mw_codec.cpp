@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/util/status.hpp"
+
 #include <climits>
 #include <memory>
 
@@ -45,6 +47,18 @@ Message sample_response() {
   return m;
 }
 
+// A write the server refused: ok=false always travels with a wire status,
+// which is all the client reads to classify the failure.
+Message sample_write_reject() {
+  Message m;
+  m.type = MsgType::kWriteResponse;
+  m.request_id = 79;
+  m.ok = false;
+  m.error = "unknown transaction";
+  m.status = static_cast<std::uint8_t>(util::StatusCode::kNotFound);
+  return m;
+}
+
 Message sample_error() {
   Message m;
   m.type = MsgType::kError;
@@ -68,7 +82,8 @@ class CodecRoundTrip
       case 0: return sample_write_request();
       case 1: return sample_take_request();
       case 2: return sample_response();
-      default: return sample_error();
+      case 3: return sample_error();
+      default: return sample_write_reject();
     }
   }
 };
@@ -87,8 +102,9 @@ INSTANTIATE_TEST_SUITE_P(
     AllCodecsAllMessages, CodecRoundTrip,
     ::testing::Values(std::pair{"xml", 0}, std::pair{"xml", 1},
                       std::pair{"xml", 2}, std::pair{"xml", 3},
-                      std::pair{"binary", 0}, std::pair{"binary", 1},
-                      std::pair{"binary", 2}, std::pair{"binary", 3}));
+                      std::pair{"xml", 4}, std::pair{"binary", 0},
+                      std::pair{"binary", 1}, std::pair{"binary", 2},
+                      std::pair{"binary", 3}, std::pair{"binary", 4}));
 
 TEST(XmlCodecTest, ProducesReadableXml) {
   XmlCodec codec;

@@ -68,7 +68,6 @@ TEST(WireTransport, MessageRoundTripBothDirections) {
   rig.relay.start();
   client.send({1, 2, 3, 4, 5});
   rig.sim.run_until(5_s);
-  rig.relay.stop();
 
   EXPECT_EQ(to_server, (std::vector<std::uint8_t>{1, 2, 3, 4, 5}));
   EXPECT_EQ(session, 1u);  // keyed by source node id
@@ -91,7 +90,6 @@ TEST(WireTransport, EmptyMessageSurvives) {
   rig.relay.start();
   client.send({});
   rig.sim.run_until(5_s);
-  rig.relay.stop();
   EXPECT_TRUE(got);
   EXPECT_EQ(got_size, 0u);
 }
@@ -112,7 +110,6 @@ TEST(WireTransport, MultiFragmentMessageReassembles) {
   rig.relay.start();
   client.send(big);
   rig.sim.run_until(30_s);
-  rig.relay.stop();
   EXPECT_EQ(received, big);
   EXPECT_GT(client.endpoint_stats().fragments_sent, 20u);
   EXPECT_EQ(server.endpoint_stats().messages_reassembled, 1u);
@@ -145,7 +142,6 @@ TEST(WireTransport, InterleavedMessagesFromTwoSources) {
   client_a.send(msg_a);
   client_b.send(msg_b);
   sim.run_until(30_s);
-  relay.stop();
 
   ASSERT_EQ(by_session.size(), 2u);
   EXPECT_EQ(by_session[1], msg_a);
@@ -167,7 +163,6 @@ TEST(WireTransport, BackPressureBacklogDrains) {
   client.send(big);
   EXPECT_GT(client.backlog_bytes(), 0u);  // outbox full: local queue armed
   rig.sim.run_until(60_s);
-  rig.relay.stop();
   EXPECT_EQ(messages, 1);
   EXPECT_EQ(client.backlog_bytes(), 0u);
 }

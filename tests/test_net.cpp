@@ -154,7 +154,6 @@ TEST(Cbr, RateAndCountExact) {
   CbrGenerator cbr(rig.sim, a, 2, {b.id(), 1}, params);
   cbr.start();
   rig.sim.run_until(10_s);
-  cbr.stop();
   // 10 B/s of 1-byte packets for 10 s: first fires at t=0 -> 101 sends in
   // [0, 10]; allow the boundary packet.
   EXPECT_GE(sink.packets_received(), 100u);
@@ -188,7 +187,6 @@ TEST(Poisson, MeanRateApproximatelyCorrect) {
   PoissonGenerator gen(rig.sim, a, 2, {b.id(), 1}, params);
   gen.start();
   rig.sim.run_until(100_s);
-  gen.stop();
   EXPECT_NEAR(static_cast<double>(sink.packets_received()) / 100.0, 50.0, 5.0);
 }
 
@@ -206,7 +204,6 @@ TEST(OnOff, ProducesBurstsAndSilences) {
   OnOffGenerator gen(rig.sim, a, 2, {b.id(), 1}, params);
   gen.start();
   rig.sim.run_until(20_s);
-  gen.stop();
   EXPECT_GT(gen.bursts(), 5u);
   // Duty cycle ~50%: expect roughly half of the full-rate packet count.
   const double full_rate_packets = 6400.0 / 64.0 * 20.0;

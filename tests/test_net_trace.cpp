@@ -88,7 +88,6 @@ TEST(Trace, DumpOneLinePerEvent) {
   net::CbrGenerator cbr(sim, a, 2, {b.id(), 1}, {100.0, 10, 1});
   cbr.start();
   sim.run_until(1_s);
-  cbr.stop();
   const std::string dump = tracer.dump();
   const auto lines = static_cast<std::size_t>(
       std::count(dump.begin(), dump.end(), '\n'));

@@ -4,9 +4,11 @@
 
 #include "src/util/assert.hpp"
 
+#include <memory>
 #include <vector>
 
 #include "src/sim/process.hpp"
+#include "src/sim/trigger.hpp"
 
 namespace tb::sim {
 namespace {
@@ -96,6 +98,39 @@ TEST(CoMutex, WaiterCountTracksQueue) {
   EXPECT_EQ(mutex.waiter_count(), 2u);  // one holds, two queued
   sim.run();
   EXPECT_EQ(mutex.waiter_count(), 0u);
+}
+
+TEST(CoMutex, DestroyingTheSimulatorReleasesAParkedGuard) {
+  auto sim = std::make_unique<Simulator>();
+  CoMutex mutex(*sim);
+  Trigger never(*sim);
+  spawn([&]() -> Task<void> {
+    co_await mutex.lock();
+    CoMutex::Guard guard(mutex);
+    co_await never.wait();
+  });
+  sim->run();
+  EXPECT_TRUE(mutex.locked());
+  sim.reset();  // reaps the parked process; its guard unlocks
+  EXPECT_FALSE(mutex.locked());
+}
+
+TEST(CoMutex, GuardOutlivingItsMutexIsDetached) {
+  Simulator sim;
+  Trigger never(sim);
+  auto mutex = std::make_unique<CoMutex>(sim);
+  bool locked = false;
+  spawn([&]() -> Task<void> {
+    co_await mutex->lock();
+    CoMutex::Guard guard(*mutex);
+    locked = true;
+    co_await never.wait();
+  });
+  sim.run();
+  EXPECT_TRUE(locked);
+  // The mutex dies before the frame holding its guard; the simulator then
+  // reaps the frame, and the guard must not touch the dead mutex.
+  mutex.reset();
 }
 
 }  // namespace

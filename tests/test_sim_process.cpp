@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/sim/trigger.hpp"
 #include "src/util/assert.hpp"
 
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -165,6 +167,118 @@ TEST(Task, MoveSemantics) {
 TEST(Task, SpawnRejectsEmpty) {
   Task<void> empty;
   EXPECT_THROW(spawn(std::move(empty)), util::PreconditionError);
+}
+
+// --- ownership: the simulator reaps the processes still suspended ---------
+
+/// Counts its destructor runs; stands in for any RAII local of a process.
+struct Sentinel {
+  int* destroyed;
+  ~Sentinel() { ++*destroyed; }
+};
+
+Task<void> park_on(Trigger& never, int& destroyed) {
+  Sentinel sentinel{&destroyed};
+  co_await never.wait();
+}
+
+Task<void> park_in_child(Trigger& never, int& parent_destroyed,
+                         int& child_destroyed) {
+  Sentinel sentinel{&parent_destroyed};
+  co_await park_on(never, child_destroyed);
+}
+
+Task<void> finish_after(Simulator& sim, Time d, int& destroyed) {
+  Sentinel sentinel{&destroyed};
+  co_await delay(sim, d);
+}
+
+TEST(ProcessOwnership, SimulatorDestroysProcessParkedOnTrigger) {
+  int destroyed = 0;
+  {
+    Simulator sim;
+    Trigger never(sim);
+    spawn(park_on(never, destroyed));
+    sim.run();
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(ProcessOwnership, SimulatorDestroysChildTheProcessAwaits) {
+  int parent_destroyed = 0;
+  int child_destroyed = 0;
+  {
+    Simulator sim;
+    Trigger never(sim);
+    spawn(park_in_child(never, parent_destroyed, child_destroyed));
+    sim.run();
+    EXPECT_EQ(parent_destroyed + child_destroyed, 0);
+  }
+  EXPECT_EQ(parent_destroyed, 1);
+  EXPECT_EQ(child_destroyed, 1);
+}
+
+TEST(ProcessOwnership, FinishedProcessIsNotDestroyedAgain) {
+  int destroyed = 0;
+  {
+    Simulator sim;
+    spawn(finish_after(sim, 1_ms, destroyed));
+    sim.run();
+    EXPECT_EQ(destroyed, 1);  // freed itself on completion
+  }
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(ProcessOwnership, ProcessWhoseExceptionEscapedIsFreed) {
+  int destroyed = 0;
+  {
+    Simulator sim;
+    spawn([&]() -> Task<void> {
+      Sentinel sentinel{&destroyed};
+      co_await delay(sim, 1_ms);
+      throw std::runtime_error("boom");
+    });
+    EXPECT_THROW(sim.run(), std::runtime_error);
+    EXPECT_EQ(destroyed, 1);  // unwound; the frame waits for the simulator
+  }
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(ProcessOwnership, SpawnInsideRunBindsToTheSimulatorBeingRun) {
+  int destroyed = 0;
+  auto older = std::make_unique<Simulator>();
+  auto newer = std::make_unique<Simulator>();
+  Trigger never(*older);
+  older->schedule_in(1_ms, [&] { spawn(park_on(never, destroyed)); });
+  older->run();
+  newer.reset();
+  EXPECT_EQ(destroyed, 0);
+  older.reset();
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(ProcessOwnership, SpawnOutsideRunBindsToTheNewestSimulator) {
+  int destroyed = 0;
+  auto older = std::make_unique<Simulator>();
+  auto newer = std::make_unique<Simulator>();
+  Trigger never(*newer);
+  spawn(park_on(never, destroyed));
+  older.reset();
+  EXPECT_EQ(destroyed, 0);
+  newer.reset();
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(ProcessOwnership, SpawnRequiresALiveSimulator) {
+  { Simulator gone; }
+  bool started = false;
+  EXPECT_THROW(spawn([&]() -> Task<void> {
+                 started = true;
+                 co_return;
+               }),
+               util::PreconditionError);
+  EXPECT_FALSE(started);
 }
 
 }  // namespace

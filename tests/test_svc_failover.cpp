@@ -206,7 +206,6 @@ TEST_F(StandbyGuardTest, HealthyPrimaryIsNeverPromotedOver) {
   EXPECT_EQ(guard.state(), StandbyGuard::State::kWatching);
   EXPECT_EQ(promoted, 0);
   EXPECT_GT(guard.stats().heartbeats_consumed, 10u);
-  guard.stop();
 }
 
 TEST_F(StandbyGuardTest, SilenceTriggersExactlyOnePromotion) {
@@ -236,23 +235,10 @@ TEST_F(StandbyGuardTest, IgnoresOtherNodesHeartbeats) {
   EXPECT_EQ(guard.stats().heartbeats_consumed, 0u);
 }
 
-TEST_F(StandbyGuardTest, StopBeforeExpiryNeverPromotes) {
-  int promoted = 0;
-  StandbyGuard guard(api_, 1, config(), [&] { ++promoted; });
-  guard.start();
-  guard.stop();
-  sim_.run_until(5_s);
-
-  EXPECT_EQ(guard.state(), StandbyGuard::State::kIdle);
-  EXPECT_EQ(promoted, 0);
-  EXPECT_EQ(guard.stats().promotions, 0u);
-}
-
 TEST_F(StandbyGuardTest, CannotStartTwice) {
   StandbyGuard guard(api_, 1, config(), {});
   guard.start();
   EXPECT_THROW(guard.start(), util::PreconditionError);
-  guard.stop();
 }
 
 }  // namespace

@@ -102,7 +102,6 @@ TEST_F(RemoteSvcTest, FftPoolOverMiddleware) {
     result = co_await producer.run();
   });
   sim_.run_until(120_s);
-  consumer.stop();
 
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->completed, 4u);

@@ -88,7 +88,6 @@ TEST_F(SensorAgentTest, PublishesReadingsOverTheBus) {
   SensorAgent agent(master_, api_, config);
   agent.start();
   sim_.run_until(5_s);
-  agent.stop();
 
   EXPECT_GE(agent.stats().readings_published, 9u);
   EXPECT_EQ(agent.stats().bus_errors, 0u);
@@ -110,7 +109,6 @@ TEST_F(SensorAgentTest, AlarmTuplesAboveThreshold) {
   SensorAgent agent(master_, api_, config);
   agent.start();
   sim_.run_until(1_s);
-  agent.stop();
   EXPECT_GT(agent.stats().alarms_published, 0u);
   EXPECT_EQ(agent.stats().alarms_published, agent.stats().readings_published);
 }

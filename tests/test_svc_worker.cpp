@@ -45,7 +45,6 @@ TEST_F(WorkerTest, SingleConsumerCompletesAllJobs) {
     result = co_await producer.run();
   });
   sim_.run_until(60_s);
-  consumer.stop();
 
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->completed, 8u);
@@ -76,7 +75,6 @@ TEST_F(WorkerTest, ResultsCarryRealSpectra) {
     response = co_await api_.take(std::move(tmpl), 30_s);
   });
   sim_.run_until(60_s);
-  consumer.stop();
 
   ASSERT_TRUE(response.has_value());
   const std::vector<double> magnitudes =
@@ -120,7 +118,6 @@ TEST_F(WorkerTest, ThroughputScalesWithConsumers) {
     }
     sim.run_until(600_s);
     EXPECT_EQ(finished, kProducers);
-    for (auto& c : pool) c->stop();
     return all_done;
   };
 
@@ -128,22 +125,6 @@ TEST_F(WorkerTest, ThroughputScalesWithConsumers) {
   const double one = makespan_with(1).seconds();
   const double four = makespan_with(4).seconds();
   EXPECT_GT(one / four, 2.0) << "one=" << one << " four=" << four;
-}
-
-TEST_F(WorkerTest, ConsumerStopsOnRequest) {
-  FftConsumer consumer(api_, "c0");
-  consumer.start();
-  sim_.run_until(500_ms);
-  consumer.stop();
-  sim_.run_until(3_s);
-  // After stop, pending requests stay in the space untouched.
-  std::vector<space::Value> fields;
-  fields.emplace_back(std::int64_t{1});
-  fields.emplace_back(pack_doubles({1.0, 2.0}));
-  space_.write(space::Tuple("fft-req", std::move(fields)));
-  sim_.run_until(6_s);
-  EXPECT_EQ(space_.size(), 1u);
-  EXPECT_EQ(consumer.jobs_done(), 0u);
 }
 
 TEST_F(WorkerTest, ProducerReportsLostJobsOnTimeout) {

@@ -79,7 +79,6 @@ sim::Time single_bus_arrival(std::size_t payload_bytes) {
   probe.watch(*bus);
   relay.start();
   sim.run_until(5_s);
-  relay.stop();
 
   SegmentParser parser;
   parser.feed(dst.host_receive());
@@ -140,7 +139,6 @@ TEST(AnalyticRelay, CrossBusTransferWithinLatencyBounds) {
     probe.watch(system.bus(1));  // node 4 lives on bus 1
     relay.start();
     sim.run_until(5_s);
-    relay.stop();
     SegmentParser parser;
     parser.feed(slaves[3]->host_receive());
     EXPECT_TRUE(parser.next().has_value());

@@ -154,7 +154,6 @@ TEST(MultiBusRelay, ForwardsWithinOneBus) {
   rig.slaves[0]->host_send(encode_segment({1, 2, {0x11}}));
   rig.relay.start();
   rig.sim.run_until(5_s);
-  rig.relay.stop();
   SegmentParser parser;
   parser.feed(rig.slaves[1]->host_receive());
   auto got = parser.next();
@@ -167,7 +166,6 @@ TEST(MultiBusRelay, ForwardsAcrossBuses) {
   rig.slaves[0]->host_send(encode_segment({1, 4, {0xCC, 0xDD}}));
   rig.relay.start();
   rig.sim.run_until(5_s);
-  rig.relay.stop();
   SegmentParser parser;
   parser.feed(rig.slaves[3]->host_receive());
   auto got = parser.next();
@@ -186,7 +184,6 @@ TEST(MultiBusRelay, CrossBusPushDoesNotStarveSourceBusWatchdog) {
   rig.slaves[0]->host_send(encode_segment(segment));
   rig.relay.start();
   rig.sim.run_until(30_s);
-  rig.relay.stop();
   EXPECT_EQ(rig.slaves[0]->stats().resets, 0u);
   EXPECT_EQ(rig.slaves[1]->stats().resets, 0u);
   SegmentParser parser;
@@ -201,7 +198,6 @@ TEST(MultiBusRelay, BroadcastFansOutToAllBuses) {
   rig.slaves[1]->host_send(encode_segment({2, kBroadcastNodeId, {0x7E}}));
   rig.relay.start();
   rig.sim.run_until(5_s);
-  rig.relay.stop();
   for (int i = 0; i < 4; ++i) {
     SegmentParser parser;
     parser.feed(rig.slaves[i]->host_receive());
@@ -214,7 +210,6 @@ TEST(MultiBusRelay, UnknownDestinationDropped) {
   rig.slaves[0]->host_send(encode_segment({1, 99, {0x01}}));
   rig.relay.start();
   rig.sim.run_until(5_s);
-  rig.relay.stop();
   EXPECT_EQ(rig.relay.stats().segments_dropped, 1u);
 }
 

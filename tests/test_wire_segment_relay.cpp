@@ -135,7 +135,6 @@ TEST(Relay, MovesSegmentBetweenSlaves) {
   rig.slaves[0]->host_send(encode_segment(segment));
   rig.relay.start();
   rig.sim.run_until(5_s);
-  rig.relay.stop();
 
   SegmentParser parser;
   parser.feed(rig.slaves[2]->host_receive());
@@ -151,7 +150,6 @@ TEST(Relay, BroadcastReachesEveryoneExceptSource) {
   rig.slaves[1]->host_send(encode_segment(segment));
   rig.relay.start();
   rig.sim.run_until(5_s);
-  rig.relay.stop();
 
   for (int i = 0; i < 4; ++i) {
     SegmentParser parser;
@@ -166,7 +164,6 @@ TEST(Relay, UnknownDestinationDropped) {
   rig.slaves[0]->host_send(encode_segment({1, 99, {0x01}}));
   rig.relay.start();
   rig.sim.run_until(5_s);
-  rig.relay.stop();
   EXPECT_EQ(rig.relay.stats().segments_dropped, 1u);
   EXPECT_EQ(rig.relay.stats().segments_forwarded, 0u);
 }
@@ -177,7 +174,6 @@ TEST(Relay, BidirectionalTrafficBothDelivered) {
   rig.slaves[1]->host_send(encode_segment({2, 1, {0x22}}));
   rig.relay.start();
   rig.sim.run_until(10_s);
-  rig.relay.stop();
 
   SegmentParser p1, p2;
   p1.feed(rig.slaves[0]->host_receive());
@@ -198,7 +194,6 @@ TEST(Relay, SegmentSpanningMultipleVisitsReassembles) {
   rig.slaves[0]->host_send(encode_segment(segment));
   rig.relay.start();
   rig.sim.run_until(20_s);
-  rig.relay.stop();
 
   SegmentParser parser;
   parser.feed(rig.slaves[1]->host_receive());
@@ -217,8 +212,6 @@ TEST(Relay, WireCbrToWireSinkEndToEnd) {
   rig.relay.start();
   source.start();
   rig.sim.run_until(10_s);
-  source.stop();
-  rig.relay.stop();
 
   EXPECT_GT(sink.segments_received(), 10u);
   EXPECT_EQ(sink.payload_bytes(), sink.segments_received() * 8);
@@ -230,7 +223,6 @@ TEST(Relay, IdleBusOnlyPolls) {
   RelayRig rig;
   rig.relay.start();
   rig.sim.run_until(2_s);
-  rig.relay.stop();
   EXPECT_EQ(rig.relay.stats().bytes_drained, 0u);
   EXPECT_GT(rig.relay.stats().probes, 0u);
   EXPECT_GT(rig.relay.stats().rounds, 1u);

@@ -47,6 +47,17 @@ int main() {
     if (value == 0.0) options.tolerance_pct = 0.0;
     bench.add_key_metric(name, value, obs::Better::kLower, options);
   };
+  // Bus cycles are a pure function of the simulated run: any drift in
+  // simulated behaviour moves them, so they gate at zero tolerance.
+  auto add_cycles = [&](double rate, const char* variant,
+                        const cosim::ImpactResult& result) {
+    obs::BenchReport::KeyMetricOptions options;
+    options.unit = "cycles";
+    options.tolerance_pct = 0.0;
+    bench.add_key_metric(
+        "cbr" + util::format_double(rate, 1) + "." + variant + "_cycles",
+        static_cast<double>(result.bus_cycles), obs::Better::kLower, options);
+  };
   // The Table 4 grid is 3 CBR rates x 3 bus variants = 9 independent long
   // co-simulations; flatten it and fan out across TB_JOBS workers. Results
   // come back in grid order, so rows and key metrics match the serial run.
@@ -75,8 +86,10 @@ int main() {
     const cosim::ImpactResult& result_b = grid[ri * 3 + 2];
     row.push_back(render_cell(one_wire));
     add_metric(metric_name(rate, "1wire"), one_wire);
+    add_cycles(rate, "1wire", one_wire);
     row.push_back(render_cell(two_wire));
     add_metric(metric_name(rate, "2wire"), two_wire);
+    add_cycles(rate, "2wire", two_wire);
     row.push_back(render_cell(result_b));
     add_metric(metric_name(rate, "mode_b"), result_b);
     row.push_back(util::format_double(one_wire.bus_utilization * 100.0, 1) +

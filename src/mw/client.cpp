@@ -172,7 +172,7 @@ struct RpcAwaiter {
     (client.*do_call)(std::move(request),
                       [this, h](std::optional<Message> r) {
                         response = std::move(r);
-                        h.resume();
+                        sim::resume_nested(h);
                       });
   }
   std::optional<Message> await_resume() { return std::move(response); }

@@ -115,7 +115,7 @@ class RpcFuture {
     if (state.waiter) {
       const std::coroutine_handle<> waiter = state.waiter;
       state.waiter = {};
-      waiter.resume();
+      sim::resume_nested(waiter);
     }
   }
 

@@ -38,7 +38,7 @@
 namespace tb::sim::detail {
 
 /// Inline capacity for event callbacks. 48 bytes covers every capture the
-/// models make today (coroutine-handle resumes are one pointer; the fattest
+/// models make today (a delay resume is two pointers; the fattest
 /// wire-layer lambdas capture four); bigger captures heap-allocate inside
 /// the slot, never grow it.
 using EventFn = util::InplaceFunction<void(), 48>;

@@ -244,16 +244,19 @@ template <typename Fn>
            std::same_as<std::invoke_result_t<std::remove_cvref_t<Fn>&>,
                         Task<void>>)
 void spawn(Fn&& fn) {
+  const detail::NestedResume nested;  // the process starts inline
   detail::run_callable<std::remove_cvref_t<Fn>>(std::forward<Fn>(fn));
 }
 
-/// Awaitable that resumes the coroutine after `d` of simulated time.
+/// Awaitable that resumes the coroutine after `d` of simulated time. When
+/// nothing else could run in between, the kernel advances the clock in
+/// place and the coroutine continues without suspending (simulator.hpp).
 struct DelayAwaiter {
   Simulator& sim;
   Time d;
   bool await_ready() const { return d <= Time::zero(); }
-  void await_suspend(std::coroutine_handle<> h) {
-    sim.schedule_in(d, [h] { h.resume(); });
+  bool await_suspend(std::coroutine_handle<> h) {
+    return sim.suspend_for(d, h);
   }
   void await_resume() const {}
 };

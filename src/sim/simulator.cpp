@@ -30,6 +30,18 @@ struct RunScope {
   Simulator* outer;
 };
 
+/// Sets a kernel flag or bound for one scope and restores it on exit,
+/// exceptions included.
+template <typename T>
+struct Scoped {
+  Scoped(T& slot, T value) : slot(slot), outer(std::exchange(slot, value)) {}
+  Scoped(const Scoped&) = delete;
+  Scoped& operator=(const Scoped&) = delete;
+  ~Scoped() { slot = outer; }
+  T& slot;
+  T outer;
+};
+
 }  // namespace
 
 Simulator::Simulator(std::uint64_t seed) : rng_(seed) {
@@ -70,18 +82,51 @@ EventHandle Simulator::schedule_at(Time at, detail::EventFn fn) {
   }
   const std::uint64_t id = pool_.acquire(std::move(fn), next_seq_++);
   queue_.push({at, id});
+  if (at < horizon_) horizon_ = at;  // never true while horizon_ is kNever
   ++scheduled_;
   if (pool_.live() > peak_pending_) peak_pending_ = pool_.live();
   return EventHandle(id);
 }
 
-EventHandle Simulator::schedule_in(Time delay, detail::EventFn fn) {
-  TB_REQUIRE_MSG(delay >= Time::zero(), "negative delay");
+Time Simulator::perturbed(Time delay) {
   if (perturb_delay_ && delay > Time::zero()) {
     delay = perturb_delay_(now_, delay);
     TB_REQUIRE_MSG(delay >= Time::zero(), "perturbed delay went negative");
   }
-  return schedule_at(now_ + delay, std::move(fn));
+  return delay;
+}
+
+EventHandle Simulator::schedule_in(Time delay, detail::EventFn fn) {
+  TB_REQUIRE_MSG(delay >= Time::zero(), "negative delay");
+  return schedule_at(now_ + perturbed(delay), std::move(fn));
+}
+
+bool Simulator::try_advance(Time at) {
+  // Only the delay-resume event's own coroutine chain may run ahead: code
+  // an inline resume returns to must still run at the current time.
+  if (tail_budget_ == 0 || detail::t_nested_resumes != 0 || stop_requested_ ||
+      at > ahead_limit_) {
+    return false;
+  }
+  if (horizon_ == kNever) horizon_ = next_event_time().value_or(Time::max());
+  // An event pending at exactly `at` has a lower seq than the resume event
+  // would get, so it must run first.
+  if (at >= horizon_) return false;
+  now_ = at;
+  --tail_budget_;
+  ++advanced_;
+  return true;
+}
+
+bool Simulator::suspend_for(Time delay, std::coroutine_handle<> h) {
+  TB_REQUIRE_MSG(delay > Time::zero(), "suspend_for needs a positive delay");
+  const Time at = now_ + perturbed(delay);
+  if (try_advance(at)) return false;
+  schedule_at(at, [this, h] {
+    const Scoped<int> tail(tail_budget_, kTailBudget);
+    h.resume();
+  });
+  return true;
 }
 
 bool Simulator::cancel(EventHandle handle) {
@@ -107,6 +152,7 @@ bool Simulator::dispatch_next(Time limit, bool bounded) {
     detail::EventFn fn = pool_.release(entry.id);
     TB_ASSERT(entry.at >= now_);
     now_ = entry.at;
+    horizon_ = kNever;  // the popped event may have been the bound
     ++executed_;
     fn();
     return true;
@@ -124,11 +170,13 @@ std::optional<Time> Simulator::next_event_time() {
 
 bool Simulator::step() {
   const RunScope scope(this);
+  const Scoped<Time> ahead(ahead_limit_, kNever);
   return dispatch_next(Time::zero(), /*bounded=*/false);
 }
 
 void Simulator::run() {
   const RunScope scope(this);
+  const Scoped<Time> ahead(ahead_limit_, Time::max());
   stop_requested_ = false;
   while (!stop_requested_ && dispatch_next(Time::zero(), /*bounded=*/false)) {
   }
@@ -137,6 +185,7 @@ void Simulator::run() {
 void Simulator::run_until(Time until) {
   TB_REQUIRE(until >= now_);
   const RunScope scope(this);
+  const Scoped<Time> ahead(ahead_limit_, until);
   stop_requested_ = false;
   while (!stop_requested_ && dispatch_next(until, /*bounded=*/true)) {
   }
@@ -151,12 +200,15 @@ void Simulator::bind_metrics(obs::Registry& registry) {
   obs::Counter& scheduled = registry.counter("sim.events.scheduled");
   obs::Counter& fired = registry.counter("sim.events.fired");
   obs::Counter& cancelled = registry.counter("sim.events.cancelled");
+  obs::Counter& advanced = registry.counter("sim.events.advanced");
   obs::Gauge& depth = registry.gauge("sim.queue.depth");
   obs::Gauge& peak = registry.gauge("sim.queue.peak_depth");
-  registry.add_collector([this, &scheduled, &fired, &cancelled, &depth, &peak] {
+  registry.add_collector([this, &scheduled, &fired, &cancelled, &advanced,
+                          &depth, &peak] {
     scheduled.set(scheduled_);
     fired.set(executed_);
     cancelled.set(cancelled_);
+    advanced.set(advanced_);
     depth.set(static_cast<double>(pool_.live()));
     peak.set(static_cast<double>(peak_pending_));
   });

@@ -8,10 +8,22 @@
 // Hot-path layout (DESIGN.md §8): callbacks live in a slab-allocated event
 // pool with generation-tagged handles (cancel/is_pending are O(1) array
 // probes), callback captures up to 48 bytes are stored inline (no heap
-// allocation on the common schedule_in), and pending events sit in a 4-ary
-// lazy-deletion heap keyed by (time, seq).
+// allocation on the common schedule_in), and pending events sit in a
+// two-tier split queue ordered by (time, seq) with lazy deletion.
+//
+// Lookahead (DESIGN.md §8): a coroutine that co_awaits a delay at the tail
+// of a delay-resume event continues in place, with now() advanced to its
+// wake-up time and no event scheduled, when no other event could run
+// first: the wake-up time is strictly earlier than the next live event,
+// within the run_until() bound, no stop is requested, and no inline resume
+// (resume_nested, spawn) is on the stack. One delay-resume event advances
+// at most 128 delays in a row before the next goes through the queue (a
+// bound on native stack depth). step() never looks ahead. Every
+// simulated timestamp, RNG draw and perturbation-hook call is the same
+// either way; only executed_events() counts fewer.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -27,6 +39,19 @@ class Registry;
 namespace tb::sim {
 
 namespace detail {
+
+/// Coroutine resumes nested inside an event callback on this thread
+/// (resume_nested, spawn). The kernel looks ahead only at depth 0.
+inline thread_local int t_nested_resumes = 0;
+
+/// Counts one nested resume for its scope, exceptions included.
+struct NestedResume {
+  NestedResume() { ++t_nested_resumes; }
+  ~NestedResume() { --t_nested_resumes; }
+  NestedResume(const NestedResume&) = delete;
+  NestedResume& operator=(const NestedResume&) = delete;
+};
+
 /// Intrusive link of a detached process's root frame (process.hpp) into its
 /// Simulator; it unlinks itself when the frame dies.
 struct ProcessLink {
@@ -39,6 +64,16 @@ struct ProcessLink {
   }
 };
 }  // namespace detail
+
+/// Resumes `h` inline from inside another callback (a completion that
+/// hands a coroutine its result). Every inline resume outside src/sim goes
+/// through here: while `h` runs, a delay it awaits is scheduled as an event
+/// rather than advanced in place, because the caller's code after this
+/// call must still run at the current time.
+inline void resume_nested(std::coroutine_handle<> h) {
+  const detail::NestedResume nested;
+  h.resume();
+}
 
 /// Identifies a scheduled event; value-semantic and cheap to copy.
 /// A default-constructed handle is "null" and safe to cancel (no-op).
@@ -92,6 +127,13 @@ class Simulator {
   /// Schedules `fn` after a relative delay (must be >= 0).
   EventHandle schedule_in(Time delay, detail::EventFn fn);
 
+  /// Suspends coroutine `h` for `delay` (> 0), remapped once through the
+  /// delay-perturbation hook. Returns false when the kernel instead
+  /// advanced now() to the wake-up time in place (see the lookahead rule at
+  /// the top of this file): the caller then continues without suspending.
+  /// Otherwise schedules the resume event and returns true.
+  bool suspend_for(Time delay, std::coroutine_handle<> h);
+
   /// Cancels a pending event. Safe on null, fired, stale, or
   /// already-cancelled handles. Returns true iff the event was pending and
   /// is now cancelled.
@@ -122,7 +164,10 @@ class Simulator {
   std::optional<Time> next_event_time();
 
   std::size_t pending_events() const { return pool_.live(); }
+  /// Events dispatched. A delay the kernel advanced in place is not an
+  /// event; advanced_events() counts those.
   std::uint64_t executed_events() const { return executed_; }
+  std::uint64_t advanced_events() const { return advanced_; }
   std::uint64_t scheduled_events() const { return scheduled_; }
   std::uint64_t cancelled_events() const { return cancelled_; }
   /// High-water mark of pending_events() over the run.
@@ -131,7 +176,7 @@ class Simulator {
   /// Observability hook (DESIGN.md §7): installs this simulator as the
   /// registry's clock (unless one is already set) and registers a collector
   /// that mirrors the kernel counters into `sim.events.*` / `sim.queue.*`
-  /// at snapshot time. Pull-only — the hot path pays three always-on
+  /// at snapshot time. Pull-only — the hot path pays four always-on
   /// integer bumps and nothing else. The simulator must outlive the
   /// registry's last snapshot().
   void bind_metrics(obs::Registry& registry);
@@ -140,7 +185,8 @@ class Simulator {
   util::Xoshiro256& rng() { return rng_; }
 
   /// Clock-skew / jitter hook (fault injection): every relative delay passed
-  /// to schedule_in() is remapped through `f(now, delay)` before scheduling.
+  /// to schedule_in() or suspend_for() is remapped through `f(now, delay)`
+  /// before scheduling or advancing.
   /// The hook must be a pure function of its arguments (and of deterministic
   /// state such as a forked RNG stream) so runs stay reproducible; it must
   /// return a non-negative delay. Pass nullptr to remove.
@@ -151,11 +197,32 @@ class Simulator {
   bool has_delay_perturbation() const { return perturb_delay_ != nullptr; }
 
  private:
+  /// Marks "not known" in horizon_ and "no lookahead" in ahead_limit_:
+  /// every event time is >= 0.
+  static constexpr Time kNever = Time::ns(-1);
+
   bool dispatch_next(Time limit, bool bounded);
+  Time perturbed(Time delay);
+  bool try_advance(Time at);
 
   Time now_ = Time::zero();
+  /// Latest time run()/run_until() lets a delay advance to; kNever outside
+  /// them and under step().
+  Time ahead_limit_ = kNever;
+  /// A lower bound on the next live event's time (Time::max() when none),
+  /// or kNever when not known. schedule_at lowers it, a dispatch forgets
+  /// it; a cancel leaves it too low, which only refuses an advance.
+  Time horizon_ = kNever;
+  /// Delays the running event may still advance: kTailBudget when a delay
+  /// resume starts, 0 outside one. The budget bounds the native stack:
+  /// without optimization a symmetric transfer between coroutines is a
+  /// nested call, so a chain that never suspends grows the stack with each
+  /// child task it finishes until it goes back through the queue.
+  int tail_budget_ = 0;
+  static constexpr int kTailBudget = 128;
   std::uint64_t next_seq_ = 1;  ///< > 0: a packed event id is never 0
   std::uint64_t executed_ = 0;
+  std::uint64_t advanced_ = 0;
   std::uint64_t scheduled_ = 0;
   std::uint64_t cancelled_ = 0;
   std::size_t peak_pending_ = 0;

@@ -28,7 +28,7 @@ struct MatchAwaiter {
   void await_suspend(std::coroutine_handle<> h) {
     auto callback = [this, h](std::optional<Tuple> r) {
       result = std::move(r);
-      h.resume();
+      sim::resume_nested(h);
     };
     if (take) {
       space.take_async(std::move(tmpl), timeout, std::move(callback));

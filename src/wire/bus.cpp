@@ -19,14 +19,14 @@ sim::Task<CycleResult> OneWireBus::cycle(TxFrame frame, bool expect_reply) {
   trace.expect_reply = expect_reply;
 
   // TX frame leaves the master.
-  co_await sim::delay(*sim_, link_.frame_duration());
+  co_await sim::delay(*sim_, timing_.frame);
 
   // The frame repeats through the chain; each node sees it one hop later.
   int responder = -1;
   RxFrame response;
   sim::Time responder_saw_at;
   for (std::size_t i = 0; i < chain_.size(); ++i) {
-    co_await sim::delay(*sim_, link_.hop_delay());
+    co_await sim::delay(*sim_, timing_.hop);
     std::optional<RxFrame> r = chain_[i]->observe_frame(word);
     if (r.has_value()) {
       TB_ASSERT(responder < 0);  // at most one selected slave may answer
@@ -37,11 +37,11 @@ sim::Task<CycleResult> OneWireBus::cycle(TxFrame frame, bool expect_reply) {
   }
 
   CycleResult result;
-  const sim::Time timeout_at = start + link_.frame_duration() + link_.rx_timeout();
+  const sim::Time timeout_at = start + timing_.frame + timing_.rx_timeout;
 
   if (!expect_reply) {
     // Broadcast cycle: nobody answers; wait the fixed broadcast gap.
-    const sim::Time until = start + link_.frame_duration() + link_.broadcast_gap();
+    const sim::Time until = start + timing_.frame + timing_.broadcast_gap;
     if (until > sim_->now()) co_await sim::delay(*sim_, until - sim_->now());
     result.status = CycleResult::Status::kOk;
     ++stats_.ok;
@@ -55,9 +55,9 @@ sim::Task<CycleResult> OneWireBus::cycle(TxFrame frame, bool expect_reply) {
     for (int i = responder; i >= 0; --i) {
       if (chain_[i]->pending_interrupt()) response.intr = true;
     }
-    const sim::Time rx_at_master = responder_saw_at + link_.response_delay() +
-                                   link_.frame_duration() +
-                                   link_.hop_delay() * (responder + 1);
+    const sim::Time rx_at_master = responder_saw_at + timing_.response +
+                                   timing_.frame +
+                                   timing_.hop * (responder + 1);
     if (rx_at_master > timeout_at) {
       // Response exists but arrives after the master gave up.
       if (timeout_at > sim_->now())
@@ -84,7 +84,7 @@ sim::Task<CycleResult> OneWireBus::cycle(TxFrame frame, bool expect_reply) {
     }
   }
 
-  co_await sim::delay(*sim_, link_.interframe_gap());
+  co_await sim::delay(*sim_, timing_.interframe_gap);
   stats_.busy_time += sim_->now() - start;
   busy_ = false;
   trace.end = sim_->now();

@@ -18,8 +18,10 @@
 // an error occurs during the receive of TX or RX frames").
 //
 // This model is the ground truth the faster levels (FrameLevelBus,
-// AnalyticTiming) are cross-validated against: it schedules one DES event
-// per hop and routes every word through every slave's observe_frame().
+// AnalyticTiming) are cross-validated against: it awaits one delay per hop
+// (the kernel advances in place when nothing lies between, DESIGN.md §8)
+// and routes every word through every slave's observe_frame() at its hop
+// instant.
 #pragma once
 
 #include "src/wire/bus_model.hpp"

@@ -31,8 +31,21 @@ const char* to_string(CycleResult::Status status) {
   return "?";
 }
 
+BusModel::Timing::Timing(const LinkConfig& link)
+    : frame(link.frame_duration()),
+      hop(link.hop_delay()),
+      response(link.response_delay()),
+      rx_timeout(link.rx_timeout()),
+      interframe_gap(link.interframe_gap()),
+      broadcast_gap(link.broadcast_gap()),
+      reset_timeout(link.reset_timeout()) {}
+
 BusModel::BusModel(sim::Simulator& sim, LinkConfig link, FaultConfig faults)
-    : sim_(&sim), link_(link), faults_(faults), rng_(sim.rng().fork(0x6275)) {
+    : sim_(&sim),
+      link_(link),
+      timing_(link_),
+      faults_(faults),
+      rng_(sim.rng().fork(0x6275)) {
   TB_REQUIRE(link.bit_rate_hz > 0);
   TB_REQUIRE(link.wires >= 1);
 }

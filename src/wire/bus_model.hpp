@@ -8,10 +8,11 @@
 // its signals — fault injection, invariant checkers, tracers, metrics)
 // drives, so a scenario picks its level without touching the layers above:
 //
-//   kBitAccurate — OneWireBus (src/wire/bus.hpp): one DES event per hop,
-//     every slave observes every word. Ground truth.
-//   kFrameLevel  — FrameLevelBus (src/wire/frame_bus.hpp): one DES event
-//     per communication cycle; hop/turnaround/RX times are computed in
+//   kBitAccurate — OneWireBus (src/wire/bus.hpp): one delay per hop (the
+//     kernel advances in place when nothing lies between), every slave
+//     observes every word. Ground truth.
+//   kFrameLevel  — FrameLevelBus (src/wire/frame_bus.hpp): one delay per
+//     communication cycle; hop/turnaround/RX times are computed in
 //     closed form from LinkConfig and only the responding slave is touched.
 //     Cycle-boundary timings, traces, stats and RNG draws are identical to
 //     kBitAccurate (bit-for-bit in the fault-free case; fault runs agree on
@@ -41,8 +42,8 @@ namespace tb::wire {
 
 /// Abstraction level of the bus timing model (DESIGN.md §13).
 enum class BusModelLevel : std::uint8_t {
-  kBitAccurate = 0,  ///< event per hop; ground truth
-  kFrameLevel = 1,   ///< event per communication cycle
+  kBitAccurate = 0,  ///< delay per hop; ground truth
+  kFrameLevel = 1,   ///< delay per communication cycle
   kAnalytic = 2,     ///< closed form only; no event model exists
 };
 
@@ -142,6 +143,19 @@ class BusModel {
   sim::Signal<const CycleTrace&>& on_cycle() { return on_cycle_; }
 
  protected:
+  /// LinkConfig's derived times, computed once: link_ is fixed for the
+  /// bus's lifetime and every cycle reads them.
+  struct Timing {
+    explicit Timing(const LinkConfig& link);
+    sim::Time frame;
+    sim::Time hop;
+    sim::Time response;
+    sim::Time rx_timeout;
+    sim::Time interframe_gap;
+    sim::Time broadcast_gap;
+    sim::Time reset_timeout;
+  };
+
   /// One probabilistic corruption draw plus the word-fault hook. Every
   /// level must make these draws for the same words in the same order so
   /// fault scenarios stay comparable across levels.
@@ -150,6 +164,7 @@ class BusModel {
 
   sim::Simulator* sim_;
   LinkConfig link_;
+  Timing timing_;
   FaultConfig faults_;
   util::Xoshiro256 rng_;
   std::vector<SlaveDevice*> chain_;

@@ -60,7 +60,7 @@ void FrameLevelBus::try_resync(bool word_valid, sim::Time tx_done) {
     if (chain_[i] == nullptr) return;  // destroyed slot: stay slow
     const SlaveDevice& slave = *chain_[i];
     if (!slave.alive_) return;
-    const sim::Time saw_at = tx_done + link_.hop_delay() * (static_cast<int>(i) + 1);
+    const sim::Time saw_at = tx_done + timing_.hop * (static_cast<int>(i) + 1);
     if (slave.reset_until_ > saw_at) return;  // missed the pet: still in reset
     if (slave.broadcast_selected_) return;    // everyone executes, nobody replies
     if (slave.selected_) {
@@ -90,8 +90,8 @@ sim::Task<CycleResult> FrameLevelBus::cycle(TxFrame frame, bool expect_reply) {
   trace.tx_word = word;
   trace.expect_reply = expect_reply;
 
-  const sim::Time frame_d = link_.frame_duration();
-  const sim::Time hop = link_.hop_delay();
+  const sim::Time frame_d = timing_.frame;
+  const sim::Time hop = timing_.hop;
   const sim::Time tx_done = start + frame_d;
   const int n = static_cast<int>(chain_.size());
 
@@ -102,7 +102,7 @@ sim::Task<CycleResult> FrameLevelBus::cycle(TxFrame frame, bool expect_reply) {
   // times make this one comparison (slave i's deadline and arrival both
   // shift by hop*(i+1)).
   if (fast && armed_ &&
-      tx_done > feed_.last_valid_base + link_.reset_timeout()) {
+      tx_done > feed_.last_valid_base + timing_.reset_timeout) {
     fast = false;
   }
   // Broadcast selection changes every slave's state, and every later cycle
@@ -169,7 +169,7 @@ sim::Task<CycleResult> FrameLevelBus::cycle(TxFrame frame, bool expect_reply) {
   }
 
   CycleResult result;
-  const sim::Time timeout_at = start + frame_d + link_.rx_timeout();
+  const sim::Time timeout_at = start + frame_d + timing_.rx_timeout;
   // OneWireBus's clock sits at the end of the hop walk before it waits out
   // gap/timeout/RX; the max() terms reproduce its "already past that
   // instant" cases on deep chains.
@@ -177,7 +177,7 @@ sim::Task<CycleResult> FrameLevelBus::cycle(TxFrame frame, bool expect_reply) {
   sim::Time wait_until;
 
   if (!expect_reply) {
-    wait_until = std::max(after_hops, start + frame_d + link_.broadcast_gap());
+    wait_until = std::max(after_hops, start + frame_d + timing_.broadcast_gap);
     result.status = CycleResult::Status::kOk;
     ++stats_.ok;
   } else if (responder < 0) {
@@ -198,7 +198,7 @@ sim::Task<CycleResult> FrameLevelBus::cycle(TxFrame frame, bool expect_reply) {
         }
       }
     }
-    const sim::Time rx_at_master = responder_saw_at + link_.response_delay() +
+    const sim::Time rx_at_master = responder_saw_at + timing_.response +
                                    frame_d + hop * (responder + 1);
     if (rx_at_master > timeout_at) {
       // Response exists but arrives after the master gave up.
@@ -224,8 +224,8 @@ sim::Task<CycleResult> FrameLevelBus::cycle(TxFrame frame, bool expect_reply) {
     }
   }
 
-  // The whole cycle collapses into this one event.
-  co_await sim::delay(*sim_, wait_until + link_.interframe_gap() - start);
+  // The whole cycle collapses into this one delay.
+  co_await sim::delay(*sim_, wait_until + timing_.interframe_gap - start);
   stats_.busy_time += sim_->now() - start;
   busy_ = false;
   trace.end = sim_->now();

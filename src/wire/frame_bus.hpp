@@ -1,8 +1,9 @@
 // Frame-level transaction model of the TpWIRE bus (DESIGN.md §13) — the
 // middle BusModel abstraction level.
 //
-// OneWireBus walks the daisy chain event by event: one DES event per hop
-// and an observe_frame() call on every slave for every word, O(N) per
+// OneWireBus walks the daisy chain hop by hop: one delay per hop (the
+// kernel advances in place when nothing lies between) and an
+// observe_frame() call on every slave for every word, O(N) per
 // communication cycle. This model computes the whole cycle in closed form
 // from LinkConfig — TX, per-hop repeats, turnaround, RX return and gap
 // collapse into a single co_await — and touches only the slave that
@@ -27,7 +28,7 @@
 //
 // When the closed-form picture cannot hold — broadcast selection, any
 // slave dead or in reset, a watchdog about to fire — the cycle falls back
-// to a slow path that observes every slave (still one DES event), then
+// to a slow path that observes every slave (still one delay), then
 // resynchronizes so the fast path resumes. Fault-free runs are bit-for-bit
 // identical to OneWireBus at cycle boundaries; what this level gives up is
 // sub-cycle event interleaving with concurrent processes (state mutates at

@@ -16,7 +16,10 @@ const char* to_string(WireStatus status) {
 }
 
 Master::Master(BusModel& bus, MasterConfig config)
-    : bus_(&bus), config_(config), mutex_(bus.simulator()) {}
+    : bus_(&bus),
+      config_(config),
+      stale_after_(bus.link().reset_timeout().scaled(0.5)),
+      mutex_(bus.simulator()) {}
 
 WireStatus Master::status_of(const CycleResult& r) {
   switch (r.status) {
@@ -35,7 +38,7 @@ void Master::invalidate_node(std::uint8_t node) { node_cache_.erase(node); }
 
 void Master::invalidate_if_stale() {
   const sim::Time idle = bus_->simulator().now() - last_cycle_at_;
-  if (idle > bus_->link().reset_timeout().scaled(0.5)) {
+  if (idle > stale_after_) {
     selected_address_.reset();
     node_cache_.clear();
   }
@@ -72,12 +75,16 @@ sim::Task<CycleResult> Master::transact(TxFrame frame, bool expect_reply,
   co_return result;
 }
 
-sim::Task<WireStatus> Master::ensure_selected(std::uint8_t address) {
+bool Master::selected(std::uint8_t address) {
   invalidate_if_stale();
   if (config_.cache_state && selected_address_ == address) {
     ++stats_.select_skips;
-    co_return WireStatus::kOk;
+    return true;
   }
+  return false;
+}
+
+sim::Task<WireStatus> Master::select(std::uint8_t address) {
   const bool broadcast = node_id_of_address(address) == kBroadcastNodeId;
   TxFrame frame{Command::kSelect, address};
   CycleResult r = co_await transact(
@@ -95,14 +102,17 @@ sim::Task<WireStatus> Master::ensure_selected(std::uint8_t address) {
   co_return status;
 }
 
-sim::Task<WireStatus> Master::ensure_address(std::uint8_t node,
-                                             std::uint16_t addr) {
-  NodeCache& cache = node_cache_[node];
-  if (config_.cache_state && cache.address_ptr == addr) {
+bool Master::addressed(std::uint8_t node, std::uint16_t addr) {
+  if (config_.cache_state && node_cache_[node].address_ptr == addr) {
     ++stats_.address_skips;
-    co_return WireStatus::kOk;
+    return true;
   }
-  cache.address_ptr.reset();
+  return false;
+}
+
+sim::Task<WireStatus> Master::write_address(std::uint8_t node,
+                                            std::uint16_t addr) {
+  node_cache_[node].address_ptr.reset();
   // The address pointer is a shift register: always write high then low.
   // Retrying the whole pair is safe — however many stray shifts a lost
   // frame caused, rewriting (hi, lo) lands on the intended value.
@@ -127,12 +137,12 @@ sim::Task<WireStatus> Master::ensure_address(std::uint8_t node,
   co_return status;
 }
 
-sim::Task<WireStatus> Master::ensure_auto_increment(std::uint8_t node,
-                                                    bool enabled) {
-  NodeCache& cache = node_cache_[node];
-  if (config_.cache_state && cache.auto_increment == enabled) {
-    co_return WireStatus::kOk;
-  }
+bool Master::auto_increment_is(std::uint8_t node, bool enabled) {
+  return config_.cache_state && node_cache_[node].auto_increment == enabled;
+}
+
+sim::Task<WireStatus> Master::write_auto_increment(std::uint8_t node,
+                                                   bool enabled) {
   TxFrame frame{Command::kWriteCommand,
                 enabled ? cmdbits::kAutoIncrement : std::uint8_t{0}};
   CycleResult r = co_await transact(frame, /*expect_reply=*/true,
@@ -144,9 +154,14 @@ sim::Task<WireStatus> Master::ensure_auto_increment(std::uint8_t node,
 
 sim::Task<ByteResult> Master::reg_read(std::uint8_t node, SysReg reg) {
   ByteResult out;
-  out.status = co_await ensure_selected(system_address(node));
+  const std::uint8_t address = system_address(node);
+  const auto reg_addr = static_cast<std::uint16_t>(reg);
+  out.status = WireStatus::kOk;
+  if (!selected(address)) out.status = co_await select(address);
   if (out.status != WireStatus::kOk) co_return out;
-  out.status = co_await ensure_address(node, static_cast<std::uint16_t>(reg));
+  if (!addressed(node, reg_addr)) {
+    out.status = co_await write_address(node, reg_addr);
+  }
   if (out.status != WireStatus::kOk) co_return out;
   // FIFO-port reads pop state: retry only on timeout (pop did not happen).
   const bool is_port = (reg == SysReg::kOutboxPort);
@@ -166,9 +181,14 @@ sim::Task<ByteResult> Master::reg_read(std::uint8_t node, SysReg reg) {
 sim::Task<WireStatus> Master::reg_write(std::uint8_t node, SysReg reg,
                                         std::uint8_t value,
                                         RetryPolicy policy) {
-  WireStatus status = co_await ensure_selected(system_address(node));
+  const std::uint8_t address = system_address(node);
+  const auto reg_addr = static_cast<std::uint16_t>(reg);
+  WireStatus status = WireStatus::kOk;
+  if (!selected(address)) status = co_await select(address);
   if (status != WireStatus::kOk) co_return status;
-  status = co_await ensure_address(node, static_cast<std::uint16_t>(reg));
+  if (!addressed(node, reg_addr)) {
+    status = co_await write_address(node, reg_addr);
+  }
   if (status != WireStatus::kOk) co_return status;
   CycleResult r = co_await transact(TxFrame{Command::kWriteData, value},
                                     /*expect_reply=*/true, policy);
@@ -225,7 +245,9 @@ sim::Task<ByteResult> Master::read_flags(std::uint8_t node) {
   sim::CoMutex::Guard guard(mutex_);
   ++stats_.operations;
   ByteResult out;
-  out.status = co_await ensure_selected(memory_address(node));
+  const std::uint8_t address = memory_address(node);
+  out.status = WireStatus::kOk;
+  if (!selected(address)) out.status = co_await select(address);
   if (out.status == WireStatus::kOk) {
     CycleResult r = co_await transact(TxFrame{Command::kReadFlags, 0}, true,
                                       RetryPolicy::kFull);
@@ -269,7 +291,9 @@ sim::Task<WireStatus> Master::write_command(std::uint8_t node,
   co_await mutex_.lock();
   sim::CoMutex::Guard guard(mutex_);
   ++stats_.operations;
-  WireStatus status = co_await ensure_selected(memory_address(node));
+  const std::uint8_t address = memory_address(node);
+  WireStatus status = WireStatus::kOk;
+  if (!selected(address)) status = co_await select(address);
   if (status == WireStatus::kOk) {
     CycleResult r = co_await transact(TxFrame{Command::kWriteCommand, bits},
                                       true, RetryPolicy::kFull);
@@ -287,8 +311,9 @@ sim::Task<WireStatus> Master::broadcast_command(std::uint8_t bits) {
   co_await mutex_.lock();
   sim::CoMutex::Guard guard(mutex_);
   ++stats_.operations;
-  WireStatus status =
-      co_await ensure_selected(memory_address(kBroadcastNodeId));
+  const std::uint8_t address = memory_address(kBroadcastNodeId);
+  WireStatus status = WireStatus::kOk;
+  if (!selected(address)) status = co_await select(address);
   if (status == WireStatus::kOk) {
     CycleResult r = co_await transact(TxFrame{Command::kWriteCommand, bits},
                                       /*expect_reply=*/false,
@@ -308,9 +333,10 @@ sim::Task<ByteResult> Master::spi_transfer(std::uint8_t node,
   sim::CoMutex::Guard guard(mutex_);
   ++stats_.operations;
   ByteResult out;
-  out.status = co_await ensure_selected(memory_address(node));
+  const std::uint8_t address = memory_address(node);
+  out.status = WireStatus::kOk;
+  if (!selected(address)) out.status = co_await select(address);
   if (out.status == WireStatus::kOk) {
-    // An SPI exchange has side effects: single attempt only.
     // An SPI exchange has side effects; a timeout proves it never ran.
     CycleResult r = co_await transact(TxFrame{Command::kSpiTransfer, mosi},
                                       true, RetryPolicy::kTimeoutOnly);
@@ -333,24 +359,28 @@ sim::Task<WireStatus> Master::write_memory(std::uint8_t node,
   co_await mutex_.lock();
   sim::CoMutex::Guard guard(mutex_);
   ++stats_.operations;
-  WireStatus status = co_await ensure_selected(memory_address(node));
+  const std::uint8_t address = memory_address(node);
   const bool auto_inc = data.size() > 1;
-  if (status == WireStatus::kOk)
-    status = co_await ensure_auto_increment(node, auto_inc);
-  if (status == WireStatus::kOk) status = co_await ensure_address(node, addr);
+  WireStatus status = WireStatus::kOk;
+  if (!selected(address)) status = co_await select(address);
+  if (status == WireStatus::kOk && !auto_increment_is(node, auto_inc))
+    status = co_await write_auto_increment(node, auto_inc);
+  if (status == WireStatus::kOk && !addressed(node, addr))
+    status = co_await write_address(node, addr);
 
   for (std::size_t i = 0; status == WireStatus::kOk && i < data.size(); ++i) {
     // A lost RX may leave the pointer advanced; re-establish slave state
     // before each retry instead of blindly resending (which would
     // double-write past the intended range).
     int attempts_left = 1 + bus_->link().retry_limit;
+    const auto at = static_cast<std::uint16_t>(addr + i);
     while (true) {
-      status = co_await ensure_selected(memory_address(node));
-      if (status == WireStatus::kOk)
-        status = co_await ensure_auto_increment(node, auto_inc);
-      if (status == WireStatus::kOk)
-        status = co_await ensure_address(node,
-                                         static_cast<std::uint16_t>(addr + i));
+      status = WireStatus::kOk;
+      if (!selected(address)) status = co_await select(address);
+      if (status == WireStatus::kOk && !auto_increment_is(node, auto_inc))
+        status = co_await write_auto_increment(node, auto_inc);
+      if (status == WireStatus::kOk && !addressed(node, at))
+        status = co_await write_address(node, at);
       if (status == WireStatus::kOk) {
         CycleResult r = co_await transact(TxFrame{Command::kWriteData, data[i]},
                                           true, RetryPolicy::kTimeoutOnly);
@@ -379,22 +409,25 @@ sim::Task<BlockResult> Master::read_memory(std::uint8_t node,
   sim::CoMutex::Guard guard(mutex_);
   ++stats_.operations;
   BlockResult out;
-  out.status = co_await ensure_selected(memory_address(node));
+  const std::uint8_t address = memory_address(node);
   const bool auto_inc = length > 1;
-  if (out.status == WireStatus::kOk)
-    out.status = co_await ensure_auto_increment(node, auto_inc);
-  if (out.status == WireStatus::kOk)
-    out.status = co_await ensure_address(node, addr);
+  out.status = WireStatus::kOk;
+  if (!selected(address)) out.status = co_await select(address);
+  if (out.status == WireStatus::kOk && !auto_increment_is(node, auto_inc))
+    out.status = co_await write_auto_increment(node, auto_inc);
+  if (out.status == WireStatus::kOk && !addressed(node, addr))
+    out.status = co_await write_address(node, addr);
 
   for (std::size_t i = 0; out.status == WireStatus::kOk && i < length; ++i) {
     int attempts_left = 1 + bus_->link().retry_limit;
+    const auto at = static_cast<std::uint16_t>(addr + i);
     while (true) {
-      out.status = co_await ensure_selected(memory_address(node));
-      if (out.status == WireStatus::kOk)
-        out.status = co_await ensure_auto_increment(node, auto_inc);
-      if (out.status == WireStatus::kOk)
-        out.status = co_await ensure_address(
-            node, static_cast<std::uint16_t>(addr + i));
+      out.status = WireStatus::kOk;
+      if (!selected(address)) out.status = co_await select(address);
+      if (out.status == WireStatus::kOk && !auto_increment_is(node, auto_inc))
+        out.status = co_await write_auto_increment(node, auto_inc);
+      if (out.status == WireStatus::kOk && !addressed(node, at))
+        out.status = co_await write_address(node, at);
       if (out.status == WireStatus::kOk) {
         CycleResult r = co_await transact(TxFrame{Command::kReadData, 0}, true,
                                           RetryPolicy::kTimeoutOnly);
@@ -471,11 +504,12 @@ sim::Task<WireStatus> Master::inbox_push(std::uint8_t node,
   ++stats_.operations;
   WireStatus status = WireStatus::kOk;
   std::size_t count = 0;
+  const std::uint8_t address = system_address(node);
+  const auto port = static_cast<std::uint16_t>(SysReg::kInboxPort);
   for (std::uint8_t byte : bytes) {
-    status = co_await ensure_selected(system_address(node));
+    if (!selected(address)) status = co_await select(address);
     if (status != WireStatus::kOk) break;
-    status = co_await ensure_address(
-        node, static_cast<std::uint16_t>(SysReg::kInboxPort));
+    if (!addressed(node, port)) status = co_await write_address(node, port);
     if (status != WireStatus::kOk) break;
     CycleResult r = co_await transact(TxFrame{Command::kWriteData, byte},
                                       /*expect_reply=*/true,

@@ -187,9 +187,17 @@ class Master {
   // Unlocked internals: callers hold mutex_.
   sim::Task<CycleResult> transact(TxFrame frame, bool expect_reply,
                                   RetryPolicy policy);
-  sim::Task<WireStatus> ensure_selected(std::uint8_t address);
-  sim::Task<WireStatus> ensure_address(std::uint8_t node, std::uint16_t addr);
-  sim::Task<WireStatus> ensure_auto_increment(std::uint8_t node, bool enabled);
+
+  // Cached slave state. Each check returns true on a cache hit (counting
+  // any skipped frame) and costs no coroutine frame; on a miss the caller
+  // co_awaits the matching frame sequence:
+  //   if (!selected(a)) status = co_await select(a);
+  bool selected(std::uint8_t address);
+  sim::Task<WireStatus> select(std::uint8_t address);
+  bool addressed(std::uint8_t node, std::uint16_t addr);
+  sim::Task<WireStatus> write_address(std::uint8_t node, std::uint16_t addr);
+  bool auto_increment_is(std::uint8_t node, bool enabled);
+  sim::Task<WireStatus> write_auto_increment(std::uint8_t node, bool enabled);
   sim::Task<ByteResult> reg_read(std::uint8_t node, SysReg reg);
   sim::Task<WireStatus> reg_write(std::uint8_t node, SysReg reg,
                                   std::uint8_t value, RetryPolicy policy);
@@ -204,6 +212,7 @@ class Master {
 
   BusModel* bus_;
   MasterConfig config_;
+  sim::Time stale_after_;  ///< the idle time invalidate_if_stale() checks
   sim::CoMutex mutex_;
   std::optional<std::uint8_t> selected_address_;  ///< nullopt after broadcast
   std::unordered_map<std::uint8_t, NodeCache> node_cache_;

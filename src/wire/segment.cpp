@@ -42,7 +42,8 @@ void SegmentParser::feed_byte(std::uint8_t byte) {
   // right after the position that exposed the failure, preserving stream
   // order. Iterative rather than recursive — a pathological run of magic
   // bytes would otherwise nest one re-scan per byte.
-  std::vector<std::uint8_t> pending{byte};
+  std::vector<std::uint8_t> pending;
+  step(byte, pending);  // the common case salvages nothing: no allocation
   for (std::size_t i = 0; i < pending.size(); ++i) {
     std::vector<std::uint8_t> salvage;
     step(pending[i], salvage);
@@ -90,12 +91,10 @@ void SegmentParser::step(std::uint8_t byte,
       return;
 
     case State::kCrc: {
+      // raw_ holds magic, header, payload: the CRC covers all but the magic.
+      const std::uint8_t crc = util::crc8({raw_.data() + 1, raw_.size() - 1});
       raw_.push_back(byte);
-      std::vector<std::uint8_t> covered;
-      covered.reserve(header_.size() + payload_.size());
-      covered.insert(covered.end(), header_.begin(), header_.end());
-      covered.insert(covered.end(), payload_.begin(), payload_.end());
-      if (util::crc8(covered) == byte) {
+      if (crc == byte) {
         RelaySegment segment;
         segment.src = header_[0];
         segment.dst = header_[1];

@@ -42,6 +42,33 @@ TEST(Crc4, DetectsEverySingleBitError) {
   }
 }
 
+/// Bit-at-a-time long division, the reference the table must reproduce:
+/// only the low `bit_count` bits of `bits` are the message.
+std::uint8_t crc4_reference(std::uint64_t bits, int bit_count) {
+  std::uint64_t remainder = (bits & ((1ull << bit_count) - 1)) << 4;
+  for (int i = bit_count + 3; i >= 4; --i) {
+    if (remainder & (1ull << i)) remainder ^= 0b10011ull << (i - 4);
+  }
+  return static_cast<std::uint8_t>(remainder & 0xF);
+}
+
+TEST(Crc4, TableMatchesBitwiseForEvery12BitInputAtFrameWidths) {
+  // 10- and 11-bit bodies are the TpWIRE frame widths; inputs above the
+  // width carry bits that must not enter the division.
+  for (const int width : {10, 11}) {
+    for (std::uint64_t bits = 0; bits < (1u << 12); ++bits) {
+      ASSERT_EQ(crc4_itu(bits, width), crc4_reference(bits, width))
+          << "bits=" << bits << " width=" << width;
+    }
+  }
+}
+
+TEST(Crc4, WideInputsUseTheBitwiseFallback) {
+  const std::uint64_t wide = 0x3A5C1F7ull;  // 26 bits, past the table
+  EXPECT_EQ(crc4_itu(wide, 26), crc4_reference(wide, 26));
+  EXPECT_EQ(crc4_itu(wide, 60), crc4_reference(wide, 60));
+}
+
 TEST(Crc8, KnownVector) {
   // CRC-8 (poly 0x07, init 0) of "123456789" is 0xF4.
   const std::uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};

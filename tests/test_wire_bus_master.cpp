@@ -209,6 +209,10 @@ TEST(Master, CachedSecondRegisterReadCostsOneCycle) {
     (void)co_await rig.master.read_sys_reg(1, SysReg::kNodeId);
     EXPECT_EQ(rig.bus.stats().cycles - before, 1u);
   });
+  // The second read hit both caches: one SELECT and one WRITE_ADDR pair
+  // skipped.
+  EXPECT_EQ(rig.master.stats().select_skips, 1u);
+  EXPECT_EQ(rig.master.stats().address_skips, 1u);
 }
 
 TEST(Master, RetriesRecoverFromRxCorruption) {

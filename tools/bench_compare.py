@@ -65,6 +65,10 @@ def compare_metric(old: dict, new: dict, threshold_pct: float):
     tolerance = new.get("tolerance_pct", old.get("tolerance_pct"))
     limit = threshold_pct if tolerance is None else float(tolerance)
 
+    if limit == 0.0 and new_value != old_value:
+        # Zero tolerance pins an exact value: a move in the "better"
+        # direction is a change in simulated behaviour too.
+        return float("inf"), gated, "changed (limit 0%: any change fails)"
     if better == "higher":
         worse_by = old_value - new_value
     else:

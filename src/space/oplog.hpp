@@ -43,7 +43,8 @@
 // kTakeExact's result — and a pointer to a side payload (template, single
 // and bulk results, bulk bound, blocked-op outcome) that only the match
 // kinds allocate: 96 B. With its tuple's heap, a federated job record
-// (three fields, a 16-256 B blob) costs about 377 B. Records live in 64 KiB
+// (three fields, a 16-256 B blob) costs about 345 B (test_space_oplog's
+// OpLogMemory.HeapPerFedShapedRecord gates it). Records live in 64 KiB
 // chunks, below glibc's 128 KiB mmap threshold: a contiguous log grows by
 // doubling, and each freed multi-megabyte block leaves a hole the next,
 // larger log cannot reuse, so peak RSS grows with every log built and

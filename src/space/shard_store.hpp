@@ -25,11 +25,14 @@
 // scan follows the links with no map lookup per step. There is no id set
 // per type: its 48 B node per entry would be a second copy of the id the
 // map node already holds. Heap per stored (name, int, int) entry, 64-bit
-// glibc (test_space's ShardStoreMemory.HeapPerIndexedEntry gates it):
+// glibc (test_space's ShardStoreMemory.HeapPerIndexedEntry gates it); the
+// field vector holds two Values, 40 B each as a std::variant and 16 B each
+// as the tagged union of value.hpp:
 //
-//                  map node   field vector   index   measured
-//   per-type id set   144 B        96 B       48 B    289.8 B
-//   per-type chain    144 B        96 B        0 B    241.2 B
+//                        map node   field vector   index   measured
+//   per-type id set         144 B        96 B       48 B    289.8 B
+//   per-type chain          144 B        96 B        0 B    241.2 B
+//   chain, 16 B Values      144 B        48 B        0 B    193.2 B
 //
 // The map node stays a 144 B chunk only while sizeof(Entry) <= 96 (below).
 //

@@ -82,10 +82,13 @@ class FieldPattern {
   enum class Kind : std::uint8_t { kExact, kTyped, kAny };
   FieldPattern() = default;
 
-  Kind kind_ = Kind::kAny;
   Value value_;                       // valid when kExact
+  Kind kind_ = Kind::kAny;
   ValueType type_ = ValueType::kInt;  // valid when kTyped
 };
+// The Value first, so the two 1 B tags share the word after it; a tag
+// before the Value would pad to its own word (32 B).
+static_assert(sizeof(FieldPattern) == 24, "FieldPattern outgrew Value + tags");
 
 /// Builds a tuple from loose values without an initializer list:
 ///   make_tuple("sensor", 42, "on", 1.5)

@@ -1,6 +1,7 @@
 #include "src/space/value.hpp"
 
 #include <sstream>
+#include <variant>
 
 #include "src/util/hex.hpp"
 
@@ -16,6 +17,8 @@ const char* to_string(ValueType type) {
   }
   return "?";
 }
+
+void Value::throw_bad_access() { throw std::bad_variant_access(); }
 
 std::string Value::to_string() const {
   std::ostringstream os;

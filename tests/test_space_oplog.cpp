@@ -8,7 +8,10 @@
 #include <algorithm>
 #include <map>
 #include <random>
+#include <string>
 #include <vector>
+
+#include "heap_probe.hpp"
 
 namespace tb::space {
 namespace {
@@ -132,6 +135,37 @@ TEST(OpRecord, WritesAndExactTakesCarryNoSidePayload) {
     EXPECT_FALSE(copy.has_match());
     EXPECT_EQ(copy.tuple, record->tuple);
   }
+}
+
+TEST(OpLogMemory, HeapPerFedShapedRecord) {
+#if !defined(TB_TEST_HAS_MALLINFO2)
+  GTEST_SKIP() << "needs glibc's mallinfo2 and its own allocator";
+#else
+  // A fed_replicated job write: (job-<n>, int, int, 16-256 B blob). The
+  // record is 96 B of a 64 KiB chunk; its tuple adds a 64 B field vector,
+  // the blob's 32 B vector box and the blob itself (~152 B on average). The
+  // name fits the string's inline buffer. With 40 B variant Values (a 128 B
+  // field vector, no box) it was ~377 B.
+  constexpr int kRecords = 56'000;
+  OpLog log;
+  const std::size_t before = mallinfo2().uordblks;
+  for (int i = 0; i < kRecords; ++i) {
+    OpRecord record;
+    record.ticket = static_cast<std::uint64_t>(i) + 1;
+    record.kind = OpRecord::Kind::kWrite;
+    const auto seq = static_cast<std::int64_t>(i);
+    std::vector<std::uint8_t> blob(16 + static_cast<std::size_t>(i * 97 % 241),
+                                   static_cast<std::uint8_t>(i));
+    record.tuple = make_tuple("job-" + std::to_string(i % 256), seq % 4, seq,
+                              std::move(blob));
+    log.append(std::move(record));
+  }
+  const std::size_t after = mallinfo2().uordblks;
+  ASSERT_EQ(log.size(), static_cast<std::size_t>(kRecords));
+  const double per_record = static_cast<double>(after - before) / kRecords;
+  RecordProperty("heap_bytes_per_record", std::to_string(per_record));
+  EXPECT_LE(per_record, 355.0);
+#endif
 }
 
 }  // namespace

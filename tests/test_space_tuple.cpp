@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <variant>
+#include <vector>
+
 namespace tb::space {
 namespace {
 
@@ -28,6 +34,96 @@ TEST(Value, EqualityIsTypeAndValue) {
   EXPECT_NE(Value(5), Value(5.0));  // int != float
   EXPECT_NE(Value(0), Value(false));
   EXPECT_EQ(Value("a"), Value(std::string("a")));
+}
+
+TEST(Value, FloatEqualityIsIeee) {
+  EXPECT_EQ(Value(-0.0), Value(0.0));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(Value(nan), Value(nan));
+  EXPECT_NE(Value(1.0), Value(true));
+}
+
+TEST(Value, WrongTypeAccessThrows) {
+  EXPECT_THROW(Value(1).as_float(), std::bad_variant_access);
+  EXPECT_THROW(Value(1.0).as_int(), std::bad_variant_access);
+  EXPECT_THROW(Value(true).as_int(), std::bad_variant_access);
+  EXPECT_THROW(Value(0).as_bool(), std::bad_variant_access);
+  EXPECT_THROW(Value(1).as_string(), std::bad_variant_access);
+  EXPECT_THROW(Value("s").as_bytes(), std::bad_variant_access);
+  EXPECT_THROW(Value(std::vector<std::uint8_t>{1}).as_string(),
+               std::bad_variant_access);
+}
+
+// One value of each type, with boxed payloads long enough to live on the
+// heap, so a shallow copy would show up as a double free under ASan.
+std::vector<Value> one_of_each() {
+  return {Value(-7), Value(2.5), Value(true),
+          Value(std::string(40, 's')),
+          Value(std::vector<std::uint8_t>(40, 0xB7))};
+}
+
+TEST(Value, CopyAndAssignAcrossAllTypes) {
+  const std::vector<Value> values = one_of_each();
+  for (const Value& from : values) {
+    const Value copied(from);
+    EXPECT_EQ(copied, from);
+    for (const Value& to : values) {
+      Value assigned(to);
+      assigned = from;
+      EXPECT_EQ(assigned, from) << to.to_string() << " <- " << from.to_string();
+      EXPECT_EQ(assigned.type(), from.type());
+
+      Value target(to);
+      Value source(from);
+      target = std::move(source);
+      EXPECT_EQ(target, from);
+      EXPECT_EQ(source, Value(0));  // NOLINT(bugprone-use-after-move)
+    }
+  }
+  // A copy owns its own box.
+  Value a(std::string(40, 'a'));
+  const Value b(a);
+  a = Value(std::string(40, 'z'));
+  EXPECT_EQ(b.as_string(), std::string(40, 'a'));
+}
+
+TEST(Value, MovedFromIsIntZero) {
+  for (Value& v : one_of_each()) {
+    const Value taken(std::move(v));
+    EXPECT_TRUE(v.is(ValueType::kInt));  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(v.as_int(), 0);
+    v = Value("reused");  // the moved-from value is fully usable
+    EXPECT_EQ(v.as_string(), "reused");
+  }
+}
+
+TEST(Value, SelfAssignKeepsTheValue) {
+  for (Value& v : one_of_each()) {
+    const Value expected(v);
+    Value& alias = v;
+    v = alias;
+    EXPECT_EQ(v, expected);
+    v = std::move(alias);
+    EXPECT_EQ(v, expected);
+  }
+}
+
+TEST(Value, SameTypeCopyAssignReusesTheBox) {
+  // Request cells are recycled and overwritten by copy-assign: a string
+  // (or byte vector) assigned over a string keeps its heap buffer.
+  Value dst(std::string(64, 'x'));
+  const char* buffer = dst.as_string().data();
+  const Value shorter(std::string(40, 'z'));
+  dst = shorter;
+  EXPECT_EQ(dst.as_string().data(), buffer);
+  EXPECT_EQ(dst, shorter);
+
+  Value bytes(std::vector<std::uint8_t>(64, 1));
+  const std::uint8_t* block = bytes.as_bytes().data();
+  const Value fewer(std::vector<std::uint8_t>(40, 2));
+  bytes = fewer;
+  EXPECT_EQ(bytes.as_bytes().data(), block);
+  EXPECT_EQ(bytes, fewer);
 }
 
 TEST(Value, ToStringRenders) {

@@ -60,12 +60,12 @@ std::uint64_t NodeCore::draw_ticket() {
   return ++*ticket_counter_;
 }
 
-void NodeCore::record_write(std::uint64_t entry_id, const space::Tuple& tuple,
+void NodeCore::record_write(std::uint64_t entry_id, space::Tuple tuple,
                             std::uint64_t ticket) {
   space::OpRecord record;
   record.ticket = ticket;
   record.kind = space::OpRecord::Kind::kWrite;
-  record.tuple = tuple;
+  record.tuple = std::move(tuple);
   oplog_.append(std::move(record));
   map_ticket(entry_id, ticket);
 }
@@ -471,7 +471,8 @@ void NodeCore::handle_write(SessionId session, Message& request) {
     return;
   }
   // With ticketing active, the payload is copied before the store consumes
-  // it — the OpLog and the replication stream both need the value.
+  // it. The OpLog record takes the copy; only a standby's replication frame
+  // needs a second one.
   space::Tuple recorded;
   const bool ticketed = ticketing() && request.txn == space::kNoTxn;
   if (ticketed) recorded = *request.tuple;
@@ -485,8 +486,10 @@ void NodeCore::handle_write(SessionId session, Message& request) {
                                : lease.expires_at.count_ns();
   if (ticketed) {
     const std::uint64_t ticket = draw_ticket();
-    record_write(lease.id, recorded, ticket);
-    if (standby_) {
+    if (!standby_) {
+      record_write(lease.id, std::move(recorded), ticket);
+    } else {
+      record_write(lease.id, recorded, ticket);
       Message frame;
       frame.type = MsgType::kReplicateWriteRequest;
       frame.tuple = std::move(recorded);
@@ -555,8 +558,10 @@ void NodeCore::handle_write_batch(SessionId session, Message& request) {
                                          : lease.expires_at.count_ns());
     if (ticketed) {
       const std::uint64_t ticket = draw_ticket();
-      record_write(lease.id, recorded, ticket);
-      if (standby_) {
+      if (!standby_) {
+        record_write(lease.id, std::move(recorded), ticket);
+      } else {
+        record_write(lease.id, recorded, ticket);
         Message frame;
         frame.type = MsgType::kReplicateWriteRequest;
         frame.tuple = std::move(recorded);

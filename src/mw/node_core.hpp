@@ -264,8 +264,9 @@ class NodeCore {
   /// ++*ticket_counter_; requires ticketing().
   std::uint64_t draw_ticket();
   bool ticketing() const { return ticket_counter_ != nullptr; }
-  /// Records a write apply into the OpLog and the id<->ticket maps.
-  void record_write(std::uint64_t entry_id, const space::Tuple& tuple,
+  /// Records a write apply into the OpLog and the id<->ticket maps. The
+  /// record takes `tuple` over: a caller that still needs it passes a copy.
+  void record_write(std::uint64_t entry_id, space::Tuple tuple,
                     std::uint64_t ticket);
   /// Records a take completion as kTakeExact: the removed tuple only.
   void record_take(const space::Tuple& taken, std::uint64_t ticket);

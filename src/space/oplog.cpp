@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <unordered_set>
 #include <utility>
 
 namespace tb::space {
@@ -49,9 +50,16 @@ const char* kind_name(OpRecord::Kind kind) {
 }
 
 LeasePlan plan_leases(const std::vector<const OpRecord*>& records) {
-  // Walk the records in ticket order; `arming` tracks the latest arming
-  // ticket per live entry (keyed by write ticket).
+  // Only an entry that a kLeaseExpire record names gets a replay duration,
+  // so only those entries' armings are tracked.
   LeasePlan plan;
+  std::unordered_set<std::uint64_t> expiring;  // by write ticket
+  for (const OpRecord* r : records) {
+    if (r->kind == OpRecord::Kind::kLeaseExpire) expiring.insert(r->target);
+  }
+  if (expiring.empty()) return plan;
+  // Walk the records in ticket order; `arming` tracks the latest arming
+  // ticket per live expiring entry (keyed by write ticket).
   std::unordered_map<std::uint64_t, std::uint64_t> arming;
   for (const OpRecord* record : records) {
     const OpRecord& r = *record;
@@ -59,10 +67,12 @@ LeasePlan plan_leases(const std::vector<const OpRecord*>& records) {
       case OpRecord::Kind::kWrite:
         // Transactional writes are forever-lease in threaded mode; a
         // post-commit renewal re-arms them below.
-        if (r.txn == kNoTxn) arming[r.ticket] = r.ticket;
+        if (r.txn == kNoTxn && expiring.contains(r.ticket)) {
+          arming[r.ticket] = r.ticket;
+        }
         break;
       case OpRecord::Kind::kRenew:
-        if (r.ok) arming[r.target] = r.ticket;
+        if (r.ok && expiring.contains(r.target)) arming[r.target] = r.ticket;
         break;
       case OpRecord::Kind::kLeaseExpire: {
         const auto it = arming.find(r.target);

@@ -37,6 +37,11 @@
 // instead of copying them; and a federated take is logged as kTakeExact,
 // which keeps only the removed tuple — the replay derives the exact-value
 // template from it (Template::exact_of) rather than storing a second copy.
+// The replay adds little beside it: it keeps one record event pending in
+// the kernel (each record's event schedules the next one's), and its side
+// tables hold only tickets that a later record names — the writes a renew
+// or lease cancel targets, and the armings of entries a kLeaseExpire
+// reclaims.
 //
 // The evidence is also held compactly. A record is a 32 B header (ticket,
 // txn, target, kind, ok), one inline Tuple — a kWrite's argument or a
@@ -52,6 +57,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -251,7 +257,14 @@ ReplayReport replay_log(const OpLog& log, sim::Simulator& sim, Oracle& oracle,
   std::vector<BlockedOutcome> blocked;
   std::unordered_map<std::uint64_t, std::uint64_t> txn_map;     // ticket -> id
   std::unordered_map<std::uint64_t, std::uint64_t> notify_map;  // ticket -> id
-  std::unordered_map<std::uint64_t, std::uint64_t> tuple_map;   // ticket -> id
+  // Write ticket -> entry id, only for the writes a kRenew or kCancelLease
+  // names: seeded here with id 0 (no entry's id), filled in by the write.
+  std::unordered_map<std::uint64_t, std::uint64_t> tuple_map;
+  for (const OpRecord* r : records) {
+    if (r->kind == Kind::kRenew || r->kind == Kind::kCancelLease) {
+      tuple_map.emplace(r->target, 0);
+    }
+  }
   const detail::LeasePlan leases = detail::plan_leases(records);
 
   auto mapped = [](const auto& map, std::uint64_t ticket) -> std::uint64_t {
@@ -270,10 +283,13 @@ ReplayReport replay_log(const OpLog& log, sim::Simulator& sim, Oracle& oracle,
     const OpRecord::Match& m = r.match();
     const std::uint64_t txn = mapped(txn_map, r.txn);
     switch (r.kind) {
-      case Kind::kWrite:
-        tuple_map[r.ticket] =
+      case Kind::kWrite: {
+        const std::uint64_t id =
             oracle.write(r.tuple, lease_for(leases.write, r.ticket), txn).id;
+        const auto it = tuple_map.find(r.ticket);
+        if (it != tuple_map.end()) it->second = id;
         break;
+      }
       case Kind::kReadIfExists:
         check(i, oracle.read_if_exists(m.tmpl, txn), m.result);
         break;
@@ -363,10 +379,25 @@ ReplayReport replay_log(const OpLog& log, sim::Simulator& sim, Oracle& oracle,
     }
   };
 
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    sim.schedule_at(
-        sim::Time::ns(static_cast<std::int64_t>(records[i]->ticket)),
-        [&apply, i] { apply(i); });
+  // The records stream through the kernel: record i's event schedules
+  // record i+1's, then applies record i. One record event is pending at a
+  // time, and it is queued ahead of anything apply(i) schedules. That is
+  // the order scheduling every record up front gave, because tickets are
+  // unique and the oracle's own timers land only on a blocked op's
+  // cancel_ticket, which no record carries, or on a kLeaseExpire ticket,
+  // whose record applies nothing. (A lease wheel's early wakeup only
+  // cascades a slot, which no record can observe.)
+  auto at_ticket = [&records](std::size_t i) {
+    return sim::Time::ns(static_cast<std::int64_t>(records[i]->ticket));
+  };
+  std::function<void(std::size_t)> stream = [&](std::size_t i) {
+    if (i + 1 < records.size()) {
+      sim.schedule_at(at_ticket(i + 1), [&stream, i] { stream(i + 1); });
+    }
+    apply(i);
+  };
+  if (!records.empty()) {
+    sim.schedule_at(at_ticket(0), [&stream] { stream(0); });
   }
   try {
     sim.run();

@@ -1,6 +1,8 @@
 // OpLog storage and OpRecord layout: chunked append and splice keep every
 // record where it is, by_ticket() restores the global order across chunks
-// and logs, and copying a record deep-copies its side payload.
+// and logs, and copying a record deep-copies its side payload. The replay
+// streams its records (one record event pending) and its lease pre-pass
+// plans only the armings a kLeaseExpire record ends.
 #include "src/space/oplog.hpp"
 
 #include <gtest/gtest.h>
@@ -9,19 +11,27 @@
 #include <map>
 #include <random>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "heap_probe.hpp"
+#include "src/sim/simulator.hpp"
 
 namespace tb::space {
 namespace {
 
-OpRecord write_record(std::uint64_t ticket) {
+OpRecord write_record(std::uint64_t ticket, const char* name,
+                      std::int64_t value) {
   OpRecord record;
   record.ticket = ticket;
   record.kind = OpRecord::Kind::kWrite;
-  record.tuple = make_tuple("w", static_cast<std::int64_t>(ticket));
+  record.tuple = make_tuple(name, value);
   return record;
+}
+
+OpRecord write_record(std::uint64_t ticket) {
+  return write_record(ticket, "w", static_cast<std::int64_t>(ticket));
 }
 
 std::map<std::uint64_t, const OpRecord*> addresses(const OpLog& log) {
@@ -166,6 +176,94 @@ TEST(OpLogMemory, HeapPerFedShapedRecord) {
   RecordProperty("heap_bytes_per_record", std::to_string(per_record));
   EXPECT_LE(per_record, 355.0);
 #endif
+}
+
+OpRecord take_record(std::uint64_t ticket, Tuple taken) {
+  OpRecord record;
+  record.ticket = ticket;
+  record.kind = OpRecord::Kind::kTakeExact;
+  record.tuple = std::move(taken);
+  return record;
+}
+
+OpRecord id_record(OpRecord::Kind kind, std::uint64_t ticket,
+                   std::uint64_t target, bool ok) {
+  OpRecord record;
+  record.ticket = ticket;
+  record.kind = kind;
+  record.target = target;
+  record.ok = ok;
+  return record;
+}
+
+std::vector<const OpRecord*> pointers(const std::vector<OpRecord>& records) {
+  std::vector<const OpRecord*> out;
+  out.reserve(records.size());
+  for (const OpRecord& record : records) out.push_back(&record);
+  return out;
+}
+
+// The replay keeps one record event pending however long the log is: each
+// record's event schedules the next record's. Scheduling every record up
+// front made the kernel's peak the record count.
+TEST(OpLogReplay, KeepsOneRecordEventPending) {
+  constexpr std::int64_t kWrites = 12'000;
+  constexpr std::int64_t kLag = 64;  // a take trails its write by kLag writes
+  OpLog log;
+  std::uint64_t ticket = 0;
+  for (std::int64_t i = 0; i < kWrites + kLag; ++i) {
+    if (i < kWrites) log.append(write_record(++ticket, "job", i));
+    if (i >= kLag) {
+      log.append(take_record(++ticket, make_tuple("job", i - kLag)));
+    }
+  }
+  ASSERT_EQ(log.size(), static_cast<std::size_t>(2 * kWrites));
+
+  sim::Simulator sim;
+  SpaceEngine oracle(sim, SpaceConfig{});
+  const ReplayReport report = replay_log(log, sim, oracle, {});
+  EXPECT_TRUE(report.equivalent) << report.divergence;
+  EXPECT_EQ(report.ops_replayed, static_cast<std::size_t>(2 * kWrites));
+  EXPECT_EQ(report.oracle_stats.writes, static_cast<std::uint64_t>(kWrites));
+  EXPECT_EQ(report.oracle_stats.takes, static_cast<std::uint64_t>(kWrites));
+  EXPECT_LE(sim.peak_pending_events(), 2u);
+}
+
+TEST(LeasePlan, ForeverLeasesPlanNothing) {
+  std::vector<OpRecord> records;
+  std::uint64_t ticket = 0;
+  for (std::int64_t i = 0; i < 10'000; ++i) {
+    records.push_back(write_record(++ticket, "job", i));
+    records.push_back(take_record(++ticket, make_tuple("job", i)));
+  }
+  const detail::LeasePlan plan = detail::plan_leases(pointers(records));
+  EXPECT_TRUE(plan.write.empty());
+  EXPECT_TRUE(plan.renew.empty());
+}
+
+// Each expiry's duration runs from the entry's latest successful arming:
+// its write, or the renew that re-armed it. A failed renew arms nothing,
+// and a transactional write or a taken entry replays as forever.
+TEST(LeasePlan, DurationsRunFromTheLatestArming) {
+  using Kind = OpRecord::Kind;
+  std::vector<OpRecord> records;
+  records.push_back(write_record(10, "a", 1));  // renewed, then expires
+  records.push_back(write_record(11, "b", 1));  // taken
+  OpRecord txn_write = write_record(12, "e", 1);
+  txn_write.txn = 5;  // transactional: forever in threaded mode
+  records.push_back(std::move(txn_write));
+  records.push_back(id_record(Kind::kRenew, 15, 10, /*ok=*/true));
+  records.push_back(take_record(16, make_tuple("b", std::int64_t{1})));
+  records.push_back(write_record(20, "c", 1));  // failed renew, expires
+  records.push_back(id_record(Kind::kRenew, 25, 20, /*ok=*/false));
+  records.push_back(id_record(Kind::kLeaseExpire, 30, 20, true));
+  records.push_back(id_record(Kind::kLeaseExpire, 40, 10, true));
+  records.push_back(id_record(Kind::kLeaseExpire, 50, 12, true));
+
+  const detail::LeasePlan plan = detail::plan_leases(pointers(records));
+  using Plan = std::unordered_map<std::uint64_t, std::int64_t>;
+  EXPECT_EQ(plan.write, (Plan{{20, 10}}));
+  EXPECT_EQ(plan.renew, (Plan{{15, 25}}));
 }
 
 }  // namespace

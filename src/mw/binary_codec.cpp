@@ -1,3 +1,17 @@
+// BinaryCodec: the compact encoding of one Message.
+//
+//   type u8 | request_id varint | created_at_ns i64 | flags u8
+//   [tuple] [template] | duration_ns i64 | handle varint |
+//   expires_at_ns i64 | txn varint | error string | [status u8] [epoch varint]
+//
+// Bracketed parts appear only when their flag bit is set, so a message
+// that leaves them at their defaults pays nothing for them.
+// tests/golden/binary_codec.txt pins the bytes.
+//
+// decode() returns nullopt for any input it cannot represent: truncated or
+// trailing bytes, unknown flag bits, unknown value or pattern tags, and
+// counts larger than the remaining input could hold. Only a type byte past
+// the last known kind decodes, header only, as kUnknownFrame.
 #include "src/mw/codec.hpp"
 #include "src/util/assert.hpp"
 #include "src/util/byte_buffer.hpp"
@@ -8,12 +22,10 @@ namespace {
 constexpr std::uint8_t kHasTuple = 0x01;
 constexpr std::uint8_t kHasTemplate = 0x02;
 constexpr std::uint8_t kOkFlag = 0x04;
-// Batch payloads ride behind new flag bits: pre-batch messages never set
-// them, so their encodings are byte-identical to the pre-batch codec.
-constexpr std::uint8_t kHasBatch = 0x08;        ///< batch_tuples + durations
-constexpr std::uint8_t kHasBatchResult = 0x10;  ///< batch_handles + expires
 constexpr std::uint8_t kHasStatus = 0x20;       ///< non-OK canonical status
 constexpr std::uint8_t kHasEpoch = 0x40;        ///< non-zero routing epoch
+constexpr std::uint8_t kKnownFlags =
+    kHasTuple | kHasTemplate | kOkFlag | kHasStatus | kHasEpoch;
 
 void put_value(util::ByteBuffer& buf, const space::Value& value) {
   buf.put_u8(static_cast<std::uint8_t>(value.type()));
@@ -48,6 +60,11 @@ space::Tuple get_tuple(util::ByteCursor& cursor) {
   space::Tuple tuple;
   tuple.name = cursor.get_string();
   const std::uint64_t count = cursor.get_varint();
+  // Every field takes at least one byte: a larger count is malformed, and
+  // reserving it first could throw std::bad_alloc instead.
+  if (count > cursor.remaining()) {
+    throw util::PreconditionError("field count exceeds the input");
+  }
   tuple.fields.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) tuple.fields.push_back(get_value(cursor));
   return tuple;
@@ -78,10 +95,15 @@ space::Template get_template(util::ByteCursor& cursor) {
     const std::uint8_t kind = cursor.get_u8();
     switch (kind) {
       case 0: tmpl.fields.push_back(space::FieldPattern::exact(get_value(cursor))); break;
-      case 1:
-        tmpl.fields.push_back(space::FieldPattern::typed(
-            static_cast<space::ValueType>(cursor.get_u8())));
+      case 1: {
+        const std::uint8_t tag = cursor.get_u8();
+        if (tag > static_cast<std::uint8_t>(space::ValueType::kBytes)) {
+          throw util::PreconditionError("unknown typed pattern tag");
+        }
+        tmpl.fields.push_back(
+            space::FieldPattern::typed(static_cast<space::ValueType>(tag)));
         break;
+      }
       case 2: tmpl.fields.push_back(space::FieldPattern::any()); break;
       default: throw util::PreconditionError("unknown field pattern tag");
     }
@@ -107,29 +129,11 @@ void BinaryCodec::encode_into(const Message& message,
   if (message.tuple) flags |= kHasTuple;
   if (message.tmpl) flags |= kHasTemplate;
   if (message.ok) flags |= kOkFlag;
-  if (!message.batch_tuples.empty()) flags |= kHasBatch;
-  if (!message.batch_handles.empty()) flags |= kHasBatchResult;
   if (message.status != 0) flags |= kHasStatus;
   if (message.epoch != 0) flags |= kHasEpoch;
   buf.put_u8(flags);
   if (message.tuple) put_tuple(buf, *message.tuple);
   if (message.tmpl) put_template(buf, *message.tmpl);
-  if (!message.batch_tuples.empty()) {
-    TB_ASSERT(message.batch_durations.size() == message.batch_tuples.size());
-    buf.put_varint(message.batch_tuples.size());
-    for (std::size_t i = 0; i < message.batch_tuples.size(); ++i) {
-      put_tuple(buf, message.batch_tuples[i]);
-      buf.put_i64(message.batch_durations[i]);
-    }
-  }
-  if (!message.batch_handles.empty()) {
-    TB_ASSERT(message.batch_expires.size() == message.batch_handles.size());
-    buf.put_varint(message.batch_handles.size());
-    for (std::size_t i = 0; i < message.batch_handles.size(); ++i) {
-      buf.put_varint(message.batch_handles[i]);
-      buf.put_i64(message.batch_expires[i]);
-    }
-  }
   buf.put_i64(message.duration_ns);
   buf.put_varint(message.handle);
   buf.put_i64(message.expires_at_ns);
@@ -161,27 +165,10 @@ std::optional<Message> BinaryCodec::decode(
     message.request_id = cursor.get_varint();
     message.created_at_ns = cursor.get_i64();
     const std::uint8_t flags = cursor.get_u8();
+    if (flags & ~kKnownFlags) return std::nullopt;
     if (flags & kHasTuple) message.tuple = get_tuple(cursor);
     if (flags & kHasTemplate) message.tmpl = get_template(cursor);
     message.ok = (flags & kOkFlag) != 0;
-    if (flags & kHasBatch) {
-      const std::uint64_t count = cursor.get_varint();
-      message.batch_tuples.reserve(count);
-      message.batch_durations.reserve(count);
-      for (std::uint64_t i = 0; i < count; ++i) {
-        message.batch_tuples.push_back(get_tuple(cursor));
-        message.batch_durations.push_back(cursor.get_i64());
-      }
-    }
-    if (flags & kHasBatchResult) {
-      const std::uint64_t count = cursor.get_varint();
-      message.batch_handles.reserve(count);
-      message.batch_expires.reserve(count);
-      for (std::uint64_t i = 0; i < count; ++i) {
-        message.batch_handles.push_back(cursor.get_varint());
-        message.batch_expires.push_back(cursor.get_i64());
-      }
-    }
     message.duration_ns = cursor.get_i64();
     message.handle = cursor.get_varint();
     message.expires_at_ns = cursor.get_i64();

@@ -16,8 +16,7 @@
 // immediately, so one client coroutine can keep several requests in flight
 // on the same connection and await them in any order — the session-based
 // server answers by request id as operations complete, not in arrival
-// order. ClientConfig::write_coalesce_max additionally batches same-turn
-// writes into one kWriteBatchRequest.
+// order. Every operation is one request and one reply on the wire.
 #pragma once
 
 #include <coroutine>
@@ -61,16 +60,6 @@ struct ClientConfig {
   /// retries to spare. A backoff > 1 walks successive attempts out of
   /// phase (chaos soaks run with 1.5).
   double rpc_backoff = 1.0;
-
-  /// Max writes coalesced into one kWriteBatchRequest. 0 (or 1) = off:
-  /// every write is its own wire message, the historical behavior. With
-  /// N > 1, non-transactional write_async calls buffer; the batch flushes
-  /// when it holds N tuples or at the zero-delay flush event closing the
-  /// current event turn, whichever comes first. A flushed batch of one
-  /// degrades to a plain kWriteRequest, so solitary writes keep their
-  /// pre-batch wire encoding. Transactional writes never coalesce (their
-  /// txn scope is per-message).
-  int write_coalesce_max = 0;
 };
 
 /// Single-consumer awaitable result of an async SpaceClient operation.
@@ -159,27 +148,16 @@ class SpaceClient {
                                std::uint64_t txn = space::kNoTxn);
 
   // --- pipelined API ---------------------------------------------------------
-  // Fire-and-await-later: the request goes out (or joins the write batch)
-  // now, the returned future resolves when its response arrives. Several
-  // futures may be in flight on the one connection simultaneously.
+  // Fire-and-await-later: the request goes out now, the returned future
+  // resolves when its response arrives. Several futures may be in flight on
+  // the one connection simultaneously.
 
-  /// Async write. With write_coalesce_max > 1 and no transaction, joins the
-  /// current batch instead of sending immediately; batch failure fails
-  /// every member future.
   RpcFuture<WriteResult> write_async(space::Tuple tuple,
                                      sim::Time lease_duration,
                                      std::uint64_t txn = space::kNoTxn);
 
-  /// Async blocking take/read with server-side timeout; resolves to the
-  /// matched tuple or nullopt. Same transactional semantics as take()/read().
-  RpcFuture<std::optional<space::Tuple>> take_async(
-      space::Template tmpl, sim::Time timeout,
-      std::uint64_t txn = space::kNoTxn);
-  RpcFuture<std::optional<space::Tuple>> read_async(
-      space::Template tmpl, sim::Time timeout,
-      std::uint64_t txn = space::kNoTxn);
-
-  /// Status-typed variants of the async matches: the future resolves to a
+  /// Async blocking take/read with server-side timeout, the same
+  /// transactional semantics as take()/read(): the future resolves to a
   /// MatchResult carrying the canonical outcome alongside any tuple.
   RpcFuture<MatchResult> take_match_async(space::Template tmpl,
                                           sim::Time timeout,
@@ -187,14 +165,6 @@ class SpaceClient {
   RpcFuture<MatchResult> read_match_async(space::Template tmpl,
                                           sim::Time timeout,
                                           std::uint64_t txn = space::kNoTxn);
-  sim::Task<MatchResult> take_match(space::Template tmpl, sim::Time timeout,
-                                    std::uint64_t txn = space::kNoTxn);
-  sim::Task<MatchResult> read_match(space::Template tmpl, sim::Time timeout,
-                                    std::uint64_t txn = space::kNoTxn);
-
-  /// Sends any buffered coalesced writes now instead of at the end of the
-  /// event turn.
-  void flush_writes();
 
   /// Blocking take/read with server-side timeout; nullopt = no match (or
   /// rpc timeout). Under a transaction the server answers if-exists
@@ -256,8 +226,6 @@ class SpaceClient {
     std::uint64_t events = 0;
     std::uint64_t decode_errors = 0;
     std::uint64_t stray_responses = 0;  ///< no pending call (late arrival)
-    std::uint64_t coalesced_writes = 0;  ///< writes routed via a batch buffer
-    std::uint64_t write_batches = 0;  ///< flushes (incl. degraded singles)
     std::uint64_t messages_encoded = 0;
     std::uint64_t bytes_encoded = 0;   ///< codec output, pre-framing
     std::uint64_t messages_decoded = 0;
@@ -285,13 +253,6 @@ class SpaceClient {
     sim::Time started;       ///< first send, for the rpc latency histogram
   };
 
-  /// A write parked in the coalescing buffer, awaiting flush.
-  struct BufferedWrite {
-    space::Tuple tuple;
-    std::int64_t duration_ns = 0;
-    RpcFuture<WriteResult> future;
-  };
-
   void arm_timeout(std::uint64_t request_id);
 
   /// Sends `request` (stamping id + timestamp) and completes `on_done`
@@ -301,9 +262,7 @@ class SpaceClient {
   void handle_bytes(std::span<const std::uint8_t> bytes);
 
   static WriteResult write_result_of(const std::optional<Message>& response);
-  static std::optional<space::Tuple> match_result_of(
-      std::optional<Message> response);
-  static MatchResult typed_match_result_of(std::optional<Message> response);
+  static MatchResult match_result_of(std::optional<Message> response);
   /// Canonical status of a response: OK for the expected type with a clean
   /// outcome, the wire status when the server sent one, UNAVAILABLE when
   /// the rpc itself failed (timeout budget exhausted).
@@ -312,6 +271,10 @@ class SpaceClient {
 
   /// Awaitable wrapper over call().
   auto rpc(Message request);
+
+  /// Sends every match request: `type` is kTakeRequest or kReadRequest.
+  RpcFuture<MatchResult> match_async(MsgType type, space::Template tmpl,
+                                     sim::Time timeout, std::uint64_t txn);
 
   static std::int64_t duration_ns_of(sim::Time t);
 
@@ -322,8 +285,6 @@ class SpaceClient {
   std::uint64_t next_request_id_ = 1;
   std::unordered_map<std::uint64_t, Pending> pending_;
   std::unordered_map<std::uint64_t, EventCallback> event_callbacks_;
-  std::vector<BufferedWrite> write_buffer_;  ///< coalescing, flushed per turn
-  bool flush_scheduled_ = false;
   Stats stats_;
   obs::Histogram* rpc_latency_ns_ = nullptr;  ///< set by bind_metrics
 };

@@ -12,12 +12,15 @@
 // makes Table 4's "Out of Time" observable: when bus congestion stretches
 // the write+take round trip past the 160 s lease, the entry is already
 // expired by the time the take reaches the server.
+//
+// Every operation is one request and one reply: the paper's client sends
+// one XML request per JavaSpaces call, and what loads the 1-wire bus is
+// bytes per entry, not batching.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "src/space/tuple.hpp"
 
@@ -42,11 +45,9 @@ enum class MsgType : std::uint8_t {
   kTxnAbortRequest,
   kTxnResolveResponse, ///< answers commit and abort
   kError,
-  // Appended after kError so every pre-batch message keeps its wire value
-  // (the binary codec writes the enum value as a raw byte).
-  kWriteBatchRequest,  ///< N coalesced writes in one framed message
-  kWriteBatchResponse, ///< per-write leases, same order as the request
-  // Federation frames (DESIGN.md §16), appended for the same reason.
+  // Federation frames (DESIGN.md §16), appended after kError so every
+  // earlier message keeps its wire value (the binary codec writes the enum
+  // value as a raw byte).
   kPeekRequest,        ///< oldest live match, non-destructive; wildcard scatter
   kPeekResponse,       ///< ok + tuple + handle = global ticket of the entry
   kTakeByIdRequest,    ///< directed removal; handle = global ticket
@@ -88,16 +89,6 @@ struct Message {
   /// how stale its table is; 0 = absent. Both codecs omit the field when
   /// 0, keeping pre-federation encodings byte-identical.
   std::uint64_t epoch = 0;
-
-  // Batch-write payload (kWriteBatchRequest/-Response). Requests carry
-  // batch_tuples + batch_durations (parallel arrays); responses carry
-  // batch_handles + batch_expires, one lease per written tuple, in request
-  // order. Empty on every other message type — the codecs emit nothing for
-  // empty vectors, which keeps pre-batch encodings byte-identical.
-  std::vector<space::Tuple> batch_tuples;
-  std::vector<std::int64_t> batch_durations;
-  std::vector<std::uint64_t> batch_handles;
-  std::vector<std::int64_t> batch_expires;
 
   bool operator==(const Message&) const = default;
   std::string to_string() const;

@@ -197,18 +197,7 @@ void NodeCore::handle_bytes(SessionId session,
   state.in_flight.insert(request->request_id);
 
   ++stats_.requests;
-  enqueue(session, std::move(*request));
-}
-
-void NodeCore::enqueue(SessionId session, Message request) {
-  Session& state = sessions_[session];
-  if (config_.pipeline_depth > 0 &&
-      state.in_service >= config_.pipeline_depth) {
-    ++stats_.pipeline_queued;
-    state.dispatch_queue.push_back(std::move(request));
-    return;
-  }
-  admit(session, std::move(request));
+  admit(session, std::move(*request));
 }
 
 void NodeCore::admit(SessionId session, Message request) {
@@ -270,15 +259,6 @@ void NodeCore::finish_service(SessionId session) {
   Session& state = sessions_[session];
   --state.in_service;
   --total_in_service_;
-  // The session's own queue first (keeps pipeline_depth-only configs on
-  // their historical schedule), then the global admission FIFO.
-  if (!state.dispatch_queue.empty() &&
-      !(config_.pipeline_depth > 0 &&
-        state.in_service >= config_.pipeline_depth)) {
-    Message next = std::move(state.dispatch_queue.front());
-    state.dispatch_queue.pop_front();
-    admit(session, std::move(next));
-  }
   drain_admission_queue();
 }
 
@@ -288,15 +268,6 @@ void NodeCore::drain_admission_queue() {
           total_in_service_ < config_.max_service_slots)) {
     auto [waiting_session, next] = std::move(admission_queue_.front());
     admission_queue_.pop_front();
-    Session& state = sessions_[waiting_session];
-    if (config_.pipeline_depth > 0 &&
-        state.in_service >= config_.pipeline_depth) {
-      // The session refilled its own slots while this request waited
-      // globally; hand it back to the session FIFO.
-      ++stats_.pipeline_queued;
-      state.dispatch_queue.push_back(std::move(next));
-      continue;
-    }
     start_service(waiting_session, std::move(next));
   }
 }
@@ -332,13 +303,6 @@ bool NodeCore::misrouted(const Message& request) const {
       if (!request.tuple) return false;  // the invalid-argument path answers
       return !owns_(
           space::type_key(request.tuple->name, request.tuple->fields.size()));
-    case MsgType::kWriteBatchRequest:
-      for (const space::Tuple& tuple : request.batch_tuples) {
-        if (!owns_(space::type_key(tuple.name, tuple.fields.size()))) {
-          return true;
-        }
-      }
-      return false;
     case MsgType::kReadRequest:
     case MsgType::kTakeRequest:
       // Wildcard (unnamed) templates are never filtered: they arrive via
@@ -374,9 +338,6 @@ void NodeCore::process(SessionId session, Message request) {
   switch (request.type) {
     case MsgType::kWriteRequest:
       handle_write(session, request);
-      return;
-    case MsgType::kWriteBatchRequest:
-      handle_write_batch(session, request);
       return;
     case MsgType::kReadRequest:
       handle_match(session, request, /*take=*/false);
@@ -503,87 +464,6 @@ void NodeCore::handle_write(SessionId session, Message& request) {
                 });
       return;
     }
-  }
-  respond(session, response);
-}
-
-void NodeCore::handle_write_batch(SessionId session, Message& request) {
-  Message response;
-  response.type = MsgType::kWriteBatchResponse;
-  response.request_id = request.request_id;
-  if (request.batch_tuples.empty() ||
-      request.batch_durations.size() != request.batch_tuples.size()) {
-    response.ok = false;
-    response.error = "malformed write batch";
-    response.status =
-        static_cast<std::uint8_t>(util::StatusCode::kInvalidArgument);
-    respond(session, response);
-    return;
-  }
-  if (request.txn != space::kNoTxn &&
-      !space_->transaction_open(request.txn)) {
-    response.ok = false;
-    response.error = "unknown transaction";
-    response.status = static_cast<std::uint8_t>(util::StatusCode::kNotFound);
-    respond(session, response);
-    return;
-  }
-  // One service-stage hop covers the whole batch — that amortization is the
-  // point of coalescing. Each write still gets its own lease accounting
-  // (shared send timestamp) and its own slot in the response.
-  const bool ticketed = ticketing() && request.txn == space::kNoTxn;
-  std::vector<Message> repl_frames;
-  response.ok = true;
-  response.batch_handles.reserve(request.batch_tuples.size());
-  response.batch_expires.reserve(request.batch_tuples.size());
-  for (std::size_t i = 0; i < request.batch_tuples.size(); ++i) {
-    const std::optional<sim::Time> lease_duration =
-        remaining_lease(request.batch_durations[i], request.created_at_ns);
-    if (!lease_duration) {
-      ++stats_.dead_on_arrival;
-      response.batch_handles.push_back(0);
-      response.batch_expires.push_back(request.created_at_ns +
-                                       request.batch_durations[i]);
-      continue;
-    }
-    ++stats_.named_ops;
-    space::Tuple recorded;
-    if (ticketed) recorded = request.batch_tuples[i];
-    const space::Lease lease = space_->write(
-        std::move(request.batch_tuples[i]), *lease_duration, request.txn);
-    ++stats_.batched_writes;
-    response.batch_handles.push_back(lease.id);
-    response.batch_expires.push_back(lease.expires_at == sim::Time::max()
-                                         ? INT64_MAX
-                                         : lease.expires_at.count_ns());
-    if (ticketed) {
-      const std::uint64_t ticket = draw_ticket();
-      if (!standby_) {
-        record_write(lease.id, std::move(recorded), ticket);
-      } else {
-        record_write(lease.id, recorded, ticket);
-        Message frame;
-        frame.type = MsgType::kReplicateWriteRequest;
-        frame.tuple = std::move(recorded);
-        frame.handle = ticket;
-        frame.duration_ns = *lease_duration == space::kLeaseForever
-                                ? INT64_MAX
-                                : lease_duration->count_ns();
-        repl_frames.push_back(std::move(frame));
-      }
-    }
-  }
-  if (!repl_frames.empty()) {
-    // The batch acks as a unit: hold the response until every member's
-    // replication record is confirmed.
-    auto remaining = std::make_shared<std::size_t>(repl_frames.size());
-    auto resp = std::make_shared<Message>(std::move(response));
-    for (Message& frame : repl_frames) {
-      replicate(std::move(frame), [this, session, remaining, resp] {
-        if (--*remaining == 0) respond(session, std::move(*resp));
-      });
-    }
-    return;
   }
   respond(session, response);
 }
@@ -900,12 +780,10 @@ void NodeCore::bind_metrics(obs::Registry& registry,
   obs::Counter& replayed = registry.counter(prefix + ".duplicates_replayed");
   obs::Counter& ignored = registry.counter(prefix + ".duplicates_ignored");
   obs::Counter& rejected = registry.counter(prefix + ".rejected_requests");
-  obs::Counter& queued = registry.counter(prefix + ".pipeline_queued");
   obs::Counter& adm_queued = registry.counter(prefix + ".admission_queued");
   obs::Counter& overload = registry.counter(prefix + ".overload_rejects");
   obs::Counter& flushes =
       registry.counter(prefix + ".notify_batch_flushes");
-  obs::Counter& batched = registry.counter(prefix + ".batched_writes");
   obs::Counter& misroutes = registry.counter(prefix + ".misroute_rejects");
   obs::Counter& unknown = registry.counter(prefix + ".unknown_frames");
   obs::Counter& enc_msgs = registry.counter(prefix + ".codec.messages_encoded");
@@ -916,11 +794,10 @@ void NodeCore::bind_metrics(obs::Registry& registry,
   obs::Gauge& mappings = registry.gauge(prefix + ".ticket_mappings");
   obs::Gauge& standby_buffered = registry.gauge(prefix + ".standby_buffered");
   registry.add_collector([this, &requests, &responses, &events, &decode_errors,
-                          &doa, &replayed, &ignored, &rejected, &queued,
-                          &adm_queued, &overload, &flushes, &batched,
-                          &misroutes, &unknown, &enc_msgs, &enc_bytes,
-                          &dec_msgs, &dec_bytes, &oplog_records, &mappings,
-                          &standby_buffered] {
+                          &doa, &replayed, &ignored, &rejected, &adm_queued,
+                          &overload, &flushes, &misroutes, &unknown,
+                          &enc_msgs, &enc_bytes, &dec_msgs, &dec_bytes,
+                          &oplog_records, &mappings, &standby_buffered] {
     requests.set(stats_.requests);
     responses.set(stats_.responses);
     events.set(stats_.events_pushed);
@@ -929,11 +806,9 @@ void NodeCore::bind_metrics(obs::Registry& registry,
     replayed.set(stats_.duplicates_replayed);
     ignored.set(stats_.duplicates_ignored);
     rejected.set(stats_.rejected_requests);
-    queued.set(stats_.pipeline_queued);
     adm_queued.set(stats_.admission_queued);
     overload.set(stats_.overload_rejects);
     flushes.set(stats_.notify_batch_flushes);
-    batched.set(stats_.batched_writes);
     misroutes.set(stats_.misroute_rejects);
     unknown.set(stats_.unknown_frames);
     enc_msgs.set(stats_.messages_encoded);

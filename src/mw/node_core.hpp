@@ -27,9 +27,10 @@
 // no ticket counter and no standby behaves bit-exactly like the historical
 // single SpaceServer — same event schedule, same stats, same wire bytes.
 //
-// Session/dispatch semantics are unchanged from the pre-federation server:
-// see ServerConfig below for pipeline_depth / max_service_slots /
-// admission_queue_limit, and message.hpp for why leases count from the
+// Dispatch: each connection is a Session that keeps several requests in
+// flight, answered by request id. Every request passes one server-wide
+// admission queue (ServerConfig::max_service_slots / admission_queue_limit)
+// into the service stage; see message.hpp for why leases count from the
 // request's send timestamp.
 #pragma once
 
@@ -61,15 +62,10 @@ struct ServerConfig {
   /// Per-request processing latency (RMI dispatch + socket wrapper).
   sim::Time service_delay = sim::Time::ms(2);
 
-  /// Max requests per session concurrently in the service stage; excess
-  /// arrivals queue FIFO in the session. 0 = unbounded (legacy behavior,
-  /// bit-exact event schedule).
-  int pipeline_depth = 0;
-
-  /// Server-wide service-stage bound on top of pipeline_depth: at most
-  /// this many requests (across all sessions) may occupy the service
-  /// stage at once. 0 = unbounded (legacy behavior, bit-exact event
-  /// schedule). Excess requests wait in a global FIFO.
+  /// Server-wide service-stage bound: at most this many requests (across
+  /// all sessions) may occupy the service stage at once. 0 = unbounded
+  /// (no extra events are scheduled). Excess requests wait in one global
+  /// FIFO.
   int max_service_slots = 0;
 
   /// Bound on the global admission FIFO (only meaningful with
@@ -101,11 +97,12 @@ class NodeCore {
     std::uint64_t duplicates_replayed = 0;  ///< cached response resent
     std::uint64_t duplicates_ignored = 0;   ///< original still in flight
     std::uint64_t rejected_requests = 0;    ///< request_id 0: uncorrelatable
-    std::uint64_t pipeline_queued = 0;      ///< waited for a session slot
+    /// Always 0: no per-session bound is left to wait for. Kept because
+    /// the benchmark reports still read it.
+    std::uint64_t pipeline_queued = 0;
     std::uint64_t admission_queued = 0;     ///< waited for a global slot
     std::uint64_t overload_rejects = 0;     ///< shed with RESOURCE_EXHAUSTED
     std::uint64_t notify_batch_flushes = 0; ///< batched event deliveries
-    std::uint64_t batched_writes = 0;   ///< tuples written via batch requests
     std::uint64_t messages_encoded = 0;
     std::uint64_t bytes_encoded = 0;   ///< codec output, pre-framing
     std::uint64_t messages_decoded = 0;
@@ -125,7 +122,8 @@ class NodeCore {
 
   space::SpaceEngine& space() { return *space_; }
 
-  /// Peak service-stage occupancy across sessions (pipelining diagnostics).
+  /// Peak service-stage occupancy of any one session (pipelining
+  /// diagnostics).
   std::size_t peak_in_service() const { return peak_in_service_; }
 
   /// Observability hook (DESIGN.md §7): mirrors Stats into `<p>.*` counters
@@ -196,7 +194,7 @@ class NodeCore {
 
   /// Per-connection dispatcher state: the duplicate-suppression response
   /// cache, the set of requests currently anywhere between arrival and
-  /// response, and the pipeline's service-stage accounting.
+  /// response, and how many of them are in the service stage.
   struct Session {
     /// Duplicate-request suppression: clients on lossy transports
     /// retransmit byte-identical requests (same id); replaying the cached
@@ -204,9 +202,7 @@ class NodeCore {
     std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> responses;
     std::deque<std::uint64_t> response_order;  ///< FIFO eviction
     std::set<std::uint64_t> in_flight;
-
-    std::deque<Message> dispatch_queue;  ///< waiting for a session slot
-    int in_service = 0;                  ///< requests inside the service stage
+    int in_service = 0;  ///< requests inside the service stage
 
     /// Notify deliveries accumulated this turn; a zero-delay flush event
     /// drains them back-to-back (batched async fan-out, DESIGN.md §12).
@@ -226,9 +222,6 @@ class NodeCore {
   };
 
   void handle_bytes(SessionId session, std::span<const std::uint8_t> bytes);
-  /// Admits a decoded request to the session pipeline: service stage if a
-  /// slot is free, dispatch queue otherwise.
-  void enqueue(SessionId session, Message request);
   /// Server-wide admission (DESIGN.md §12): free global slot -> service;
   /// full slots -> global FIFO; full FIFO -> typed RESOURCE_EXHAUSTED shed.
   void admit(SessionId session, Message request);
@@ -244,7 +237,6 @@ class NodeCore {
   void respond(SessionId session, Message response);
 
   void handle_write(SessionId session, Message& request);
-  void handle_write_batch(SessionId session, Message& request);
   void handle_match(SessionId session, Message& request, bool take);
   void handle_notify(SessionId session, const Message& request);
   void handle_renew(SessionId session, const Message& request);
@@ -296,8 +288,8 @@ class NodeCore {
   std::unordered_map<SessionId, Session> sessions_;
   std::vector<std::uint8_t> encode_buf_;  ///< reused for event pushes
 
-  /// Requests admitted past their session bound but waiting for a global
-  /// service slot (max_service_slots), FIFO across sessions.
+  /// Requests waiting for a service slot (max_service_slots), FIFO across
+  /// sessions.
   std::deque<std::pair<SessionId, Message>> admission_queue_;
   int total_in_service_ = 0;
 

@@ -64,27 +64,6 @@ void XmlCodec::encode_into(const Message& message,
   w.attr("type", msg_type_tag(message.type));
   if (message.tuple) tuple_to_xml_into(*message.tuple, w);
   if (message.tmpl) template_to_xml_into(*message.tmpl, w);
-  if (!message.batch_tuples.empty()) {
-    w.open("batch");
-    for (std::size_t i = 0; i < message.batch_tuples.size(); ++i) {
-      w.open("w");
-      w.attr_i64("lease", message.batch_durations[i]);
-      tuple_to_xml_into(message.batch_tuples[i], w);
-      w.close();
-    }
-    w.close();
-  }
-  if (!message.batch_handles.empty()) {
-    w.open("leases");
-    for (std::size_t i = 0; i < message.batch_handles.size(); ++i) {
-      w.open("l");
-      // Alphabetical attribute order, matching XmlNode::serialize().
-      w.attr_i64("expires", message.batch_expires[i]);
-      w.attr_u64("id", message.batch_handles[i]);
-      w.close();
-    }
-    w.close();
-  }
   if (message.duration_ns != 0) {
     w.open("duration");
     w.text_i64(message.duration_ns);
@@ -165,34 +144,6 @@ std::optional<Message> XmlCodec::decode(
     auto tmpl = template_from_xml(*node);
     if (!tmpl) return std::nullopt;
     message.tmpl = std::move(tmpl);
-  }
-  if (const XmlNode* node = root->child("batch")) {
-    for (const XmlNode& w : node->children) {
-      if (w.name != "w") return std::nullopt;
-      auto lease_attr = w.attribute("lease");
-      if (!lease_attr) return std::nullopt;
-      auto lease = parse_i64(*lease_attr);
-      if (!lease) return std::nullopt;
-      const XmlNode* tuple_node = w.child("tuple");
-      if (!tuple_node) return std::nullopt;
-      auto tuple = tuple_from_xml(*tuple_node);
-      if (!tuple) return std::nullopt;
-      message.batch_tuples.push_back(std::move(*tuple));
-      message.batch_durations.push_back(*lease);
-    }
-  }
-  if (const XmlNode* node = root->child("leases")) {
-    for (const XmlNode& l : node->children) {
-      if (l.name != "l") return std::nullopt;
-      auto id_a = l.attribute("id");
-      auto expires_a = l.attribute("expires");
-      if (!id_a || !expires_a) return std::nullopt;
-      auto handle = parse_u64(*id_a);
-      auto expires = parse_i64(*expires_a);
-      if (!handle || !expires) return std::nullopt;
-      message.batch_handles.push_back(*handle);
-      message.batch_expires.push_back(*expires);
-    }
   }
   if (const XmlNode* node = root->child("duration")) {
     auto v = parse_i64(node->text);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/util/byte_buffer.hpp"
 #include "src/util/status.hpp"
 
 #include <climits>
@@ -174,6 +175,67 @@ TEST(BinaryCodecTest, RejectsTrailingBytes) {
 TEST(BinaryCodecTest, RejectsEmpty) {
   BinaryCodec codec;
   EXPECT_FALSE(codec.decode({}).has_value());
+}
+
+// A hand-built binary frame: the header up to and including the flags byte.
+util::ByteBuffer frame_header(MsgType type, std::uint8_t flags) {
+  util::ByteBuffer buf;
+  buf.put_u8(static_cast<std::uint8_t>(type));
+  buf.put_varint(5);  // request id
+  buf.put_i64(0);     // created_at_ns
+  buf.put_u8(flags);
+  return buf;
+}
+
+// The fixed fields every frame ends with: duration, handle, expires, txn
+// and an empty error string.
+std::vector<std::uint8_t> end_frame(util::ByteBuffer buf) {
+  buf.put_i64(0);
+  buf.put_varint(0);
+  buf.put_i64(0);
+  buf.put_varint(0);
+  buf.put_string("");
+  return buf.take();
+}
+
+// A tuple's field count arrives before its fields. A count the input cannot
+// hold is malformed: decode answers nullopt instead of reserving 2^50
+// fields and letting std::bad_alloc escape.
+TEST(BinaryCodecTest, RejectsFieldCountBeyondTheInput) {
+  util::ByteBuffer buf = frame_header(MsgType::kWriteRequest, /*tuple*/ 0x01);
+  buf.put_string("t");
+  buf.put_varint(std::uint64_t{1} << 50);
+  const std::vector<std::uint8_t> bytes = end_frame(std::move(buf));
+  BinaryCodec codec;
+  std::optional<Message> decoded;
+  EXPECT_NO_THROW(decoded = codec.decode(bytes));
+  EXPECT_FALSE(decoded.has_value());
+}
+
+// A typed pattern names a ValueType; a tag past kBytes names none. The XML
+// codec could not re-encode such a pattern, so the binary decode rejects
+// it as it rejects an unknown value tag.
+TEST(BinaryCodecTest, RejectsUnknownTypedPatternTag) {
+  util::ByteBuffer buf = frame_header(MsgType::kTakeRequest, /*template*/ 0x02);
+  buf.put_u8(1);  // named
+  buf.put_string("t");
+  buf.put_varint(1);  // one field
+  buf.put_u8(1);      // typed pattern
+  buf.put_u8(static_cast<std::uint8_t>(space::ValueType::kBytes) + 1);
+  EXPECT_FALSE(BinaryCodec().decode(end_frame(std::move(buf))).has_value());
+}
+
+// Flag bits the codec does not define carry nothing it could decode.
+TEST(BinaryCodecTest, RejectsUnknownFlagBits) {
+  for (const std::uint8_t flag : {0x08, 0x10, 0x80}) {
+    SCOPED_TRACE(flag);
+    const auto bytes = end_frame(frame_header(MsgType::kWriteResponse, flag));
+    EXPECT_FALSE(BinaryCodec().decode(bytes).has_value());
+  }
+  // The same frame with no flag set decodes.
+  EXPECT_TRUE(BinaryCodec()
+                  .decode(end_frame(frame_header(MsgType::kWriteResponse, 0)))
+                  .has_value());
 }
 
 TEST(CodecComparison, BinaryIsSubstantiallySmallerThanXml) {

@@ -1,7 +1,7 @@
 // Pipelined request dispatch (DESIGN.md §10): multiple outstanding requests
-// per connection, out-of-order replies matched by request id, the
-// pipeline_depth service-stage bound, request-id validation, and write
-// coalescing into kWriteBatchRequest.
+// per connection, out-of-order replies matched by request id, request-id
+// validation, and the server-wide service-slot bound with its admission
+// queue (DESIGN.md §12).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -49,14 +49,14 @@ TEST_F(PipelineTest, LaterReadAnswersWhileBlockingTakeIsParked) {
 
   // The take has no match and parks inside the space; the read issued after
   // it must answer first — replies are matched by id, not arrival order.
-  auto take = client_.take_async(any_named("blocked", 1), 10_s);
-  auto read = client_.read_async(any_named("ready", 1), 1_s);
+  auto take = client_.take_match_async(any_named("blocked", 1), 10_s);
+  auto read = client_.read_match_async(any_named("ready", 1), 1_s);
 
   bool checked = false;
   sim::spawn([&]() -> sim::Task<void> {
     auto got = co_await read;
-    CO_ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->fields[0], space::Value(7));
+    CO_ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.tuple->fields[0], space::Value(7));
     EXPECT_FALSE(take.done());  // still parked server-side
     checked = true;
   });
@@ -72,8 +72,8 @@ TEST_F(PipelineTest, LaterReadAnswersWhileBlockingTakeIsParked) {
   });
   sim_.run();
   ASSERT_TRUE(take.done());
-  ASSERT_TRUE(take.get().has_value());
-  EXPECT_EQ(take.get()->fields[0], space::Value(1));
+  ASSERT_TRUE(take.get().ok());
+  EXPECT_EQ(take.get().tuple->fields[0], space::Value(1));
 }
 
 TEST_F(PipelineTest, RequestIdZeroIsRejectedNotCached) {
@@ -94,17 +94,17 @@ TEST_F(PipelineTest, RequestIdZeroIsRejectedNotCached) {
   EXPECT_EQ(client_.stats().stray_responses, 1u);
 }
 
-class DepthOneTest : public PipelineTest {
+class OneSlotTest : public PipelineTest {
  protected:
-  DepthOneTest() : PipelineTest(ServerConfig{.pipeline_depth = 1}) {}
+  OneSlotTest() : PipelineTest(ServerConfig{.max_service_slots = 1}) {}
 };
 
-TEST_F(DepthOneTest, DepthBoundSerializesServiceStage) {
+TEST_F(OneSlotTest, SlotBoundSerializesServiceStage) {
   space_.write(space::make_tuple("a", space::Value(1)));
   space_.write(space::make_tuple("b", space::Value(2)));
 
-  auto first = client_.read_async(any_named("a", 1), 1_s);
-  auto second = client_.read_async(any_named("b", 1), 1_s);
+  auto first = client_.read_match_async(any_named("a", 1), 1_s);
+  auto second = client_.read_match_async(any_named("b", 1), 1_s);
   std::vector<sim::Time> completions;
   sim::spawn([&]() -> sim::Task<void> {
     (void)co_await first;
@@ -119,19 +119,21 @@ TEST_F(DepthOneTest, DepthBoundSerializesServiceStage) {
   ASSERT_EQ(completions.size(), 2u);
   EXPECT_EQ(completions[0], 12_ms);
   EXPECT_EQ(completions[1], 14_ms);
-  EXPECT_EQ(server_.stats().pipeline_queued, 1u);
+  EXPECT_EQ(server_.stats().admission_queued, 1u);
   EXPECT_EQ(server_.peak_in_service(), 1u);
 }
 
-TEST_F(DepthOneTest, ParkedTakeDoesNotHoldItsServiceSlot) {
+TEST_F(OneSlotTest, ParkedTakeDoesNotHoldItsServiceSlot) {
   // A blocking take with no match parks inside the space engine; the
   // service slot must free immediately so the next request can answer.
-  auto take = client_.take_async(any_named("nothing", 1), 10_s);
-  auto read = client_.read_async(any_named("nothing", 1), sim::Time::zero());
+  auto take = client_.take_match_async(any_named("nothing", 1), 10_s);
+  auto read =
+      client_.read_match_async(any_named("nothing", 1), sim::Time::zero());
   bool read_done = false;
   sim::spawn([&]() -> sim::Task<void> {
     auto got = co_await read;
-    EXPECT_FALSE(got.has_value());
+    EXPECT_TRUE(got.status.ok());
+    EXPECT_FALSE(got.tuple.has_value());
     read_done = true;
   });
   sim_.run_until(100_ms);
@@ -140,11 +142,11 @@ TEST_F(DepthOneTest, ParkedTakeDoesNotHoldItsServiceSlot) {
   EXPECT_EQ(space_.blocked_operations(), 1u);
 }
 
-TEST_F(PipelineTest, UnboundedDepthServesConcurrently) {
+TEST_F(PipelineTest, UnboundedSlotsServeConcurrently) {
   space_.write(space::make_tuple("a", space::Value(1)));
   space_.write(space::make_tuple("b", space::Value(2)));
-  auto first = client_.read_async(any_named("a", 1), 1_s);
-  auto second = client_.read_async(any_named("b", 1), 1_s);
+  auto first = client_.read_match_async(any_named("a", 1), 1_s);
+  auto second = client_.read_match_async(any_named("b", 1), 1_s);
   std::vector<sim::Time> completions;
   sim::spawn([&]() -> sim::Task<void> {
     (void)co_await first;
@@ -153,106 +155,12 @@ TEST_F(PipelineTest, UnboundedDepthServesConcurrently) {
     completions.push_back(sim_.now());
   });
   sim_.run();
-  // Legacy behavior: both service stages overlap, both answer at 12 ms.
+  // No slot bound: both service stages overlap, both answer at 12 ms.
   ASSERT_EQ(completions.size(), 2u);
   EXPECT_EQ(completions[0], 12_ms);
   EXPECT_EQ(completions[1], 12_ms);
-  EXPECT_EQ(server_.stats().pipeline_queued, 0u);
+  EXPECT_EQ(server_.stats().admission_queued, 0u);
   EXPECT_EQ(server_.peak_in_service(), 2u);
-}
-
-class CoalescingTest : public PipelineTest {
- protected:
-  CoalescingTest()
-      : PipelineTest(ServerConfig{}, ClientConfig{.write_coalesce_max = 8}) {}
-};
-
-TEST_F(CoalescingTest, SameTurnWritesShareOneBatchMessage) {
-  auto w1 = client_.write_async(space::make_tuple("a", space::Value(1)),
-                                space::kLeaseForever);
-  auto w2 = client_.write_async(space::make_tuple("b", space::Value(2)),
-                                space::kLeaseForever);
-  auto w3 = client_.write_async(space::make_tuple("c", space::Value(3)), 1_s);
-  sim_.run_until(100_ms);  // well past the round trip, before c's lease ends
-
-  ASSERT_TRUE(w1.done());
-  ASSERT_TRUE(w2.done());
-  ASSERT_TRUE(w3.done());
-  EXPECT_TRUE(w1.get().ok);
-  EXPECT_TRUE(w2.get().ok);
-  EXPECT_TRUE(w3.get().ok);
-  // Three writes, one wire message, three distinct leases.
-  EXPECT_EQ(client_.stats().coalesced_writes, 3u);
-  EXPECT_EQ(client_.stats().write_batches, 1u);
-  EXPECT_EQ(client_transport_.stats().messages_sent, 1u);
-  EXPECT_EQ(server_.stats().requests, 1u);
-  EXPECT_EQ(server_.stats().batched_writes, 3u);
-  EXPECT_NE(w1.get().lease.id, w2.get().lease.id);
-  EXPECT_NE(w2.get().lease.id, w3.get().lease.id);
-  EXPECT_EQ(space_.size(), 3u);
-  // The finite lease survived the batch: entry c expires, a and b stay.
-  sim_.run_until(2_s);
-  EXPECT_EQ(space_.size(), 2u);
-}
-
-TEST_F(CoalescingTest, SolitaryWriteDegradesToPlainRequest) {
-  auto w = client_.write_async(space::make_tuple("solo", space::Value(1)),
-                               space::kLeaseForever);
-  sim_.run();
-  ASSERT_TRUE(w.done());
-  EXPECT_TRUE(w.get().ok);
-  // A batch of one goes out as an ordinary kWriteRequest: the server sees
-  // no batch at all.
-  EXPECT_EQ(client_.stats().write_batches, 1u);
-  EXPECT_EQ(server_.stats().batched_writes, 0u);
-  EXPECT_EQ(server_.stats().requests, 1u);
-  EXPECT_EQ(space_.size(), 1u);
-}
-
-TEST_F(CoalescingTest, FullBufferFlushesEarly) {
-  std::vector<RpcFuture<SpaceClient::WriteResult>> futures;
-  for (int i = 0; i < 9; ++i) {  // capacity 8: first flush is early
-    futures.push_back(client_.write_async(
-        space::make_tuple("t", space::Value(i)), space::kLeaseForever));
-  }
-  sim_.run();
-  for (auto& f : futures) {
-    ASSERT_TRUE(f.done());
-    EXPECT_TRUE(f.get().ok);
-  }
-  EXPECT_EQ(client_.stats().write_batches, 2u);  // 8 + 1
-  EXPECT_EQ(server_.stats().batched_writes, 8u);
-  EXPECT_EQ(space_.size(), 9u);
-}
-
-TEST(BatchCodec, RoundTripsBothCodecs) {
-  Message request;
-  request.type = MsgType::kWriteBatchRequest;
-  request.request_id = 99;
-  request.created_at_ns = 1234;
-  request.batch_tuples.push_back(space::make_tuple("a", space::Value(1)));
-  request.batch_tuples.push_back(
-      space::make_tuple("b", space::Value(2.5), space::Value("x")));
-  request.batch_durations = {INT64_MAX, 5'000'000};
-
-  Message response;
-  response.type = MsgType::kWriteBatchResponse;
-  response.request_id = 99;
-  response.ok = true;
-  response.batch_handles = {11, 0};
-  response.batch_expires = {INT64_MAX, 777};
-
-  const XmlCodec xml;
-  const BinaryCodec binary;
-  for (const Codec* codec : {static_cast<const Codec*>(&xml),
-                             static_cast<const Codec*>(&binary)}) {
-    auto req = codec->decode(codec->encode(request));
-    ASSERT_TRUE(req.has_value()) << codec->name();
-    EXPECT_EQ(*req, request) << codec->name();
-    auto resp = codec->decode(codec->encode(response));
-    ASSERT_TRUE(resp.has_value()) << codec->name();
-    EXPECT_EQ(*resp, response) << codec->name();
-  }
 }
 
 // --- admission control (DESIGN.md §12) --------------------------------------

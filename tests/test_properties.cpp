@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "src/mw/framing.hpp"
 #include "src/sim/process.hpp"
 #include "src/space/engine.hpp"
+#include "src/util/hex.hpp"
 #include "src/util/rng.hpp"
 #include "src/wire/bus.hpp"
 #include "src/wire/master.hpp"
@@ -295,13 +297,13 @@ TEST_P(CodecProperty, EncodeIntoAppendsAndReusedBufferMatchesFresh) {
 INSTANTIATE_TEST_SUITE_P(Codecs, CodecProperty,
                          ::testing::Values("xml", "binary"));
 
-// XmlWriter's output is the XML wire format, so it is pinned byte for byte
-// to fixtures in tests/golden/xml_codec.txt: a "## <name>" line, then the
-// message's exact encoding on one line. Together the messages below set
-// every field the codec emits: tuple values of every type (XML
+// Each codec's output is its wire format, so it is pinned byte for byte to
+// fixtures in tests/golden/: a "## <name>" line, then the message's exact
+// encoding on one line (XML as text, binary as hex). Together the messages
+// below set every field the codecs emit: tuple values of every type (XML
 // metacharacters, empty and non-empty blobs), named and nameless templates
-// with exact, typed and any patterns, batch writes and their leases,
-// duration, handle, expires, txn, status, epoch and error.
+// with exact, typed and any patterns, a federation frame, duration, handle,
+// expires, txn, status, epoch and error.
 std::vector<std::pair<std::string, mw::Message>> golden_messages() {
   using mw::MsgType;
   using space::FieldPattern;
@@ -344,16 +346,6 @@ std::vector<std::pair<std::string, mw::Message>> golden_messages() {
   read.tmpl->fields.push_back(FieldPattern::typed(ValueType::kBool));
   read.tmpl->fields.push_back(FieldPattern::exact(Value("&")));
 
-  auto& batch = add("write_batch", MsgType::kWriteBatchRequest, 10, 2000);
-  batch.batch_tuples = {Tuple("a", {Value(1)}), Tuple("b", {})};
-  batch.batch_durations = {1000, kForever};
-
-  auto& leases =
-      add("write_batch_response", MsgType::kWriteBatchResponse, 10, 2100);
-  leases.batch_handles = {3, 4};
-  leases.batch_expires = {3000, kForever};
-  leases.ok = true;
-
   auto& renew = add("renew_response", MsgType::kRenewResponse, 11, 2200);
   renew.handle = 99;
   renew.expires_at_ns = 123'456'789;
@@ -393,21 +385,38 @@ std::map<std::string, std::string> read_golden(const std::string& path) {
   return golden;
 }
 
-TEST(CodecProperty, XmlWriterMatchesGoldenBytes) {
-  const auto golden = read_golden(TB_TEST_GOLDEN_DIR "/xml_codec.txt");
+/// Checks every golden message's encoding, written as one line by
+/// `as_line`, against the golden file `path`, and that it decodes back.
+void expect_golden_bytes(
+    const mw::Codec& codec, const std::string& path,
+    std::string (*as_line)(std::span<const std::uint8_t>)) {
+  const auto golden = read_golden(path);
   const auto messages = golden_messages();
   ASSERT_EQ(golden.size(), messages.size());
-  mw::XmlCodec codec;
   for (const auto& [name, message] : messages) {
     SCOPED_TRACE(name);
     const auto expected = golden.find(name);
     ASSERT_NE(expected, golden.end());
     const std::vector<std::uint8_t> bytes = codec.encode(message);
-    EXPECT_EQ(std::string(bytes.begin(), bytes.end()), expected->second);
+    EXPECT_EQ(as_line(bytes), expected->second);
     const auto decoded = codec.decode(bytes);
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(*decoded, message);
   }
+}
+
+std::string as_text(std::span<const std::uint8_t> bytes) {
+  return std::string(bytes.begin(), bytes.end());
+}
+
+TEST(CodecProperty, XmlWriterMatchesGoldenBytes) {
+  expect_golden_bytes(mw::XmlCodec(), TB_TEST_GOLDEN_DIR "/xml_codec.txt",
+                      as_text);
+}
+
+TEST(CodecProperty, BinaryMatchesGoldenBytes) {
+  expect_golden_bytes(mw::BinaryCodec(),
+                      TB_TEST_GOLDEN_DIR "/binary_codec.txt", util::to_hex);
 }
 
 // ---------------------------------------------------------------------------

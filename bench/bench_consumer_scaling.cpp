@@ -148,8 +148,8 @@ int main() {
 
   // Kill-a-node chaos soak: crash the primary mid-drain, let the standby
   // guard promote the replication standby, and verify the cluster still
-  // drains with zero acked writes lost (merged OpLogs replay clean against
-  // the merged final state). The boolean is the gate; promotion latency is
+  // drains with zero acked writes lost (the cluster's online oracle check
+  // stays clean against the merged final state). The boolean is the gate; promotion latency is
   // simulated time — deterministic — reported for trend-watching.
   const int soak_jobs = short_mode ? 120 : 480;
   std::printf("kill-a-node soak: 4 nodes + standby, %d jobs, primary "

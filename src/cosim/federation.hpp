@@ -10,7 +10,8 @@
 // the replication standby, after which the run continues against the
 // promoted node. The report carries per-node op counters (named-op routing
 // exactness), the drained job order, and the differential-oracle verdict
-// over the merged per-node OpLogs — the "no acked write lost" proof.
+// over every node's records, checked while the run ran — the "no acked
+// write lost" proof.
 #pragma once
 
 #include <cstdint>
@@ -70,12 +71,12 @@ struct FederationReport {
   std::size_t promotion_applied = 0;  ///< replication records replayed
   std::uint64_t heartbeats_consumed = 0;
 
-  space::ReplayReport oracle;  ///< merged-OpLog replay vs merged final state
+  space::ReplayReport oracle;  ///< every node's records vs merged final state
   sim::Time makespan;
 };
 
-/// Runs the scenario to completion (drain or deadline) and replays the
-/// differential oracle over the merged per-node logs.
+/// Runs the scenario to completion (drain or deadline) and finishes the
+/// cluster's online differential oracle against the merged final state.
 FederationReport run_federation_scenario(const FederationConfig& config);
 
 }  // namespace tb::cosim

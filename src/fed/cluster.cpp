@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/obs/metrics.hpp"
 #include "src/util/assert.hpp"
 
 namespace tb::fed {
@@ -21,19 +22,21 @@ SimCluster::Node::Node(sim::Simulator& sim, std::uint32_t node_id,
 SimCluster::SimCluster(sim::Simulator& sim, ClusterConfig config)
     : sim_(&sim),
       config_(config),
-      ticket_counter_(std::make_shared<std::uint64_t>(0)) {
+      ticket_counter_(std::make_shared<std::uint64_t>(0)),
+      checker_(std::make_shared<space::EngineChecker>(config_.space)) {
   TB_REQUIRE(config_.nodes >= 1);
+  auto sink = [this](space::OpRecord record) { check(std::move(record)); };
   std::vector<std::uint32_t> members;
   for (int i = 0; i < config_.nodes; ++i) {
     const auto id = static_cast<std::uint32_t>(i + 1);
     nodes_.push_back(std::make_unique<Node>(sim, id, config_, codec_));
-    nodes_.back()->core.set_ticket_counter(ticket_counter_);
+    nodes_.back()->core.set_ticketing(ticket_counter_, sink);
     members.push_back(id);
   }
   if (config_.with_standby) {
     standby_ = std::make_unique<Node>(
         sim, static_cast<std::uint32_t>(config_.nodes + 1), config_, codec_);
-    standby_->core.set_ticket_counter(ticket_counter_);
+    standby_->core.set_ticketing(ticket_counter_, sink);
     repl_channel_ = std::make_unique<mw::SpaceClient>(
         sim, standby_->hub.create_client(), codec_, config_.client);
     nodes_.front()->core.set_standby(repl_channel_.get());
@@ -130,9 +133,33 @@ std::size_t SimCluster::kill_primary() {
   return promote_standby();
 }
 
-void SimCluster::merge_oplogs(space::OpLog& out) {
-  for (auto& node : nodes_) out.splice(node->core.oplog());
-  if (standby_) out.splice(standby_->core.oplog());
+void SimCluster::check(space::OpRecord record) {
+  space::ReplayChecker<space::SpaceEngine>& checker = checker_->checker();
+  // The ticket just drawn is the watermark: every ticket below it was
+  // logged in the event that drew it, so this record is the next one.
+  const std::uint64_t next = checker.last_ticket() + 1;
+  if (record.ticket != *ticket_counter_) {
+    checker.reject(record, "logged after ticket " +
+                               std::to_string(*ticket_counter_) +
+                               " was drawn");
+  } else if (record.ticket > next) {
+    checker.reject(record, "tickets " + std::to_string(next) + ".." +
+                               std::to_string(record.ticket - 1) +
+                               " were drawn with no record");
+  }
+  checker.check(std::move(record));
+}
+
+void SimCluster::merge_oplogs(space::OpLog& out) { out.carry(checker_); }
+
+void SimCluster::bind_metrics(obs::Registry& registry,
+                              const std::string& prefix) {
+  obs::Gauge& checked = registry.gauge(prefix + ".checked_records");
+  obs::Gauge& live = registry.gauge(prefix + ".live_entries");
+  registry.add_collector([this, &checked, &live] {
+    checked.set(static_cast<double>(checker_->checker().checked()));
+    live.set(static_cast<double>(checker_->oracle().size()));
+  });
 }
 
 std::vector<space::Tuple> SimCluster::merged_final_state() const {

@@ -10,15 +10,26 @@
 // kill_primary() is the failover drill: the primary goes dark (crashed-host
 // semantics), the standby replays its buffered stream, and the routing
 // table is republished one epoch up with the standby holding the primary's
-// ring slot. merge_oplogs()/merged_final_state() assemble the cross-node
-// evidence the differential oracle (space/oplog.hpp) replays to prove no
-// acked write was lost; the merge moves the records out of the nodes, so
-// the evidence is held once.
+// ring slot.
+//
+// The cluster checks its own evidence while it runs: it owns a
+// space::EngineChecker (a deterministic SpaceEngine oracle on a private
+// ticket-clock simulator, never this cluster's), and every node hands it
+// each op record in the event that draws the record's ticket. A node logs
+// an op right after drawing its ticket, so the last ticket drawn is the
+// watermark: the checker applies the record, moving its tuple into the
+// oracle, and frees it. The evidence is the oracle's live entries, not
+// the run's history, and a divergence is flagged at the op that caused it
+// (oracle_report()). merge_oplogs() hands the checker on inside an OpLog
+// and merged_final_state() gives the state it must end in;
+// space::replay_against_oracle then finishes the check that proves no
+// acked write was lost.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/fed/client.hpp"
@@ -90,10 +101,25 @@ class SimCluster {
   /// Both halves back to back (detection-less drill).
   std::size_t kill_primary();
 
-  /// Moves every node's OpLog records (the dead primary's included — its
-  /// acked operations happened) into `out`, ready for the oracle; the
-  /// per-node logs are left empty. Unsorted: the replay sorts.
+  /// Hands `out` the online checker as its checked prefix: every record
+  /// every node logged (the dead primary's included — its acked operations
+  /// happened) is in it, already checked. replay_against_oracle(out, ...)
+  /// finishes it. Call once, when the run is over.
   void merge_oplogs(space::OpLog& out);
+
+  /// The online check's verdict so far: the first divergence, and how many
+  /// records it has checked (ops_replayed).
+  const space::ReplayReport& oracle_report() const {
+    return checker_->checker().report();
+  }
+
+  /// Observability hook: the online checker's footprint as gauges,
+  /// `<p>.checked_records` (every record logged: each is checked in the
+  /// event that logs it) and `<p>.live_entries` (the oracle's live tuples,
+  /// which are all the evidence it holds). The registry must outlive the
+  /// cluster.
+  void bind_metrics(obs::Registry& registry,
+                    const std::string& prefix = "fed.oracle");
 
   /// Live cluster contents in global-ticket order (dead nodes excluded;
   /// their surviving state lives on in the promoted standby).
@@ -118,10 +144,14 @@ class SimCluster {
 
   Node* find(std::uint32_t node_id);
 
+  /// The record sink every node logs into: checks `record` at once.
+  void check(space::OpRecord record);
+
   sim::Simulator* sim_;
   ClusterConfig config_;
   mw::BinaryCodec codec_;
   std::shared_ptr<std::uint64_t> ticket_counter_;
+  std::shared_ptr<space::EngineChecker> checker_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unique_ptr<Node> standby_;
   /// Primary -> standby replication channel (own session on standby's hub).

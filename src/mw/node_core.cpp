@@ -42,8 +42,11 @@ void NodeCore::set_ownership(std::function<bool(std::uint64_t)> owns,
   epoch_ = epoch;
 }
 
-void NodeCore::set_ticket_counter(std::shared_ptr<std::uint64_t> counter) {
+void NodeCore::set_ticketing(std::shared_ptr<std::uint64_t> counter,
+                             RecordSink sink) {
+  TB_REQUIRE(counter != nullptr && sink != nullptr);
   ticket_counter_ = std::move(counter);
+  record_sink_ = std::move(sink);
   space_->set_removal_listener(
       [this](std::uint64_t entry_id) { forget_entry(entry_id); });
 }
@@ -66,7 +69,8 @@ void NodeCore::record_write(std::uint64_t entry_id, space::Tuple tuple,
   record.ticket = ticket;
   record.kind = space::OpRecord::Kind::kWrite;
   record.tuple = std::move(tuple);
-  oplog_.append(std::move(record));
+  ++records_logged_;
+  record_sink_(std::move(record));
   map_ticket(entry_id, ticket);
 }
 
@@ -91,7 +95,8 @@ void NodeCore::record_take(const space::Tuple& taken, std::uint64_t ticket) {
   record.ticket = ticket;
   record.kind = space::OpRecord::Kind::kTakeExact;
   record.tuple = taken;
-  oplog_.append(std::move(record));
+  ++records_logged_;
+  record_sink_(std::move(record));
 }
 
 void NodeCore::replicate(Message frame, std::function<void()> on_acked) {
@@ -432,7 +437,7 @@ void NodeCore::handle_write(SessionId session, Message& request) {
     return;
   }
   // With ticketing active, the payload is copied before the store consumes
-  // it. The OpLog record takes the copy; only a standby's replication frame
+  // it. The op record takes the copy; only a standby's replication frame
   // needs a second one.
   space::Tuple recorded;
   const bool ticketed = ticketing() && request.txn == space::kNoTxn;
@@ -815,7 +820,7 @@ void NodeCore::bind_metrics(obs::Registry& registry,
     enc_bytes.set(stats_.bytes_encoded);
     dec_msgs.set(stats_.messages_decoded);
     dec_bytes.set(stats_.bytes_decoded);
-    oplog_records.set(static_cast<double>(oplog_.size()));
+    oplog_records.set(static_cast<double>(records_logged_));
     mappings.set(static_cast<double>(ticket_of_id_.size()));
     standby_buffered.set(static_cast<double>(repl_buffer_.size()));
   });

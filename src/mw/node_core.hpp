@@ -10,11 +10,12 @@
 //    predicate rejects mis-routed named operations with a typed
 //    kFailedPrecondition reply stamped with the node's routing epoch, which
 //    the fed::FederatedClient uses to refresh its table and re-route;
-//  * global tickets + per-node OpLog — when a cluster-shared ticket counter
-//    is installed, every mutating operation (write apply, take completion)
-//    draws a globally ordered ticket and is recorded as a space::OpRecord,
-//    so the union of all nodes' logs replays through the deterministic
-//    oracle (space/oplog.hpp) exactly like a single-node run;
+//  * global tickets + op records — when a cluster-shared ticket counter is
+//    installed, every mutating operation (write apply, take completion)
+//    draws a globally ordered ticket and hands a space::OpRecord to the
+//    cluster's record sink in the same event, so the union of all nodes'
+//    records is checked by the deterministic oracle (space/oplog.hpp)
+//    exactly like a single-node run, while the federation runs;
 //  * scatter/merge hooks — kPeekRequest answers the node's oldest live
 //    match with its global ticket (the per-node minimum of the federated
 //    wildcard merge) and kTakeByIdRequest removes the merge winner;
@@ -128,9 +129,10 @@ class NodeCore {
 
   /// Observability hook (DESIGN.md §7): mirrors Stats into `<p>.*` counters
   /// at snapshot time, plus the federation evidence footprint as gauges:
-  /// `<p>.oplog_records`, `<p>.ticket_mappings` (live entries mapped to a
-  /// ticket) and `<p>.standby_buffered` (replication records awaiting
-  /// promote()). The registry must outlive the server. Default prefix:
+  /// `<p>.oplog_records` (records handed to the sink),
+  /// `<p>.ticket_mappings` (live entries mapped to a ticket) and
+  /// `<p>.standby_buffered` (replication records awaiting promote()). The
+  /// registry must outlive the server. Default prefix:
   /// "mw.server".
   void bind_metrics(obs::Registry& registry,
                     const std::string& prefix = "mw.server");
@@ -148,16 +150,16 @@ class NodeCore {
                      std::uint64_t epoch);
   std::uint64_t epoch() const { return epoch_; }
 
-  /// Installs the cluster-shared global ticket counter, turning on
-  /// per-node OpLog recording: every write apply and take completion draws
-  /// a ticket (++*counter) and appends a space::OpRecord, and the
-  /// engine-id <-> ticket maps behind peeks/directed takes are maintained.
-  /// Must be installed before the first data operation.
-  void set_ticket_counter(std::shared_ptr<std::uint64_t> counter);
+  /// Where a ticketed node hands each operation's record.
+  using RecordSink = std::function<void(space::OpRecord)>;
 
-  /// This node's operation log (empty unless a ticket counter is set).
-  /// Mutable so a cluster can splice the records out for the oracle.
-  space::OpLog& oplog() { return oplog_; }
+  /// Installs the cluster-shared global ticket counter and the record
+  /// sink, turning on recording: every write apply and take completion
+  /// draws a ticket (++*counter) and hands `sink` its space::OpRecord in
+  /// the same event, and the engine-id <-> ticket maps behind
+  /// peeks/directed takes are maintained. Must be installed before the
+  /// first data operation.
+  void set_ticketing(std::shared_ptr<std::uint64_t> counter, RecordSink sink);
 
   /// Installs the primary→standby replication stream: every acked write
   /// and take is forwarded to `standby` (a SpaceClient connected to the
@@ -170,8 +172,7 @@ class NodeCore {
   /// standby sink into the engine, in ticket order, rebuilding the
   /// engine-id <-> ticket maps so post-promotion peeks and snapshots
   /// report original tickets. Returns the number of records applied.
-  /// Replayed records are NOT re-logged: they already live in the failed
-  /// primary's OpLog.
+  /// Replayed records are NOT re-logged: the failed primary logged them.
   std::size_t promote();
 
   /// Buffered replication records awaiting promote().
@@ -256,7 +257,7 @@ class NodeCore {
   /// ++*ticket_counter_; requires ticketing().
   std::uint64_t draw_ticket();
   bool ticketing() const { return ticket_counter_ != nullptr; }
-  /// Records a write apply into the OpLog and the id<->ticket maps. The
+  /// Records a write apply to the sink and the id<->ticket maps. The
   /// record takes `tuple` over: a caller that still needs it passes a copy.
   void record_write(std::uint64_t entry_id, space::Tuple tuple,
                     std::uint64_t ticket);
@@ -297,7 +298,8 @@ class NodeCore {
   std::function<bool(std::uint64_t)> owns_;  ///< null = no enforcement
   std::uint64_t epoch_ = 0;
   std::shared_ptr<std::uint64_t> ticket_counter_;
-  space::OpLog oplog_;
+  RecordSink record_sink_;
+  std::size_t records_logged_ = 0;
   /// Engine entry id <-> global ticket, for stored entries only: the
   /// engine's removal listener drops a mapping on every removal path (the
   /// maps are advisory routing state, never consulted for matching).

@@ -44,8 +44,8 @@ struct Scoped {
 
 }  // namespace
 
-Simulator::Simulator(std::uint64_t seed) : rng_(seed) {
-  t_live.push_back(this);
+Simulator::Simulator(std::uint64_t seed, Binding binding) : rng_(seed) {
+  if (binding == Binding::kAmbient) t_live.push_back(this);
 }
 
 Simulator::~Simulator() {

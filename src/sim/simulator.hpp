@@ -100,7 +100,14 @@ class EventHandle {
 /// suspended when it dies, newest first (DESIGN.md §8).
 class Simulator {
  public:
-  explicit Simulator(std::uint64_t seed = 1);
+  /// Whether spawns made outside any run may bind here (see current()).
+  /// A model that spawns no processes, such as an oracle space on its own
+  /// ticket clock, runs on a kPrivate simulator: built in the middle of
+  /// another model's set-up, it must not capture that model's processes.
+  enum class Binding : bool { kAmbient, kPrivate };
+
+  explicit Simulator(std::uint64_t seed = 1,
+                     Binding binding = Binding::kAmbient);
   ~Simulator();
 
   Simulator(const Simulator&) = delete;
@@ -108,7 +115,8 @@ class Simulator {
 
   /// The simulator a process spawned now binds to: the one whose run(),
   /// run_until() or step() is executing on this thread, otherwise the most
-  /// recently constructed live Simulator on this thread. Requires one.
+  /// recently constructed live kAmbient Simulator on this thread. Requires
+  /// one.
   static Simulator& current();
 
   /// Takes ownership of a detached process's root frame.

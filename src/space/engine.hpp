@@ -270,6 +270,8 @@ class SpaceEngine {
     std::uint64_t aborts = 0;       ///< explicit aborts + timeouts
     std::size_t peak_size = 0;
     std::size_t peak_blocked = 0;
+
+    bool operator==(const Stats&) const = default;
   };
   const Stats& stats() const { return stats_; }
 

@@ -1,7 +1,6 @@
 #include "src/space/oplog.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <unordered_set>
 #include <utility>
 
@@ -76,7 +75,13 @@ LeasePlan plan_leases(const std::vector<const OpRecord*>& records) {
         break;
       case OpRecord::Kind::kLeaseExpire: {
         const auto it = arming.find(r.target);
-        if (it == arming.end()) break;
+        if (it == arming.end()) {
+          // Written before the batch and not re-armed in it.
+          if (r.target < records.front()->ticket) {
+            plan.stranded.insert(r.ticket);
+          }
+          break;
+        }
         const std::uint64_t armed_at = it->second;
         const std::int64_t duration = static_cast<std::int64_t>(
             r.ticket > armed_at ? r.ticket - armed_at : 1);
@@ -110,8 +115,7 @@ OpRecord& OpRecord::operator=(const OpRecord& other) {
 
 void OpLog::append(OpRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
-  // A spliced-in chunk may be partly full; its reserved capacity is still
-  // kChunkRecords, so filling it never reallocates.
+  // A chunk's capacity is reserved once, so filling it never reallocates.
   if (chunks_.empty() || chunks_.back().size() == kChunkRecords) {
     chunks_.emplace_back().reserve(kChunkRecords);
   }
@@ -119,14 +123,10 @@ void OpLog::append(OpRecord record) {
   ++size_;
 }
 
-void OpLog::splice(OpLog& from) {
-  if (&from == this) return;
-  std::scoped_lock lock(mu_, from.mu_);
-  chunks_.insert(chunks_.end(), std::make_move_iterator(from.chunks_.begin()),
-                 std::make_move_iterator(from.chunks_.end()));
-  size_ += from.size_;
-  from.chunks_ = {};
-  from.size_ = 0;
+void OpLog::carry(std::shared_ptr<EngineChecker> checked) {
+  std::lock_guard<std::mutex> lock(mu_);
+  TB_REQUIRE(checked_ == nullptr);
+  checked_ = std::move(checked);
 }
 
 std::vector<const OpRecord*> OpLog::by_ticket() const {
@@ -144,12 +144,20 @@ std::vector<const OpRecord*> OpLog::by_ticket() const {
   return out;
 }
 
+EngineChecker::EngineChecker(SpaceConfig config)
+    : oracle_(sim_,
+              [&config] {
+                config.execution_mode = ExecutionMode::kDeterministic;
+                return config;
+              }()),
+      checker_(sim_, oracle_) {}
+
 ReplayReport replay_against_oracle(const OpLog& log, SpaceConfig config,
                                    const std::vector<Tuple>& final_state) {
-  config.execution_mode = ExecutionMode::kDeterministic;
-  sim::Simulator sim;
-  SpaceEngine oracle(sim, config);
-  return replay_log(log, sim, oracle, final_state);
+  std::shared_ptr<EngineChecker> checker = log.checked_prefix();
+  if (!checker) checker = std::make_shared<EngineChecker>(config);
+  checker->checker().check(log.by_ticket());
+  return checker->checker().finish(final_state);
 }
 
 }  // namespace tb::space

@@ -9,21 +9,36 @@
 // final space state — any divergence is a concurrency bug in the threaded
 // engine (lost wakeup, mis-ordered wildcard merge, racy waiter claim, ...).
 //
+// There is one replay implementation, ReplayChecker: a streaming checker
+// that takes records in ticket order, applies each to the oracle as it
+// arrives and returns the ReplayReport at finish(final_state). replay_log
+// is "sort, feed everything as one batch, finish". The federation feeds it
+// while it runs (fed::SimCluster): a node hands over each record in the
+// event that draws the record's ticket, the checker applies it, moving a
+// write's tuple into the oracle, and frees it, so the evidence is the
+// oracle's live entries rather than the run's history.
+//
 // The replay clock is the ticket itself: record k executes at sim time
-// Time::ns(k). Blocked operations that timed out carry the ticket their
-// cancellation consumed, so the replay registers them with exactly the
-// timeout that fires at that instant — a write that *should* have served the
-// waiter before it timed out then shows up as a result mismatch.
+// Time::ns(k), on a simulator of the checker's own. Before it applies a
+// record, the checker runs that simulator up to the record's ticket, which
+// fires the oracle's own timers first; no record is ever an event. Blocked
+// operations that timed out carry the ticket their cancellation consumed,
+// so the replay registers them with exactly the timeout that fires at that
+// instant — a write that *should* have served the waiter before it timed
+// out then shows up as a result mismatch.
 //
 // Finite leases replay the same way (expiry-at-ticket): the threaded
 // runtime logs a kLeaseExpire record at the ticket its shard worker drew
 // when it reclaimed the entry — visibility in threaded mode is presence,
-// no deadline checks. A replay pre-pass walks the records in ticket order
-// and rewrites every arming (write or successful renew) to the duration
-// ns(expiry_ticket - arming_ticket), so the oracle's wheel reclaims the
-// entry at exactly the recorded linearization point; armings with no
-// matching expiry (taken, cancelled, renewed away, or still live at the
-// end) replay as forever.
+// no deadline checks. A pre-pass over each batch that holds an expiry
+// (detail::plan_leases) rewrites every arming (write or successful renew)
+// to the duration ns(expiry_ticket - arming_ticket), so the oracle's wheel
+// reclaims the entry at exactly the recorded linearization point; armings
+// with no matching expiry in the batch (taken, cancelled, renewed away, or
+// still live at the end) replay as forever. That is the checker's one
+// look-ahead: an expiry whose arming an earlier batch already applied
+// cannot replay and is reported as a divergence on its ticket. A finished
+// log is one batch, and federated logs hold no expiries (DESIGN.md §16).
 //
 // The replay is generic over the oracle: the differential tests replay
 // every threaded log through SpaceEngine and through a naive linear-scan
@@ -31,29 +46,22 @@
 // share ShardStore, so SpaceEngine alone would check that core against
 // itself).
 //
-// The evidence is held once. Replay walks a ticket-sorted view of pointers
-// into the log (OpLog::by_ticket) and never copies a record; the federation
-// builds its merged log by splice(), which moves every node's records
-// instead of copying them; and a federated take is logged as kTakeExact,
-// which keeps only the removed tuple — the replay derives the exact-value
-// template from it (Template::exact_of) rather than storing a second copy.
-// The replay adds little beside it: it keeps one record event pending in
-// the kernel (each record's event schedules the next one's), and its side
-// tables hold only tickets that a later record names — the writes a renew
-// or lease cancel targets, and the armings of entries a kLeaseExpire
-// reclaims.
+// The checker holds little beside the oracle. Its side tables map the
+// write ticket a renew or lease cancel names to the oracle's entry id, and
+// drop the mapping when the oracle reports the entry removed; waiters are
+// held only until they complete as recorded. Transaction and notify
+// registrations stay mapped for the whole run.
 //
-// The evidence is also held compactly. A record is a 32 B header (ticket,
-// txn, target, kind, ok), one inline Tuple — a kWrite's argument or a
-// kTakeExact's result — and a pointer to a side payload (template, single
-// and bulk results, bulk bound, blocked-op outcome) that only the match
-// kinds allocate: 96 B. With its tuple's heap, a federated job record
-// (three fields, a 16-256 B blob) costs about 345 B (test_space_oplog's
-// OpLogMemory.HeapPerFedShapedRecord gates it). Records live in 64 KiB
-// chunks, below glibc's 128 KiB mmap threshold: a contiguous log grows by
-// doubling, and each freed multi-megabyte block leaves a hole the next,
-// larger log cannot reuse, so peak RSS grows with every log built and
-// freed (DESIGN.md §16 has the numbers).
+// A log that is replayed offline is held compactly. A record is a 32 B
+// header (ticket, txn, target, kind, ok), one inline Tuple — a kWrite's
+// argument or a kTakeExact's result — and a pointer to a side payload
+// (template, single and bulk results, bulk bound, blocked-op outcome) that
+// only the match kinds allocate: 96 B. With its tuple's heap, a federated
+// job record (three fields, a 16-256 B blob) costs about 345 B
+// (test_space_oplog's OpLogMemory.HeapPerFedShapedRecord gates it). Records
+// live in 64 KiB chunks, below glibc's 128 KiB mmap threshold: a contiguous
+// log grows by doubling, and each freed multi-megabyte block leaves a hole
+// the next, larger log cannot reuse (DESIGN.md §16 has the numbers).
 #pragma once
 
 #include <cstdint>
@@ -64,10 +72,12 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/space/engine.hpp"
 #include "src/space/tuple.hpp"
+#include "src/util/assert.hpp"
 
 namespace tb::space {
 
@@ -145,14 +155,21 @@ struct OpRecord {
 // chunk holds 682 records.
 static_assert(sizeof(OpRecord) <= 96, "OpRecord outgrew its chunk stride");
 
+class EngineChecker;
+
 /// Thread-safe append-only record of engine operations. Appends may arrive
 /// in any wall-clock order; by_ticket() restores the linearization order.
 ///
 /// Records live in fixed-size chunks, each one allocation of at most
-/// kChunkBytes: append() never moves a record, and splice() moves chunks,
-/// not records. A chunk stays under glibc's 128 KiB mmap threshold, so
-/// chunks come from the heap and a freed one is reused by the next log
-/// instead of leaving a hole that the next, larger block cannot use.
+/// kChunkBytes: append() never moves a record. A chunk stays under glibc's
+/// 128 KiB mmap threshold, so chunks come from the heap and a freed one is
+/// reused by the next log instead of leaving a hole that the next, larger
+/// block cannot use.
+///
+/// A log may also carry a checked prefix: the checker that already checked
+/// (and freed) every record logged before the ones the log holds. A live
+/// federation hands its online checker over this way, and
+/// replay_against_oracle finishes it.
 class OpLog {
  public:
   static constexpr std::size_t kChunkBytes = std::size_t{64} << 10;
@@ -162,20 +179,23 @@ class OpLog {
 
   void append(OpRecord record);
 
-  /// Moves every chunk of `from` to the end of this log and leaves `from`
-  /// empty. Records keep their addresses and buffers: nothing is copied,
-  /// and nothing is sorted (the replay sorts).
-  void splice(OpLog& from);
-
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return size_;
   }
 
-  /// Every record, ascending by ticket, as pointers into this log. A
-  /// pointer stays valid while its record is in this log; splice() carries
-  /// it over to the destination log.
+  /// Every record, ascending by ticket, as pointers into this log; a
+  /// pointer stays valid as long as the log.
   std::vector<const OpRecord*> by_ticket() const;
+
+  /// Attaches the checker that checked every record before this log's
+  /// (it must not carry one already).
+  void carry(std::shared_ptr<EngineChecker> checked);
+  /// That checker; null when the log holds its whole history.
+  std::shared_ptr<EngineChecker> checked_prefix() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return checked_;
+  }
 
  private:
   /// Reserved to kChunkRecords when created and never grown past it.
@@ -184,6 +204,7 @@ class OpLog {
   mutable std::mutex mu_;
   std::vector<Chunk> chunks_;
   std::size_t size_ = 0;
+  std::shared_ptr<EngineChecker> checked_;
 };
 
 struct ReplayReport {
@@ -205,106 +226,260 @@ std::string describe(const std::vector<Tuple>& ts);
 std::string describe(bool ok);
 const char* kind_name(OpRecord::Kind kind);
 
-/// The lease pre-pass (expiry-at-ticket, see the header comment): replay
-/// durations in ticket-ns for every arming that a kLeaseExpire record
-/// terminates; absent armings replay as forever.
+/// The lease pre-pass over one ticket-ordered batch (expiry-at-ticket, see
+/// the header comment): replay durations in ticket-ns for every arming that
+/// a kLeaseExpire record in the batch terminates; absent armings replay as
+/// forever.
 struct LeasePlan {
   std::unordered_map<std::uint64_t, std::int64_t> write;  ///< by write ticket
   std::unordered_map<std::uint64_t, std::int64_t> renew;  ///< by renew ticket
+  /// kLeaseExpire tickets whose entry was written before the batch and not
+  /// re-armed in it: that arming was applied as forever, so the expiry
+  /// cannot replay.
+  std::unordered_set<std::uint64_t> stranded;
 };
 LeasePlan plan_leases(const std::vector<const OpRecord*>& records);
 
 }  // namespace detail
 
-/// Replays `log` in ticket order through `oracle` and checks every recorded
-/// per-op result plus the final space state against `final_state` (the
-/// threaded engine's post-run snapshot()). `oracle` is any store with
-/// SpaceEngine's operation surface — SpaceEngine itself, or the naive
-/// reference model the tests keep — running on `sim`, a fresh simulator
-/// whose clock is the ticket: record k executes at sim time Time::ns(k).
+/// The one replay implementation: a streaming checker over `Oracle`, any
+/// store with SpaceEngine's operation surface — SpaceEngine itself, or the
+/// naive reference model the tests keep — running on `sim`, a simulator of
+/// its own whose clock is the ticket.
+///
+/// Records arrive in ticket order: either one at a time, check(record),
+/// which takes the record over and frees it once applied, or as a batch
+/// the caller keeps, check(batch). Every record must be above every ticket
+/// checked before it. finish(final_state) checks the
+/// blocked-op outcomes and the final space state (the recorded run's
+/// post-run snapshot()) and returns the report. How a log is cut into
+/// batches does not change the report, so long as no cut falls between an
+/// arming and its expiry (see the header comment).
 template <class Oracle>
-ReplayReport replay_log(const OpLog& log, sim::Simulator& sim, Oracle& oracle,
-                        const std::vector<Tuple>& final_state) {
-  using Kind = OpRecord::Kind;
-  ReplayReport report;
-  const std::vector<const OpRecord*> records = log.by_ticket();
-  report.ops_replayed = records.size();
-
-  auto diverge = [&report, &records](std::size_t i, const std::string& what) {
-    if (!report.equivalent) return;  // first divergence wins
-    report.equivalent = false;
-    report.divergence = "op[" + std::to_string(i) + "]";
-    if (i < records.size()) {
-      report.divergence += " ticket " + std::to_string(records[i]->ticket) +
-                           " (" + detail::kind_name(records[i]->kind) + ")";
-    }
-    report.divergence += ": " + what;
-  };
-  auto check = [&diverge](std::size_t i, const auto& got, const auto& want) {
-    if (got != want) {
-      diverge(i, "oracle " + detail::describe(got) + " != recorded " +
-                     detail::describe(want));
-    }
-  };
-
-  // Oracle outcome of each blocking record, in replay order, filled by the
-  // completion callbacks (which hold a slot index, so growth is safe).
-  struct BlockedOutcome {
-    std::size_t index = 0;  ///< into records
-    bool completed = false;
-    std::optional<Tuple> result;
-  };
-  std::vector<BlockedOutcome> blocked;
-  std::unordered_map<std::uint64_t, std::uint64_t> txn_map;     // ticket -> id
-  std::unordered_map<std::uint64_t, std::uint64_t> notify_map;  // ticket -> id
-  // Write ticket -> entry id, only for the writes a kRenew or kCancelLease
-  // names: seeded here with id 0 (no entry's id), filled in by the write.
-  std::unordered_map<std::uint64_t, std::uint64_t> tuple_map;
-  for (const OpRecord* r : records) {
-    if (r->kind == Kind::kRenew || r->kind == Kind::kCancelLease) {
-      tuple_map.emplace(r->target, 0);
+class ReplayChecker {
+ public:
+  ReplayChecker(sim::Simulator& sim, Oracle& oracle)
+      : sim_(&sim), oracle_(&oracle) {
+    if constexpr (kTracksRemovals) {
+      oracle.set_removal_listener([this](std::uint64_t id) { removed(id); });
     }
   }
-  const detail::LeasePlan leases = detail::plan_leases(records);
+  ReplayChecker(const ReplayChecker&) = delete;
+  ReplayChecker& operator=(const ReplayChecker&) = delete;
 
-  auto mapped = [](const auto& map, std::uint64_t ticket) -> std::uint64_t {
+  /// Checks `record` as a batch of its own and frees it: a write's tuple
+  /// moves into the oracle.
+  void check(OpRecord record) {
+    // An expiry is its own lease batch (it has no tuple to move).
+    if (record.kind == Kind::kLeaseExpire) {
+      check(std::vector<const OpRecord*>{&record});
+      return;
+    }
+    TB_REQUIRE(!finished_);
+    step(record);
+  }
+
+  /// Checks `batch`, ticket-ordered records the caller keeps: they are read,
+  /// never consumed.
+  void check(const std::vector<const OpRecord*>& batch) {
+    TB_REQUIRE(!finished_);
+    const bool planned = plan(batch);
+    for (const OpRecord* record : batch) step(*record);
+    if (planned) leases_ = {};
+  }
+
+  /// Reports a divergence on `record` before it is checked: a check the
+  /// feeder makes (a ticket gap in a live federation).
+  void reject(const OpRecord& record, const std::string& what) {
+    diverge(At{fed_, record.ticket, record.kind}, what);
+  }
+
+  /// Runs the oracle's clock out, checks the
+  /// blocked-op outcomes and the final state, and returns the report. The
+  /// checker takes no record after this.
+  ReplayReport finish(const std::vector<Tuple>& final_state) {
+    TB_REQUIRE(!finished_);
+    finished_ = true;
+    if (broken_) return report_;
+    try {
+      sim_->run();
+    } catch (const std::exception& e) {
+      diverge(last_, std::string("oracle replay threw: ") + e.what());
+      return report_;
+    }
+    // Blocked-op completions: the oracle must have produced exactly the
+    // recorded outcome. A forever-parked waiter whose record says "matched"
+    // never completes; a waiter the oracle served but the record says timed
+    // out completes with a tuple — both are divergences. A waiter that
+    // completed as recorded was dropped when it completed.
+    for (const auto& [index, waiter] : blocked_) {
+      const At at{index, waiter.ticket, waiter.kind};
+      if (!waiter.completed) {
+        if (!waiter.timed_out) {
+          diverge(at, "oracle never completed; recorded " +
+                          detail::describe(waiter.expected));
+        }
+        continue;
+      }
+      check(at, waiter.result, waiter.expected);
+    }
+    // Final-state equivalence: same live tuples in the same total order.
+    check(fed_ == 0 ? At{.record = false} : last_, oracle_->snapshot(),
+          final_state);
+    report_.oracle_stats = oracle_->stats();
+    return report_;
+  }
+
+  /// The verdict so far: the first divergence, and every record checked.
+  const ReplayReport& report() const { return report_; }
+  std::size_t checked() const { return fed_; }
+  /// The ticket of the last record checked; 0 before the first.
+  std::uint64_t last_ticket() const { return last_.ticket; }
+
+ private:
+  using Kind = OpRecord::Kind;
+
+  /// Oracles with a removal listener (SpaceEngine) let the write-ticket map
+  /// hold live entries only; without one it keeps every write.
+  static constexpr bool kTracksRemovals = requires(Oracle& o) {
+    o.set_removal_listener([](std::uint64_t) {});
+  };
+
+  /// Where a divergence sits: a record's op index (position in ticket
+  /// order), ticket and kind. Only the final-state check of an empty log
+  /// has no record.
+  struct At {
+    std::size_t index = 0;
+    std::uint64_t ticket = 0;
+    Kind kind = Kind::kWrite;
+    bool record = true;
+  };
+  /// A blocking record's waiter, until it completes as recorded.
+  struct Waiter {
+    std::uint64_t ticket = 0;
+    Kind kind = Kind::kBlockingRead;
+    std::optional<Tuple> expected;
+    bool timed_out = false;
+    bool completed = false;
+    std::optional<Tuple> result = std::nullopt;
+  };
+
+  void diverge(const At& at, const std::string& what) {
+    if (!report_.equivalent) return;  // first divergence wins
+    report_.equivalent = false;
+    report_.divergence = "op[" + std::to_string(at.index) + "]";
+    if (at.record) {
+      report_.divergence += " ticket " + std::to_string(at.ticket) + " (" +
+                            detail::kind_name(at.kind) + ")";
+    }
+    report_.divergence += ": " + what;
+  }
+  template <class Got, class Want>
+  void check(const At& at, const Got& got, const Want& want) {
+    if (got != want) {
+      diverge(at, "oracle " + detail::describe(got) + " != recorded " +
+                      detail::describe(want));
+    }
+  }
+
+  static std::uint64_t mapped(
+      const std::unordered_map<std::uint64_t, std::uint64_t>& map,
+      std::uint64_t ticket) {
     const auto it = map.find(ticket);
     return it == map.end() ? 0 : it->second;
-  };
-  auto lease_for = [](const auto& plan, std::uint64_t ticket) {
+  }
+  static sim::Time lease_for(
+      const std::unordered_map<std::uint64_t, std::int64_t>& plan,
+      std::uint64_t ticket) {
     const auto it = plan.find(ticket);
     return it == plan.end() ? kLeaseForever : sim::Time::ns(it->second);
-  };
+  }
 
-  std::size_t applying = 0;  // the record being applied, for a throw
-  auto apply = [&](std::size_t i) {
-    applying = i;
-    const OpRecord& r = *records[i];
+  /// Runs the lease pre-pass over `batch` if it holds an expiry; a live
+  /// run's batches hold none, and skip its cost. Returns whether it ran.
+  bool plan(const std::vector<const OpRecord*>& batch) {
+    for (const OpRecord* record : batch) {
+      if (record->kind == Kind::kLeaseExpire) {
+        leases_ = detail::plan_leases(batch);
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// The oracle's removal listener: the entry's write ticket is no longer
+  /// worth a mapping (a renew or cancel of it now misses, as it would).
+  void removed(std::uint64_t id) {
+    last_removed_ = id;
+    const auto it = write_of_id_.find(id);
+    if (it == write_of_id_.end()) return;
+    id_of_write_.erase(it->second);
+    write_of_id_.erase(it);
+  }
+
+  /// Applies one record at its ticket. `Rec` is const for a batch the
+  /// caller keeps and mutable for a record handed over, whose tuple a
+  /// write moves.
+  template <class Rec>
+  void step(Rec& r) {
+    const std::size_t i = fed_++;
+    report_.ops_replayed = fed_;
+    if (broken_) return;
+    if (i > 0 && r.ticket <= last_.ticket) {
+      diverge(At{i, r.ticket, r.kind},
+              r.ticket == last_.ticket
+                  ? std::string("ticket repeats the previous record's")
+                  : "ticket below the previous record's " +
+                        std::to_string(last_.ticket));
+    }
+    try {
+      // The oracle's own timers due by this ticket fire first; a throw
+      // there names the record applied last.
+      const sim::Time at = sim::Time::ns(static_cast<std::int64_t>(r.ticket));
+      if (at > sim_->now()) sim_->run_until(at);
+      last_ = At{i, r.ticket, r.kind};
+      apply(r);
+    } catch (const std::exception& e) {
+      broken_ = true;
+      diverge(last_, std::string("oracle replay threw: ") + e.what());
+    }
+  }
+
+  template <class Rec>
+  void apply(Rec& r) {
     const OpRecord::Match& m = r.match();
-    const std::uint64_t txn = mapped(txn_map, r.txn);
+    const At& at = last_;
+    const std::size_t i = at.index;
+    const std::uint64_t txn = mapped(txn_map_, r.txn);
     switch (r.kind) {
       case Kind::kWrite: {
         const std::uint64_t id =
-            oracle.write(r.tuple, lease_for(leases.write, r.ticket), txn).id;
-        const auto it = tuple_map.find(r.ticket);
-        if (it != tuple_map.end()) it->second = id;
+            oracle_
+                ->write(std::move(r.tuple), lease_for(leases_.write, r.ticket),
+                        txn)
+                .id;
+        // A write a parked take consumed was never stored: the oracle
+        // reported its removal before returning the id.
+        if (kTracksRemovals && id == last_removed_) break;
+        id_of_write_[r.ticket] = id;
+        if (kTracksRemovals) write_of_id_[id] = r.ticket;
         break;
       }
       case Kind::kReadIfExists:
-        check(i, oracle.read_if_exists(m.tmpl, txn), m.result);
+        check(at, oracle_->read_if_exists(m.tmpl, txn), m.result);
         break;
       case Kind::kTakeIfExists:
-        check(i, oracle.take_if_exists(m.tmpl, txn), m.result);
+        check(at, oracle_->take_if_exists(m.tmpl, txn), m.result);
         break;
       case Kind::kTakeExact:
-        check(i, oracle.take_if_exists(Template::exact_of(r.tuple), txn),
+        check(at, oracle_->take_if_exists(Template::exact_of(r.tuple), txn),
               r.tuple);
         break;
       case Kind::kReadAll:
-        check(i, oracle.read_all(m.tmpl, m.max), m.results);
+        check(at, oracle_->read_all(m.tmpl, m.max), m.results);
         break;
       case Kind::kTakeAll:
-        check(i, oracle.take_all(m.tmpl, m.max), m.results);
+        check(at, oracle_->take_all(m.tmpl, m.max), m.results);
         break;
       case Kind::kBlockingRead:
       case Kind::kBlockingTake: {
@@ -318,122 +493,136 @@ ReplayReport replay_log(const OpLog& log, sim::Simulator& sim, Oracle& oracle,
                                   ? m.cancel_ticket - r.ticket
                                   : 0))
                         : kLeaseForever;
-        const std::size_t slot = blocked.size();
-        blocked.push_back(BlockedOutcome{i, false, std::nullopt});
-        auto callback = [&blocked, slot](std::optional<Tuple> result) {
-          blocked[slot].completed = true;
-          blocked[slot].result = std::move(result);
+        blocked_.emplace(i, Waiter{.ticket = r.ticket,
+                                   .kind = r.kind,
+                                   .expected = m.timed_out ? std::nullopt
+                                                           : m.result,
+                                   .timed_out = m.timed_out});
+        auto callback = [this, i](std::optional<Tuple> result) {
+          const auto it = blocked_.find(i);
+          if (it == blocked_.end()) return;
+          if (result == it->second.expected) {
+            blocked_.erase(it);
+            return;
+          }
+          it->second.completed = true;
+          it->second.result = std::move(result);
         };
         if (r.kind == Kind::kBlockingTake) {
-          oracle.take_async(m.tmpl, timeout, std::move(callback));
+          oracle_->take_async(m.tmpl, timeout, std::move(callback));
         } else {
-          oracle.read_async(m.tmpl, timeout, std::move(callback));
+          oracle_->read_async(m.tmpl, timeout, std::move(callback));
         }
         break;
       }
       case Kind::kBeginTxn:
-        txn_map[r.ticket] = oracle.begin_transaction();
+        txn_map_[r.ticket] = oracle_->begin_transaction();
         break;
       case Kind::kCommit:
-        check(i, oracle.commit(txn), r.ok);
+        check(at, oracle_->commit(txn), r.ok);
         break;
       case Kind::kAbort:
-        check(i, oracle.abort(txn), r.ok);
+        check(at, oracle_->abort(txn), r.ok);
         break;
       case Kind::kNotifyReg:
-        notify_map[r.ticket] = oracle.notify(
-            m.tmpl, kLeaseForever,
-            [&report, ticket = r.ticket](const Tuple&) {
-              ++report.notify_deliveries[ticket];
+        notify_map_[r.ticket] = oracle_->notify(
+            m.tmpl, kLeaseForever, [this, ticket = r.ticket](const Tuple&) {
+              ++report_.notify_deliveries[ticket];
             });
         break;
       case Kind::kNotifyCancel: {
-        const std::uint64_t reg = mapped(notify_map, r.target);
-        check(i, reg != 0 && oracle.cancel_notify(reg), r.ok);
+        const std::uint64_t reg = mapped(notify_map_, r.target);
+        check(at, reg != 0 && oracle_->cancel_notify(reg), r.ok);
         break;
       }
       case Kind::kRenew: {
-        const std::uint64_t id = mapped(tuple_map, r.target);
-        check(i,
-              id != 0 &&
-                  oracle.renew(id, lease_for(leases.renew, r.ticket))
-                      .has_value(),
+        const std::uint64_t id = mapped(id_of_write_, r.target);
+        check(at,
+              id != 0 && oracle_->renew(id, lease_for(leases_.renew, r.ticket))
+                             .has_value(),
               r.ok);
         break;
       }
       case Kind::kCancelLease: {
-        const std::uint64_t id = mapped(tuple_map, r.target);
-        check(i, id != 0 && oracle.cancel(id), r.ok);
+        const std::uint64_t id = mapped(id_of_write_, r.target);
+        check(at, id != 0 && oracle_->cancel(id), r.ok);
         break;
       }
       case Kind::kLeaseExpire:
         // Nothing to apply: the pre-pass turned this record into the
         // arming's replay duration, so the oracle's own clock reclaims the
-        // entry at exactly this instant.
+        // entry at exactly this instant — unless an earlier batch applied
+        // that arming as forever.
+        if (leases_.stranded.contains(r.ticket)) {
+          diverge(at, "lease expiry past the checked prefix: write " +
+                          std::to_string(r.target) +
+                          " was armed in an earlier batch");
+        }
         break;
       case Kind::kSnapshot:
         // Mid-run consistent cut: the threaded engine's sequence-point
         // snapshot must equal the oracle's space at the same ticket.
-        check(i, oracle.snapshot(), m.results);
+        check(at, oracle_->snapshot(), m.results);
         break;
     }
-  };
-
-  // The records stream through the kernel: record i's event schedules
-  // record i+1's, then applies record i. One record event is pending at a
-  // time, and it is queued ahead of anything apply(i) schedules. That is
-  // the order scheduling every record up front gave, because tickets are
-  // unique and the oracle's own timers land only on a blocked op's
-  // cancel_ticket, which no record carries, or on a kLeaseExpire ticket,
-  // whose record applies nothing. (A lease wheel's early wakeup only
-  // cascades a slot, which no record can observe.)
-  auto at_ticket = [&records](std::size_t i) {
-    return sim::Time::ns(static_cast<std::int64_t>(records[i]->ticket));
-  };
-  std::function<void(std::size_t)> stream = [&](std::size_t i) {
-    if (i + 1 < records.size()) {
-      sim.schedule_at(at_ticket(i + 1), [&stream, i] { stream(i + 1); });
-    }
-    apply(i);
-  };
-  if (!records.empty()) {
-    sim.schedule_at(at_ticket(0), [&stream] { stream(0); });
-  }
-  try {
-    sim.run();
-  } catch (const std::exception& e) {
-    diverge(applying, std::string("oracle replay threw: ") + e.what());
-    return report;
   }
 
-  // Blocked-op completions: the oracle must have produced exactly the
-  // recorded outcome. A forever-parked waiter whose record says "matched"
-  // never completes; a waiter the oracle served but the record says timed
-  // out completes with a tuple — both are divergences.
-  for (const BlockedOutcome& outcome : blocked) {
-    const OpRecord::Match& m = records[outcome.index]->match();
-    const std::optional<Tuple> expected =
-        m.timed_out ? std::nullopt : m.result;
-    if (!outcome.completed) {
-      if (!m.timed_out) {
-        diverge(outcome.index, "oracle never completed; recorded " +
-                                   detail::describe(expected));
-      }
-      continue;
-    }
-    check(outcome.index, outcome.result, expected);
-  }
+  sim::Simulator* sim_;
+  Oracle* oracle_;
+  ReplayReport report_;
+  detail::LeasePlan leases_;            ///< the batch being checked
+  std::size_t fed_ = 0;                 ///< records checked = next op index
+  At last_;                             ///< the record applied last
+  bool broken_ = false;  ///< an oracle call threw: nothing more applies
+  bool finished_ = false;
+  /// Waiters not yet completed as recorded, by op index (replay order).
+  std::map<std::size_t, Waiter> blocked_;
+  std::unordered_map<std::uint64_t, std::uint64_t> txn_map_;     // ticket -> id
+  std::unordered_map<std::uint64_t, std::uint64_t> notify_map_;  // ticket -> id
+  /// Write ticket <-> oracle entry id; with a removal listener, live
+  /// entries only.
+  std::unordered_map<std::uint64_t, std::uint64_t> id_of_write_;
+  std::unordered_map<std::uint64_t, std::uint64_t> write_of_id_;
+  std::uint64_t last_removed_ = 0;  ///< newest id the oracle reported gone
+};
 
-  // Final-state equivalence: same live tuples in the same total order.
-  check(records.empty() ? 0 : records.size() - 1, oracle.snapshot(),
-        final_state);
-  report.oracle_stats = oracle.stats();
-  return report;
-}
-
-/// replay_log through a fresh deterministic SpaceEngine. `config` should
+/// A ReplayChecker over a fresh deterministic SpaceEngine on a private
+/// ticket clock: what a live federation checks its records with, and what
+/// replay_against_oracle replays a finished log through. `config` should
 /// match the recorded run's shard_count / use_type_index; execution_mode
 /// is forced to kDeterministic.
+class EngineChecker {
+ public:
+  explicit EngineChecker(SpaceConfig config);
+  EngineChecker(const EngineChecker&) = delete;
+  EngineChecker& operator=(const EngineChecker&) = delete;
+
+  ReplayChecker<SpaceEngine>& checker() { return checker_; }
+  const SpaceEngine& oracle() const { return oracle_; }
+
+ private:
+  sim::Simulator sim_{1, sim::Simulator::Binding::kPrivate};
+  SpaceEngine oracle_;
+  ReplayChecker<SpaceEngine> checker_;
+};
+
+/// Replays `log` in ticket order through `oracle` on `sim` (see
+/// ReplayChecker) and checks the final state against `final_state`. The
+/// log must hold its whole history: a checked prefix lives in an
+/// EngineChecker, which only replay_against_oracle finishes.
+template <class Oracle>
+ReplayReport replay_log(const OpLog& log, sim::Simulator& sim, Oracle& oracle,
+                        const std::vector<Tuple>& final_state) {
+  TB_REQUIRE_MSG(log.checked_prefix() == nullptr,
+                 "a log with a checked prefix replays through its checker");
+  ReplayChecker<Oracle> checker(sim, oracle);
+  checker.check(log.by_ticket());
+  return checker.finish(final_state);
+}
+
+/// Replays `log` through the checker of its checked prefix, or through a
+/// fresh EngineChecker built from `config` when it has none, and finishes
+/// it against `final_state`.
 ReplayReport replay_against_oracle(const OpLog& log, SpaceConfig config,
                                    const std::vector<Tuple>& final_state);
 

@@ -6,7 +6,7 @@
 #include <string>
 
 #include "co_gtest.hpp"
-#include "naive_space.hpp"
+#include "heap_probe.hpp"
 #include "src/cosim/federation.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/sim/process.hpp"
@@ -77,8 +77,8 @@ space::Template wildcard_template() {
 }
 
 // Acceptance leg 1: every write of a given name lands on exactly one node —
-// the one the routing table owns the type_key to — proven from the per-node
-// OpLogs and op counters.
+// the one the routing table owns the type_key to — proven from the node
+// engines' contents and op counters.
 TEST_F(FedClusterTest, NamedOpsRouteToExactlyOneNode) {
   sim::Simulator sim{1};
   SimCluster cluster(sim, {.nodes = 4});
@@ -98,24 +98,24 @@ TEST_F(FedClusterTest, NamedOpsRouteToExactlyOneNode) {
     }
   });
 
-  // Each name appears in exactly one node's log, and it is the table owner.
+  // Each name is stored on exactly one node, and it is the table owner.
   const RoutingTable& table = cluster.routing().current();
   std::map<std::string, std::uint32_t> seen_on;
   std::uint64_t named_ops = 0;
+  std::size_t stored = 0;
   for (std::size_t i = 0; i < cluster.node_count(); ++i) {
     named_ops += cluster.core(i).stats().named_ops;
-    for (const space::OpRecord* record : cluster.core(i).oplog().by_ticket()) {
-      if (record->kind != space::OpRecord::Kind::kWrite) continue;
-      auto [it, inserted] =
-          seen_on.emplace(record->tuple.name, cluster.node_id(i));
+    for (const space::Tuple& tuple : cluster.core(i).space().snapshot()) {
+      ++stored;
+      auto [it, inserted] = seen_on.emplace(tuple.name, cluster.node_id(i));
       EXPECT_TRUE(inserted || it->second == cluster.node_id(i))
-          << record->tuple.name << " spread across nodes";
-      EXPECT_EQ(table.owner_of(space::type_key(record->tuple.name,
-                                               record->tuple.arity())),
+          << tuple.name << " spread across nodes";
+      EXPECT_EQ(table.owner_of(space::type_key(tuple.name, tuple.arity())),
                 cluster.node_id(i));
     }
   }
   EXPECT_EQ(seen_on.size(), static_cast<std::size_t>(kNames));
+  EXPECT_EQ(stored, static_cast<std::size_t>(kNames * kPerName));
   EXPECT_EQ(named_ops, static_cast<std::uint64_t>(kNames * kPerName));
   EXPECT_EQ(router->stats().routed_writes,
             static_cast<std::uint64_t>(kNames * kPerName));
@@ -347,103 +347,284 @@ TEST_F(FedClusterTest, PromotionPreservesPrimaryState) {
   EXPECT_TRUE(verdict.equivalent) << verdict.divergence;
 }
 
-// merge_oplogs moves the evidence: the node logs end empty, nothing is lost,
-// every record keeps its address, and a logged write's payload buffer is the
-// same allocation afterwards.
+// The cluster checks every record as it is logged and holds none of them:
+// merge_oplogs hands over the checker, whose prefix covers every write and
+// every take, and the end-of-run replay finishes it.
 TEST_F(FedClusterTest, MergeOplogsMovesEveryRecord) {
   sim::Simulator sim{1};
   SimCluster cluster(sim, {.nodes = 3, .with_standby = true});
   write_then_take_half(sim, cluster, 24);
+  constexpr std::size_t kLogged = 24 + 12;  // every write and every take
 
-  std::size_t logged = 0;
-  std::uint64_t write_ticket = 0;
-  const std::uint8_t* blob = nullptr;
-  std::map<std::uint64_t, const space::OpRecord*> address_of;
-  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
-    logged += cluster.core(i).oplog().size();
-    for (const space::OpRecord* record : cluster.core(i).oplog().by_ticket()) {
-      address_of[record->ticket] = record;
-      if (blob == nullptr && record->kind == space::OpRecord::Kind::kWrite) {
-        write_ticket = record->ticket;
-        blob = record->tuple.fields[1].as_bytes().data();
-      }
-    }
-  }
-  ASSERT_NE(blob, nullptr);
-  EXPECT_EQ(logged, 24u + 12u);  // every write and every take, once
+  EXPECT_TRUE(cluster.oracle_report().equivalent)
+      << cluster.oracle_report().divergence;
+  EXPECT_EQ(cluster.oracle_report().ops_replayed, kLogged);
+  EXPECT_EQ(*cluster.ticket_counter(), kLogged);
 
   space::OpLog merged;
   cluster.merge_oplogs(merged);
-  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
-    EXPECT_EQ(cluster.core(i).oplog().size(), 0u);
-  }
-  EXPECT_EQ(cluster.standby_core().oplog().size(), 0u);
-  EXPECT_EQ(merged.size(), logged);
-
-  const space::OpRecord* moved = nullptr;
-  std::size_t same_address = 0;
-  for (const space::OpRecord* record : merged.by_ticket()) {
-    if (record->ticket == write_ticket) moved = record;
-    same_address += address_of.at(record->ticket) == record;
-  }
-  EXPECT_EQ(same_address, logged);
-  ASSERT_NE(moved, nullptr);
-  EXPECT_EQ(moved->tuple.fields[1].as_bytes().data(), blob);
+  EXPECT_EQ(merged.size(), 0u);
+  ASSERT_NE(merged.checked_prefix(), nullptr);
+  EXPECT_EQ(merged.checked_prefix()->checker().checked(), kLogged);
+  EXPECT_EQ(merged.checked_prefix()->oracle().size(), 12u);
 
   const space::ReplayReport verdict = space::replay_against_oracle(
       merged, space::SpaceConfig{}, cluster.merged_final_state());
   EXPECT_TRUE(verdict.equivalent) << verdict.divergence;
-  EXPECT_EQ(verdict.ops_replayed, logged);
+  EXPECT_EQ(verdict.ops_replayed, kLogged);
+  EXPECT_EQ(verdict.oracle_stats.writes, 24u);
+  EXPECT_EQ(verdict.oracle_stats.takes, 12u);
 }
 
-// A take record holds only its result, and the replay still checks it:
-// corrupting one record's result makes both oracles diverge on exactly that
-// record's ticket and kind.
+/// The index of the ring node that owns `name` at arity 2.
+std::size_t owner_index(SimCluster& cluster, const std::string& name) {
+  const std::uint32_t owner =
+      cluster.routing().current().owner_of(space::type_key(name, 2));
+  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
+    if (cluster.node_id(i) == owner) return i;
+  }
+  ADD_FAILURE() << "no owner for " << name;
+  return 0;
+}
+
+space::Template blob_with_id(int i, std::int64_t id) {
+  return space::Template(
+      blob_name(i), {space::FieldPattern::exact(space::Value(id)),
+                     space::FieldPattern::typed(space::ValueType::kBytes)});
+}
+
+// A take record holds only its result, and the checker still checks it: a
+// job corrupted where it is stored, behind the log's back, diverges on
+// exactly the ticket and kind of the take that returns it, as soon as that
+// take is logged.
 TEST_F(FedClusterTest, CorruptTakeResultDivergesOnItsTicket) {
   sim::Simulator sim{1};
   SimCluster cluster(sim, {.nodes = 3});
-  write_then_take_half(sim, cluster, 24);
+  auto router = cluster.make_router();
+  constexpr int kJobs = 24;
+  std::uint64_t take_ticket = 0;
+  drive(sim, [&]() -> sim::Task<void> {
+    for (int i = 0; i < kJobs; ++i) {
+      CO_ASSERT_TRUE(co_await router->write(blob_job(i), space::kLeaseForever));
+    }
+    space::SpaceEngine& owner =
+        cluster.core(owner_index(cluster, blob_name(0))).space();
+    const auto found = owner.peek_oldest(blob_template(0));
+    CO_ASSERT_TRUE(found.has_value());
+    std::optional<space::Tuple> job = owner.take_by_id(found->first);
+    CO_ASSERT_TRUE(job.has_value());
+    job->fields[0] = space::Value(std::int64_t{-1});
+    owner.write(std::move(*job), space::kLeaseForever);
+    CO_ASSERT_TRUE(cluster.oracle_report().equivalent);
+
+    std::optional<space::Tuple> got =
+        co_await router->take(blob_with_id(0, -1), sim::Time::zero());
+    CO_ASSERT_TRUE(got.has_value());
+    take_ticket = *cluster.ticket_counter();
+  });
+  const std::string expected = "op[" + std::to_string(take_ticket - 1) +
+                               "] ticket " + std::to_string(take_ticket) +
+                               " (take_exact): oracle <none> != recorded ";
+  const std::string online = cluster.oracle_report().divergence;
+  EXPECT_FALSE(cluster.oracle_report().equivalent);
+  EXPECT_EQ(online.rfind(expected, 0), 0u) << online;
+
+  space::OpLog merged;
+  cluster.merge_oplogs(merged);
+  const space::ReplayReport verdict = space::replay_against_oracle(
+      merged, space::SpaceConfig{}, cluster.merged_final_state());
+  EXPECT_FALSE(verdict.equivalent);
+  EXPECT_EQ(verdict.divergence, online);
+  EXPECT_EQ(verdict.ops_replayed, static_cast<std::size_t>(kJobs + 1));
+}
+
+// Seed-pinned: a tuple planted straight into one node's engine mid-run,
+// with no record, is flagged by the online checker at the ticket of the
+// take that consumes it, before the run ends; the run goes on, and the
+// end-of-run replay reports the same divergence.
+TEST_F(FedClusterTest, PlantedTupleDivergesAtTheTakeThatConsumesIt) {
+  sim::Simulator sim{1};
+  SimCluster cluster(sim, {.nodes = 4, .with_standby = true});
+  auto router = cluster.make_router();
+  constexpr int kJobs = 30;
+  std::uint64_t consumed_at = 0;
+  std::string flagged;
+  drive(sim, [&]() -> sim::Task<void> {
+    for (int i = 0; i < kJobs; ++i) {
+      CO_ASSERT_TRUE(co_await router->write(blob_job(i), space::kLeaseForever));
+    }
+    cluster.core(owner_index(cluster, blob_name(1)))
+        .space()
+        .write(space::make_tuple(blob_name(1), std::int64_t{999},
+                                 std::vector<std::uint8_t>(16, 9)),
+               space::kLeaseForever);
+    // Drain blob-1: its ten logged jobs first, then the planted one.
+    for (int i = 0;; ++i) {
+      std::optional<space::Tuple> got =
+          co_await router->take(blob_template(1), sim::Time::zero());
+      CO_ASSERT_TRUE(got.has_value());
+      if (got->fields[0].as_int() == 999) {
+        CO_ASSERT_EQ(i, kJobs / 3);
+        break;
+      }
+      CO_ASSERT_TRUE(cluster.oracle_report().equivalent);
+    }
+    consumed_at = *cluster.ticket_counter();
+    flagged = cluster.oracle_report().divergence;
+    // The run goes on: drain the rest.
+    for (int name : {0, 2}) {
+      while ((co_await router->take(blob_template(name), sim::Time::zero()))
+                 .has_value()) {
+      }
+    }
+  });
+  ASSERT_GT(consumed_at, 0u);
+  EXPECT_GT(*cluster.ticket_counter(), consumed_at);
+  const std::string expected = "op[" + std::to_string(consumed_at - 1) +
+                               "] ticket " + std::to_string(consumed_at) +
+                               " (take_exact): oracle <none> != recorded ";
+  EXPECT_EQ(flagged.rfind(expected, 0), 0u) << flagged;
+
   space::OpLog merged;
   cluster.merge_oplogs(merged);
   const std::vector<space::Tuple> final_state = cluster.merged_final_state();
-
-  space::OpLog corrupt;
-  std::size_t bad_index = 0;
-  std::uint64_t bad_ticket = 0;
-  const std::vector<const space::OpRecord*> records = merged.by_ticket();
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    space::OpRecord copy = *records[i];
-    if (copy.kind == space::OpRecord::Kind::kTakeExact) {
-      EXPECT_FALSE(copy.has_match());
-      ASSERT_EQ(copy.tuple.arity(), 2u);
-      if (bad_ticket == 0) {
-        copy.tuple.fields[0] = space::Value(std::int64_t{-1});
-        bad_index = i;
-        bad_ticket = copy.ticket;
-      }
-    }
-    corrupt.append(std::move(copy));
-  }
-  ASSERT_NE(bad_ticket, 0u);
-  const std::string expected = "op[" + std::to_string(bad_index) +
-                               "] ticket " + std::to_string(bad_ticket) +
-                               " (take_exact): ";
-
-  const space::ReplayReport clean =
+  EXPECT_TRUE(final_state.empty());
+  const space::ReplayReport verdict =
       space::replay_against_oracle(merged, space::SpaceConfig{}, final_state);
-  EXPECT_TRUE(clean.equivalent) << clean.divergence;
+  EXPECT_FALSE(verdict.equivalent);
+  EXPECT_EQ(verdict.divergence, flagged);
+  EXPECT_EQ(verdict.ops_replayed, *cluster.ticket_counter());
+}
 
-  const space::ReplayReport engine =
-      space::replay_against_oracle(corrupt, space::SpaceConfig{}, final_state);
-  sim::Simulator naive_sim;
-  space::NaiveSpace naive(naive_sim);
-  const space::ReplayReport reference =
-      space::replay_log(corrupt, naive_sim, naive, final_state);
-  for (const space::ReplayReport* report : {&engine, &reference}) {
-    EXPECT_FALSE(report->equivalent);
-    EXPECT_EQ(report->divergence.rfind(expected, 0), 0u)
-        << report->divergence;
+// The watermark is the ticket just drawn, so a ticket drawn with no record
+// (here drawn behind the nodes' backs) is a divergence on the next record.
+TEST_F(FedClusterTest, TicketDrawnWithNoRecordDivergesOnTheNext) {
+  sim::Simulator sim{1};
+  SimCluster cluster(sim, {.nodes = 2});
+  auto router = cluster.make_router();
+  drive(sim, [&]() -> sim::Task<void> {
+    CO_ASSERT_TRUE(co_await router->write(blob_job(0), space::kLeaseForever));
+    ++*cluster.ticket_counter();
+    CO_ASSERT_TRUE(cluster.oracle_report().equivalent);
+    CO_ASSERT_TRUE(co_await router->write(blob_job(1), space::kLeaseForever));
+  });
+  EXPECT_EQ(cluster.oracle_report().divergence,
+            "op[1] ticket 3 (write): tickets 2..2 were drawn with no record");
+}
+
+// The online checker's gauges: every record is checked in the event that
+// logs it, so between events the checked count is every record logged,
+// and the oracle holds exactly the federation's live entries.
+TEST_F(FedClusterTest, OracleGaugesCountEveryRecordBetweenEvents) {
+  sim::Simulator sim{1};
+  SimCluster cluster(sim, {.nodes = 3, .with_standby = true});
+  auto router = cluster.make_router();
+  obs::Registry registry;
+  cluster.bind_metrics(registry);
+  auto gauge = [&registry](const char* name) {
+    const obs::Snapshot snap = registry.snapshot();
+    const obs::Snapshot::GaugeSample* sample =
+        snap.find_gauge(std::string("fed.oracle.") + name);
+    return sample == nullptr ? -1.0 : sample->value;
+  };
+  auto expect_gauges = [&](double checked, double live) {
+    EXPECT_EQ(gauge("checked_records"), checked);
+    EXPECT_EQ(gauge("live_entries"), live);
+  };
+  expect_gauges(0, 0);
+
+  constexpr int kJobs = 18;
+  drive(sim, [&]() -> sim::Task<void> {
+    for (int i = 0; i < kJobs; ++i) {
+      CO_ASSERT_TRUE(co_await router->write(blob_job(i), space::kLeaseForever));
+      expect_gauges(i + 1, i + 1);
+    }
+    for (int i = 0; i < kJobs; ++i) {
+      CO_ASSERT_TRUE(
+          (co_await router->take(blob_template(i), sim::Time::zero()))
+              .has_value());
+      expect_gauges(kJobs + i + 1, kJobs - i - 1);
+    }
+  });
+  expect_gauges(2 * kJobs, 0);
+}
+
+// The evidence does not grow with the run. One cluster, shaped like a
+// fed_replicated round (4 nodes, 4 producer/consumer router pairs, 16-256 B
+// blobs over 256 names), runs ten times the ops of its first span; at the
+// end of each span every job is taken, and the heap the run holds then
+// (the checker's oracle and side tables, the nodes' maps and sessions)
+// stays within 5% of what it held after the first span. There is no
+// standby: it buffers the primary's whole replication stream until a
+// promotion, which is replication state, not evidence.
+TEST_F(FedClusterTest, EvidenceHeapStaysFlatOverTenTimesTheOps) {
+#if !defined(TB_TEST_HAS_MALLINFO2)
+  GTEST_SKIP() << "needs glibc's mallinfo2 and its own allocator";
+#else
+  constexpr int kPairs = 4;
+  constexpr int kJobsPerRound = 100;  // per pair
+  constexpr int kRoundsPerSpan = 70;  // 56k records, a fed_replicated round
+  sim::Simulator sim{1};
+  SimCluster cluster(sim, {.nodes = 4});
+  std::vector<std::unique_ptr<FederatedClient>> routers;
+  for (int p = 0; p < kPairs; ++p) routers.push_back(cluster.make_router());
+
+  std::int64_t seq = 0;
+  auto pair_round = [&](FederatedClient& router,
+                        std::int64_t first) -> sim::Task<void> {
+    for (std::int64_t i = first; i < first + kJobsPerRound; ++i) {
+      const std::string name = "job-" + std::to_string(i * 7 % 256);
+      std::vector<std::uint8_t> blob(
+          16 + static_cast<std::size_t>(i * 97 % 241),
+          static_cast<std::uint8_t>(i));
+      CO_ASSERT_TRUE(co_await router.write(
+          space::make_tuple(name, i, std::move(blob)), space::kLeaseForever));
+    }
+    for (std::int64_t i = first; i < first + kJobsPerRound; ++i) {
+      const space::Template job(
+          "job-" + std::to_string(i * 7 % 256),
+          {space::FieldPattern::exact(space::Value(i)),
+           space::FieldPattern::typed(space::ValueType::kBytes)});
+      CO_ASSERT_TRUE(
+          (co_await router.take(job, sim::Time::zero())).has_value());
+    }
+  };
+  auto run_span = [&] {
+    for (int round = 0; round < kRoundsPerSpan; ++round) {
+      int done = 0;
+      for (auto& router : routers) {
+        sim::spawn([&, first = seq]() -> sim::Task<void> {
+          co_await pair_round(*router, first);
+          ++done;
+        });
+        seq += kJobsPerRound;
+      }
+      sim.run();
+      ASSERT_EQ(done, kPairs);
+    }
+  };
+
+  const std::size_t before = mallinfo2().uordblks;
+  run_span();
+  ASSERT_FALSE(HasFatalFailure());
+  const std::size_t one_span = mallinfo2().uordblks - before;
+  for (int span = 1; span < 10; ++span) {
+    run_span();
+    ASSERT_FALSE(HasFatalFailure());
   }
+  const std::size_t ten_spans = mallinfo2().uordblks - before;
+
+  const std::uint64_t records = 2ull * kPairs * kJobsPerRound * kRoundsPerSpan;
+  EXPECT_TRUE(cluster.oracle_report().equivalent)
+      << cluster.oracle_report().divergence;
+  EXPECT_EQ(cluster.oracle_report().ops_replayed, 10 * records);
+  EXPECT_EQ(cluster.merged_final_state().size(), 0u);
+  RecordProperty("heap_bytes_one_span", std::to_string(one_span));
+  RecordProperty("heap_bytes_ten_spans", std::to_string(ten_spans));
+  EXPECT_LE(static_cast<double>(ten_spans),
+            1.05 * static_cast<double>(one_span))
+      << "one span " << one_span << " B, ten spans " << ten_spans << " B";
+#endif
 }
 
 // Seed-pinned regression: the engine-id <-> ticket maps hold live entries

@@ -270,6 +270,20 @@ TEST(ProcessOwnership, SpawnOutsideRunBindsToTheNewestSimulator) {
   EXPECT_EQ(destroyed, 1);
 }
 
+// A private simulator (an oracle's ticket clock) built after the model's
+// own never captures the model's spawns.
+TEST(ProcessOwnership, SpawnOutsideRunSkipsAPrivateSimulator) {
+  int destroyed = 0;
+  auto model = std::make_unique<Simulator>();
+  auto oracle = std::make_unique<Simulator>(1, Simulator::Binding::kPrivate);
+  Trigger never(*model);
+  spawn(park_on(never, destroyed));
+  oracle.reset();
+  EXPECT_EQ(destroyed, 0);
+  model.reset();
+  EXPECT_EQ(destroyed, 1);
+}
+
 TEST(ProcessOwnership, SpawnRequiresALiveSimulator) {
   { Simulator gone; }
   bool started = false;

@@ -1,8 +1,11 @@
-// OpLog storage and OpRecord layout: chunked append and splice keep every
-// record where it is, by_ticket() restores the global order across chunks
-// and logs, and copying a record deep-copies its side payload. The replay
-// streams its records (one record event pending) and its lease pre-pass
-// plans only the armings a kLeaseExpire record ends.
+// OpLog storage and OpRecord layout: chunked append keeps every record
+// where it is, by_ticket() restores the global order across chunks, and
+// copying a record deep-copies its side payload. The replay checker
+// schedules no record event, rejects a repeated ticket, flags a corrupted
+// exact take on its ticket through both oracles and frees each record
+// handed to it, and its lease pre-pass plans only the armings a
+// kLeaseExpire record ends, flagging an expiry whose arming an earlier
+// batch applied.
 #include "src/space/oplog.hpp"
 
 #include <gtest/gtest.h>
@@ -12,10 +15,12 @@
 #include <random>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "heap_probe.hpp"
+#include "naive_space.hpp"
 #include "src/sim/simulator.hpp"
 
 namespace tb::space {
@@ -40,57 +45,39 @@ std::map<std::uint64_t, const OpRecord*> addresses(const OpLog& log) {
   return out;
 }
 
-TEST(OpLog, SpliceAcrossChunkBoundariesKeepsEveryAddress) {
+TEST(OpLog, AppendAcrossChunkBoundariesKeepsEveryAddress) {
   constexpr std::size_t kChunk = OpLog::kChunkRecords;
-  OpLog into;
-  OpLog from;
+  OpLog log;
   for (std::uint64_t t = 1; t <= kChunk + 5; ++t) {
-    into.append(write_record(2 * t));
+    log.append(write_record(t));
   }
-  for (std::uint64_t t = 1; t <= 2 * kChunk + 3; ++t) {
-    from.append(write_record(2 * t + 1));
-  }
-  std::map<std::uint64_t, const OpRecord*> before = addresses(into);
-  const std::map<std::uint64_t, const OpRecord*> moved = addresses(from);
-  before.insert(moved.begin(), moved.end());
-  ASSERT_EQ(before.size(), 3 * kChunk + 8);
+  const std::map<std::uint64_t, const OpRecord*> before = addresses(log);
+  ASSERT_EQ(before.size(), kChunk + 5);
 
-  into.splice(from);
-  EXPECT_EQ(from.size(), 0u);
-  EXPECT_TRUE(from.by_ticket().empty());
-  EXPECT_EQ(into.size(), 3 * kChunk + 8);
-  EXPECT_EQ(addresses(into), before);
-
-  // Appends after the splice fill the spliced-in partial chunk and open new
-  // ones; nothing already in the log moves.
-  for (std::uint64_t t = 1; t <= kChunk; ++t) {
-    into.append(write_record(10 * kChunk + t));
+  // Appends fill the partial chunk and open new ones; nothing already in
+  // the log moves.
+  for (std::uint64_t t = kChunk + 6; t <= 3 * kChunk + 8; ++t) {
+    log.append(write_record(t));
   }
-  const std::map<std::uint64_t, const OpRecord*> after = addresses(into);
+  EXPECT_EQ(log.size(), 3 * kChunk + 8);
+  const std::map<std::uint64_t, const OpRecord*> after = addresses(log);
   for (const auto& [ticket, record] : before) {
     EXPECT_EQ(after.at(ticket), record) << ticket;
   }
-  // The emptied log is usable again.
-  from.append(write_record(1));
-  EXPECT_EQ(from.size(), 1u);
 }
 
-TEST(OpLog, ByTicketOrdersTicketsInterleavedAcrossChunksAndLogs) {
+TEST(OpLog, ByTicketOrdersTicketsInterleavedAcrossChunks) {
   constexpr std::size_t kRecords = 3 * OpLog::kChunkRecords + 17;
   std::vector<std::uint64_t> tickets(kRecords);
   for (std::size_t i = 0; i < kRecords; ++i) tickets[i] = 3 * i + 7;
   std::mt19937_64 rng(5);
   std::shuffle(tickets.begin(), tickets.end(), rng);
 
-  // Three logs, dealt round-robin, each appended out of ticket order.
-  OpLog logs[3];
-  for (std::size_t i = 0; i < kRecords; ++i) {
-    logs[i % 3].append(write_record(tickets[i]));
-  }
-  OpLog merged;
-  for (OpLog& log : logs) merged.splice(log);
+  // Appended out of ticket order, across four chunks.
+  OpLog log;
+  for (std::uint64_t ticket : tickets) log.append(write_record(ticket));
 
-  const std::vector<const OpRecord*> ordered = merged.by_ticket();
+  const std::vector<const OpRecord*> ordered = log.by_ticket();
   ASSERT_EQ(ordered.size(), kRecords);
   for (std::size_t i = 0; i < kRecords; ++i) {
     EXPECT_EQ(ordered[i]->ticket, 3 * i + 7);
@@ -203,10 +190,11 @@ std::vector<const OpRecord*> pointers(const std::vector<OpRecord>& records) {
   return out;
 }
 
-// The replay keeps one record event pending however long the log is: each
-// record's event schedules the next record's. Scheduling every record up
-// front made the kernel's peak the record count.
-TEST(OpLogReplay, KeepsOneRecordEventPending) {
+// The replay schedules no kernel event per record, however long the log
+// is: the checker runs the oracle's clock up to each record's ticket and
+// applies it in place. (Each record's event used to schedule the next
+// one's; before that, every record was scheduled up front.)
+TEST(OpLogReplay, SchedulesNoRecordEvents) {
   constexpr std::int64_t kWrites = 12'000;
   constexpr std::int64_t kLag = 64;  // a take trails its write by kLag writes
   OpLog log;
@@ -226,7 +214,134 @@ TEST(OpLogReplay, KeepsOneRecordEventPending) {
   EXPECT_EQ(report.ops_replayed, static_cast<std::size_t>(2 * kWrites));
   EXPECT_EQ(report.oracle_stats.writes, static_cast<std::uint64_t>(kWrites));
   EXPECT_EQ(report.oracle_stats.takes, static_cast<std::uint64_t>(kWrites));
-  EXPECT_LE(sim.peak_pending_events(), 2u);
+  EXPECT_EQ(sim.executed_events(), 0u);
+  EXPECT_EQ(sim.peak_pending_events(), 0u);
+}
+
+// Tickets are unique: two writes on one ticket replay as a divergence on
+// the second, even when every result still agrees (here their two exact
+// takes, and an empty final state).
+TEST(OpLogReplay, RepeatedTicketDiverges) {
+  OpLog log;
+  log.append(write_record(1, "job", 1));
+  log.append(write_record(1, "job", 2));
+  log.append(take_record(2, make_tuple("job", std::int64_t{1})));
+  log.append(take_record(3, make_tuple("job", std::int64_t{2})));
+  const ReplayReport report =
+      replay_against_oracle(log, SpaceConfig{}, /*final_state=*/{});
+  EXPECT_FALSE(report.equivalent);
+  EXPECT_EQ(report.divergence,
+            "op[1] ticket 1 (write): ticket repeats the previous record's");
+  EXPECT_EQ(report.ops_replayed, 4u);
+}
+
+// A take record holds only its result, and both oracles check it: one
+// exact take whose logged tuple is corrupted makes SpaceEngine and the
+// naive reference model diverge on exactly that record's op index, ticket
+// and kind, and the log uncorrupted replays clean through both.
+TEST(OpLogReplay, CorruptTakeExactDivergesOnItsTicketInBothOracles) {
+  constexpr std::int64_t kJobs = 24;
+  auto job = [](std::int64_t i) {
+    return make_tuple("blob-" + std::to_string(i % 3), i,
+                      std::vector<std::uint8_t>(64, 7));
+  };
+  std::vector<Tuple> final_state;
+  for (std::int64_t i = kJobs / 2; i < kJobs; ++i) {
+    final_state.push_back(job(i));
+  }
+  constexpr std::uint64_t kBadTicket = kJobs + 5;  // the fifth take
+  for (const bool corrupted : {false, true}) {
+    SCOPED_TRACE(corrupted ? "corrupted" : "clean");
+    OpLog log;
+    std::uint64_t ticket = 0;
+    for (std::int64_t i = 0; i < kJobs; ++i) {
+      OpRecord write = write_record(++ticket);
+      write.tuple = job(i);
+      log.append(std::move(write));
+    }
+    for (std::int64_t i = 0; i < kJobs / 2; ++i) {
+      OpRecord take = take_record(++ticket, job(i));
+      EXPECT_FALSE(take.has_match());
+      if (corrupted && take.ticket == kBadTicket) {
+        take.tuple.fields[1] = Value(std::int64_t{-1});
+      }
+      log.append(std::move(take));
+    }
+
+    const ReplayReport engine =
+        replay_against_oracle(log, SpaceConfig{}, final_state);
+    sim::Simulator naive_sim;
+    NaiveSpace naive(naive_sim);
+    const ReplayReport reference =
+        replay_log(log, naive_sim, naive, final_state);
+    for (const ReplayReport* report : {&engine, &reference}) {
+      EXPECT_EQ(report->ops_replayed, static_cast<std::size_t>(kJobs * 3 / 2));
+      if (!corrupted) {
+        EXPECT_TRUE(report->equivalent) << report->divergence;
+        continue;
+      }
+      EXPECT_FALSE(report->equivalent);
+      EXPECT_EQ(report->divergence.rfind(
+                    "op[" + std::to_string(kBadTicket - 1) + "] ticket " +
+                        std::to_string(kBadTicket) + " (take_exact): ",
+                    0),
+                0u)
+          << report->divergence;
+    }
+    EXPECT_EQ(engine.divergence, reference.divergence);
+  }
+}
+
+// A record handed to the checker is checked and freed: a write's tuple
+// moves into the oracle (its blob is the same allocation when the oracle
+// gives it back).
+TEST(ReplayChecker, HandedOverWriteMovesItsTupleIntoTheOracle) {
+  sim::Simulator sim;
+  SpaceEngine oracle(sim, SpaceConfig{});
+  ReplayChecker<SpaceEngine> checker(sim, oracle);
+  OpRecord record = write_record(1);
+  record.tuple = tb::space::make_tuple("job", std::int64_t{1},
+                                       std::vector<std::uint8_t>(200, 7));
+  const Tuple written = record.tuple;
+  const std::uint8_t* blob = record.tuple.fields[1].as_bytes().data();
+  checker.check(std::move(record));
+  EXPECT_EQ(checker.checked(), 1u);
+  EXPECT_EQ(checker.last_ticket(), 1u);
+  EXPECT_TRUE(checker.report().equivalent) << checker.report().divergence;
+
+  // A take moves the stored buffers out (SpaceTest covers that).
+  const std::optional<Tuple> stored =
+      oracle.take_if_exists(Template::exact_of(written));
+  ASSERT_TRUE(stored.has_value());
+  EXPECT_EQ(stored->fields[1].as_bytes().data(), blob);
+}
+
+// An expiry whose arming an earlier batch applied cannot replay: the
+// arming went in as forever. It diverges on the expiry's ticket. The same
+// records in one batch replay clean.
+TEST(ReplayChecker, ExpiryPastTheCheckedPrefixDiverges) {
+  using Kind = OpRecord::Kind;
+  std::vector<OpRecord> records;
+  records.push_back(write_record(10, "a", 1));
+  records.push_back(write_record(11, "b", 1));
+  records.push_back(id_record(Kind::kLeaseExpire, 20, 10, true));
+
+  EngineChecker whole(SpaceConfig{});
+  whole.checker().check(pointers(records));
+  const ReplayReport one_batch =
+      whole.checker().finish({make_tuple("b", std::int64_t{1})});
+  EXPECT_TRUE(one_batch.equivalent) << one_batch.divergence;
+  EXPECT_EQ(one_batch.oracle_stats.expirations, 1u);
+
+  EngineChecker split(SpaceConfig{});
+  split.checker().check({&records[0], &records[1]});
+  split.checker().check({&records[2]});
+  const ReplayReport two_batches =
+      split.checker().finish({make_tuple("b", std::int64_t{1})});
+  EXPECT_FALSE(two_batches.equivalent);
+  EXPECT_EQ(two_batches.divergence,
+            "op[2] ticket 20 (lease_expire): lease expiry past the checked "
+            "prefix: write 10 was armed in an earlier batch");
 }
 
 TEST(LeasePlan, ForeverLeasesPlanNothing) {
@@ -264,6 +379,14 @@ TEST(LeasePlan, DurationsRunFromTheLatestArming) {
   using Plan = std::unordered_map<std::uint64_t, std::int64_t>;
   EXPECT_EQ(plan.write, (Plan{{20, 10}}));
   EXPECT_EQ(plan.renew, (Plan{{15, 25}}));
+  EXPECT_TRUE(plan.stranded.empty());
+
+  // Cut before the renew: the expiry of write 10 is then stranded, and the
+  // one of write 20, armed in the same batch, is not.
+  const std::vector<const OpRecord*> all = pointers(records);
+  const detail::LeasePlan tail = detail::plan_leases(
+      std::vector<const OpRecord*>(all.begin() + 4, all.end()));
+  EXPECT_EQ(tail.stranded, (std::unordered_set<std::uint64_t>{40, 50}));
 }
 
 }  // namespace

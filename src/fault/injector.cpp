@@ -44,16 +44,4 @@ void FaultInjector::install(sim::Simulator& sim, wire::BusModel& bus,
   }
 }
 
-void FaultInjector::install(net::SimplexLink& link) {
-  link.set_fault_hook([plan = plan_](const net::Packet& packet) {
-    return plan->link_decision(packet);
-  });
-}
-
-void FaultInjector::install(net::WireCbrSource& source) {
-  source.set_fault_hook([plan = plan_](const wire::RelaySegment& segment) {
-    return plan->segment_decision(segment);
-  });
-}
-
 }  // namespace tb::fault

@@ -11,8 +11,6 @@
 #include <span>
 
 #include "src/fault/plan.hpp"
-#include "src/net/link.hpp"
-#include "src/net/tpwire_channel.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/wire/bus_model.hpp"
 #include "src/wire/slave.hpp"
@@ -33,12 +31,6 @@ class FaultInjector {
   /// simulator. Slave indices in the plan refer to positions in `slaves`.
   void install(sim::Simulator& sim, wire::BusModel& bus,
                std::span<wire::SlaveDevice* const> slaves);
-
-  /// Wires the packet-fault channel into one link.
-  void install(net::SimplexLink& link);
-
-  /// Wires the segment-fault channel into one traffic source.
-  void install(net::WireCbrSource& source);
 
   const FaultPlan& plan() const { return *plan_; }
 

@@ -104,8 +104,10 @@ std::string InvariantChecker::report() const {
 }
 
 void InvariantChecker::violate(std::string message) {
+  // Stop recording messages after this many (the count keeps going).
+  constexpr std::size_t kMaxRecorded = 32;
   ++violation_count_;
-  if (violations_.size() < config_.max_recorded) {
+  if (violations_.size() < kMaxRecorded) {
     violations_.push_back(std::move(message));
   }
 }

@@ -39,9 +39,6 @@ class InvariantChecker {
     /// Raise it for plans with heavy delay spikes or clock drift, which
     /// legitimately stretch every bus cycle.
     double op_deadline_factor = 2.0;
-
-    /// Stop recording messages after this many (the count keeps going).
-    std::size_t max_recorded = 32;
   };
 
   InvariantChecker() = default;

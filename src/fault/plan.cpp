@@ -7,18 +7,12 @@ namespace tb::fault {
 
 bool FaultPlanConfig::active() const {
   return bit_error_rate > 0.0 || !crashes.empty() || !stuck_interrupts.empty() ||
-         delay_spikes.period > sim::Time::zero() || clock_drift != 0.0 ||
-         link.drop_prob > 0.0 || link.duplicate_prob > 0.0 ||
-         link.delay_prob > 0.0 || link.corrupt_prob > 0.0 ||
-         segment.drop_prob > 0.0 || segment.duplicate_prob > 0.0 ||
-         segment.corrupt_prob > 0.0;
+         delay_spikes.period > sim::Time::zero() || clock_drift != 0.0;
 }
 
 FaultPlan::FaultPlan(FaultPlanConfig config)
     : config_(config),
-      word_rng_(util::Xoshiro256(config.seed).fork(0x776F7264)),   // "word"
-      link_rng_(util::Xoshiro256(config.seed).fork(0x6C696E6B)),   // "link"
-      segment_rng_(util::Xoshiro256(config.seed).fork(0x73656770)) {
+      word_rng_(util::Xoshiro256(config.seed).fork(0x776F7264)) {  // "word"
   TB_REQUIRE(config.bit_error_rate >= 0.0 && config.bit_error_rate < 1.0);
   TB_REQUIRE(config.clock_drift > -1.0);
   for (const SlaveCrashSpec& crash : config.crashes) {
@@ -43,56 +37,6 @@ std::uint16_t FaultPlan::perturb_word(std::uint16_t word, bool rx) {
     }
   }
   return word;
-}
-
-net::LinkFaultDecision FaultPlan::link_decision(const net::Packet& packet) {
-  net::LinkFaultDecision decision;
-  const LinkFaultSpec& spec = config_.link;
-  if (spec.drop_prob > 0.0 && link_rng_.bernoulli(spec.drop_prob)) {
-    decision.drop = true;
-    ++stats_.link_drops;
-    return decision;  // a lost packet needs no further decisions
-  }
-  if (spec.duplicate_prob > 0.0 && link_rng_.bernoulli(spec.duplicate_prob)) {
-    decision.duplicate = true;
-    ++stats_.link_duplicates;
-  }
-  if (spec.delay_prob > 0.0 && link_rng_.bernoulli(spec.delay_prob)) {
-    decision.extra_delay = sim::Time::ns(static_cast<std::int64_t>(
-        link_rng_.uniform(0, static_cast<std::uint64_t>(
-                                 spec.max_extra_delay.count_ns()))));
-    ++stats_.link_delays;
-  }
-  if (spec.corrupt_prob > 0.0 && !packet.payload.empty() &&
-      link_rng_.bernoulli(spec.corrupt_prob)) {
-    decision.corrupt_bit = static_cast<int>(
-        link_rng_.uniform(0, packet.payload.size() * 8 - 1));
-    ++stats_.link_corruptions;
-  }
-  return decision;
-}
-
-net::SegmentFaultDecision FaultPlan::segment_decision(
-    const wire::RelaySegment& segment) {
-  net::SegmentFaultDecision decision;
-  const SegmentFaultSpec& spec = config_.segment;
-  if (spec.drop_prob > 0.0 && segment_rng_.bernoulli(spec.drop_prob)) {
-    decision.drop = true;
-    ++stats_.segment_drops;
-    return decision;
-  }
-  if (spec.duplicate_prob > 0.0 && segment_rng_.bernoulli(spec.duplicate_prob)) {
-    decision.duplicate = true;
-    ++stats_.segment_duplicates;
-  }
-  if (spec.corrupt_prob > 0.0 && segment_rng_.bernoulli(spec.corrupt_prob)) {
-    const std::size_t wire_bits =
-        wire::segment_wire_size(segment.payload.size()) * 8;
-    decision.corrupt_bit =
-        static_cast<int>(segment_rng_.uniform(0, wire_bits - 1));
-    ++stats_.segment_corruptions;
-  }
-  return decision;
 }
 
 sim::Time FaultPlan::perturb_delay(sim::Time now, sim::Time delay) const {

@@ -8,11 +8,7 @@
 //
 //   * frame bit errors on the TpWIRE medium (independent per-bit BER, both
 //     directions) — decided by a forked RNG stream, applied through
-//     OneWireBus::set_word_fault;
-//   * packet faults on net::SimplexLink (drop / duplicate / delay / payload
-//     bit flip) — applied through SimplexLink::set_fault_hook;
-//   * relay-segment faults at the traffic source (drop / duplicate / encoded
-//     bit flip) — applied through WireCbrSource::set_fault_hook;
+//     BusModel::set_word_fault;
 //   * slave power failures and restarts, and stuck-INT windows — scheduled
 //     as simulator events against SlaveDevice::kill/restart;
 //   * clock skew (a rate drift) and periodic delay spikes — applied through
@@ -21,15 +17,13 @@
 // Everything is a pure function of (seed, event order), and the simulator's
 // event order is itself deterministic, so the same seed reproduces the same
 // run bit for bit: a failing chaos run is replayable from a one-line seed
-// report. Each fault channel draws from its own forked RNG stream, so
-// enabling one never re-randomizes another.
+// report. Only the bit-error channel draws random numbers, from its own
+// forked stream; the others are fixed schedules or pure functions of time.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "src/net/link.hpp"
-#include "src/net/tpwire_channel.hpp"
 #include "src/sim/time.hpp"
 #include "src/util/rng.hpp"
 
@@ -58,22 +52,6 @@ struct DelaySpikeSpec {
   sim::Time extra;
 };
 
-/// Packet faults on a net::SimplexLink.
-struct LinkFaultSpec {
-  double drop_prob = 0.0;
-  double duplicate_prob = 0.0;
-  double delay_prob = 0.0;
-  sim::Time max_extra_delay = sim::Time::ms(5);
-  double corrupt_prob = 0.0;  ///< flips one random payload bit
-};
-
-/// Relay-segment faults at a WireCbrSource.
-struct SegmentFaultSpec {
-  double drop_prob = 0.0;
-  double duplicate_prob = 0.0;
-  double corrupt_prob = 0.0;  ///< flips one random encoded-segment bit
-};
-
 struct FaultPlanConfig {
   std::uint64_t seed = 0x5EED;
 
@@ -88,14 +66,11 @@ struct FaultPlanConfig {
   /// Clock drift: every scheduled delay is scaled by (1 + drift).
   double clock_drift = 0.0;
 
-  LinkFaultSpec link;
-  SegmentFaultSpec segment;
-
   /// True when any fault channel is active.
   bool active() const;
 };
 
-/// Runtime fault decisions, drawn from per-channel forked RNG streams.
+/// Runtime fault decisions; bit errors draw from a forked RNG stream.
 /// One FaultPlan serves one simulation run; construct a fresh one (same
 /// config) to replay.
 class FaultPlan {
@@ -110,12 +85,6 @@ class FaultPlan {
   /// Frame-word channel: flips each bit with probability bit_error_rate.
   std::uint16_t perturb_word(std::uint16_t word, bool rx);
 
-  /// Link channel: one decision per packet entering a link.
-  net::LinkFaultDecision link_decision(const net::Packet& packet);
-
-  /// Segment channel: one decision per emitted relay segment.
-  net::SegmentFaultDecision segment_decision(const wire::RelaySegment& segment);
-
   /// Delay perturbation implementing clock drift + periodic spikes.
   /// Deterministic: a pure function of (now, delay, config).
   sim::Time perturb_delay(sim::Time now, sim::Time delay) const;
@@ -124,21 +93,12 @@ class FaultPlan {
     std::uint64_t tx_words_corrupted = 0;
     std::uint64_t rx_words_corrupted = 0;
     std::uint64_t bits_flipped = 0;
-    std::uint64_t link_drops = 0;
-    std::uint64_t link_duplicates = 0;
-    std::uint64_t link_delays = 0;
-    std::uint64_t link_corruptions = 0;
-    std::uint64_t segment_drops = 0;
-    std::uint64_t segment_duplicates = 0;
-    std::uint64_t segment_corruptions = 0;
   };
   const Stats& stats() const { return stats_; }
 
  private:
   FaultPlanConfig config_;
   util::Xoshiro256 word_rng_;
-  util::Xoshiro256 link_rng_;
-  util::Xoshiro256 segment_rng_;
   Stats stats_;
 };
 

@@ -8,13 +8,28 @@
 #include "src/space/tuple.hpp"
 
 namespace tb::fed {
+namespace {
+
+/// Mis-route refresh+re-route attempts per named op before giving up.
+constexpr int kMaxRouteRetries = 3;
+
+/// Same-node retries of a canonically retryable reject per named write.
+constexpr int kMaxRetryableRetries = 2;
+
+/// Directed-take re-scatter rounds per wildcard take (each round is one full
+/// peek fan-out; a round is lost only when another taker wins the directed
+/// take race).
+constexpr int kMaxScatterRounds = 16;
+
+/// Blocking-wildcard poll cadence. Named blocking ops park server-side as
+/// always; only wildcards pay this.
+constexpr sim::Time kPollInterval = sim::Time::ms(5);
+
+}  // namespace
 
 FederatedClient::FederatedClient(sim::Simulator& sim, RoutingSource& source,
-                                 Resolver resolver, FederatedConfig config)
-    : sim_(&sim),
-      source_(&source),
-      resolver_(std::move(resolver)),
-      config_(config) {}
+                                 Resolver resolver)
+    : sim_(&sim), source_(&source), resolver_(std::move(resolver)) {}
 
 void FederatedClient::bind_metrics(obs::Registry& registry,
                                    const std::string& prefix) {
@@ -46,16 +61,13 @@ sim::Task<bool> FederatedClient::ensure_table() {
   co_return table_ && !table_->empty();
 }
 
-sim::Task<void> FederatedClient::refresh_table(std::uint64_t rejecting_epoch) {
+sim::Task<void> FederatedClient::refresh_table() {
   ++stats_.misroute_refreshes;
   ++stats_.table_fetches;
   std::optional<RoutingTable> fetched = co_await source_->fetch();
   if (fetched && !fetched->empty()) {
     table_ = std::move(fetched);
   }
-  // A fetched epoch still below the rejecting node's means the authority
-  // write is in flight; the caller's bounded retry loop covers the gap.
-  (void)rejecting_epoch;
 }
 
 sim::Task<bool> FederatedClient::write(space::Tuple tuple, sim::Time lease) {
@@ -71,8 +83,8 @@ sim::Task<util::Status> FederatedClient::write_status(space::Tuple tuple,
   }
   const std::uint64_t key =
       space::type_key(tuple.name, tuple.fields.size());
-  int route_retries = config_.max_route_retries;
-  int same_node_retries = config_.max_retryable_retries;
+  int route_retries = kMaxRouteRetries;
+  int same_node_retries = kMaxRetryableRetries;
   while (true) {
     const std::uint32_t owner = table_->owner_of(key);
     mw::SpaceClient* client = client_for(owner);
@@ -82,7 +94,7 @@ sim::Task<util::Status> FederatedClient::write_status(space::Tuple tuple,
       if (route_retries-- <= 0) {
         co_return util::Unavailable("no channel to owner node");
       }
-      co_await refresh_table(0);
+      co_await refresh_table();
       continue;
     }
     ++stats_.routed_writes;
@@ -90,7 +102,7 @@ sim::Task<util::Status> FederatedClient::write_status(space::Tuple tuple,
         co_await client->write_async(tuple, lease);  // copy: may re-route
     if (result.status.code() == util::StatusCode::kFailedPrecondition) {
       if (route_retries-- <= 0) co_return result.status;
-      co_await refresh_table(result.epoch);
+      co_await refresh_table();
       continue;
     }
     if (!result.status.ok() && result.status.retryable() &&
@@ -119,13 +131,13 @@ sim::Task<std::optional<space::Tuple>> FederatedClient::named_match(
     space::Template tmpl, sim::Time timeout, bool take) {
   if (!co_await ensure_table()) co_return std::nullopt;
   const std::uint64_t key = space::type_key(*tmpl.name, tmpl.fields.size());
-  int route_retries = config_.max_route_retries;
+  int route_retries = kMaxRouteRetries;
   while (true) {
     const std::uint32_t owner = table_->owner_of(key);
     mw::SpaceClient* client = client_for(owner);
     if (client == nullptr) {
       if (route_retries-- <= 0) co_return std::nullopt;
-      co_await refresh_table(0);
+      co_await refresh_table();
       continue;
     }
     ++stats_.routed_matches;
@@ -140,7 +152,7 @@ sim::Task<std::optional<space::Tuple>> FederatedClient::named_match(
     }
     if (result.status.code() == util::StatusCode::kFailedPrecondition) {
       if (route_retries-- <= 0) co_return std::nullopt;
-      co_await refresh_table(result.epoch);
+      co_await refresh_table();
       continue;
     }
     // OK with a tuple = match; OK without = clean miss; DEADLINE_EXCEEDED
@@ -166,24 +178,24 @@ sim::Task<std::optional<space::Tuple>> FederatedClient::wildcard_match(
     // probed and its tuples would stay invisible to this router.
     for (const std::uint32_t node : table_->nodes()) {
       if (client_for(node) == nullptr) {
-        co_await refresh_table(0);
+        co_await refresh_table();
         break;
       }
     }
     std::optional<space::Tuple> result = co_await scatter_once(tmpl, take);
     if (result) co_return result;
     if (!blocking) co_return std::nullopt;
-    if (sim_->now() + config_.poll_interval > deadline) co_return std::nullopt;
+    if (sim_->now() + kPollInterval > deadline) co_return std::nullopt;
     // No waiter parks on any node for a wildcard: the merge point is here,
     // so blocking degrades to polling (documented, DESIGN.md §16).
     ++stats_.polls;
-    co_await sim::delay(*sim_, config_.poll_interval);
+    co_await sim::delay(*sim_, kPollInterval);
   }
 }
 
 sim::Task<std::optional<space::Tuple>> FederatedClient::scatter_once(
     const space::Template& tmpl, bool take) {
-  for (int round = 0; round < config_.max_scatter_rounds; ++round) {
+  for (int round = 0; round < kMaxScatterRounds; ++round) {
     // Fan the peeks out first, then await: every node serves its probe
     // concurrently, so the round costs one RTT, not one per node.
     std::vector<std::pair<std::uint32_t,

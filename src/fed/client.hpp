@@ -17,7 +17,7 @@
 //    minimum — exactly the engine's own cross-shard k-way merge, one level
 //    up. A read returns the winning peek; a take sends a directed
 //    kTakeByIdRequest to the winner and re-scatters when it loses the race
-//    (bounded rounds). Blocking wildcards poll at poll_interval until the
+//    (bounded rounds). Blocking wildcards poll every 5 ms until the
 //    deadline — a documented cost of not parking a waiter on every node.
 //
 // Transactions are not exposed: a txn would have to span nodes. Services
@@ -39,23 +39,6 @@ class Registry;
 
 namespace tb::fed {
 
-struct FederatedConfig {
-  /// Mis-route refresh+re-route attempts per named op before giving up.
-  int max_route_retries = 3;
-
-  /// Same-node retries of a canonically retryable reject per named op.
-  int max_retryable_retries = 2;
-
-  /// Directed-take re-scatter rounds per wildcard take (each round is one
-  /// full peek fan-out; a round is lost only when another taker wins the
-  /// directed take race).
-  int max_scatter_rounds = 16;
-
-  /// Blocking-wildcard poll cadence. Named blocking ops park server-side
-  /// as always; only wildcards pay this.
-  sim::Time poll_interval = sim::Time::ms(5);
-};
-
 class FederatedClient final : public svc::SpaceApi {
  public:
   /// Maps a node id from the routing table to the mw client connected to
@@ -63,7 +46,7 @@ class FederatedClient final : public svc::SpaceApi {
   using Resolver = std::function<mw::SpaceClient*(std::uint32_t)>;
 
   FederatedClient(sim::Simulator& sim, RoutingSource& source,
-                  Resolver resolver, FederatedConfig config = {});
+                  Resolver resolver);
 
   sim::Task<bool> write(space::Tuple tuple, sim::Time lease) override;
   sim::Task<util::Status> write_status(space::Tuple tuple,
@@ -100,11 +83,11 @@ class FederatedClient final : public svc::SpaceApi {
  private:
   /// Fetches a table when none is cached; false when the source has none.
   sim::Task<bool> ensure_table();
-  /// Re-fetches after a mis-route reject. `rejecting_epoch` is the epoch
-  /// the node stamped on the reject; a fetched table older than that is
-  /// itself stale (the authority write hasn't landed yet) but is still
-  /// installed — the bounded retry loop re-fetches on the next reject.
-  sim::Task<void> refresh_table(std::uint64_t rejecting_epoch);
+  /// Re-fetches after a mis-route reject or a member with no channel. A
+  /// fetched table may itself be stale (the authority write hasn't landed
+  /// yet); it is still installed, and the bounded retry loop re-fetches on
+  /// the next reject.
+  sim::Task<void> refresh_table();
 
   mw::SpaceClient* client_for(std::uint32_t node) const {
     return resolver_(node);
@@ -123,7 +106,6 @@ class FederatedClient final : public svc::SpaceApi {
   sim::Simulator* sim_;
   RoutingSource* source_;
   Resolver resolver_;
-  FederatedConfig config_;
   std::optional<RoutingTable> table_;
   Stats stats_;
 };

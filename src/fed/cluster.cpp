@@ -41,7 +41,7 @@ SimCluster::SimCluster(sim::Simulator& sim, ClusterConfig config)
         sim, standby_->hub.create_client(), codec_, config_.client);
     nodes_.front()->core.set_standby(repl_channel_.get());
   }
-  routing_.publish(table_from_members(1, members, config_.virtual_nodes));
+  routing_.publish(table_from_members(1, members));
   apply_routing();
 }
 
@@ -81,8 +81,7 @@ std::unique_ptr<FederatedClient> SimCluster::make_router() {
         Node* node = find(node_id);
         if (node == nullptr || node->core.dead()) return nullptr;
         return &channel(node_id);
-      },
-      config_.fed);
+      });
 }
 
 void SimCluster::apply_routing() {
@@ -118,7 +117,6 @@ std::size_t SimCluster::promote_standby() {
   // data it already holds.
   RoutingTable table;
   table.epoch = routing_.current().epoch + 1;
-  table.ring = HashRing(config_.virtual_nodes);
   for (auto& node : nodes_) {
     if (node->id != primary.id) table.ring.add_node(node->id);
   }

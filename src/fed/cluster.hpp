@@ -46,12 +46,10 @@ struct ClusterConfig {
   /// Provision a standby fed by the primary's (first node's) replication
   /// stream; kill_primary() requires it.
   bool with_standby = false;
-  int virtual_nodes = 64;
   sim::Time one_way_delay = sim::Time::us(200);
   mw::ServerConfig server;   ///< per-node template; node_id is overridden
   space::SpaceConfig space;  ///< per-node engine config
   mw::ClientConfig client;   ///< router/replication channel config
-  FederatedConfig fed;       ///< router policy for make_router()
 };
 
 class SimCluster {

@@ -197,7 +197,6 @@ SpaceClient::WriteResult SpaceClient::write_result_of(
     const std::optional<Message>& response) {
   WriteResult result;
   result.status = status_of(response, MsgType::kWriteResponse);
-  if (response) result.epoch = response->epoch;
   if (result.status.ok() && response->ok) {
     result.ok = true;
     result.lease.id = response->handle;
@@ -212,7 +211,6 @@ SpaceClient::MatchResult SpaceClient::match_result_of(
     std::optional<Message> response) {
   MatchResult result;
   result.status = status_of(response, MsgType::kMatchResponse);
-  if (response) result.epoch = response->epoch;
   // DEADLINE_EXCEEDED still answers the match: the deadline passing IS
   // the (empty) outcome of a blocking op, not a malfunction.
   if (result.status.ok() && response->ok) {

@@ -125,9 +125,6 @@ class SpaceClient {
     bool ok = false;       ///< status.ok(); kept for existing call sites
     space::Lease lease;    ///< id 0 when the entry expired in transit
     util::Status status;   ///< typed outcome (DESIGN.md §12)
-    /// Server's routing epoch when it rejected a mis-routed key
-    /// (kFailedPrecondition); 0 otherwise. See DESIGN.md §16.
-    std::uint64_t epoch = 0;
   };
 
   /// Typed match outcome: distinguishes a clean miss (OK status, no
@@ -137,8 +134,6 @@ class SpaceClient {
   struct MatchResult {
     util::Status status;
     std::optional<space::Tuple> tuple;
-    /// Server's routing epoch on a mis-route reject (see WriteResult).
-    std::uint64_t epoch = 0;
     bool ok() const { return status.ok() && tuple.has_value(); }
   };
 

@@ -100,10 +100,7 @@ void NodeCore::record_take(const space::Tuple& taken, std::uint64_t ticket) {
 }
 
 void NodeCore::replicate(Message frame, std::function<void()> on_acked) {
-  if (!standby_) {
-    on_acked();
-    return;
-  }
+  TB_ASSERT(standby_);
   ++stats_.replication_forwards;
   // The data-plane ack is withheld until the standby confirms; a stream
   // failure (standby down, rpc timeout) still acks the client — the
@@ -248,12 +245,13 @@ void NodeCore::start_service(SessionId session, Message request) {
   ++total_in_service_;
   peak_in_service_ =
       std::max(peak_in_service_, static_cast<std::size_t>(state.in_service));
-  // The RMI/socket-wrapper hop inside the server host. The slot is held for
-  // the hop only: once the operation reaches the space (answered or parked),
-  // the next queued request may enter — which is what lets a later read
-  // overtake a parked take on the same session.
+  // The RMI/socket-wrapper hop inside the server host: a fixed 2 ms of
+  // per-request processing. The slot is held for the hop only: once the
+  // operation reaches the space (answered or parked), the next queued
+  // request may enter — which is what lets a later read overtake a parked
+  // take on the same session.
   space_->simulator().schedule_in(
-      config_.service_delay,
+      sim::Time::ms(2),
       [this, session, req = std::move(request)]() mutable {
         process(session, std::move(req));
         finish_service(session);
@@ -730,7 +728,6 @@ void NodeCore::handle_notify(SessionId session, const Message& request) {
         push_event(session, std::move(event));
       });
   *reg_slot = registration;
-  notify_sessions_[registration] = session;
 
   response.type = MsgType::kNotifyResponse;
   response.ok = true;
@@ -855,7 +852,6 @@ void NodeCore::handle_cancel(SessionId session, const Message& request) {
   if (space_->cancel(request.handle)) {
     response.ok = true;
   } else if (space_->cancel_notify(request.handle)) {
-    notify_sessions_.erase(request.handle);
     response.ok = true;
   } else {
     response.ok = false;

@@ -60,9 +60,6 @@ class Registry;
 namespace tb::mw {
 
 struct ServerConfig {
-  /// Per-request processing latency (RMI dispatch + socket wrapper).
-  sim::Time service_delay = sim::Time::ms(2);
-
   /// Server-wide service-stage bound: at most this many requests (across
   /// all sessions) may occupy the service stage at once. 0 = unbounded
   /// (no extra events are scheduled). Excess requests wait in one global
@@ -269,7 +266,7 @@ class NodeCore {
   /// The engine's removal listener: drops the entry's ticket mapping.
   void forget_entry(std::uint64_t entry_id);
   /// Forwards one record on the replication stream; `on_acked` runs when
-  /// the standby confirms (immediately when no standby is attached).
+  /// the standby confirms. Callers forward only when a standby is attached.
   void replicate(Message frame, std::function<void()> on_acked);
 
   /// Lease/timeout duration left after transit; nullopt = dead on arrival.
@@ -282,8 +279,6 @@ class NodeCore {
   ServerTransport* transport_;
   const Codec* codec_;
   ServerConfig config_;
-  /// notify registration -> owning session (for event push & cancel).
-  std::unordered_map<std::uint64_t, SessionId> notify_sessions_;
 
   static constexpr std::size_t kResponseCacheSize = 64;
   std::unordered_map<SessionId, Session> sessions_;

@@ -15,42 +15,13 @@ SimplexLink::SimplexLink(sim::Simulator& sim, Node& from, Node& to,
 }
 
 void SimplexLink::transmit(Packet packet) {
-  sim::Time extra_delay;
-  if (fault_hook_) {
-    const LinkFaultDecision fault = fault_hook_(packet);
-    if (fault.drop) {
-      ++stats_.dropped;
-      ++stats_.fault_drops;
-      on_drop_.emit(packet);
-      return;
-    }
-    if (fault.corrupt_bit >= 0 && !packet.payload.empty()) {
-      const std::size_t bit =
-          static_cast<std::size_t>(fault.corrupt_bit) % (packet.payload.size() * 8);
-      // mutable_bytes() clones if a duplicate still shares the block, so the
-      // corruption stays local to this copy.
-      packet.payload.mutable_bytes()[bit / 8] ^=
-          static_cast<std::uint8_t>(1u << (bit % 8));
-      ++stats_.fault_corruptions;
-    }
-    if (fault.extra_delay > sim::Time::zero()) ++stats_.fault_delays;
-    extra_delay = fault.extra_delay;
-    if (fault.duplicate) {
-      ++stats_.fault_duplicates;
-      enqueue(packet, extra_delay);
-    }
-  }
-  enqueue(std::move(packet), extra_delay);
-}
-
-void SimplexLink::enqueue(Packet packet, sim::Time extra_delay) {
   if (queue_.size() >= params_.queue_limit_packets) {
     ++stats_.dropped;  // DropTail
     on_drop_.emit(packet);
     return;
   }
   on_enqueue_.emit(packet);
-  queue_.push_back(QueuedPacket{std::move(packet), extra_delay});
+  queue_.push_back(std::move(packet));
   ++stats_.enqueued;
   stats_.max_queue_depth = std::max(stats_.max_queue_depth, queue_.size());
   if (!busy_) start_next();
@@ -60,18 +31,18 @@ void SimplexLink::start_next() {
   TB_ASSERT(!busy_);
   if (queue_.empty()) return;
   busy_ = true;
-  QueuedPacket entry = std::move(queue_.front());
+  Packet packet = std::move(queue_.front());
   queue_.pop_front();
-  on_dequeue_.emit(entry.packet);
-  const sim::Time tx = tx_time(entry.packet.size_bytes);
+  on_dequeue_.emit(packet);
+  const sim::Time tx = tx_time(packet.size_bytes);
   stats_.busy_time += tx;
   // The link frees after serialization; delivery adds propagation on top.
   sim_->schedule_in(tx, [this] {
     busy_ = false;
     start_next();
   });
-  sim_->schedule_in(tx + params_.prop_delay + entry.extra_delay,
-                    [this, p = std::move(entry.packet)]() mutable {
+  sim_->schedule_in(tx + params_.prop_delay,
+                    [this, p = std::move(packet)]() mutable {
                       ++stats_.transmitted;
                       stats_.bytes_transmitted += p.size_bytes;
                       on_receive_.emit(p);

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "src/net/packet.hpp"
 #include "src/sim/signal.hpp"
@@ -23,16 +22,6 @@ struct LinkParams {
   double bandwidth_bps = 10'000'000.0;  ///< bits per second
   sim::Time prop_delay = sim::Time::us(10);
   std::size_t queue_limit_packets = 50;  ///< DropTail capacity
-};
-
-/// What a fault hook wants done to one packet entering the link. Defaults
-/// mean "deliver untouched"; combinations compose (a duplicated packet may
-/// also be delayed; a corrupted one still queues normally).
-struct LinkFaultDecision {
-  bool drop = false;           ///< lose the packet (counted as a drop)
-  bool duplicate = false;      ///< enqueue a second copy
-  sim::Time extra_delay;       ///< added to this packet's propagation
-  int corrupt_bit = -1;        ///< payload bit to flip, -1 = none
 };
 
 class SimplexLink {
@@ -61,10 +50,6 @@ class SimplexLink {
     std::uint64_t bytes_transmitted = 0;
     std::size_t max_queue_depth = 0;
     sim::Time busy_time;
-    std::uint64_t fault_drops = 0;       ///< injected losses (subset of dropped)
-    std::uint64_t fault_duplicates = 0;  ///< injected duplicate enqueues
-    std::uint64_t fault_delays = 0;      ///< packets given extra delay
-    std::uint64_t fault_corruptions = 0; ///< payload bits flipped
   };
   const Stats& stats() const { return stats_; }
   std::size_t queue_depth() const { return queue_.size(); }
@@ -77,26 +62,15 @@ class SimplexLink {
   sim::Signal<const Packet&>& on_receive() { return on_receive_; }
   sim::Signal<const Packet&>& on_drop() { return on_drop_; }
 
-  /// Fault hook (tb::fault): consulted once per transmit() call, before the
-  /// DropTail queue. Must be deterministic for reproducible runs.
-  using FaultHook = std::function<LinkFaultDecision(const Packet&)>;
-  void set_fault_hook(FaultHook hook) { fault_hook_ = std::move(hook); }
-
  private:
-  void enqueue(Packet packet, sim::Time extra_delay);
   void start_next();
 
   sim::Simulator* sim_;
   Node* from_;
   Node* to_;
   LinkParams params_;
-  struct QueuedPacket {
-    Packet packet;
-    sim::Time extra_delay;  ///< injected delivery delay (fault injection)
-  };
-  std::deque<QueuedPacket> queue_;
+  std::deque<Packet> queue_;
   bool busy_ = false;
-  FaultHook fault_hook_;
   sim::Signal<const Packet&> on_enqueue_;
   sim::Signal<const Packet&> on_dequeue_;
   sim::Signal<const Packet&> on_receive_;

@@ -17,11 +17,10 @@
 
 namespace tb::net {
 
-/// Copy-on-write byte payload. Packets are copied by value per hop (and
-/// duplicated outright by fault injection); sharing the byte block behind a
-/// refcount turns those copies into pointer bumps. Reads alias the shared
-/// block; mutable_bytes() clones it first when someone else still holds it,
-/// so corruption on one link never bleeds into another copy in flight.
+/// Immutable shared byte payload. Packets are copied by value per hop;
+/// sharing the byte block behind a refcount turns those copies into pointer
+/// bumps. Nothing writes a block once it is built, so every copy may alias
+/// it.
 class Payload {
  public:
   Payload() = default;
@@ -51,16 +50,6 @@ class Payload {
 
   std::uint8_t operator[](std::size_t i) const { return (*data_)[i]; }
 
-  /// Write access; clones the block first if another packet still shares it.
-  std::vector<std::uint8_t>& mutable_bytes() {
-    if (!data_) {
-      data_ = std::make_shared<std::vector<std::uint8_t>>();
-    } else if (data_.use_count() > 1) {
-      data_ = std::make_shared<std::vector<std::uint8_t>>(*data_);
-    }
-    return *data_;
-  }
-
   bool operator==(const Payload& other) const {
     const auto a = bytes();
     const auto b = other.bytes();
@@ -68,7 +57,8 @@ class Payload {
   }
 
  private:
-  std::shared_ptr<std::vector<std::uint8_t>> data_;  ///< null means empty
+  /// Null means empty.
+  std::shared_ptr<const std::vector<std::uint8_t>> data_;
 };
 
 /// (node, port) addressing; port selects the agent within the node.

@@ -31,29 +31,13 @@ void WireCbrSource::emit_and_reschedule() {
     ts.put_i64(sim_->now().count_ns());
     std::copy(ts.bytes().begin(), ts.bytes().end(), segment.payload.begin());
   }
-  auto raw = wire::encode_segment(segment);
-  SegmentFaultDecision fault;
-  if (fault_hook_) fault = fault_hook_(segment);
-  if (fault.corrupt_bit >= 0) {
-    const std::size_t bit =
-        static_cast<std::size_t>(fault.corrupt_bit) % (raw.size() * 8);
-    raw[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    ++fault_corruptions_;
-  }
-  if (fault.drop) {
-    ++fault_drops_;
+  const auto raw = wire::encode_segment(segment);
+  const std::size_t accepted = slave_->host_send(raw);
+  if (accepted == raw.size()) {
+    ++sent_;
+    bytes_ += params_.packet_size;
   } else {
-    const int copies = fault.duplicate ? 2 : 1;
-    for (int i = 0; i < copies; ++i) {
-      const std::size_t accepted = slave_->host_send(raw);
-      if (accepted == raw.size()) {
-        ++sent_;
-        bytes_ += params_.packet_size;
-        ++seq_;
-      } else {
-        rejected_ += params_.packet_size;
-      }
-    }
+    rejected_ += params_.packet_size;
   }
   const sim::Time gap = sim::Time::from_seconds(
       static_cast<double>(params_.packet_size) / params_.rate_bytes_per_sec);

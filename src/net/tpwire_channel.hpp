@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "src/net/traffic.hpp"
 #include "src/sim/simulator.hpp"
@@ -24,16 +23,6 @@
 #include "src/wire/slave.hpp"
 
 namespace tb::net {
-
-/// What a fault hook wants done to one relay segment before it enters the
-/// source slave's outbox (tb::fault). The corrupt bit indexes the *encoded*
-/// segment (header + payload + crc8), so flips exercise the relay framing's
-/// own CRC and resynchronization.
-struct SegmentFaultDecision {
-  bool drop = false;
-  bool duplicate = false;
-  int corrupt_bit = -1;  ///< encoded-segment bit to flip, -1 = none
-};
 
 /// CBR source feeding a slave's outbox with relay segments.
 class WireCbrSource {
@@ -50,13 +39,6 @@ class WireCbrSource {
   /// Payload bytes the outbox refused (overflow back-pressure).
   std::uint64_t bytes_rejected() const { return rejected_; }
 
-  /// Fault hook, consulted once per emitted segment. Must be deterministic.
-  using FaultHook = std::function<SegmentFaultDecision(const wire::RelaySegment&)>;
-  void set_fault_hook(FaultHook hook) { fault_hook_ = std::move(hook); }
-
-  std::uint64_t segments_dropped_by_fault() const { return fault_drops_; }
-  std::uint64_t segments_corrupted_by_fault() const { return fault_corruptions_; }
-
  private:
   void emit_and_reschedule();
 
@@ -68,10 +50,6 @@ class WireCbrSource {
   std::uint64_t sent_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t rejected_ = 0;
-  std::uint64_t seq_ = 0;
-  FaultHook fault_hook_;
-  std::uint64_t fault_drops_ = 0;
-  std::uint64_t fault_corruptions_ = 0;
 };
 
 /// Sink draining a slave's inbox and reassembling relay segments.

@@ -7,12 +7,12 @@
 // (see EXPERIMENTS.md).
 //
 // n-wire scaling (paper §3.2) comes in the two variants the paper sketches:
-//  * kParallelData — one line carries the serial control bits (start, CMD or
-//    INT/TYPE, CRC: 8 bits) while DATA[7:0] is striped over the remaining
-//    n-1 lines concurrently. Frame time = max(8, ceil(8/(n-1))) bit periods,
-//    so a 2-wire link "almost doubles" the 1-wire bus and the mode saturates
-//    at 2x — the motivation for mode B.
-//  * kParallelBuses — n independent 1-wire buses; modeled by MultiBusSystem.
+//  * mode A, `wires` here — one line carries the serial control bits (start,
+//    CMD or INT/TYPE, CRC: 8 bits) while DATA[7:0] is striped over the
+//    remaining n-1 lines concurrently. Frame time = max(8, ceil(8/(n-1)))
+//    bit periods, so a 2-wire link "almost doubles" the 1-wire bus and the
+//    mode saturates at 2x — the motivation for mode B.
+//  * mode B — n independent 1-wire buses; modeled by MultiBusSystem.
 #pragma once
 
 #include <cstdint>
@@ -22,18 +22,13 @@
 
 namespace tb::wire {
 
-enum class ScalingMode : std::uint8_t {
-  kParallelData,   ///< mode A: extra lines stripe the data bits
-  kParallelBuses,  ///< mode B: n independent 1-wire buses
-};
-
 struct LinkConfig {
   /// Serial bit rate on each line, bits per second.
   std::uint32_t bit_rate_hz = 9'600;
 
-  /// Number of physical lines (1 = the implemented 1-wire bus).
+  /// Number of physical lines (1 = the implemented 1-wire bus); extra
+  /// lines stripe the data bits (mode A).
   int wires = 1;
-  ScalingMode scaling_mode = ScalingMode::kParallelData;
 
   /// Per-hop propagation/repeater latency along the daisy chain, in bit
   /// periods (frames pass *through* each slave, paper §3.1 / Figure 2).
@@ -52,17 +47,6 @@ struct LinkConfig {
   /// before signaling an error" — total attempts = 1 + retry_limit.
   int retry_limit = 3;
 
-  /// Slave watchdog: reset when no valid TX frame seen for this long
-  /// (fixed to 2048 bit periods by the spec).
-  double reset_timeout_bits = 2048.0;
-
-  /// Reset pulse width: slave unresponsive for this long once reset fires
-  /// (fixed to 33 bit periods by the spec).
-  double reset_pulse_bits = 33.0;
-
-  /// Wait inserted after a broadcast TX (no slave replies on broadcast).
-  double broadcast_gap_bits = 16.0;
-
   // --- derived timing -------------------------------------------------
 
   sim::Time bit_period() const {
@@ -71,9 +55,7 @@ struct LinkConfig {
 
   /// Serial bit-periods one frame occupies given the wire count (mode A).
   double frame_bits_on_wire() const {
-    if (wires <= 1 || scaling_mode == ScalingMode::kParallelBuses) {
-      return static_cast<double>(kFrameBits);
-    }
+    if (wires <= 1) return static_cast<double>(kFrameBits);
     const double control_bits = 8.0;  // start + CMD/INT+TYPE + CRC
     const double data_lanes = static_cast<double>(wires - 1);
     const double data_bits = 8.0 / data_lanes;
@@ -91,9 +73,14 @@ struct LinkConfig {
   sim::Time hop_delay() const { return bits(hop_delay_bits); }
   sim::Time interframe_gap() const { return bits(interframe_gap_bits); }
   sim::Time rx_timeout() const { return bits(rx_timeout_bits); }
-  sim::Time reset_timeout() const { return bits(reset_timeout_bits); }
-  sim::Time reset_pulse() const { return bits(reset_pulse_bits); }
-  sim::Time broadcast_gap() const { return bits(broadcast_gap_bits); }
+  /// Slave watchdog: reset when no valid TX frame seen for this long
+  /// (fixed to 2048 bit periods by the spec).
+  sim::Time reset_timeout() const { return bits(2048.0); }
+  /// Reset pulse width: slave unresponsive for this long once reset fires
+  /// (fixed to 33 bit periods by the spec).
+  sim::Time reset_pulse() const { return bits(33.0); }
+  /// Wait inserted after a broadcast TX (no slave replies on broadcast).
+  sim::Time broadcast_gap() const { return bits(16.0); }
 };
 
 /// Frame corruption injection, applied independently per direction.

@@ -3,6 +3,12 @@
 #include "src/util/assert.hpp"
 
 namespace tb::wire {
+namespace {
+
+/// Bytes of slave memory the READ/WRITE commands address.
+constexpr std::size_t kMemorySize = 256;
+
+}  // namespace
 
 SlaveDevice::SlaveDevice(sim::Simulator& sim, std::uint8_t node_id,
                          const LinkConfig& link, SlaveConfig config)
@@ -10,10 +16,9 @@ SlaveDevice::SlaveDevice(sim::Simulator& sim, std::uint8_t node_id,
       node_id_(node_id),
       link_(&link),
       config_(config),
-      memory_(config.memory_size, 0),
+      memory_(kMemorySize, 0),
       spi_(std::make_unique<ShiftSpi>()) {
   TB_REQUIRE_MSG(node_id <= kMaxNodeId, "node id 127 is the broadcast pseudo-node");
-  TB_REQUIRE(config.memory_size > 0);
 }
 
 SlaveDevice::~SlaveDevice() {

@@ -80,7 +80,6 @@ class ShiftSpi : public SpiPeripheral {
 };
 
 struct SlaveConfig {
-  std::size_t memory_size = 256;
   std::size_t inbox_capacity = 1024;
   std::size_t outbox_capacity = 1024;
 };

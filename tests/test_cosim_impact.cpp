@@ -69,5 +69,17 @@ TEST(Impact, DeterministicAcrossRuns) {
   EXPECT_EQ(a.bus_cycles, b.bus_cycles);
 }
 
+TEST(Impact, ModeBCompletesDeterministicallyThroughTheRelay) {
+  const ImpactResult a = run_impact_mode_b(fast_cell());
+  const ImpactResult b = run_impact_mode_b(fast_cell());
+  ASSERT_TRUE(a.completed);
+  EXPECT_FALSE(a.out_of_time);
+  EXPECT_GT(a.total, sim::Time::zero());
+  EXPECT_GT(a.relay_bytes, 0u);  // every client/server byte crosses buses
+  EXPECT_EQ(a.total, b.total);
+  EXPECT_EQ(a.bus_cycles, b.bus_cycles);
+  EXPECT_EQ(a.relay_bytes, b.relay_bytes);
+}
+
 }  // namespace
 }  // namespace tb::cosim

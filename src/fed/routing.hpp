@@ -5,9 +5,8 @@
 // caches one and routes against it without coordination; a node that has
 // moved on (its epoch is newer) rejects mis-routed keys with a typed
 // kFailedPrecondition carrying its epoch, and the client re-fetches through
-// its RoutingSource before retrying. Epoch monotonicity is the authority's
-// job (svc::Membership::publish_table refuses stale epochs), so "newer
-// epoch" is a total order the whole cluster agrees on.
+// its RoutingSource before retrying. Epoch monotonicity is the publisher's
+// job, so "newer epoch" is a total order the whole cluster agrees on.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +15,6 @@
 
 #include "src/fed/hash_ring.hpp"
 #include "src/sim/process.hpp"
-#include "src/svc/discovery.hpp"
 
 namespace tb::fed {
 
@@ -61,27 +59,6 @@ class SharedRoutingSource final : public RoutingSource {
 
  private:
   RoutingTable table_;
-};
-
-/// Authority-backed source: reads the epoch-stamped table the
-/// svc::Membership coordinator publishes into the control space.
-class MembershipRoutingSource final : public RoutingSource {
- public:
-  explicit MembershipRoutingSource(svc::Membership& membership,
-                                   int virtual_nodes = 64)
-      : membership_(&membership), virtual_nodes_(virtual_nodes) {}
-
-  sim::Task<std::optional<RoutingTable>> fetch() override {
-    std::optional<svc::Membership::TableRecord> record =
-        co_await membership_->fetch_table();
-    if (!record) co_return std::nullopt;
-    co_return table_from_members(record->epoch, record->members,
-                                 virtual_nodes_);
-  }
-
- private:
-  svc::Membership* membership_;
-  int virtual_nodes_;
 };
 
 }  // namespace tb::fed

@@ -74,6 +74,16 @@ class TimerWheel {
     return true;
   }
 
+  /// The deadline an armed timer fires at; nullopt for a null, stale,
+  /// fired or cancelled id. O(1).
+  std::optional<std::int64_t> deadline_of(TimerId id) const {
+    const std::int32_t idx = index_of(id);
+    if (idx < 0) return std::nullopt;
+    const Node& node = nodes_[static_cast<std::size_t>(idx)];
+    if (node.gen != gen_of(id) || node.bucket < 0) return std::nullopt;
+    return node.deadline;
+  }
+
   /// Advances the wheel to `now_ns`, invoking `fire(payload, deadline)`
   /// for every timer with deadline <= now_ns, in (deadline, arm-order)
   /// order. Timers crossed but not yet due cascade to finer levels.

@@ -188,9 +188,10 @@ std::optional<Tuple> SpaceEngine::take_if_exists(const Template& tmpl,
       TB_REQUIRE_MSG(transaction != nullptr, "unknown transaction");
       // Hold a copy of the committed entry: invisible to everyone until the
       // transaction resolves; abort restores it with its remaining lease.
+      const sim::Time expires_at =
+          sim::Time::ns(shards_[hit.shard].store.deadline(hit.it->second));
       transaction->held.push_back(
-          HeldEntry{hit.it->first, hit.it->second.tuple,
-                    sim::Time::ns(hit.it->second.deadline)});
+          HeldEntry{hit.it->first, hit.it->second.tuple, expires_at});
     }
     // The stored buffers move out to the caller.
     return erase_entry(hit, /*for_good=*/!held);

@@ -14,8 +14,6 @@ ShardEntries::ShardEntries(ShardEntries&& other) noexcept
 void ShardEntries::store(std::uint64_t id, std::uint64_t key, Tuple&& tuple,
                          std::int64_t deadline) {
   Entry entry;
-  entry.deadline = deadline;
-  entry.type_key = key;
   entry.prev_of_type = entry.next_of_type = entries_.end();
   if (deadline != kNoDeadline) entry.timer = wheel_->arm(deadline, id);
   stored_bytes_ += tuple.byte_size();
@@ -26,14 +24,13 @@ void ShardEntries::store(std::uint64_t id, std::uint64_t key, Tuple&& tuple,
   const std::size_t before = entries_.size();
   const auto it = entries_.emplace_hint(entries_.end(), id, std::move(entry));
   TB_ASSERT(entries_.size() == before + 1);  // ids are unique
-  if (use_type_index_) link(it);
+  if (use_type_index_) link(it, key);
 }
 
-void ShardEntries::link(Map::iterator it) {
+void ShardEntries::link(Map::iterator it, std::uint64_t key) {
   const Map::iterator none = entries_.end();
   const std::uint64_t id = it->first;
-  Chain& chain =
-      index_.try_emplace(it->second.type_key, Chain{none, none}).first->second;
+  Chain& chain = index_.try_emplace(key, Chain{none, none}).first->second;
   if (chain.tail == none) {
     chain.head = chain.tail = it;
     return;
@@ -75,10 +72,18 @@ void ShardEntries::unlink(Map::iterator it) {
   if (prev != none) prev->second.next_of_type = next;
   if (next != none) next->second.prev_of_type = prev;
   if (prev != none && next != none) return;  // mid-chain: no index lookup
-  const auto chain = index_.find(it->second.type_key);
+  const Tuple& tuple = it->second.tuple;
+  const auto chain = index_.find(type_key(tuple.name, tuple.arity()));
   TB_ASSERT(chain != index_.end());
   if (prev == none) chain->second.head = next;
   if (next == none) chain->second.tail = prev;
+}
+
+std::int64_t ShardEntries::deadline(const Entry& entry) const {
+  if (entry.timer == 0) return kNoDeadline;
+  // A fired timer's entry is due but not yet reclaimed: each engine erases
+  // it as soon as its wheel's advance() reports the payload.
+  return wheel_->deadline_of(entry.timer).value_or(kAllVisible);
 }
 
 Tuple ShardEntries::erase(Map::iterator it) {
@@ -92,7 +97,6 @@ Tuple ShardEntries::erase(Map::iterator it) {
 
 void ShardEntries::rearm(Map::iterator it, std::int64_t deadline) {
   wheel_->cancel(it->second.timer);
-  it->second.deadline = deadline;
   it->second.timer =
       deadline == kNoDeadline ? 0 : wheel_->arm(deadline, it->first);
 }
@@ -103,7 +107,7 @@ ShardEntries::Hit ShardEntries::find_live(
   for (std::size_t s = 0; s < shards.size(); ++s) {
     const auto it = shards[s]->entries_.find(id);
     if (it == shards[s]->entries_.end()) continue;
-    if (it->second.deadline <= now) return {};  // expiry already due
+    if (shards[s]->expired(it->second, now)) return {};  // expiry due
     return {static_cast<int>(s), it};
   }
   return {};
@@ -142,15 +146,15 @@ Scan::Scan(std::span<ShardEntries* const> shards, const Template& tmpl,
     return;
   }
   // Every tuple of this (name, arity) shape lives on one shard.
-  key_ = type_key(*tmpl.name, tmpl.arity());
-  shard_ = shard_route(key_, shards.size());
+  const std::uint64_t key = type_key(*tmpl.name, tmpl.arity());
+  shard_ = shard_route(key, shards.size());
   ShardEntries& shard = *shards[static_cast<std::size_t>(shard_)];
   if (!shard.use_type_index_) {
     mode_ = Mode::kLinear;
     it_ = shard.entries_.begin();
     return;
   }
-  const auto chain = shard.index_.find(key_);
+  const auto chain = shard.index_.find(key);
   if (chain == shard.index_.end()) return;  // kDone
   mode_ = Mode::kIndexed;
   it_ = chain->second.head;
@@ -204,10 +208,9 @@ ShardEntries::Hit Scan::next() {
     if (!hit) return hit;
     if (scan_steps_ != nullptr) ++*scan_steps_;
     const Entry& entry = hit.it->second;
-    if (entry.deadline <= now_) continue;  // expiry due, not yet reclaimed
-    if (tmpl_ == nullptr) return hit;
-    if (mode_ == Mode::kLinear && entry.type_key != key_) continue;
-    if (tmpl_->matches(entry.tuple)) return hit;
+    const ShardEntries& shard = *shards_[static_cast<std::size_t>(hit.shard)];
+    if (shard.expired(entry, now_)) continue;  // due, not yet reclaimed
+    if (tmpl_ == nullptr || tmpl_->matches(entry.tuple)) return hit;
   }
 }
 

@@ -7,9 +7,9 @@
 //
 //  * the id-ordered entry map (ids are write timestamps: the total order),
 //    the (name, arity) type index and stored_bytes;
-//  * Scan — the named match (type chain, or a linear scan on the cached
-//    type key when the index is off) and the one id-ordered k-way merge
-//    across shards that wildcard matches, bulk matches and snapshots use;
+//  * Scan — the named match (type chain, or a linear scan when the index
+//    is off) and the one id-ordered k-way merge across shards that
+//    wildcard matches, bulk matches and snapshots use;
 //  * find_live — the one entry-by-id lookup;
 //  * ShardStore::publish — serve-then-store: blocked operations are served
 //    in registration order across the shard's FIFO queue and the
@@ -33,15 +33,18 @@
 //   per-type id set         144 B        96 B       48 B    289.8 B
 //   per-type chain          144 B        96 B        0 B    241.2 B
 //   chain, 16 B Values      144 B        48 B        0 B    193.2 B
+//   chain, 80 B Entry       128 B        48 B        0 B    177.2 B
 //
-// The map node stays a 144 B chunk only while sizeof(Entry) <= 96 (below).
+// The map node stays a 128 B chunk only while sizeof(Entry) <= 80 (below).
 //
 // Deadlines are plain int64 ns on whatever clock the owning engine runs;
-// timer ids are the engine's wheel handles (payload = entry id). Each
-// engine keeps its own visibility rule by choosing the `now` it matches
-// with: the deterministic engine passes its sim clock, so an entry whose
-// deadline has passed is hidden before its wheel event runs; the threaded
-// engine passes kAllVisible, so an entry is visible until it is reclaimed.
+// timer ids are the engine's wheel handles (payload = entry id). An entry
+// keeps its lease deadline only in its wheel timer (ShardEntries::deadline).
+// Each engine keeps its own visibility rule by choosing the `now` it
+// matches with: the deterministic engine passes its sim clock, so an entry
+// whose deadline has passed is hidden before its wheel event runs; the
+// threaded engine passes kAllVisible, so an entry is visible until it is
+// reclaimed.
 #pragma once
 
 #include <cstddef>
@@ -77,20 +80,20 @@ using EntryMap = std::map<std::uint64_t, Entry>;
 
 struct Entry {
   Tuple tuple;
-  std::int64_t deadline = kNoDeadline;  ///< hidden once deadline <= now
-  sim::TimerWheel::TimerId timer = 0;   ///< lease timer; 0 = none
-  /// (name, arity) hash, computed once at publish: the linear scan
-  /// short-circuits on it and index maintenance never re-hashes the name.
-  std::uint64_t type_key = 0;
+  /// Lease timer on the owning shard's wheel, which alone holds the
+  /// deadline; 0 = none (the entry never expires).
+  sim::TimerWheel::TimerId timer = 0;
   /// The id-ordered neighbours of the same type key in this shard's type
   /// chain; the map's end() = none (always, when the index is off).
   EntryMap::iterator prev_of_type, next_of_type;
 };
-// A map node is a 32 B tree header + the 8 B id + Entry. At <= 96 B it stays
-// in glibc's 144 B chunk; one word more lands in the 160 B chunk (+11% RSS
-// on a large store). This is why Entry caches no byte size: the chain links
-// took its word, and erase recomputes the size in O(arity) instead.
-static_assert(sizeof(Entry) <= 96, "Entry outgrew its malloc size class");
+// A map node is a 32 B tree header + the 8 B id + Entry. At <= 80 B it stays
+// in glibc's 128 B chunk; one word more lands in the 144 B chunk (+9% heap
+// per entry on a large store). This is why Entry caches neither its byte
+// size nor its deadline nor its type key: erase recomputes the size in
+// O(arity), the wheel timer holds the deadline, and unlink re-hashes the
+// type only at a chain end.
+static_assert(sizeof(Entry) <= 80, "Entry outgrew its malloc size class");
 
 /// The entry half of a shard: map, index, stored_bytes, lease timers.
 class ShardEntries {
@@ -128,6 +131,9 @@ class ShardEntries {
   Tuple erase(Map::iterator it);
   /// Moves the entry's deadline, re-arming its timer.
   void rearm(Map::iterator it, std::int64_t deadline);
+  /// The entry's lease deadline: kNoDeadline without a timer, kAllVisible
+  /// once its timer has fired (expiry due, entry not yet reclaimed).
+  std::int64_t deadline(const Entry& entry) const;
   /// The entry with exactly this id, visible or not; end() when absent.
   Map::iterator find(std::uint64_t id) { return entries_.find(id); }
   Map::iterator end() { return entries_.end(); }
@@ -157,10 +163,15 @@ class ShardEntries {
     Map::iterator head, tail;
   };
 
-  /// Links a stored entry into its type's chain in id order.
-  void link(Map::iterator it);
+  /// Links a stored entry of type key `key` into its chain in id order.
+  void link(Map::iterator it, std::uint64_t key);
   /// Unlinks an entry about to be erased from its type's chain.
   void unlink(Map::iterator it);
+  /// Whether `entry` is hidden when matching at `now`: never under
+  /// kAllVisible, else once its deadline is <= now.
+  bool expired(const Entry& entry, std::int64_t now) const {
+    return now != kAllVisible && deadline(entry) <= now;
+  }
 
   Map entries_;
   /// type key -> chain, maintained when use_type_index_. Emptied chains are
@@ -175,7 +186,7 @@ class ShardEntries {
 
 /// Walks, oldest first, the entries of `shards` visible at `now` that a
 /// template matches: a named template reads one shard (its type chain, or
-/// every entry filtered on the cached type key), a wildcard template the
+/// every entry when the index is off), a wildcard template the
 /// id-ordered merge of all shards. The caller may erase the entry next()
 /// returned before calling next() again.
 class Scan {
@@ -200,8 +211,7 @@ class Scan {
   std::int64_t now_;
   std::uint64_t* scan_steps_ = nullptr;
   Mode mode_ = Mode::kDone;
-  int shard_ = 0;          ///< kIndexed / kLinear: the routed shard
-  std::uint64_t key_ = 0;  ///< kLinear: the wanted type key
+  int shard_ = 0;                  ///< kIndexed / kLinear: the routed shard
   ShardEntries::Map::iterator it_;  ///< kIndexed / kLinear: the next entry
   std::vector<ShardEntries::Map::iterator> cursor_;  ///< kMerge, per shard
 };

@@ -72,6 +72,33 @@ TEST(TimerWheel, CancelIsExactAndStaleSafe) {
   EXPECT_EQ(wheel.armed(), 0u);
 }
 
+TEST(TimerWheel, DeadlineOfArmedCancelledFiredAndReused) {
+  TimerWheel wheel;
+  EXPECT_FALSE(wheel.deadline_of(TimerWheel::TimerId{0}).has_value());
+  const auto armed = wheel.arm(5'000, 1);
+  const auto cancelled = wheel.arm(300, 2);
+  const auto fired = wheel.arm(200, 3);
+  EXPECT_EQ(wheel.deadline_of(armed), 5'000);
+  EXPECT_EQ(wheel.deadline_of(cancelled), 300);
+  EXPECT_EQ(wheel.deadline_of(fired), 200);
+
+  ASSERT_TRUE(wheel.cancel(cancelled));
+  EXPECT_FALSE(wheel.deadline_of(cancelled).has_value());
+  ASSERT_EQ(drain(wheel, 250).size(), 1u);
+  EXPECT_FALSE(wheel.deadline_of(fired).has_value());
+  EXPECT_EQ(wheel.deadline_of(armed), 5'000);  // cascading keeps it
+
+  // Both freed nodes are reused: the stale ids must not read the new
+  // timers' deadlines.
+  const auto newer = wheel.arm(700, 4);
+  const auto newest = wheel.arm(900, 5);
+  EXPECT_FALSE(wheel.deadline_of(cancelled).has_value());
+  EXPECT_FALSE(wheel.deadline_of(fired).has_value());
+  EXPECT_EQ(wheel.deadline_of(newer), 700);
+  EXPECT_EQ(wheel.deadline_of(newest), 900);
+  EXPECT_EQ(wheel.armed(), 3u);
+}
+
 TEST(TimerWheel, ArmCancelRearmSameDeadlineTick) {
   TimerWheel wheel;
   (void)drain(wheel, 1'000);  // move cur so the tick is "now"

@@ -702,23 +702,80 @@ TEST(TypeChain, TakeAllEmptiesTheChainAndLeavesItReusable) {
   EXPECT_EQ(drained.read_all, (std::vector<std::int64_t>{10, 11, 12}));
 }
 
+// --- shard-store leases -----------------------------------------------------
+
+// The wheel timer alone holds an entry's deadline. Once it has fired and
+// before the engine reclaims the entry, the entry is due: hidden at any
+// finite `now` past its deadline, still visible under kAllVisible (the
+// threaded engine's rule, and the lookup that reclaims it).
+TEST(ShardEntries, FiredButUnreclaimedEntryHiddenOnlyAtAFiniteNow) {
+  for (const bool indexed : {true, false}) {
+    SCOPED_TRACE(indexed ? "type index" : "linear scan");
+    sim::TimerWheel wheel;
+    ShardEntries store(indexed, wheel);
+    ShardEntries* const shards[] = {&store};
+    const auto put = [&](std::uint64_t id, std::int64_t deadline) {
+      Tuple tuple("t", {Value(static_cast<std::int64_t>(id))});
+      const std::uint64_t key = type_key(tuple.name, tuple.arity());
+      store.store(id, key, std::move(tuple), deadline);
+    };
+    put(1, 100);          // fires below
+    put(2, 1'000);        // still armed
+    put(3, kNoDeadline);  // no timer
+    EXPECT_EQ(store.deadline(store.find(1)->second), 100);
+    EXPECT_EQ(store.deadline(store.find(2)->second), 1'000);
+    EXPECT_EQ(store.deadline(store.find(3)->second), kNoDeadline);
+
+    std::vector<std::uint64_t> fired;
+    wheel.advance(150, [&fired](std::uint64_t payload, std::int64_t) {
+      fired.push_back(payload);
+    });
+    ASSERT_EQ(fired, (std::vector<std::uint64_t>{1}));
+    ASSERT_EQ(store.size(), 3u);  // fired, not yet reclaimed
+    EXPECT_EQ(store.deadline(store.find(1)->second), kAllVisible);
+
+    const Template tmpl = any_named("t", 1);  // Scan keeps a pointer to it
+    const auto ids = [&](std::int64_t now) {
+      std::vector<std::uint64_t> out;
+      std::uint64_t steps = 0;
+      Scan scan(shards, tmpl, now, &steps);
+      while (const ShardEntries::Hit hit = scan.next()) {
+        out.push_back(hit.it->first);
+      }
+      return out;
+    };
+    EXPECT_EQ(ids(150), (std::vector<std::uint64_t>{2, 3}));
+    EXPECT_EQ(ids(kAllVisible), (std::vector<std::uint64_t>{1, 2, 3}));
+    EXPECT_FALSE(ShardEntries::find_live(shards, 1, 150));
+    EXPECT_TRUE(ShardEntries::find_live(shards, 1, kAllVisible));
+    EXPECT_TRUE(ShardEntries::find_live(shards, 2, 150));
+    EXPECT_FALSE(ShardEntries::find_live(shards, 2, 1'000));  // at deadline
+
+    store.erase(store.find(1));  // the reclamation: a stale-id cancel
+    EXPECT_EQ(ids(kAllVisible), (std::vector<std::uint64_t>{2, 3}));
+    EXPECT_EQ(wheel.armed(), 1u);
+  }
+}
+
 // --- shard-store memory -----------------------------------------------------
 
 TEST(ShardStoreMemory, EntryFillsItsMallocSizeClass) {
-  // 32 B tree header + 8 B id + 96 B Entry = 136 B: glibc's 144 B chunk.
-  // A larger Entry moves every map node to the 160 B chunk (+11% RSS on a
-  // large store); a smaller one means the layout comment is stale.
-  EXPECT_EQ(sizeof(Entry), 96u);
+  // 32 B tree header + 8 B id + 80 B Entry = 120 B: glibc's 128 B chunk.
+  // A larger Entry moves every map node to the 144 B chunk (+9% heap per
+  // entry on a large store); a smaller one means the layout comment is
+  // stale.
+  EXPECT_EQ(sizeof(Entry), 80u);
 }
 
 TEST(ShardStoreMemory, HeapPerIndexedEntry) {
 #if !defined(TB_TEST_HAS_MALLINFO2)
   GTEST_SKIP() << "needs glibc's mallinfo2 and its own allocator";
 #else
-  // A (k<i % 1024>, int, int) entry costs a 144 B map node and a 48 B field
+  // A (k<i % 1024>, int, int) entry costs a 128 B map node and a 48 B field
   // vector; the name fits the string's inline buffer. The type index adds
-  // nothing per entry. With a 48 B id-set node per entry it was ~290 B, and
-  // with 40 B variant Values (a 96 B field vector) ~241 B.
+  // nothing per entry. With a 48 B id-set node per entry it was ~290 B,
+  // with 40 B variant Values (a 96 B field vector) ~241 B, and with a 96 B
+  // Entry (a 144 B map node) ~193 B.
   constexpr int kEntries = 50'000;
   sim::TimerWheel wheel;
   ShardEntries store(/*use_type_index=*/true, wheel);
@@ -734,7 +791,7 @@ TEST(ShardStoreMemory, HeapPerIndexedEntry) {
   ASSERT_EQ(store.size(), static_cast<std::size_t>(kEntries));
   const double per_entry = static_cast<double>(after - before) / kEntries;
   RecordProperty("heap_bytes_per_entry", std::to_string(per_entry));
-  EXPECT_LE(per_entry, 200.0);
+  EXPECT_LE(per_entry, 184.0);
 #endif
 }
 

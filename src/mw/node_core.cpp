@@ -668,37 +668,22 @@ void NodeCore::handle_replicate(SessionId session, Message& request) {
 }
 
 void NodeCore::handle_txn(SessionId session, const Message& request) {
+  // process() routes only the three txn kinds here.
   Message response;
   response.request_id = request.request_id;
-  switch (request.type) {
-    case MsgType::kTxnBeginRequest:
-      response.type = MsgType::kTxnBeginResponse;
-      response.ok = true;
-      response.handle =
-          space_->begin_transaction(duration_of(request.duration_ns));
-      break;
-    case MsgType::kTxnCommitRequest:
-      response.type = MsgType::kTxnResolveResponse;
-      response.ok = space_->commit(request.handle);
-      if (!response.ok) {
-        response.status =
-            static_cast<std::uint8_t>(util::StatusCode::kNotFound);
-      }
-      break;
-    case MsgType::kTxnAbortRequest:
-      response.type = MsgType::kTxnResolveResponse;
-      response.ok = space_->abort(request.handle);
-      if (!response.ok) {
-        response.status =
-            static_cast<std::uint8_t>(util::StatusCode::kNotFound);
-      }
-      break;
-    default:
-      response.type = MsgType::kError;
-      response.error = "bad txn request";
-      response.status =
-          static_cast<std::uint8_t>(util::StatusCode::kInvalidArgument);
-      break;
+  if (request.type == MsgType::kTxnBeginRequest) {
+    response.type = MsgType::kTxnBeginResponse;
+    response.ok = true;
+    response.handle =
+        space_->begin_transaction(duration_of(request.duration_ns));
+  } else {
+    response.type = MsgType::kTxnResolveResponse;
+    response.ok = request.type == MsgType::kTxnCommitRequest
+                      ? space_->commit(request.handle)
+                      : space_->abort(request.handle);
+    if (!response.ok) {
+      response.status = static_cast<std::uint8_t>(util::StatusCode::kNotFound);
+    }
   }
   respond(session, response);
 }

@@ -31,36 +31,6 @@ std::optional<space::ValueType> value_type_from(std::string_view s) {
 
 }  // namespace
 
-XmlNode value_to_xml(const space::Value& value) {
-  XmlNode node;
-  switch (value.type()) {
-    case space::ValueType::kInt:
-      node.name = "int";
-      node.text = std::to_string(value.as_int());
-      break;
-    case space::ValueType::kFloat: {
-      node.name = "float";
-      char buf[64];
-      std::snprintf(buf, sizeof buf, "%.17g", value.as_float());
-      node.text = buf;
-      break;
-    }
-    case space::ValueType::kBool:
-      node.name = "bool";
-      node.text = value.as_bool() ? "true" : "false";
-      break;
-    case space::ValueType::kString:
-      node.name = "string";
-      node.text = value.as_string();
-      break;
-    case space::ValueType::kBytes:
-      node.name = "bytes";
-      node.text = util::to_hex(value.as_bytes());
-      break;
-  }
-  return node;
-}
-
 std::optional<space::Value> value_from_xml(const XmlNode& node) {
   if (node.name == "int") {
     auto v = parse_i64(node.text);
@@ -87,16 +57,6 @@ std::optional<space::Value> value_from_xml(const XmlNode& node) {
   return std::nullopt;
 }
 
-XmlNode tuple_to_xml(const space::Tuple& tuple) {
-  XmlNode node;
-  node.name = "tuple";
-  node.attributes["name"] = tuple.name;
-  for (const space::Value& v : tuple.fields) {
-    node.children.push_back(value_to_xml(v));
-  }
-  return node;
-}
-
 std::optional<space::Tuple> tuple_from_xml(const XmlNode& node) {
   if (node.name != "tuple") return std::nullopt;
   auto name = node.attribute("name");
@@ -109,26 +69,6 @@ std::optional<space::Tuple> tuple_from_xml(const XmlNode& node) {
     tuple.fields.push_back(std::move(*v));
   }
   return tuple;
-}
-
-XmlNode template_to_xml(const space::Template& tmpl) {
-  XmlNode node;
-  node.name = "template";
-  if (tmpl.name) node.attributes["name"] = *tmpl.name;
-  for (const space::FieldPattern& p : tmpl.fields) {
-    XmlNode field;
-    if (p.is_exact()) {
-      field.name = "exact";
-      field.children.push_back(value_to_xml(p.exact_value()));
-    } else if (p.is_typed()) {
-      field.name = "typed";
-      field.text = space::to_string(p.typed_type());
-    } else {
-      field.name = "any";
-    }
-    node.children.push_back(std::move(field));
-  }
-  return node;
 }
 
 std::optional<space::Template> template_from_xml(const XmlNode& node) {
@@ -210,16 +150,6 @@ void template_to_xml_into(const space::Template& tmpl, XmlWriter& w) {
     }
   }
   w.close();
-}
-
-std::string tuple_to_xml_string(const space::Tuple& tuple) {
-  return tuple_to_xml(tuple).serialize();
-}
-
-std::optional<space::Tuple> tuple_from_xml_string(std::string_view text) {
-  auto doc = xml_parse(text);
-  if (!doc) return std::nullopt;
-  return tuple_from_xml(*doc);
 }
 
 }  // namespace tb::mw

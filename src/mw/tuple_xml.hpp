@@ -1,20 +1,17 @@
-// XML-Tuples: standalone XML representations of tuples and templates.
+// XML-Tuples: the XML representation of tuples and templates.
 //
 // The paper's reference [8] (Moffat, "XML-Tuples and XML-Spaces") is the
-// lineage of its "XML is used to represent data entries" choice. This
-// module exposes that representation as a first-class API — the same
-// element grammar the message codec embeds:
+// lineage of its "XML is used to represent data entries" choice. XmlCodec
+// embeds this element grammar in every message:
 //
 //   <tuple name="sensor"><int>7</int><string>on</string></tuple>
 //   <template name="sensor"><exact><int>7</int></exact><any/></template>
 //
-// XmlCodec builds on these functions; they are also useful on their own for
-// persisting or displaying space contents.
+// Encoding appends through an XmlWriter; decoding reads the tree xml_parse()
+// builds.
 #pragma once
 
 #include <optional>
-#include <string>
-#include <string_view>
 
 #include "src/mw/xml.hpp"
 #include "src/space/tuple.hpp"
@@ -22,26 +19,15 @@
 namespace tb::mw {
 
 /// Element grammar: value nodes.
-XmlNode value_to_xml(const space::Value& value);
+void value_to_xml_into(const space::Value& value, XmlWriter& w);
 std::optional<space::Value> value_from_xml(const XmlNode& node);
 
 /// <tuple name="...">value*</tuple>
-XmlNode tuple_to_xml(const space::Tuple& tuple);
+void tuple_to_xml_into(const space::Tuple& tuple, XmlWriter& w);
 std::optional<space::Tuple> tuple_from_xml(const XmlNode& node);
 
 /// <template [name="..."]>(<exact>value</exact>|<typed>t</typed>|<any/>)*</template>
-XmlNode template_to_xml(const space::Template& tmpl);
-std::optional<space::Template> template_from_xml(const XmlNode& node);
-
-/// Writer-based serializers — append straight into the writer's buffer,
-/// producing byte-identical output to the node-building forms above without
-/// allocating a tree. These are the codec's encode hot path.
-void value_to_xml_into(const space::Value& value, XmlWriter& w);
-void tuple_to_xml_into(const space::Tuple& tuple, XmlWriter& w);
 void template_to_xml_into(const space::Template& tmpl, XmlWriter& w);
-
-/// Whole-document conveniences.
-std::string tuple_to_xml_string(const space::Tuple& tuple);
-std::optional<space::Tuple> tuple_from_xml_string(std::string_view text);
+std::optional<space::Template> template_from_xml(const XmlNode& node);
 
 }  // namespace tb::mw

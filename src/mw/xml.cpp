@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <sstream>
 
 #include "src/util/assert.hpp"
 #include "src/util/strings.hpp"
@@ -139,21 +138,6 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-void serialize_into(const XmlNode& node, std::ostringstream& os) {
-  os << '<' << node.name;
-  for (const auto& [key, value] : node.attributes) {
-    os << ' ' << key << "=\"" << util::xml_escape(value) << '"';
-  }
-  if (node.children.empty() && node.text.empty()) {
-    os << "/>";
-    return;
-  }
-  os << '>';
-  os << util::xml_escape(node.text);
-  for (const XmlNode& child : node.children) serialize_into(child, os);
-  os << "</" << node.name << '>';
-}
-
 }  // namespace
 
 const XmlNode* XmlNode::child(std::string_view child_name) const {
@@ -163,25 +147,10 @@ const XmlNode* XmlNode::child(std::string_view child_name) const {
   return nullptr;
 }
 
-std::vector<const XmlNode*> XmlNode::children_named(
-    std::string_view child_name) const {
-  std::vector<const XmlNode*> out;
-  for (const XmlNode& c : children) {
-    if (c.name == child_name) out.push_back(&c);
-  }
-  return out;
-}
-
 std::optional<std::string> XmlNode::attribute(std::string_view key) const {
   auto it = attributes.find(std::string(key));
   if (it == attributes.end()) return std::nullopt;
   return it->second;
-}
-
-std::string XmlNode::serialize() const {
-  std::ostringstream os;
-  serialize_into(*this, os);
-  return os.str();
 }
 
 std::optional<XmlNode> xml_parse(std::string_view text) {

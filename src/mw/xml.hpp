@@ -1,4 +1,4 @@
-// Minimal XML document model and parser.
+// Minimal XML document model, parser and writer.
 //
 // The paper serializes entries as XML over the socket wrapper; this is the
 // supporting substrate: elements, attributes and text content — the subset
@@ -26,26 +26,17 @@ struct XmlNode {
   /// First child with the given element name, or nullptr.
   const XmlNode* child(std::string_view child_name) const;
 
-  /// All children with the given element name.
-  std::vector<const XmlNode*> children_named(std::string_view child_name) const;
-
   /// Attribute value, or nullopt.
   std::optional<std::string> attribute(std::string_view key) const;
-
-  /// Serializes this node (and subtree) without pretty-printing.
-  std::string serialize() const;
 };
 
 /// Parses a single-rooted document. nullopt on malformed input.
 std::optional<XmlNode> xml_parse(std::string_view text);
 
 /// Append-only serializer writing straight into a caller-owned byte buffer —
-/// the codec's zero-allocation encode path. Produces byte-identical output
-/// to XmlNode::serialize() (self-closing empty elements, escaped attributes
-/// and text, no pretty-printing) without building a node tree, attribute
-/// maps or an ostringstream. Attributes must be emitted in the order the
-/// tree serializer would (its std::map sorts keys alphabetically) for the
-/// two paths to stay byte-for-byte interchangeable.
+/// the only XML encoder, and the codec's zero-allocation encode path:
+/// self-closing empty elements, escaped attributes and text, no
+/// pretty-printing, no node tree. xml_parse() reads its output back.
 ///
 ///   XmlWriter w(out);
 ///   w.open("msg"); w.attr("id", "7");

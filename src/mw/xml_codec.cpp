@@ -57,8 +57,7 @@ void XmlCodec::encode_into(const Message& message,
 
   XmlWriter w(out);
   w.open("msg");
-  // Attributes in alphabetical order, as XmlNode::serialize() emits them;
-  // tests/golden/xml_codec.txt pins the resulting bytes.
+  // tests/golden/xml_codec.txt pins the attribute order and the bytes.
   w.attr_i64("at", message.created_at_ns);
   w.attr_u64("id", message.request_id);
   w.attr("type", msg_type_tag(message.type));

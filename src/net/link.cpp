@@ -35,7 +35,6 @@ void SimplexLink::start_next() {
   queue_.pop_front();
   on_dequeue_.emit(packet);
   const sim::Time tx = tx_time(packet.size_bytes);
-  stats_.busy_time += tx;
   // The link frees after serialization; delivery adds propagation on top.
   sim_->schedule_in(tx, [this] {
     busy_ = false;
@@ -48,12 +47,6 @@ void SimplexLink::start_next() {
                       on_receive_.emit(p);
                       to_->receive(std::move(p));
                     });
-}
-
-double SimplexLink::utilization() const {
-  const double elapsed = sim_->now().seconds();
-  if (elapsed <= 0.0) return 0.0;
-  return stats_.busy_time.seconds() / elapsed;
 }
 
 }  // namespace tb::net

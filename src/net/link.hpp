@@ -49,11 +49,9 @@ class SimplexLink {
     std::uint64_t dropped = 0;
     std::uint64_t bytes_transmitted = 0;
     std::size_t max_queue_depth = 0;
-    sim::Time busy_time;
   };
   const Stats& stats() const { return stats_; }
   std::size_t queue_depth() const { return queue_.size(); }
-  double utilization() const;
 
   /// Packet event hooks in NS-2 trace terms: enqueue ('+'), dequeue /
   /// transmission start ('-'), receive at the far node ('r'), drop ('d').

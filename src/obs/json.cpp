@@ -184,222 +184,4 @@ std::string JsonValue::dump(int indent) const {
   return out;
 }
 
-namespace {
-
-struct Parser {
-  std::string_view text;
-  std::size_t pos = 0;
-  int depth = 0;
-  static constexpr int kMaxDepth = 128;
-
-  void skip_ws() {
-    while (pos < text.size()) {
-      char c = text[pos];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') ++pos;
-      else break;
-    }
-  }
-
-  bool eof() const { return pos >= text.size(); }
-  char peek() const { return text[pos]; }
-
-  bool consume(std::string_view token) {
-    if (text.substr(pos, token.size()) != token) return false;
-    pos += token.size();
-    return true;
-  }
-
-  std::optional<JsonValue> value() {
-    if (++depth > kMaxDepth) return std::nullopt;
-    struct DepthGuard {
-      int& d;
-      ~DepthGuard() { --d; }
-    } guard{depth};
-    skip_ws();
-    if (eof()) return std::nullopt;
-    switch (peek()) {
-      case 'n': return consume("null") ? std::optional(JsonValue()) : std::nullopt;
-      case 't': return consume("true") ? std::optional(JsonValue(true)) : std::nullopt;
-      case 'f': return consume("false") ? std::optional(JsonValue(false)) : std::nullopt;
-      case '"': return string_value();
-      case '[': return array_value();
-      case '{': return object_value();
-      default: return number_value();
-    }
-  }
-
-  std::optional<JsonValue> number_value() {
-    const std::size_t start = pos;
-    bool integral = true;
-    if (!eof() && peek() == '-') ++pos;
-    while (!eof() && (std::isdigit(static_cast<unsigned char>(peek())) ||
-                      peek() == '.' || peek() == 'e' || peek() == 'E' ||
-                      peek() == '+' || peek() == '-')) {
-      if (peek() == '.' || peek() == 'e' || peek() == 'E') integral = false;
-      ++pos;
-    }
-    if (pos == start) return std::nullopt;
-    const std::string token(text.substr(start, pos - start));
-    char* end = nullptr;
-    if (integral) {
-      const long long v = std::strtoll(token.c_str(), &end, 10);
-      if (end == token.c_str() + token.size()) {
-        return JsonValue(static_cast<std::int64_t>(v));
-      }
-      // Overflowed int64 (or malformed); fall through to double.
-    }
-    const double d = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return std::nullopt;
-    return JsonValue(d);
-  }
-
-  std::optional<std::string> raw_string() {
-    if (eof() || peek() != '"') return std::nullopt;
-    ++pos;
-    std::string out;
-    while (!eof()) {
-      char c = text[pos++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (eof()) return std::nullopt;
-      char esc = text[pos++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          std::optional<unsigned> unit = hex4();
-          if (!unit) return std::nullopt;
-          unsigned cp = *unit;
-          if (cp >= 0xD800 && cp <= 0xDBFF) {  // high surrogate
-            if (!consume("\\u")) return std::nullopt;
-            std::optional<unsigned> low = hex4();
-            if (!low || *low < 0xDC00 || *low > 0xDFFF) return std::nullopt;
-            cp = 0x10000 + ((cp - 0xD800) << 10) + (*low - 0xDC00);
-          }
-          append_utf8(out, cp);
-          break;
-        }
-        default: return std::nullopt;
-      }
-    }
-    return std::nullopt;  // unterminated
-  }
-
-  std::optional<unsigned> hex4() {
-    if (pos + 4 > text.size()) return std::nullopt;
-    unsigned v = 0;
-    for (int i = 0; i < 4; ++i) {
-      char c = text[pos++];
-      v <<= 4;
-      if (c >= '0' && c <= '9') v |= static_cast<unsigned>(c - '0');
-      else if (c >= 'a' && c <= 'f') v |= static_cast<unsigned>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F') v |= static_cast<unsigned>(c - 'A' + 10);
-      else return std::nullopt;
-    }
-    return v;
-  }
-
-  static void append_utf8(std::string& out, unsigned cp) {
-    if (cp < 0x80) {
-      out += static_cast<char>(cp);
-    } else if (cp < 0x800) {
-      out += static_cast<char>(0xC0 | (cp >> 6));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else if (cp < 0x10000) {
-      out += static_cast<char>(0xE0 | (cp >> 12));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else {
-      out += static_cast<char>(0xF0 | (cp >> 18));
-      out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    }
-  }
-
-  std::optional<JsonValue> string_value() {
-    std::optional<std::string> s = raw_string();
-    if (!s) return std::nullopt;
-    return JsonValue(std::move(*s));
-  }
-
-  std::optional<JsonValue> array_value() {
-    ++pos;  // '['
-    JsonValue out = JsonValue::array();
-    skip_ws();
-    if (!eof() && peek() == ']') {
-      ++pos;
-      return out;
-    }
-    while (true) {
-      std::optional<JsonValue> element = value();
-      if (!element) return std::nullopt;
-      out.push_back(std::move(*element));
-      skip_ws();
-      if (eof()) return std::nullopt;
-      if (peek() == ',') {
-        ++pos;
-        continue;
-      }
-      if (peek() == ']') {
-        ++pos;
-        return out;
-      }
-      return std::nullopt;
-    }
-  }
-
-  std::optional<JsonValue> object_value() {
-    ++pos;  // '{'
-    JsonValue out = JsonValue::object();
-    skip_ws();
-    if (!eof() && peek() == '}') {
-      ++pos;
-      return out;
-    }
-    while (true) {
-      skip_ws();
-      std::optional<std::string> key = raw_string();
-      if (!key) return std::nullopt;
-      skip_ws();
-      if (eof() || peek() != ':') return std::nullopt;
-      ++pos;
-      std::optional<JsonValue> member = value();
-      if (!member) return std::nullopt;
-      out.set(std::move(*key), std::move(*member));
-      skip_ws();
-      if (eof()) return std::nullopt;
-      if (peek() == ',') {
-        ++pos;
-        continue;
-      }
-      if (peek() == '}') {
-        ++pos;
-        return out;
-      }
-      return std::nullopt;
-    }
-  }
-};
-
-}  // namespace
-
-std::optional<JsonValue> JsonValue::parse(std::string_view text) {
-  Parser parser{text};
-  std::optional<JsonValue> result = parser.value();
-  if (!result) return std::nullopt;
-  parser.skip_ws();
-  if (!parser.eof()) return std::nullopt;  // trailing garbage
-  return result;
-}
-
 }  // namespace tb::obs

@@ -1,16 +1,13 @@
 // Minimal JSON document model for the observability layer.
 //
-// BENCH_*.json reports must be written by C++ harnesses and read back by
-// tools/bench_compare.py and by tests that validate the schema round-trips,
-// so the value type keeps both directions: dump() emits deterministic,
-// stably-ordered JSON (object members keep insertion order, integers never
-// pass through a double) and parse() accepts anything dump() produces plus
-// ordinary hand-written JSON. Not a general-purpose library: no comments,
-// no NaN/Infinity, UTF-8 in = UTF-8 out.
+// The C++ harnesses write BENCH_*.json reports with it; tools/bench_compare.py
+// reads them back in Python, so the value type only builds and writes:
+// dump() emits deterministic, stably-ordered JSON (object members keep
+// insertion order, integers never pass through a double). Not a
+// general-purpose library: no NaN/Infinity, UTF-8 in = UTF-8 out.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -40,8 +37,8 @@ class JsonValue {
   bool is_null() const { return type_ == Type::kNull; }
   bool is_bool() const { return type_ == Type::kBool; }
   bool is_number() const { return type_ == Type::kNumber; }
-  /// True for numbers that were written (or parsed) without a fractional
-  /// part; their exact int64 value survives the round-trip.
+  /// True for numbers built from an integer; dump() writes their exact
+  /// int64 value.
   bool is_integral() const { return type_ == Type::kNumber && integral_; }
   bool is_string() const { return type_ == Type::kString; }
   bool is_array() const { return type_ == Type::kArray; }
@@ -71,10 +68,6 @@ class JsonValue {
   /// Serializes; indent 0 = compact single line, indent > 0 = pretty-printed
   /// with that many spaces per level.
   std::string dump(int indent = 0) const;
-
-  /// Parses a complete document (trailing garbage rejected); nullopt on any
-  /// syntax error.
-  static std::optional<JsonValue> parse(std::string_view text);
 
  private:
   explicit JsonValue(Type t) : type_(t) {}

@@ -94,16 +94,6 @@ double Snapshot::rate_per_sec(std::string_view name) const {
          (static_cast<double>(sim_now_ns) * 1e-9);
 }
 
-double Snapshot::rate_per_sec(std::string_view name,
-                              const Snapshot& since) const {
-  if (sim_now_ns <= since.sim_now_ns) return 0.0;
-  const std::uint64_t now_value = counter_value(name);
-  const std::uint64_t then_value = since.counter_value(name);
-  const std::uint64_t delta = now_value >= then_value ? now_value - then_value : 0;
-  return static_cast<double>(delta) /
-         (static_cast<double>(sim_now_ns - since.sim_now_ns) * 1e-9);
-}
-
 Counter& Registry::counter(std::string_view name) {
   auto it = counters_.find(name);
   if (it == counters_.end()) {

@@ -128,10 +128,6 @@ struct Snapshot {
 
   /// Counter value over the whole run: value / sim_now seconds.
   double rate_per_sec(std::string_view name) const;
-
-  /// Windowed rate: (value - since.value) / (sim_now - since.sim_now).
-  /// A counter absent from `since` counts from zero.
-  double rate_per_sec(std::string_view name, const Snapshot& since) const;
 };
 
 class Registry {

@@ -33,7 +33,9 @@ JsonValue histogram_to_json(const Histogram& h) {
   return out;
 }
 
-JsonValue snapshot_to_json_impl(const Snapshot& snap, const Snapshot* since) {
+}  // namespace
+
+JsonValue snapshot_to_json(const Snapshot& snap) {
   JsonValue out = JsonValue::object();
   out.set("schema", JsonValue("tb-obs-registry/v1"));
   out.set("sim_time_ns", JsonValue(snap.sim_now_ns));
@@ -41,9 +43,7 @@ JsonValue snapshot_to_json_impl(const Snapshot& snap, const Snapshot* since) {
   for (const Snapshot::CounterSample& c : snap.counters) {
     JsonValue entry = JsonValue::object();
     entry.set("value", JsonValue(c.value));
-    entry.set("rate_per_sec",
-              JsonValue(since ? snap.rate_per_sec(c.name, *since)
-                              : snap.rate_per_sec(c.name)));
+    entry.set("rate_per_sec", JsonValue(snap.rate_per_sec(c.name)));
     counters.set(c.name, std::move(entry));
   }
   out.set("counters", std::move(counters));
@@ -61,16 +61,6 @@ JsonValue snapshot_to_json_impl(const Snapshot& snap, const Snapshot* since) {
   }
   out.set("histograms", std::move(histograms));
   return out;
-}
-
-}  // namespace
-
-JsonValue snapshot_to_json(const Snapshot& snap) {
-  return snapshot_to_json_impl(snap, nullptr);
-}
-
-JsonValue snapshot_to_json(const Snapshot& snap, const Snapshot& since) {
-  return snapshot_to_json_impl(snap, &since);
 }
 
 std::string bench_out_dir() {

@@ -36,10 +36,8 @@
 namespace tb::obs {
 
 /// Serializes one snapshot to the tb-obs-registry/v1 schema. Counter rates
-/// are over the whole run ([0, sim_time_ns]); pass a base snapshot to rate
-/// over a window instead.
+/// are over the whole run ([0, sim_time_ns]).
 JsonValue snapshot_to_json(const Snapshot& snap);
-JsonValue snapshot_to_json(const Snapshot& snap, const Snapshot& since);
 
 /// Output directory for BENCH_*.json files: $TB_BENCH_OUT, default ".".
 std::string bench_out_dir();

@@ -26,13 +26,4 @@ std::string_view status_code_name(StatusCode code) {
   return "unknown";
 }
 
-std::string Status::to_string() const {
-  std::string out(status_code_name(code_));
-  if (!message_.empty()) {
-    out += ": ";
-    out += message_;
-  }
-  return out;
-}
-
 }  // namespace tb::util

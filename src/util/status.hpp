@@ -67,9 +67,6 @@ class Status {
            code_ == StatusCode::kUnavailable;
   }
 
-  /// "ok" or "resource_exhausted: server at max_service_slots".
-  std::string to_string() const;
-
   friend bool operator==(const Status& a, const Status& b) {
     return a.code_ == b.code_ && a.message_ == b.message_;
   }

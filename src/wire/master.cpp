@@ -178,23 +178,6 @@ sim::Task<ByteResult> Master::reg_read(std::uint8_t node, SysReg reg) {
   co_return out;
 }
 
-sim::Task<WireStatus> Master::reg_write(std::uint8_t node, SysReg reg,
-                                        std::uint8_t value,
-                                        RetryPolicy policy) {
-  const std::uint8_t address = system_address(node);
-  const auto reg_addr = static_cast<std::uint16_t>(reg);
-  WireStatus status = WireStatus::kOk;
-  if (!selected(address)) status = co_await select(address);
-  if (status != WireStatus::kOk) co_return status;
-  if (!addressed(node, reg_addr)) {
-    status = co_await write_address(node, reg_addr);
-  }
-  if (status != WireStatus::kOk) co_return status;
-  CycleResult r = co_await transact(TxFrame{Command::kWriteData, value},
-                                    /*expect_reply=*/true, policy);
-  co_return status_of(r);
-}
-
 sim::Task<PingResult> Master::ping(std::uint8_t node) {
   co_await mutex_.lock();
   sim::CoMutex::Guard guard(mutex_);
@@ -240,30 +223,6 @@ sim::Task<std::vector<std::uint8_t>> Master::enumerate(std::uint8_t first,
   co_return present;
 }
 
-sim::Task<ByteResult> Master::read_flags(std::uint8_t node) {
-  co_await mutex_.lock();
-  sim::CoMutex::Guard guard(mutex_);
-  ++stats_.operations;
-  ByteResult out;
-  const std::uint8_t address = memory_address(node);
-  out.status = WireStatus::kOk;
-  if (!selected(address)) out.status = co_await select(address);
-  if (out.status == WireStatus::kOk) {
-    CycleResult r = co_await transact(TxFrame{Command::kReadFlags, 0}, true,
-                                      RetryPolicy::kFull);
-    out.status = status_of(r);
-    if (out.status == WireStatus::kOk) {
-      if (r.rx->type == RxType::kFlags) {
-        out.value = r.rx->data;
-      } else {
-        out.status = WireStatus::kBadResponse;
-      }
-    }
-  }
-  if (out.status != WireStatus::kOk) ++stats_.failures;
-  co_return out;
-}
-
 sim::Task<ByteResult> Master::read_sys_reg(std::uint8_t node, SysReg reg) {
   co_await mutex_.lock();
   sim::CoMutex::Guard guard(mutex_);
@@ -271,19 +230,6 @@ sim::Task<ByteResult> Master::read_sys_reg(std::uint8_t node, SysReg reg) {
   ByteResult out = co_await reg_read(node, reg);
   if (!out.ok()) ++stats_.failures;
   co_return out;
-}
-
-sim::Task<WireStatus> Master::write_sys_reg(std::uint8_t node, SysReg reg,
-                                            std::uint8_t value) {
-  co_await mutex_.lock();
-  sim::CoMutex::Guard guard(mutex_);
-  ++stats_.operations;
-  const bool is_port = (reg == SysReg::kInboxPort);
-  WireStatus status = co_await reg_write(
-      node, reg, value,
-      is_port ? RetryPolicy::kTimeoutOnly : RetryPolicy::kFull);
-  if (status != WireStatus::kOk) ++stats_.failures;
-  co_return status;
 }
 
 sim::Task<WireStatus> Master::write_command(std::uint8_t node,

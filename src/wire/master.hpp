@@ -100,14 +100,9 @@ class Master {
   sim::Task<std::vector<std::uint8_t>> enumerate(std::uint8_t first = 0,
                                                  std::uint8_t last = kMaxNodeId);
 
-  /// Reads the flags register (clears the slave's sticky bits).
-  sim::Task<ByteResult> read_flags(std::uint8_t node);
-
   // --- registers ---------------------------------------------------------
 
   sim::Task<ByteResult> read_sys_reg(std::uint8_t node, SysReg reg);
-  sim::Task<WireStatus> write_sys_reg(std::uint8_t node, SysReg reg,
-                                      std::uint8_t value);
 
   /// Writes the command register via the dedicated WRITE_CMD frame.
   sim::Task<WireStatus> write_command(std::uint8_t node, std::uint8_t bits);
@@ -199,8 +194,6 @@ class Master {
   bool auto_increment_is(std::uint8_t node, bool enabled);
   sim::Task<WireStatus> write_auto_increment(std::uint8_t node, bool enabled);
   sim::Task<ByteResult> reg_read(std::uint8_t node, SysReg reg);
-  sim::Task<WireStatus> reg_write(std::uint8_t node, SysReg reg,
-                                  std::uint8_t value, RetryPolicy policy);
   void invalidate_node(std::uint8_t node);
   static WireStatus status_of(const CycleResult& r);
 

@@ -9,7 +9,12 @@ namespace tb::wire {
 MultiBusRelay::MultiBusRelay(MultiBusSystem& system,
                              std::vector<std::uint8_t> nodes,
                              RelayConfig config)
-    : system_(&system), nodes_(std::move(nodes)), config_(config) {
+    : system_(&system),
+      nodes_(std::move(nodes)),
+      config_(config),
+      poller_(config_, [this](const RelaySegment& segment) {
+        return enqueue(segment);
+      }) {
   TB_REQUIRE(!nodes_.empty());
   for (std::uint8_t node : nodes_) {
     (void)system_->bus_for_node(node);  // throws when not attached
@@ -36,7 +41,7 @@ void MultiBusRelay::start() {
   }
 }
 
-void MultiBusRelay::enqueue(const RelaySegment& segment) {
+sim::Task<void> MultiBusRelay::enqueue(const RelaySegment& segment) {
   if (segment.broadcast()) {
     for (std::uint8_t node : nodes_) {
       if (node == segment.src) continue;
@@ -46,11 +51,11 @@ void MultiBusRelay::enqueue(const RelaySegment& segment) {
       queues_[bus]->pending.push_back(std::move(copy));
       queues_[bus]->wake->notify_all();
     }
-    return;
+    co_return;
   }
   if (std::find(nodes_.begin(), nodes_.end(), segment.dst) == nodes_.end()) {
-    ++stats_.segments_dropped;
-    return;
+    ++poller_.stats().segments_dropped;
+    co_return;
   }
   const int bus = system_->bus_for_node(segment.dst);
   queues_[bus]->pending.push_back(segment);
@@ -67,16 +72,8 @@ sim::Task<void> MultiBusRelay::poll_loop(int bus_index) {
 
   Master& master = system_->master(bus_index);
   for (;;) {
-    ++stats_.rounds;
-    bool moved_any = false;
-    for (std::uint8_t node : local) {
-      ++stats_.probes;
-      PingResult probe = co_await master.ping(node);
-      if (!probe.ok() || !probe.interrupt) continue;
-      const bool moved = co_await service(node);
-      moved_any = moved_any || moved;
-    }
-    if (!moved_any) co_await sim::delay(sim, config_.poll_period);
+    const bool moved = co_await poller_.round(master, local, started_);
+    if (!moved) co_await sim::delay(sim, config_.poll_period);
   }
 }
 
@@ -95,30 +92,11 @@ sim::Task<void> MultiBusRelay::push_loop(int bus_index) {
     const std::vector<std::uint8_t> raw = encode_segment(segment);
     WireStatus status = co_await master.inbox_push(segment.dst, raw);
     if (status == WireStatus::kOk) {
-      ++stats_.segments_forwarded;
+      ++poller_.stats().segments_forwarded;
     } else {
-      ++stats_.segments_dropped;
+      ++poller_.stats().segments_dropped;
     }
   }
-}
-
-sim::Task<bool> MultiBusRelay::service(std::uint8_t node) {
-  Master& master = system_->master_for_node(node);
-  BlockResult drained =
-      co_await master.outbox_drain(node, config_.max_drain_per_visit);
-  if (drained.data.empty()) {
-    co_await master.write_command(node, cmdbits::kClearInterrupt);
-    co_return false;
-  }
-  stats_.bytes_drained += drained.data.size();
-  auto [it, inserted] = parsers_.try_emplace(node);
-  SegmentParser& parser = it->second;
-  if (inserted) parser.set_max_payload(config_.max_segment_payload);
-  parser.feed(drained.data);
-  while (std::optional<RelaySegment> segment = parser.next()) {
-    enqueue(*segment);
-  }
-  co_return true;
 }
 
 }  // namespace tb::wire

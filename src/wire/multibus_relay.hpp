@@ -1,8 +1,8 @@
 // Store-and-forward relay across a mode-B multi-bus system (§3.2).
 //
 // Two processes per bus:
-//  * a poll loop — probes the bus's local slaves, drains their outboxes,
-//    parses segments and *enqueues* them toward the destination bus;
+//  * a poll loop — runs the shared RelayPoller round over the bus's local
+//    slaves and *enqueues* each parsed segment toward its destination bus;
 //  * a push loop — pops its bus's queue and writes segments into local
 //    slave inboxes.
 //
@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/sim/process.hpp"
@@ -38,7 +37,7 @@ class MultiBusRelay {
   /// Spawns the poll and push processes; they run until the simulator dies.
   void start();
 
-  const MasterRelay::Stats& stats() const { return stats_; }
+  const RelayStats& stats() const { return poller_.stats(); }
 
   /// Segments currently queued toward the given bus.
   std::size_t queued_for_bus(int bus_index) const {
@@ -53,16 +52,16 @@ class MultiBusRelay {
 
   sim::Task<void> poll_loop(int bus_index);
   sim::Task<void> push_loop(int bus_index);
-  void enqueue(const RelaySegment& segment);
-  sim::Task<bool> service(std::uint8_t node);
+  /// Queues `segment` toward its bus; a broadcast becomes one copy per
+  /// destination node, each with `dst` rewritten. Never suspends.
+  sim::Task<void> enqueue(const RelaySegment& segment);
 
   MultiBusSystem* system_;
   std::vector<std::uint8_t> nodes_;
   RelayConfig config_;
   bool started_ = false;
-  std::unordered_map<std::uint8_t, SegmentParser> parsers_;
   std::vector<std::unique_ptr<BusQueue>> queues_;  ///< one per bus
-  MasterRelay::Stats stats_;  ///< aggregated over all buses
+  RelayPoller poller_;  ///< shared by every bus's poll loop
 };
 
 }  // namespace tb::wire

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -49,6 +50,46 @@ struct RelayConfig {
   std::size_t max_segment_payload = 1'024;
 };
 
+/// Totals of one relay's work, summed over every bus it serves.
+struct RelayStats {
+  std::uint64_t rounds = 0;
+  std::uint64_t probes = 0;
+  std::uint64_t bytes_drained = 0;
+  std::uint64_t segments_forwarded = 0;
+  std::uint64_t segments_dropped = 0;  ///< unknown destination or push failure
+  std::uint64_t crc_failures = 0;      ///< corrupted segments (parser total)
+};
+
+/// The poll round both relays run. For each node in turn: probe it; when it
+/// raised INT, drain up to max_drain_per_visit bytes of its outbox (an empty
+/// drain clears the interrupt instead, so the loop does not spin on the
+/// node); feed the bytes to the node's own SegmentParser, capped at
+/// max_segment_payload; and await `forward` on each completed segment
+/// before the next probe. Forwarding is the relay's own business.
+class RelayPoller {
+ public:
+  using Forward = std::function<sim::Task<void>(const RelaySegment&)>;
+
+  RelayPoller(const RelayConfig& config, Forward forward)
+      : config_(config), forward_(std::move(forward)) {}
+
+  /// One round over `nodes`, all on `master`'s bus; stops before the next
+  /// probe once `running` is false. True when any node yielded bytes.
+  sim::Task<bool> round(Master& master, const std::vector<std::uint8_t>& nodes,
+                        const bool& running);
+
+  RelayStats& stats() { return stats_; }
+  const RelayStats& stats() const { return stats_; }
+
+ private:
+  sim::Task<bool> drain(Master& master, std::uint8_t node);
+
+  RelayConfig config_;
+  Forward forward_;
+  std::unordered_map<std::uint8_t, SegmentParser> parsers_;
+  RelayStats stats_;
+};
+
 class MasterRelay {
  public:
   /// `nodes` lists the slave node ids to serve, in polling order.
@@ -60,27 +101,17 @@ class MasterRelay {
   void stop() { running_ = false; }
   bool running() const { return running_; }
 
-  struct Stats {
-    std::uint64_t rounds = 0;
-    std::uint64_t probes = 0;
-    std::uint64_t bytes_drained = 0;
-    std::uint64_t segments_forwarded = 0;
-    std::uint64_t segments_dropped = 0;  ///< unknown destination or push failure
-    std::uint64_t crc_failures = 0;      ///< corrupted segments (parser total)
-  };
-  const Stats& stats() const { return stats_; }
+  const RelayStats& stats() const { return poller_.stats(); }
 
  private:
   sim::Task<void> run();
-  sim::Task<bool> service(std::uint8_t node);  ///< true if bytes moved
   sim::Task<void> forward(const RelaySegment& segment);
 
   Master* master_;
   std::vector<std::uint8_t> nodes_;
   RelayConfig config_;
   bool running_ = false;
-  std::unordered_map<std::uint8_t, SegmentParser> parsers_;
-  Stats stats_;
+  RelayPoller poller_;
 };
 
 }  // namespace tb::wire

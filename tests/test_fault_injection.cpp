@@ -179,6 +179,41 @@ TEST(FaultHook, RxFlipsRecoverViaRetryExceptAdvisoryIntBit) {
   }
 }
 
+// The checker must be able to fire. With a deadline far below one bus
+// cycle every transaction is overdue; past 32 messages it keeps counting.
+TEST(FaultChecker, OverdueTransactionsReportedPastTheMessageCap) {
+  sim::Simulator sim(1);
+  wire::LinkConfig link;
+  wire::OneWireBus bus(sim, link);
+  wire::SlaveDevice slave(sim, 1, link);
+  bus.attach(slave);
+  wire::Master master(bus);
+  fault::InvariantChecker checker({.op_deadline_factor = 1e-6});
+  checker.watch_bus(bus);
+  checker.watch_master(master);
+
+  constexpr int kPings = 40;
+  sim::spawn([&]() -> sim::Task<void> {
+    for (int i = 0; i < kPings; ++i) {
+      const wire::PingResult r = co_await master.ping(1);
+      EXPECT_TRUE(r.ok());
+    }
+  });
+  sim.run();
+
+  EXPECT_FALSE(checker.ok());
+  EXPECT_EQ(checker.stats().transactions_checked, std::uint64_t{kPings});
+  EXPECT_EQ(checker.violation_count(), std::uint64_t{kPings});
+  ASSERT_EQ(checker.violations().size(), 32u);
+  EXPECT_NE(checker.violations()[0].find("master: transaction tx="),
+            std::string::npos);
+  const std::string report = checker.report();
+  EXPECT_EQ(report.rfind("40 invariant violation(s):\n", 0), 0u) << report;
+  EXPECT_NE(report.find(" took "), std::string::npos) << report;
+  EXPECT_NE(report.find("(deadline "), std::string::npos) << report;
+  EXPECT_NE(report.find("  ... and 8 more\n"), std::string::npos) << report;
+}
+
 // ---------------------------------------------------------------------------
 // Scenario-level chaos plumbing.
 

@@ -107,6 +107,45 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{"binary", 1}, std::pair{"binary", 2},
                       std::pair{"binary", 3}, std::pair{"binary", 4}));
 
+// Round-trip failures print Message::to_string; pin its text.
+TEST(MessageText, ErrorWithStatusEpochAndText) {
+  Message m;
+  m.type = MsgType::kError;
+  m.request_id = 42;
+  m.status = static_cast<std::uint8_t>(util::StatusCode::kFailedPrecondition);
+  m.epoch = 7;
+  m.error = "type_key not owned by this node";
+  EXPECT_EQ(m.to_string(),
+            "error#42 status=failed_precondition epoch=7 "
+            "error=type_key not owned by this node");
+
+  m.type = MsgType::kWriteRequest;
+  m.status = 0;
+  m.epoch = 0;
+  m.error.clear();
+  m.tuple = space::make_tuple("t", std::int64_t{1});
+  EXPECT_EQ(m.to_string(), "write-req#42 t(1)");
+}
+
+TEST(MessageText, EveryStatusCodeHasAStableName) {
+  const std::pair<util::StatusCode, const char*> names[] = {
+      {util::StatusCode::kOk, "ok"},
+      {util::StatusCode::kInvalidArgument, "invalid_argument"},
+      {util::StatusCode::kNotFound, "not_found"},
+      {util::StatusCode::kDeadlineExceeded, "deadline_exceeded"},
+      {util::StatusCode::kResourceExhausted, "resource_exhausted"},
+      {util::StatusCode::kAborted, "aborted"},
+      {util::StatusCode::kUnavailable, "unavailable"},
+      {util::StatusCode::kFailedPrecondition, "failed_precondition"},
+      {util::StatusCode::kUnimplemented, "unimplemented"},
+  };
+  for (const auto& [code, name] : names) {
+    EXPECT_EQ(util::status_code_name(code), name);
+  }
+  EXPECT_EQ(util::status_code_name(static_cast<util::StatusCode>(200)),
+            "unknown");
+}
+
 TEST(XmlCodecTest, ProducesReadableXml) {
   XmlCodec codec;
   const auto bytes = codec.encode(sample_write_request());

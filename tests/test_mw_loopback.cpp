@@ -275,5 +275,73 @@ TEST_F(LoopbackTest, TransactionalOpOnDeadTxnFails) {
   });
 }
 
+// NodeCore's input checks: each malformed request, sent as codec-encoded
+// bytes, gets a typed INVALID_ARGUMENT reply carrying its request id and
+// touches neither the engine nor the ticket counter.
+TEST_F(LoopbackTest, MalformedRequestsGetTypedReplies) {
+  auto tickets = std::make_shared<std::uint64_t>(0);
+  int records = 0;
+  server_.set_ticketing(tickets, [&records](space::OpRecord) { ++records; });
+
+  struct Case {
+    const char* what;
+    MsgType request;
+    MsgType reply;
+  };
+  const Case cases[] = {
+      {"write without a tuple", MsgType::kWriteRequest,
+       MsgType::kWriteResponse},
+      {"read without a template", MsgType::kReadRequest, MsgType::kError},
+      {"take without a template", MsgType::kTakeRequest, MsgType::kError},
+      {"notify without a template", MsgType::kNotifyRequest, MsgType::kError},
+      {"peek without a template", MsgType::kPeekRequest, MsgType::kError},
+      {"replicate-write without a tuple", MsgType::kReplicateWriteRequest,
+       MsgType::kReplicateResponse},
+      {"replicate-take without a template", MsgType::kReplicateTakeRequest,
+       MsgType::kReplicateResponse},
+      {"a frame no handler takes", MsgType::kEvent, MsgType::kError},
+  };
+
+  LoopbackClient& raw = hub_.create_client();
+  std::vector<Message> replies;
+  raw.on_message().connect([&](std::span<const std::uint8_t> bytes) {
+    std::optional<Message> reply = codec_.decode(bytes);
+    ASSERT_TRUE(reply.has_value());
+    replies.push_back(std::move(*reply));
+  });
+  const space::SpaceEngine::Stats engine_before = space_.stats();
+  std::uint64_t id = 100;
+  for (const Case& c : cases) {
+    Message request;
+    request.type = c.request;
+    request.request_id = ++id;
+    request.duration_ns = 1'000'000;
+    raw.send(codec_.encode(request));
+  }
+  sim_.run();
+
+  ASSERT_EQ(replies.size(), std::size(cases));
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const Case& c = cases[i];
+    const Message& reply = replies[i];
+    EXPECT_EQ(reply.type, c.reply) << c.what;
+    EXPECT_EQ(reply.request_id, 101 + i) << c.what;
+    EXPECT_FALSE(reply.ok) << c.what;
+    EXPECT_EQ(static_cast<util::StatusCode>(reply.status),
+              util::StatusCode::kInvalidArgument)
+        << c.what;
+    EXPECT_FALSE(reply.error.empty()) << c.what;
+  }
+  EXPECT_EQ(space_.stats(), engine_before);
+  EXPECT_EQ(space_.size(), 0u);
+  EXPECT_EQ(*tickets, 0u);
+  EXPECT_EQ(records, 0);
+  EXPECT_EQ(server_.standby_buffer_size(), 0u);
+  EXPECT_EQ(server_.stats().requests, std::size(cases));
+  EXPECT_EQ(server_.stats().named_ops + server_.stats().wildcard_ops +
+                server_.stats().peeks,
+            0u);
+}
+
 }  // namespace
 }  // namespace tb::mw

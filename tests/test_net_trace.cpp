@@ -97,13 +97,32 @@ TEST(Trace, DumpOneLinePerEvent) {
 
 // ---------------------------------------------------------------------------
 
+/// Encodes through the writer and parses the bytes back into a tree.
+template <typename T>
+mw::XmlNode write_and_parse(const T& item,
+                            void (*encode)(const T&, mw::XmlWriter&),
+                            std::string* text = nullptr) {
+  std::vector<std::uint8_t> out;
+  mw::XmlWriter w(out);
+  encode(item, w);
+  const std::string doc(out.begin(), out.end());
+  if (text != nullptr) *text = doc;
+  auto node = mw::xml_parse(doc);
+  EXPECT_TRUE(node.has_value()) << doc;
+  return node.value_or(mw::XmlNode{});
+}
+
 TEST(TupleXml, TupleDocumentRoundTrip) {
   const space::Tuple tuple = space::make_tuple(
       "sensor", std::int64_t{7}, 21.5, true, "on",
       std::vector<std::uint8_t>{0xDE, 0xAD});
-  const std::string text = mw::tuple_to_xml_string(tuple);
-  EXPECT_NE(text.find("<tuple name=\"sensor\">"), std::string::npos);
-  auto back = mw::tuple_from_xml_string(text);
+  std::string text;
+  const mw::XmlNode node =
+      write_and_parse(tuple, &mw::tuple_to_xml_into, &text);
+  EXPECT_EQ(text,
+            "<tuple name=\"sensor\"><int>7</int><float>21.5</float>"
+            "<bool>true</bool><string>on</string><bytes>dead</bytes></tuple>");
+  auto back = mw::tuple_from_xml(node);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, tuple);
 }
@@ -113,8 +132,8 @@ TEST(TupleXml, TemplateRoundTrip) {
                        {space::FieldPattern::exact(space::Value(5)),
                         space::FieldPattern::typed(space::ValueType::kBytes),
                         space::FieldPattern::any()});
-  auto node = mw::template_to_xml(tmpl);
-  auto back = mw::template_from_xml(node);
+  auto back =
+      mw::template_from_xml(write_and_parse(tmpl, &mw::template_to_xml_into));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, tmpl);
 }
@@ -133,12 +152,14 @@ TEST(TupleXml, RejectsMalformedValue) {
 }
 
 TEST(TupleXml, ValueNodesMatchGrammar) {
-  EXPECT_EQ(mw::value_to_xml(space::Value(5)).name, "int");
-  EXPECT_EQ(mw::value_to_xml(space::Value(1.5)).name, "float");
-  EXPECT_EQ(mw::value_to_xml(space::Value(true)).name, "bool");
-  EXPECT_EQ(mw::value_to_xml(space::Value("s")).name, "string");
-  EXPECT_EQ(mw::value_to_xml(space::Value(std::vector<std::uint8_t>{1})).name,
-            "bytes");
+  const auto name_of = [](const space::Value& v) {
+    return write_and_parse(v, &mw::value_to_xml_into).name;
+  };
+  EXPECT_EQ(name_of(space::Value(5)), "int");
+  EXPECT_EQ(name_of(space::Value(1.5)), "float");
+  EXPECT_EQ(name_of(space::Value(true)), "bool");
+  EXPECT_EQ(name_of(space::Value("s")), "string");
+  EXPECT_EQ(name_of(space::Value(std::vector<std::uint8_t>{1})), "bytes");
 }
 
 }  // namespace

@@ -84,7 +84,7 @@ TEST(Histogram, PercentilesClampToObservedRange) {
   EXPECT_LE(p99, 1000.0);
 }
 
-TEST(Registry, SimTimeWindowedRates) {
+TEST(Registry, RatesUseTheSimClock) {
   // A fake clock stands in for the simulator: rates must be computed from
   // the instrument's own time base, never the wall clock.
   std::uint64_t fake_now_ns = 0;
@@ -103,8 +103,6 @@ TEST(Registry, SimTimeWindowedRates) {
   const Snapshot second = registry.snapshot();
   // Lifetime rate: 150 ops over 2 s.
   EXPECT_DOUBLE_EQ(second.rate_per_sec("ops"), 75.0);
-  // Windowed rate over [1s, 2s]: 50 ops in 1 s.
-  EXPECT_DOUBLE_EQ(second.rate_per_sec("ops", first), 50.0);
 }
 
 TEST(Registry, SimulatorBindsItsClock) {
@@ -135,7 +133,7 @@ TEST(Registry, CollectorsRunAtSnapshot) {
   EXPECT_EQ(snap.counter_value("pulled"), 42u);
 }
 
-TEST(Json, RegistrySnapshotRoundTrip) {
+TEST(Json, RegistrySnapshotTree) {
   std::uint64_t fake_now_ns = 3'000'000'000;
   Registry registry;
   registry.set_clock([&fake_now_ns] { return fake_now_ns; });
@@ -146,17 +144,13 @@ TEST(Json, RegistrySnapshotRoundTrip) {
   h.record(1000);
 
   const JsonValue json = snapshot_to_json(registry.snapshot());
-  const std::string text = json.dump(2);
-  const std::optional<JsonValue> parsed = JsonValue::parse(text);
-  ASSERT_TRUE(parsed.has_value());
-
-  EXPECT_EQ(parsed->at("schema").as_string(), "tb-obs-registry/v1");
-  EXPECT_EQ(parsed->at("sim_time_ns").as_int(), 3'000'000'000);
-  const JsonValue& counter = parsed->at("counters").at("a.count");
+  EXPECT_EQ(json.at("schema").as_string(), "tb-obs-registry/v1");
+  EXPECT_EQ(json.at("sim_time_ns").as_int(), 3'000'000'000);
+  const JsonValue& counter = json.at("counters").at("a.count");
   EXPECT_EQ(counter.at("value").as_int(), 7);
-  const JsonValue& gauge = parsed->at("gauges").at("b.depth");
+  const JsonValue& gauge = json.at("gauges").at("b.depth");
   EXPECT_DOUBLE_EQ(gauge.at("value").as_number(), 2.5);
-  const JsonValue& hist = parsed->at("histograms").at("c.lat_ns");
+  const JsonValue& hist = json.at("histograms").at("c.lat_ns");
   EXPECT_EQ(hist.at("count").as_int(), 2);
   EXPECT_EQ(hist.at("min").as_int(), 10);
   EXPECT_EQ(hist.at("max").as_int(), 1000);
@@ -176,33 +170,43 @@ TEST(Json, BenchReportSchema) {
   report.add_table("t", {"x", "y"}, {{"1", "2"}});
 
   const JsonValue json = report.to_json();
-  const std::optional<JsonValue> parsed = JsonValue::parse(json.dump(2));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->at("schema").as_string(), "tb-bench-report/v1");
-  EXPECT_EQ(parsed->at("bench").as_string(), "unit_test");
-  EXPECT_EQ(parsed->at("params").at("sweep").as_int(), 3);
+  EXPECT_EQ(json.at("schema").as_string(), "tb-bench-report/v1");
+  EXPECT_EQ(json.at("bench").as_string(), "unit_test");
+  EXPECT_EQ(json.at("params").at("sweep").as_int(), 3);
 
-  const JsonValue& metrics = parsed->at("key_metrics");
+  const JsonValue& metrics = json.at("key_metrics");
   ASSERT_EQ(metrics.size(), 2u);
   EXPECT_EQ(metrics[0].at("name").as_string(), "latency_ms");
   EXPECT_EQ(metrics[0].at("better").as_string(), "lower");
   EXPECT_TRUE(metrics[0].at("gate").as_bool());
   EXPECT_FALSE(metrics[1].at("gate").as_bool());
 
-  const JsonValue& table = parsed->at("tables").at("t");
+  const JsonValue& table = json.at("tables").at("t");
   EXPECT_EQ(table.at("headers")[0].as_string(), "x");
   EXPECT_EQ(table.at("rows")[0][1].as_string(), "2");
 }
 
-TEST(Json, ParseRejectsGarbage) {
-  EXPECT_FALSE(JsonValue::parse("{").has_value());
-  EXPECT_FALSE(JsonValue::parse("[1,2,] ").has_value());
-  EXPECT_FALSE(JsonValue::parse("42 trailing").has_value());
-  // Exact int64 survives a round trip without precision loss.
-  const std::optional<JsonValue> big = JsonValue::parse("9007199254740993");
-  ASSERT_TRUE(big.has_value());
-  EXPECT_EQ(big->as_int(), 9007199254740993LL);
-  EXPECT_EQ(big->dump(), "9007199254740993");
+TEST(Json, DumpText) {
+  // 2^53 + 1 has no double: an integer must never pass through one.
+  JsonValue doc = JsonValue::object();
+  doc.set("big", JsonValue(0));
+  doc.set("ratio", JsonValue(0.1));
+  doc.set("name", JsonValue("a\"b\n"));
+  JsonValue list = JsonValue::array();
+  list.push_back(JsonValue(true));
+  list.push_back(JsonValue());
+  doc.set("list", std::move(list));
+  // Overwriting a member keeps its place in the insertion order.
+  doc.set("big", JsonValue(std::int64_t{9007199254740993}));
+
+  EXPECT_EQ(doc.dump(),
+            R"({"big":9007199254740993,"ratio":0.1,"name":"a\"b\n",)"
+            R"("list":[true,null]})");
+  EXPECT_EQ(doc.at("big").as_int(), 9007199254740993LL);
+  EXPECT_TRUE(doc.at("big").is_integral());
+  EXPECT_EQ(doc.dump(1),
+            "{\n \"big\": 9007199254740993,\n \"ratio\": 0.1,\n"
+            " \"name\": \"a\\\"b\\n\",\n \"list\": [\n  true,\n  null\n ]\n}");
 }
 
 }  // namespace

@@ -213,6 +213,42 @@ TEST(MultiBusRelay, UnknownDestinationDropped) {
   EXPECT_EQ(rig.relay.stats().segments_dropped, 1u);
 }
 
+// Both relays share one poll round, so a segment whose CRC byte is flipped
+// in flight must show up in either relay's stats.
+TEST(RelayPoller, BothRelaysCountACorruptSegment) {
+  std::vector<std::uint8_t> bad = encode_segment({1, 2, {0x42}});
+  bad.back() ^= 0xFF;  // the CRC byte
+  struct Case {
+    const char* relay;
+    RelayStats (*send)(RelayRigB& rig, const std::vector<std::uint8_t>& raw);
+  };
+  const Case cases[] = {
+      {"MasterRelay (one bus)",
+       [](RelayRigB& rig, const std::vector<std::uint8_t>& raw) {
+         MasterRelay relay(rig.system.master(0), {1, 2},
+                           RelayRigB::fast_relay());
+         rig.slaves[0]->host_send(raw);
+         relay.start();
+         rig.sim.run_until(5_s);
+         return relay.stats();
+       }},
+      {"MultiBusRelay (mode B)",
+       [](RelayRigB& rig, const std::vector<std::uint8_t>& raw) {
+         rig.slaves[0]->host_send(raw);
+         rig.relay.start();
+         rig.sim.run_until(5_s);
+         return rig.relay.stats();
+       }},
+  };
+  for (const Case& c : cases) {
+    RelayRigB rig;
+    const RelayStats stats = c.send(rig, bad);
+    EXPECT_EQ(stats.bytes_drained, bad.size()) << c.relay;
+    EXPECT_EQ(stats.crc_failures, 1u) << c.relay;
+    EXPECT_EQ(stats.segments_forwarded, 0u) << c.relay;
+  }
+}
+
 TEST(MultiBusRelay, RejectsUnattachedNode) {
   sim::Simulator sim;
   LinkConfig link;

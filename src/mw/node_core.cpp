@@ -111,16 +111,12 @@ void NodeCore::replicate(Message frame, std::function<void()> on_acked) {
 }
 
 std::size_t NodeCore::promote() {
-  std::sort(repl_buffer_.begin(), repl_buffer_.end(),
-            [](const ReplRecord& a, const ReplRecord& b) {
-              return a.ticket < b.ticket;
-            });
   std::size_t applied = 0;
-  for (ReplRecord& record : repl_buffer_) {
+  for (auto& [ticket, record] : repl_buffer_) {
     if (space::Tuple* tuple = std::get_if<space::Tuple>(&record.payload)) {
       const space::Lease lease =
           space_->write(std::move(*tuple), duration_of(record.duration_ns));
-      map_ticket(lease.id, record.ticket);
+      map_ticket(lease.id, ticket);
       ++applied;
       continue;
     }
@@ -133,6 +129,7 @@ std::size_t NodeCore::promote() {
     }
   }
   repl_buffer_.clear();
+  repl_chains_.clear();
   return applied;
 }
 
@@ -634,37 +631,96 @@ void NodeCore::handle_replicate(SessionId session, Message& request) {
   response.type = MsgType::kReplicateResponse;
   response.request_id = request.request_id;
   response.handle = request.handle;
-  ReplRecord record;
-  record.ticket = request.handle;
-  if (request.type == MsgType::kReplicateWriteRequest) {
-    if (!request.tuple) {
-      response.ok = false;
-      response.error = "replicate-write without tuple";
-      response.status =
-          static_cast<std::uint8_t>(util::StatusCode::kInvalidArgument);
-      respond(session, response);
-      return;
-    }
-    record.payload = std::move(*request.tuple);
-    record.duration_ns = request.duration_ns;
-  } else {
-    if (!request.tmpl) {
-      response.ok = false;
-      response.error = "replicate-take without template";
-      response.status =
-          static_cast<std::uint8_t>(util::StatusCode::kInvalidArgument);
-      respond(session, response);
-      return;
-    }
-    record.payload = std::move(*request.tmpl);
+  const bool write = request.type == MsgType::kReplicateWriteRequest;
+  if (write ? !request.tuple || request.duration_ns <= 0 : !request.tmpl) {
+    response.ok = false;
+    response.error = write ? "replicate-write without tuple or lease"
+                           : "replicate-take without template";
+    response.status =
+        static_cast<std::uint8_t>(util::StatusCode::kInvalidArgument);
+    respond(session, response);
+    return;
   }
+  response.ok = true;
+  if (repl_next_id_ != 0) {
+    if (!repl_session_) repl_session_ = session;
+    const bool ours = session == *repl_session_;
+    if (ours && request.request_id < repl_next_id_) {
+      // A retransmit that outlived its cached reply: the stream is in
+      // order, so the original was buffered (or paired) already.
+      respond(session, response);
+      return;
+    }
+    if (ours && request.request_id == repl_next_id_) {
+      ++repl_next_id_;
+    } else {
+      repl_next_id_ = 0;  // a gap, a reordered frame or another sender
+    }
+  }
+  ++stats_.replicated_buffered;
   // Standby discipline: buffer, never apply. Applying eagerly would race
   // the primary's in-flight completions; promote() replays the buffer in
-  // ticket order once the primary is declared dead.
-  ++stats_.replicated_buffered;
-  repl_buffer_.push_back(std::move(record));
-  response.ok = true;
+  // ticket order once the primary is declared dead. A take that pairs
+  // with a buffered write cancels it instead: the replay would apply both
+  // and keep neither.
+  const std::uint64_t ticket = request.handle;
+  if (!write && pair_take(ticket, *request.tmpl)) {
+    respond(session, response);
+    return;
+  }
+  // Tickets are unique, so a ticket already buffered is a retransmit.
+  const auto [it, inserted] = repl_buffer_.try_emplace(ticket);
+  if (inserted) {
+    ReplRecord& record = it->second;
+    record.next_of_type = repl_buffer_.end();
+    if (!write) {
+      record.payload = std::move(*request.tmpl);
+    } else {
+      const space::Tuple& tuple = record.payload.emplace<space::Tuple>(
+          std::move(*request.tuple));
+      record.duration_ns = request.duration_ns;
+      if (repl_next_id_ != 0) {  // in ticket order: append at the tail
+        const ReplMap::iterator none = repl_buffer_.end();
+        const std::uint64_t key = space::type_key(tuple.name, tuple.arity());
+        ReplChain& chain =
+            repl_chains_.try_emplace(key, ReplChain{none, none}).first->second;
+        if (chain.tail == none) {
+          chain.head = it;
+        } else {
+          chain.tail->second.next_of_type = it;
+        }
+        chain.tail = it;
+      }
+    }
+  }
   respond(session, response);
+}
+
+bool NodeCore::pair_take(std::uint64_t ticket, const space::Template& tmpl) {
+  // Exact only while every older record of the stream is here (in-order
+  // ids, and the primary forwards in ticket order) and the engine holds
+  // nothing the replayed take would find first.
+  if (repl_next_id_ == 0 || !tmpl.name || space_->size() != 0) return false;
+  const auto chain_it =
+      repl_chains_.find(space::type_key(*tmpl.name, tmpl.arity()));
+  if (chain_it == repl_chains_.end()) return false;
+  ReplChain& chain = chain_it->second;
+  const ReplMap::iterator none = repl_buffer_.end();
+  for (ReplMap::iterator prev = none, it = chain.head;
+       it != none && it->first < ticket;
+       prev = it, it = it->second.next_of_type) {
+    if (!tmpl.matches(std::get<space::Tuple>(it->second.payload))) continue;
+    if (prev == none) {
+      chain.head = it->second.next_of_type;
+    } else {
+      prev->second.next_of_type = it->second.next_of_type;
+    }
+    if (chain.tail == it) chain.tail = prev;
+    repl_buffer_.erase(it);
+    ++stats_.replicated_paired;
+    return true;
+  }
+  return false;
 }
 
 void NodeCore::handle_txn(SessionId session, const Message& request) {
@@ -780,11 +836,13 @@ void NodeCore::bind_metrics(obs::Registry& registry,
   obs::Gauge& oplog_records = registry.gauge(prefix + ".oplog_records");
   obs::Gauge& mappings = registry.gauge(prefix + ".ticket_mappings");
   obs::Gauge& standby_buffered = registry.gauge(prefix + ".standby_buffered");
+  obs::Counter& paired = registry.counter(prefix + ".replicated_paired");
   registry.add_collector([this, &requests, &responses, &events, &decode_errors,
                           &doa, &replayed, &ignored, &rejected, &adm_queued,
                           &overload, &flushes, &misroutes, &unknown,
                           &enc_msgs, &enc_bytes, &dec_msgs, &dec_bytes,
-                          &oplog_records, &mappings, &standby_buffered] {
+                          &oplog_records, &mappings, &standby_buffered,
+                          &paired] {
     requests.set(stats_.requests);
     responses.set(stats_.responses);
     events.set(stats_.events_pushed);
@@ -805,6 +863,7 @@ void NodeCore::bind_metrics(obs::Registry& registry,
     oplog_records.set(static_cast<double>(records_logged_));
     mappings.set(static_cast<double>(ticket_of_id_.size()));
     standby_buffered.set(static_cast<double>(repl_buffer_.size()));
+    paired.set(stats_.replicated_paired);
   });
 }
 

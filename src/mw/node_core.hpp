@@ -23,6 +23,9 @@
 //    writes and takes are forwarded as kReplicate* frames and the client's
 //    ack is withheld until the standby confirms, so promotion (replaying
 //    the buffered records in ticket order) loses no acknowledged write.
+//    While the stream arrives in order, the standby drops each take with
+//    the buffered write it removes, so it holds the state a promotion
+//    rebuilds, not the stream's history.
 //
 // All of this is inert by default: a NodeCore with no ownership predicate,
 // no ticket counter and no standby behaves bit-exactly like the historical
@@ -38,7 +41,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -113,7 +118,8 @@ class NodeCore {
     std::uint64_t misroute_rejects = 0; ///< kFailedPrecondition replies
     std::uint64_t unknown_frames = 0;   ///< kUnimplemented replies
     std::uint64_t replication_forwards = 0;  ///< records sent to the standby
-    std::uint64_t replicated_buffered = 0;   ///< records buffered as standby
+    std::uint64_t replicated_buffered = 0;   ///< records accepted as standby
+    std::uint64_t replicated_paired = 0;     ///< pairs dropped as standby
     std::uint64_t dropped_while_dead = 0;    ///< frames ignored after shutdown
   };
   const Stats& stats() const { return stats_; }
@@ -128,9 +134,9 @@ class NodeCore {
   /// at snapshot time, plus the federation evidence footprint as gauges:
   /// `<p>.oplog_records` (records handed to the sink),
   /// `<p>.ticket_mappings` (live entries mapped to a ticket) and
-  /// `<p>.standby_buffered` (replication records awaiting promote()). The
-  /// registry must outlive the server. Default prefix:
-  /// "mw.server".
+  /// `<p>.standby_buffered` (records a promotion would replay), and the
+  /// `<p>.replicated_paired` counter. The registry must outlive the server.
+  /// Default prefix: "mw.server".
   void bind_metrics(obs::Registry& registry,
                     const std::string& prefix = "mw.server");
 
@@ -168,11 +174,13 @@ class NodeCore {
   /// Replays the replication records buffered while this node served as a
   /// standby sink into the engine, in ticket order, rebuilding the
   /// engine-id <-> ticket maps so post-promotion peeks and snapshots
-  /// report original tickets. Returns the number of records applied.
-  /// Replayed records are NOT re-logged: the failed primary logged them.
+  /// report original tickets. Returns the number of records applied;
+  /// pairs dropped while buffering are not among them. Replayed records
+  /// are NOT re-logged: the failed primary logged them.
   std::size_t promote();
 
-  /// Buffered replication records awaiting promote().
+  /// Replication records a promotion would replay: the live writes and
+  /// the takes left unpaired.
   std::size_t standby_buffer_size() const { return repl_buffer_.size(); }
 
   /// Kill switch for failover drills: the node stops decoding, serving and
@@ -209,14 +217,23 @@ class NodeCore {
   };
 
   /// One primary→standby stream record, buffered on the standby until
-  /// promote(). A write carries the tuple + lease duration; a take carries
-  /// the frame's template, space::Template::exact_of the removed tuple (the
-  /// same discipline the OpLog replay uses: the oldest equal-valued entry
-  /// IS the taken one).
+  /// promote(), keyed by its ticket in a ReplMap. A write carries the
+  /// tuple + lease duration; a take carries the frame's template,
+  /// space::Template::exact_of the removed tuple (the same discipline the
+  /// OpLog replay uses: the oldest equal-valued entry IS the taken one).
+  struct ReplRecord;
+  using ReplMap = std::map<std::uint64_t, ReplRecord>;
   struct ReplRecord {
-    std::uint64_t ticket = 0;
     std::int64_t duration_ns = 0;  ///< write lease; INT64_MAX = forever
     std::variant<space::Tuple, space::Template> payload;  ///< write | take
+    /// A write's next newer buffered write of the same type key, in its
+    /// pairing chain; the map's end() = none.
+    ReplMap::iterator next_of_type;
+  };
+  /// One type key's buffered writes, oldest first, threaded through
+  /// ReplRecord::next_of_type (the shard store's type-chain idiom).
+  struct ReplChain {
+    ReplMap::iterator head, tail;
   };
 
   void handle_bytes(SessionId session, std::span<const std::uint8_t> bytes);
@@ -244,6 +261,9 @@ class NodeCore {
   void handle_peek(SessionId session, const Message& request);
   void handle_take_by_id(SessionId session, const Message& request);
   void handle_replicate(SessionId session, Message& request);
+  /// Standby pairing (DESIGN.md §16): drops the take `ticket` with the
+  /// oldest older buffered write `tmpl` matches. False = buffer the take.
+  bool pair_take(std::uint64_t ticket, const space::Template& tmpl);
 
   /// The mis-routed-key reject: kError + kFailedPrecondition + epoch.
   void reject_misroute(SessionId session, const Message& request);
@@ -302,9 +322,18 @@ class NodeCore {
   std::unordered_map<std::uint64_t, std::uint64_t> id_of_ticket_;
   std::uint64_t last_removed_ = 0;  ///< newest id the listener reported
   SpaceClient* standby_ = nullptr;
-  /// Standby role: the buffered stream. A deque grows by blocks and never
-  /// copies what it holds.
-  std::deque<ReplRecord> repl_buffer_;
+  /// Standby role: the records a promotion would replay, by ticket.
+  ReplMap repl_buffer_;
+  /// type key -> the buffered writes a take may pair with. Emptied chains
+  /// are retained, as in the shard store; promote() clears them.
+  std::unordered_map<std::uint64_t, ReplChain> repl_chains_;
+  /// Pairing is exact only on the primary's own stream, gap-free and in
+  /// order: one session whose request ids run 1, 2, 3, ... The session is
+  /// the first to send a replication frame; repl_next_id_ is the id it
+  /// must send next, and 0 once any frame broke the sequence, which turns
+  /// pairing off for good.
+  std::optional<SessionId> repl_session_;
+  std::uint64_t repl_next_id_ = 1;
   bool dead_ = false;
 
   Stats stats_;

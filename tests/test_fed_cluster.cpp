@@ -2,15 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 
 #include "co_gtest.hpp"
 #include "heap_probe.hpp"
 #include "src/cosim/federation.hpp"
+#include "src/mw/loopback.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/sim/process.hpp"
 #include "src/space/oplog.hpp"
+#include "src/util/rng.hpp"
 #include "src/util/status.hpp"
 
 namespace tb::fed {
@@ -554,18 +557,14 @@ TEST_F(FedClusterTest, OracleGaugesCountEveryRecordBetweenEvents) {
 // blobs over 256 names), runs ten times the ops of its first span; at the
 // end of each span every job is taken, and the heap the run holds then
 // (the checker's oracle and side tables, the nodes' maps and sessions)
-// stays within 5% of what it held after the first span. There is no
-// standby: it buffers the primary's whole replication stream until a
-// promotion, which is replication state, not evidence.
-TEST_F(FedClusterTest, EvidenceHeapStaysFlatOverTenTimesTheOps) {
-#if !defined(TB_TEST_HAS_MALLINFO2)
-  GTEST_SKIP() << "needs glibc's mallinfo2 and its own allocator";
-#else
+// stays within 5% of what it held after the first span.
+#if defined(TB_TEST_HAS_MALLINFO2)
+void expect_flat_heap_over_ten_spans(bool with_standby) {
   constexpr int kPairs = 4;
   constexpr int kJobsPerRound = 100;  // per pair
   constexpr int kRoundsPerSpan = 70;  // 56k records, a fed_replicated round
   sim::Simulator sim{1};
-  SimCluster cluster(sim, {.nodes = 4});
+  SimCluster cluster(sim, {.nodes = 4, .with_standby = with_standby});
   std::vector<std::unique_ptr<FederatedClient>> routers;
   for (int p = 0; p < kPairs; ++p) routers.push_back(cluster.make_router());
 
@@ -602,15 +601,20 @@ TEST_F(FedClusterTest, EvidenceHeapStaysFlatOverTenTimesTheOps) {
       sim.run();
       ASSERT_EQ(done, kPairs);
     }
+    // Every job of the span was taken, so a standby holds nothing a
+    // promotion would replay.
+    if (with_standby) {
+      ASSERT_EQ(cluster.standby_core().standby_buffer_size(), 0u);
+    }
   };
 
   const std::size_t before = mallinfo2().uordblks;
   run_span();
-  ASSERT_FALSE(HasFatalFailure());
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
   const std::size_t one_span = mallinfo2().uordblks - before;
   for (int span = 1; span < 10; ++span) {
     run_span();
-    ASSERT_FALSE(HasFatalFailure());
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
   }
   const std::size_t ten_spans = mallinfo2().uordblks - before;
 
@@ -619,11 +623,40 @@ TEST_F(FedClusterTest, EvidenceHeapStaysFlatOverTenTimesTheOps) {
       << cluster.oracle_report().divergence;
   EXPECT_EQ(cluster.oracle_report().ops_replayed, 10 * records);
   EXPECT_EQ(cluster.merged_final_state().size(), 0u);
-  RecordProperty("heap_bytes_one_span", std::to_string(one_span));
-  RecordProperty("heap_bytes_ten_spans", std::to_string(ten_spans));
+  ::testing::Test::RecordProperty("heap_bytes_one_span",
+                                  std::to_string(one_span));
+  ::testing::Test::RecordProperty("heap_bytes_ten_spans",
+                                  std::to_string(ten_spans));
   EXPECT_LE(static_cast<double>(ten_spans),
             1.05 * static_cast<double>(one_span))
       << "one span " << one_span << " B, ten spans " << ten_spans << " B";
+  if (with_standby) {
+    cluster.kill_primary();
+    EXPECT_TRUE(cluster.oracle_report().equivalent)
+        << cluster.oracle_report().divergence;
+    EXPECT_EQ(cluster.standby_core().space().size(), 0u);
+    EXPECT_EQ(cluster.merged_final_state().size(), 0u);
+  }
+}
+#endif
+
+TEST_F(FedClusterTest, EvidenceHeapStaysFlatOverTenTimesTheOps) {
+#if !defined(TB_TEST_HAS_MALLINFO2)
+  GTEST_SKIP() << "needs glibc's mallinfo2 and its own allocator";
+#else
+  expect_flat_heap_over_ten_spans(/*with_standby=*/false);
+#endif
+}
+
+// The same run with a replication standby behind the primary: each take
+// the stream carries drops the buffered write it removes, so the standby
+// holds the primary's live state, not the stream. Holding the stream, it
+// grew by about 300 B per record.
+TEST_F(FedClusterTest, StandbyHeapStaysFlatOverTenTimesTheOps) {
+#if !defined(TB_TEST_HAS_MALLINFO2)
+  GTEST_SKIP() << "needs glibc's mallinfo2 and its own allocator";
+#else
+  expect_flat_heap_over_ten_spans(/*with_standby=*/true);
 #endif
 }
 
@@ -688,7 +721,9 @@ TEST_F(FedClusterTest, TicketMappingsDropOnEveryRemovalPath) {
   EXPECT_EQ(gauge("standby_buffered"), 0.0);
 }
 
-// The standby's gauge counts the replication records awaiting promotion.
+// The standby's gauge counts the records a promotion would replay: each of
+// the five takes dropped the buffered write it removed, so the five jobs
+// still live are all that is left of the fifteen records.
 TEST_F(FedClusterTest, StandbyBufferedGaugeTracksTheStream) {
   sim::Simulator sim{1};
   SimCluster cluster(sim, {.nodes = 1, .with_standby = true});
@@ -697,12 +732,258 @@ TEST_F(FedClusterTest, StandbyBufferedGaugeTracksTheStream) {
   write_then_take_half(sim, cluster, 10);
   const obs::Snapshot snap = registry.snapshot();
   ASSERT_NE(snap.find_gauge("mw.standby.standby_buffered"), nullptr);
-  EXPECT_EQ(snap.find_gauge("mw.standby.standby_buffered")->value, 15.0);
-  EXPECT_EQ(cluster.standby_core().standby_buffer_size(), 15u);
-  EXPECT_EQ(cluster.kill_primary(), 15u);
+  EXPECT_EQ(snap.find_gauge("mw.standby.standby_buffered")->value, 5.0);
+  ASSERT_NE(snap.find_counter("mw.standby.replicated_paired"), nullptr);
+  EXPECT_EQ(snap.find_counter("mw.standby.replicated_paired")->value, 5u);
+  EXPECT_EQ(cluster.standby_core().stats().replicated_buffered, 15u);
+  EXPECT_EQ(cluster.standby_core().standby_buffer_size(), 5u);
+  EXPECT_EQ(cluster.kill_primary(), 5u);
   EXPECT_EQ(
       registry.snapshot().find_gauge("mw.standby.standby_buffered")->value,
       0.0);
+}
+
+// --- Standby pairing against the replay it shortcuts ----------------------
+//
+// A standby NodeCore driven with hand-built replication frames, as the
+// primary's stream channel sends them: request ids 1, 2, 3, ... in ticket
+// order.
+class StandbyRig {
+ public:
+  StandbyRig() : link_(hub_.create_client()) {
+    core_.set_ticketing(std::make_shared<std::uint64_t>(0),
+                        [](space::OpRecord) {});
+  }
+
+  void send(mw::Message frame, std::uint64_t request_id) {
+    frame.request_id = request_id;
+    link_.send(codec_.encode(frame));
+  }
+  void run() { sim_.run(); }
+  mw::NodeCore& core() { return core_; }
+
+ private:
+  sim::Simulator sim_{1};
+  space::SpaceEngine engine_{sim_};
+  mw::BinaryCodec codec_;
+  mw::LoopbackHub hub_{sim_, 1_ms};
+  mw::NodeCore core_{engine_, hub_, codec_};
+  mw::LoopbackClient& link_;
+};
+
+mw::Message replicate_write(std::uint64_t ticket, space::Tuple tuple) {
+  mw::Message frame;
+  frame.type = mw::MsgType::kReplicateWriteRequest;
+  frame.handle = ticket;
+  frame.tuple = std::move(tuple);
+  frame.duration_ns = INT64_MAX;
+  return frame;
+}
+
+mw::Message replicate_take(std::uint64_t ticket, const space::Tuple& taken) {
+  mw::Message frame;
+  frame.type = mw::MsgType::kReplicateTakeRequest;
+  frame.handle = ticket;
+  frame.tmpl = space::Template::exact_of(taken);
+  return frame;
+}
+
+/// A random stream over two names and four values, so equal-valued tuples
+/// repeat, with tickets rising by 1-3 (other nodes draw the rest). About
+/// half the records are takes; a take names a value whether or not one is
+/// live, so some come before the write they would remove.
+std::vector<mw::Message> random_stream(std::uint64_t seed, int records) {
+  util::Xoshiro256 rng(seed);
+  std::vector<mw::Message> stream;
+  std::uint64_t ticket = 0;
+  for (int i = 0; i < records; ++i) {
+    ticket += rng.uniform(1, 3);
+    const char* name = rng.bernoulli(0.5) ? "a" : "b";
+    const auto value = static_cast<std::int64_t>(rng.uniform(0, 3));
+    space::Tuple tuple = space::make_tuple(name, value);
+    stream.push_back(rng.bernoulli(0.55)
+                         ? replicate_write(ticket, std::move(tuple))
+                         : replicate_take(ticket, tuple));
+  }
+  return stream;
+}
+
+/// What a promotion leaves, by the standby's algorithm before pairing:
+/// sort the whole stream by ticket, then write each write and remove each
+/// take's oldest match (peek_oldest + take_by_id) from an engine that
+/// already holds `preexisting`. *missed counts the takes that found
+/// nothing.
+std::vector<std::pair<std::uint64_t, space::Tuple>> reference_promotion(
+    std::vector<mw::Message> stream,
+    const std::vector<space::Tuple>& preexisting, std::size_t* missed) {
+  sim::Simulator sim{1};
+  space::SpaceEngine engine(sim);
+  for (const space::Tuple& tuple : preexisting) {
+    engine.write(tuple, space::kLeaseForever);
+  }
+  std::sort(stream.begin(), stream.end(),
+            [](const mw::Message& a, const mw::Message& b) {
+              return a.handle < b.handle;
+            });
+  std::map<std::uint64_t, std::uint64_t> ticket_of_id;
+  *missed = 0;
+  for (mw::Message& frame : stream) {
+    if (frame.type == mw::MsgType::kReplicateWriteRequest) {
+      const space::Lease lease =
+          engine.write(std::move(*frame.tuple), space::kLeaseForever);
+      ticket_of_id[lease.id] = frame.handle;
+    } else if (auto found = engine.peek_oldest(*frame.tmpl)) {
+      engine.take_by_id(found->first);
+    } else {
+      ++*missed;
+    }
+  }
+  std::vector<std::pair<std::uint64_t, space::Tuple>> state;
+  for (auto& [id, tuple] : engine.snapshot_with_ids()) {
+    if (const auto it = ticket_of_id.find(id); it != ticket_of_id.end()) {
+      state.emplace_back(it->second, std::move(tuple));
+    }
+  }
+  std::sort(state.begin(), state.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return state;
+}
+
+constexpr int kStreamRecords = 240;
+constexpr std::uint64_t kStreamSeeds = 16;
+
+// In order, with an empty engine, every pair the standby drops is one the
+// replay would have applied and cancelled: the promotion leaves the same
+// state, and the buffer holds the live writes and the takes that found
+// nothing.
+TEST(StandbyPairing, InOrderStreamPromotesToTheReplayState) {
+  for (std::uint64_t seed = 1; seed <= kStreamSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::vector<mw::Message> stream = random_stream(seed, kStreamRecords);
+    std::size_t missed = 0;
+    const auto expected = reference_promotion(stream, {}, &missed);
+    StandbyRig rig;
+    for (std::size_t i = 0; i < stream.size(); ++i) rig.send(stream[i], i + 1);
+    rig.run();
+    EXPECT_GT(rig.core().stats().replicated_paired, 0u);
+    EXPECT_EQ(rig.core().standby_buffer_size(), expected.size() + missed);
+    rig.core().promote();
+    EXPECT_EQ(rig.core().ticketed_snapshot(), expected);
+  }
+}
+
+// One frame delivered late: the pairs dropped before it stand, since every
+// one of them is older than it; from the first frame past the gap on, the
+// standby buffers everything.
+TEST(StandbyPairing, LateFrameTurnsPairingOff) {
+  for (std::uint64_t seed = 1; seed <= kStreamSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::vector<mw::Message> stream = random_stream(seed, kStreamRecords);
+    std::size_t missed = 0;
+    const auto expected = reference_promotion(stream, {}, &missed);
+    StandbyRig rig;
+    const std::size_t late = 60 + seed;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      if (i == late) continue;
+      rig.send(stream[i], i + 1);
+      if (i == late + 5) rig.send(stream[late], late + 1);
+    }
+    rig.run();
+    EXPECT_GT(rig.core().stats().replicated_paired, 0u);
+    rig.core().promote();
+    EXPECT_EQ(rig.core().ticketed_snapshot(), expected);
+  }
+}
+
+// A request id never sent (a shed or timed-out frame) is a gap too.
+TEST(StandbyPairing, SkippedRequestIdTurnsPairingOff) {
+  for (std::uint64_t seed = 1; seed <= kStreamSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::vector<mw::Message> stream = random_stream(seed, kStreamRecords);
+    std::size_t missed = 0;
+    const auto expected = reference_promotion(stream, {}, &missed);
+    StandbyRig rig;
+    const std::size_t skip_after = 60 + seed;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      rig.send(stream[i], i < skip_after ? i + 1 : i + 2);
+    }
+    rig.run();
+    // Pairing stopped at the gap: only the frames before it paired.
+    StandbyRig prefix;
+    for (std::size_t i = 0; i < skip_after; ++i) prefix.send(stream[i], i + 1);
+    prefix.run();
+    const std::uint64_t paired = rig.core().stats().replicated_paired;
+    EXPECT_GT(paired, 0u);
+    EXPECT_EQ(paired, prefix.core().stats().replicated_paired);
+    EXPECT_EQ(rig.core().standby_buffer_size(), stream.size() - 2 * paired);
+    rig.core().promote();
+    EXPECT_EQ(rig.core().ticketed_snapshot(), expected);
+  }
+}
+
+// An entry the standby's engine already holds is what a replayed take
+// finds first, so no take pairs while the engine holds one.
+TEST(StandbyPairing, PreexistingEntryKeepsEveryTakeBuffered) {
+  const std::vector<space::Tuple> preexisting = {
+      space::make_tuple("a", std::int64_t{0}),
+      space::make_tuple("b", std::int64_t{2})};
+  for (std::uint64_t seed = 1; seed <= kStreamSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::vector<mw::Message> stream = random_stream(seed, kStreamRecords);
+    std::size_t missed = 0;
+    const auto expected = reference_promotion(stream, preexisting, &missed);
+    StandbyRig rig;
+    for (const space::Tuple& tuple : preexisting) {
+      rig.core().space().write(tuple, space::kLeaseForever);
+    }
+    for (std::size_t i = 0; i < stream.size(); ++i) rig.send(stream[i], i + 1);
+    rig.run();
+    EXPECT_EQ(rig.core().stats().replicated_paired, 0u);
+    EXPECT_EQ(rig.core().standby_buffer_size(), stream.size());
+    rig.core().promote();
+    EXPECT_EQ(rig.core().ticketed_snapshot(), expected);
+  }
+}
+
+// A write frame without a positive lease is refused: the engine takes no
+// such write, so promote() could not replay it (its precondition threw).
+TEST(StandbyPairing, WriteWithoutLeaseIsRefused) {
+  StandbyRig rig;
+  mw::Message frame = replicate_write(1, space::make_tuple("x", 1));
+  frame.duration_ns = 0;
+  rig.send(frame, 1);
+  rig.run();
+  EXPECT_EQ(rig.core().stats().replicated_buffered, 0u);
+  EXPECT_EQ(rig.core().standby_buffer_size(), 0u);
+  EXPECT_EQ(rig.core().promote(), 0u);
+}
+
+// Seed-pinned regression: a retransmit that arrives after the standby's
+// 64-entry response cache evicted its reply is a duplicate, and the
+// standby buffered it a second time, so promotion wrote the tuple twice.
+// Here write 1 is resent after 64 more frames, as is write 2, which take 3
+// paired away: promotion leaves one "x" and no "y" (it left two and one).
+TEST(StandbyPairing, RetransmitPastTheResponseCacheIsNotBufferedTwice) {
+  const space::Tuple x = space::make_tuple("x", std::int64_t{1});
+  const space::Tuple y = space::make_tuple("y", std::int64_t{2});
+  StandbyRig rig;
+  rig.send(replicate_write(1, x), 1);
+  rig.send(replicate_write(2, y), 2);
+  rig.send(replicate_take(3, y), 3);
+  for (std::uint64_t id = 4; id <= 66; ++id) {
+    const auto z = static_cast<std::int64_t>(id);
+    rig.send(replicate_write(id, space::make_tuple("z", z)), id);
+  }
+  rig.run();
+  rig.send(replicate_write(1, x), 1);
+  rig.send(replicate_write(2, y), 2);
+  rig.run();
+  EXPECT_EQ(rig.core().stats().duplicates_replayed, 0u);
+  rig.core().promote();
+  const std::vector<space::Tuple> state = rig.core().space().snapshot();
+  EXPECT_EQ(std::count(state.begin(), state.end(), x), 1);
+  EXPECT_EQ(std::count(state.begin(), state.end(), y), 0);
+  EXPECT_EQ(state.size(), 1u + 63u);
 }
 
 // Router metrics: every Stats field is exported under its own name.

@@ -151,7 +151,7 @@ FederationReport run_federation_scenario(const FederationConfig& config) {
   if (drill) {
     guard = std::make_unique<svc::StandbyGuard>(
         control, cluster.primary_id(), config.guard, [&cluster, &state] {
-          state.report.promotion_applied = cluster.promote_standby();
+          cluster.promote_standby();
           state.report.promoted = true;
           state.report.promoted_at = cluster.simulator().now();
         });

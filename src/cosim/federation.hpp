@@ -68,9 +68,6 @@ struct FederationReport {
 
   bool promoted = false;
   sim::Time promoted_at;
-  /// Replication records the promotion replayed: the primary's live
-  /// writes and the takes the standby could not pair, not the stream.
-  std::size_t promotion_applied = 0;
   std::uint64_t heartbeats_consumed = 0;
 
   space::ReplayReport oracle;  ///< every node's records vs merged final state

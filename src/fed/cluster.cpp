@@ -169,7 +169,8 @@ std::vector<space::Tuple> SimCluster::merged_final_state() const {
     }
   };
   for (const auto& node : nodes_) gather(node->core);
-  if (standby_) gather(standby_->core);
+  // Until promoted, the standby's engine mirrors the live primary's.
+  if (standby_promoted_) gather(standby_->core);
   std::sort(ticketed.begin(), ticketed.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<space::Tuple> state;

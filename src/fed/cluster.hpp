@@ -8,9 +8,9 @@
 // configured) a standby node receiving the primary's replication stream.
 //
 // kill_primary() is the failover drill: the primary goes dark (crashed-host
-// semantics), the standby replays its buffered stream, and the routing
-// table is republished one epoch up with the standby holding the primary's
-// ring slot.
+// semantics), and the routing table is republished one epoch up with the
+// standby, which applied the replication stream as it arrived, holding the
+// primary's ring slot.
 //
 // The cluster checks its own evidence while it runs: it owns a
 // space::EngineChecker (a deterministic SpaceEngine oracle on a private
@@ -47,9 +47,9 @@ struct ClusterConfig {
   /// stream; kill_primary() requires it.
   bool with_standby = false;
   sim::Time one_way_delay = sim::Time::us(200);
-  mw::ServerConfig server;   ///< per-node template; node_id is overridden
-  space::SpaceConfig space;  ///< per-node engine config
-  mw::ClientConfig client;   ///< router/replication channel config
+  mw::ServerConfig server{};   ///< per-node template; node_id is overridden
+  space::SpaceConfig space{};  ///< per-node engine config
+  mw::ClientConfig client{};   ///< router/replication channel config
 };
 
 class SimCluster {
@@ -90,10 +90,11 @@ class SimCluster {
 
   /// Failover drill, split so a svc::StandbyGuard can sit between the two
   /// halves: crash_primary() takes the primary dark (heartbeats stop, all
-  /// in-flight work swallowed); promote_standby() replays the standby's
-  /// replication buffer into service, republished at epoch+1 with the
-  /// standby holding the primary's ring slot, ownership filters re-stamped.
-  /// Returns the number of replication records the promotion replayed.
+  /// in-flight work swallowed); promote_standby() puts the standby into
+  /// service, republished at epoch+1 with the standby holding the
+  /// primary's ring slot, ownership filters re-stamped. Returns the number
+  /// of replication frames the promotion applied: those held behind a
+  /// request-id gap (NodeCore::promote), 0 when the stream arrived whole.
   void crash_primary();
   std::size_t promote_standby();
   /// Both halves back to back (detection-less drill).
@@ -120,7 +121,8 @@ class SimCluster {
                     const std::string& prefix = "fed.oracle");
 
   /// Live cluster contents in global-ticket order (dead nodes excluded;
-  /// their surviving state lives on in the promoted standby).
+  /// their surviving state lives on in the promoted standby, which counts
+  /// only once promoted).
   std::vector<space::Tuple> merged_final_state() const;
 
  private:

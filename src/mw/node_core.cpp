@@ -52,8 +52,8 @@ void NodeCore::set_ticketing(std::shared_ptr<std::uint64_t> counter,
 }
 
 void NodeCore::set_standby(SpaceClient* standby) {
-  // Replication records are keyed by global ticket; a stream without a
-  // ticket source could never be replayed in order.
+  // Each replication frame carries its global ticket, which the standby
+  // maps its copy of the entry to; a stream needs a ticket source.
   TB_ASSERT(standby == nullptr || ticket_counter_ != nullptr);
   standby_ = standby;
 }
@@ -104,33 +104,18 @@ void NodeCore::replicate(Message frame, std::function<void()> on_acked) {
   ++stats_.replication_forwards;
   // The data-plane ack is withheld until the standby confirms; a stream
   // failure (standby down, rpc timeout) still acks the client — the
-  // documented at-least-once replica edge, resolved by promotion replay.
+  // documented at-least-once replica edge. A frame the standby never got
+  // is a request-id gap there, and promotion applies what it held back.
   standby_->call_async(std::move(frame),
                        [done = std::move(on_acked)](
                            const std::optional<Message>&) { done(); });
 }
 
 std::size_t NodeCore::promote() {
-  std::size_t applied = 0;
-  for (auto& [ticket, record] : repl_buffer_) {
-    if (space::Tuple* tuple = std::get_if<space::Tuple>(&record.payload)) {
-      const space::Lease lease =
-          space_->write(std::move(*tuple), duration_of(record.duration_ns));
-      map_ticket(lease.id, ticket);
-      ++applied;
-      continue;
-    }
-    // Peek first to learn the victim's engine id, then remove by id; the
-    // removal listener sheds its ticket mapping.
-    if (auto found =
-            space_->peek_oldest(std::get<space::Template>(record.payload))) {
-      space_->take_by_id(found->first);
-      ++applied;
-    }
-  }
-  repl_buffer_.clear();
-  repl_chains_.clear();
-  return applied;
+  const std::size_t held = repl_held_.size();
+  for (auto& [id, frame] : repl_held_) apply_replicated(frame);
+  repl_held_.clear();
+  return held;
 }
 
 std::vector<std::pair<std::uint64_t, space::Tuple>> NodeCore::ticketed_snapshot()
@@ -641,86 +626,51 @@ void NodeCore::handle_replicate(SessionId session, Message& request) {
     respond(session, response);
     return;
   }
-  response.ok = true;
-  if (repl_next_id_ != 0) {
-    if (!repl_session_) repl_session_ = session;
-    const bool ours = session == *repl_session_;
-    if (ours && request.request_id < repl_next_id_) {
-      // A retransmit that outlived its cached reply: the stream is in
-      // order, so the original was buffered (or paired) already.
-      respond(session, response);
-      return;
-    }
-    if (ours && request.request_id == repl_next_id_) {
-      ++repl_next_id_;
-    } else {
-      repl_next_id_ = 0;  // a gap, a reordered frame or another sender
-    }
-  }
-  ++stats_.replicated_buffered;
-  // Standby discipline: buffer, never apply. Applying eagerly would race
-  // the primary's in-flight completions; promote() replays the buffer in
-  // ticket order once the primary is declared dead. A take that pairs
-  // with a buffered write cancels it instead: the replay would apply both
-  // and keep neither.
-  const std::uint64_t ticket = request.handle;
-  if (!write && pair_take(ticket, *request.tmpl)) {
+  if (!repl_session_) repl_session_ = session;
+  if (session != *repl_session_) {
+    // Only the primary's stream is in ticket order; a frame from any
+    // other sender has no place in it.
+    response.ok = false;
+    response.error = "replication from a second session";
+    response.status =
+        static_cast<std::uint8_t>(util::StatusCode::kFailedPrecondition);
     respond(session, response);
     return;
   }
-  // Tickets are unique, so a ticket already buffered is a retransmit.
-  const auto [it, inserted] = repl_buffer_.try_emplace(ticket);
-  if (inserted) {
-    ReplRecord& record = it->second;
-    record.next_of_type = repl_buffer_.end();
-    if (!write) {
-      record.payload = std::move(*request.tmpl);
+  response.ok = true;
+  const std::uint64_t id = request.request_id;
+  // A frame below the next id, or one already held, is a retransmit that
+  // outlived its cached reply: it is answered and applied only once.
+  if (id >= repl_next_id_ && !repl_held_.contains(id)) {
+    ++stats_.replicated_buffered;
+    if (id != repl_next_id_) {
+      repl_held_.emplace(id, std::move(request));
     } else {
-      const space::Tuple& tuple = record.payload.emplace<space::Tuple>(
-          std::move(*request.tuple));
-      record.duration_ns = request.duration_ns;
-      if (repl_next_id_ != 0) {  // in ticket order: append at the tail
-        const ReplMap::iterator none = repl_buffer_.end();
-        const std::uint64_t key = space::type_key(tuple.name, tuple.arity());
-        ReplChain& chain =
-            repl_chains_.try_emplace(key, ReplChain{none, none}).first->second;
-        if (chain.tail == none) {
-          chain.head = it;
-        } else {
-          chain.tail->second.next_of_type = it;
-        }
-        chain.tail = it;
+      apply_replicated(request);
+      ++repl_next_id_;
+      // The gap this frame closed may free the frames held behind it.
+      for (auto it = repl_held_.begin();
+           it != repl_held_.end() && it->first == repl_next_id_;
+           it = repl_held_.erase(it), ++repl_next_id_) {
+        apply_replicated(it->second);
       }
     }
   }
   respond(session, response);
 }
 
-bool NodeCore::pair_take(std::uint64_t ticket, const space::Template& tmpl) {
-  // Exact only while every older record of the stream is here (in-order
-  // ids, and the primary forwards in ticket order) and the engine holds
-  // nothing the replayed take would find first.
-  if (repl_next_id_ == 0 || !tmpl.name || space_->size() != 0) return false;
-  const auto chain_it =
-      repl_chains_.find(space::type_key(*tmpl.name, tmpl.arity()));
-  if (chain_it == repl_chains_.end()) return false;
-  ReplChain& chain = chain_it->second;
-  const ReplMap::iterator none = repl_buffer_.end();
-  for (ReplMap::iterator prev = none, it = chain.head;
-       it != none && it->first < ticket;
-       prev = it, it = it->second.next_of_type) {
-    if (!tmpl.matches(std::get<space::Tuple>(it->second.payload))) continue;
-    if (prev == none) {
-      chain.head = it->second.next_of_type;
-    } else {
-      prev->second.next_of_type = it->second.next_of_type;
-    }
-    if (chain.tail == it) chain.tail = prev;
-    repl_buffer_.erase(it);
-    ++stats_.replicated_paired;
-    return true;
+void NodeCore::apply_replicated(Message& frame) {
+  if (frame.type == MsgType::kReplicateWriteRequest) {
+    const space::Lease lease =
+        space_->write(std::move(*frame.tuple), duration_of(frame.duration_ns));
+    map_ticket(lease.id, frame.handle);
+    return;
   }
-  return false;
+  // Peek first to learn the victim's engine id, then remove by id; the
+  // removal listener sheds its ticket mapping.
+  if (auto found = space_->peek_oldest(*frame.tmpl)) {
+    space_->take_by_id(found->first);
+  }
 }
 
 void NodeCore::handle_txn(SessionId session, const Message& request) {
@@ -836,13 +786,11 @@ void NodeCore::bind_metrics(obs::Registry& registry,
   obs::Gauge& oplog_records = registry.gauge(prefix + ".oplog_records");
   obs::Gauge& mappings = registry.gauge(prefix + ".ticket_mappings");
   obs::Gauge& standby_buffered = registry.gauge(prefix + ".standby_buffered");
-  obs::Counter& paired = registry.counter(prefix + ".replicated_paired");
   registry.add_collector([this, &requests, &responses, &events, &decode_errors,
                           &doa, &replayed, &ignored, &rejected, &adm_queued,
                           &overload, &flushes, &misroutes, &unknown,
                           &enc_msgs, &enc_bytes, &dec_msgs, &dec_bytes,
-                          &oplog_records, &mappings, &standby_buffered,
-                          &paired] {
+                          &oplog_records, &mappings, &standby_buffered] {
     requests.set(stats_.requests);
     responses.set(stats_.responses);
     events.set(stats_.events_pushed);
@@ -862,8 +810,7 @@ void NodeCore::bind_metrics(obs::Registry& registry,
     dec_bytes.set(stats_.bytes_decoded);
     oplog_records.set(static_cast<double>(records_logged_));
     mappings.set(static_cast<double>(ticket_of_id_.size()));
-    standby_buffered.set(static_cast<double>(repl_buffer_.size()));
-    paired.set(stats_.replicated_paired);
+    standby_buffered.set(static_cast<double>(repl_held_.size()));
   });
 }
 

@@ -21,11 +21,10 @@
 //    wildcard merge) and kTakeByIdRequest removes the merge winner;
 //  * primary→standby replication — with a standby client installed, acked
 //    writes and takes are forwarded as kReplicate* frames and the client's
-//    ack is withheld until the standby confirms, so promotion (replaying
-//    the buffered records in ticket order) loses no acknowledged write.
-//    While the stream arrives in order, the standby drops each take with
-//    the buffered write it removes, so it holds the state a promotion
-//    rebuilds, not the stream's history.
+//    ack is withheld until the standby confirms, so promotion loses no
+//    acknowledged write. The standby applies each frame to its own engine
+//    on arrival, in its sender's (ticket) order, so it holds the primary's
+//    live state and promotion only re-routes.
 //
 // All of this is inert by default: a NodeCore with no ownership predicate,
 // no ticket counter and no standby behaves bit-exactly like the historical
@@ -48,7 +47,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <variant>
 #include <vector>
 
 #include "src/mw/client.hpp"
@@ -118,8 +116,7 @@ class NodeCore {
     std::uint64_t misroute_rejects = 0; ///< kFailedPrecondition replies
     std::uint64_t unknown_frames = 0;   ///< kUnimplemented replies
     std::uint64_t replication_forwards = 0;  ///< records sent to the standby
-    std::uint64_t replicated_buffered = 0;   ///< records accepted as standby
-    std::uint64_t replicated_paired = 0;     ///< pairs dropped as standby
+    std::uint64_t replicated_buffered = 0;   ///< frames accepted as standby
     std::uint64_t dropped_while_dead = 0;    ///< frames ignored after shutdown
   };
   const Stats& stats() const { return stats_; }
@@ -134,8 +131,8 @@ class NodeCore {
   /// at snapshot time, plus the federation evidence footprint as gauges:
   /// `<p>.oplog_records` (records handed to the sink),
   /// `<p>.ticket_mappings` (live entries mapped to a ticket) and
-  /// `<p>.standby_buffered` (records a promotion would replay), and the
-  /// `<p>.replicated_paired` counter. The registry must outlive the server.
+  /// `<p>.standby_buffered` (replication frames held behind a request-id
+  /// gap). The registry must outlive the server.
   /// Default prefix: "mw.server".
   void bind_metrics(obs::Registry& registry,
                     const std::string& prefix = "mw.server");
@@ -171,17 +168,15 @@ class NodeCore {
   /// nullptr detaches the stream.
   void set_standby(SpaceClient* standby);
 
-  /// Replays the replication records buffered while this node served as a
-  /// standby sink into the engine, in ticket order, rebuilding the
-  /// engine-id <-> ticket maps so post-promotion peeks and snapshots
-  /// report original tickets. Returns the number of records applied;
-  /// pairs dropped while buffering are not among them. Replayed records
-  /// are NOT re-logged: the failed primary logged them.
+  /// Ends the standby role. Every frame that arrived in order is applied
+  /// already; this applies the frames still held behind a request-id gap,
+  /// which can no longer close, in request-id order. Returns how many it
+  /// applied: 0 when the stream arrived whole. Applied frames are NOT
+  /// re-logged: the failed primary logged them.
   std::size_t promote();
 
-  /// Replication records a promotion would replay: the live writes and
-  /// the takes left unpaired.
-  std::size_t standby_buffer_size() const { return repl_buffer_.size(); }
+  /// Replication frames held behind a request-id gap.
+  std::size_t standby_buffer_size() const { return repl_held_.size(); }
 
   /// Kill switch for failover drills: the node stops decoding, serving and
   /// responding — in-flight completions are swallowed, so clients observe
@@ -216,26 +211,6 @@ class NodeCore {
     sim::EventHandle flush_event;
   };
 
-  /// One primary→standby stream record, buffered on the standby until
-  /// promote(), keyed by its ticket in a ReplMap. A write carries the
-  /// tuple + lease duration; a take carries the frame's template,
-  /// space::Template::exact_of the removed tuple (the same discipline the
-  /// OpLog replay uses: the oldest equal-valued entry IS the taken one).
-  struct ReplRecord;
-  using ReplMap = std::map<std::uint64_t, ReplRecord>;
-  struct ReplRecord {
-    std::int64_t duration_ns = 0;  ///< write lease; INT64_MAX = forever
-    std::variant<space::Tuple, space::Template> payload;  ///< write | take
-    /// A write's next newer buffered write of the same type key, in its
-    /// pairing chain; the map's end() = none.
-    ReplMap::iterator next_of_type;
-  };
-  /// One type key's buffered writes, oldest first, threaded through
-  /// ReplRecord::next_of_type (the shard store's type-chain idiom).
-  struct ReplChain {
-    ReplMap::iterator head, tail;
-  };
-
   void handle_bytes(SessionId session, std::span<const std::uint8_t> bytes);
   /// Server-wide admission (DESIGN.md §12): free global slot -> service;
   /// full slots -> global FIFO; full FIFO -> typed RESOURCE_EXHAUSTED shed.
@@ -261,9 +236,11 @@ class NodeCore {
   void handle_peek(SessionId session, const Message& request);
   void handle_take_by_id(SessionId session, const Message& request);
   void handle_replicate(SessionId session, Message& request);
-  /// Standby pairing (DESIGN.md §16): drops the take `ticket` with the
-  /// oldest older buffered write `tmpl` matches. False = buffer the take.
-  bool pair_take(std::uint64_t ticket, const space::Template& tmpl);
+  /// Applies one replication frame to the engine: a write is stored and
+  /// mapped to its ticket; a take removes the oldest live entry its
+  /// template (space::Template::exact_of the removed tuple) matches,
+  /// which, frames applying in ticket order, is the one the primary took.
+  void apply_replicated(Message& frame);
 
   /// The mis-routed-key reject: kError + kFailedPrecondition + epoch.
   void reject_misroute(SessionId session, const Message& request);
@@ -322,18 +299,13 @@ class NodeCore {
   std::unordered_map<std::uint64_t, std::uint64_t> id_of_ticket_;
   std::uint64_t last_removed_ = 0;  ///< newest id the listener reported
   SpaceClient* standby_ = nullptr;
-  /// Standby role: the records a promotion would replay, by ticket.
-  ReplMap repl_buffer_;
-  /// type key -> the buffered writes a take may pair with. Emptied chains
-  /// are retained, as in the shard store; promote() clears them.
-  std::unordered_map<std::uint64_t, ReplChain> repl_chains_;
-  /// Pairing is exact only on the primary's own stream, gap-free and in
-  /// order: one session whose request ids run 1, 2, 3, ... The session is
-  /// the first to send a replication frame; repl_next_id_ is the id it
-  /// must send next, and 0 once any frame broke the sequence, which turns
-  /// pairing off for good.
+  /// Standby role. The primary sends frames in ticket order, with request
+  /// ids 1, 2, 3, ... on one session: the first to send a replication
+  /// frame. repl_next_id_ is the id applied next; a frame past it waits in
+  /// repl_held_ until the gap closes.
   std::optional<SessionId> repl_session_;
   std::uint64_t repl_next_id_ = 1;
+  std::map<std::uint64_t, Message> repl_held_;
   bool dead_ = false;
 
   Stats stats_;

@@ -111,9 +111,9 @@ class ControlAgent {
 // leased ("fed-heartbeat", node_id) tuple alive in the control space; the
 // StandbyGuard consumes the beats and, when a grace window runs dry,
 // invokes the promote callback (fed::SimCluster::kill_primary's second
-// half: replay the replication buffer, republish the table one epoch up).
-// The callback runs exactly once — after promotion the guard reports
-// kActive and stops watching.
+// half: apply the frames the standby held back, republish the table one
+// epoch up). The callback runs exactly once — after promotion the guard
+// reports kActive and stops watching.
 
 class StandbyGuard {
  public:

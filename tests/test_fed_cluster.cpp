@@ -330,8 +330,9 @@ TEST_F(FedClusterTest, PromotionPreservesPrimaryState) {
           space::kLeaseForever);
       CO_ASSERT_TRUE(ok);
     }
-    const std::size_t applied = cluster.kill_primary();
-    CO_ASSERT_EQ(applied, 10u);
+    // The standby applied the stream as it came: promotion re-routes only.
+    CO_ASSERT_EQ(cluster.standby_core().space().size(), 10u);
+    CO_ASSERT_EQ(cluster.kill_primary(), 0u);
     for (int i = 0; i < 10; ++i) {
       std::optional<space::Tuple> got = co_await router->take(
           named_template(primary_name), sim::Time::zero());
@@ -601,10 +602,11 @@ void expect_flat_heap_over_ten_spans(bool with_standby) {
       sim.run();
       ASSERT_EQ(done, kPairs);
     }
-    // Every job of the span was taken, so a standby holds nothing a
-    // promotion would replay.
+    // Every job of the span was taken, and the standby applied every
+    // frame: it holds nothing, live or held back.
     if (with_standby) {
       ASSERT_EQ(cluster.standby_core().standby_buffer_size(), 0u);
+      ASSERT_EQ(cluster.standby_core().space().size(), 0u);
     }
   };
 
@@ -648,10 +650,9 @@ TEST_F(FedClusterTest, EvidenceHeapStaysFlatOverTenTimesTheOps) {
 #endif
 }
 
-// The same run with a replication standby behind the primary: each take
-// the stream carries drops the buffered write it removes, so the standby
-// holds the primary's live state, not the stream. Holding the stream, it
-// grew by about 300 B per record.
+// The same run with a replication standby behind the primary: the standby
+// applies the stream as it arrives, so it holds the primary's live state,
+// not the stream. Holding the stream, it grew by about 300 B per record.
 TEST_F(FedClusterTest, StandbyHeapStaysFlatOverTenTimesTheOps) {
 #if !defined(TB_TEST_HAS_MALLINFO2)
   GTEST_SKIP() << "needs glibc's mallinfo2 and its own allocator";
@@ -721,9 +722,9 @@ TEST_F(FedClusterTest, TicketMappingsDropOnEveryRemovalPath) {
   EXPECT_EQ(gauge("standby_buffered"), 0.0);
 }
 
-// The standby's gauge counts the records a promotion would replay: each of
-// the five takes dropped the buffered write it removed, so the five jobs
-// still live are all that is left of the fifteen records.
+// The standby applies the stream as it arrives: after ten writes and five
+// takes its engine holds the five live jobs, nothing is held behind a gap,
+// and the promotion has nothing left to apply.
 TEST_F(FedClusterTest, StandbyBufferedGaugeTracksTheStream) {
   sim::Simulator sim{1};
   SimCluster cluster(sim, {.nodes = 1, .with_standby = true});
@@ -732,18 +733,39 @@ TEST_F(FedClusterTest, StandbyBufferedGaugeTracksTheStream) {
   write_then_take_half(sim, cluster, 10);
   const obs::Snapshot snap = registry.snapshot();
   ASSERT_NE(snap.find_gauge("mw.standby.standby_buffered"), nullptr);
-  EXPECT_EQ(snap.find_gauge("mw.standby.standby_buffered")->value, 5.0);
-  ASSERT_NE(snap.find_counter("mw.standby.replicated_paired"), nullptr);
-  EXPECT_EQ(snap.find_counter("mw.standby.replicated_paired")->value, 5u);
+  EXPECT_EQ(snap.find_gauge("mw.standby.standby_buffered")->value, 0.0);
   EXPECT_EQ(cluster.standby_core().stats().replicated_buffered, 15u);
-  EXPECT_EQ(cluster.standby_core().standby_buffer_size(), 5u);
-  EXPECT_EQ(cluster.kill_primary(), 5u);
+  EXPECT_EQ(cluster.standby_core().standby_buffer_size(), 0u);
+  EXPECT_EQ(cluster.standby_core().space().size(), 5u);
+  EXPECT_EQ(cluster.kill_primary(), 0u);
   EXPECT_EQ(
       registry.snapshot().find_gauge("mw.standby.standby_buffered")->value,
       0.0);
 }
 
-// --- Standby pairing against the replay it shortcuts ----------------------
+// Seed-pinned regression: a finite lease does not outlive failover. The
+// primary expires a 50 ms job long before the 100 ms kill; the standby
+// armed the same lease when the write's frame arrived, so the promoted
+// node holds nothing. A standby that armed the lease at promotion brought
+// the job back for another 50 ms.
+TEST_F(FedClusterTest, FiniteLeaseDoesNotOutliveFailover) {
+  sim::Simulator sim{1};
+  SimCluster cluster(sim, {.nodes = 1, .with_standby = true});
+  auto router = cluster.make_router();
+  drive(sim, [&]() -> sim::Task<void> {
+    CO_ASSERT_TRUE(co_await router->write(blob_job(0), 50_ms));
+    co_await sim::delay(sim, 100_ms);
+    CO_ASSERT_EQ(cluster.core(0).space().snapshot().size(), 0u);
+    cluster.kill_primary();
+    CO_ASSERT_EQ(cluster.standby_core().space().snapshot().size(), 0u);
+    CO_ASSERT_FALSE(
+        (co_await router->take(blob_template(0), sim::Time::zero()))
+            .has_value());
+  });
+  EXPECT_TRUE(cluster.merged_final_state().empty());
+}
+
+// --- The warm standby against the sort-and-replay it replaces -------------
 //
 // A standby NodeCore driven with hand-built replication frames, as the
 // primary's stream channel sends them: request ids 1, 2, 3, ... in ticket
@@ -755,12 +777,15 @@ class StandbyRig {
                         [](space::OpRecord) {});
   }
 
-  void send(mw::Message frame, std::uint64_t request_id) {
+  void send(mw::Message frame, std::uint64_t request_id,
+            mw::LoopbackClient* link = nullptr) {
     frame.request_id = request_id;
-    link_.send(codec_.encode(frame));
+    (link == nullptr ? link_ : *link).send(codec_.encode(frame));
   }
   void run() { sim_.run(); }
   mw::NodeCore& core() { return core_; }
+  mw::LoopbackHub& hub() { return hub_; }
+  const mw::Codec& codec() const { return codec_; }
 
  private:
   sim::Simulator sim_{1};
@@ -808,14 +833,13 @@ std::vector<mw::Message> random_stream(std::uint64_t seed, int records) {
   return stream;
 }
 
-/// What a promotion leaves, by the standby's algorithm before pairing:
-/// sort the whole stream by ticket, then write each write and remove each
-/// take's oldest match (peek_oldest + take_by_id) from an engine that
-/// already holds `preexisting`. *missed counts the takes that found
-/// nothing.
+/// What the buffering standby's promotion left: sort the whole stream by
+/// ticket, then write each write and remove each take's oldest match
+/// (peek_oldest + take_by_id) from an engine that already holds
+/// `preexisting`.
 std::vector<std::pair<std::uint64_t, space::Tuple>> reference_promotion(
     std::vector<mw::Message> stream,
-    const std::vector<space::Tuple>& preexisting, std::size_t* missed) {
+    const std::vector<space::Tuple>& preexisting = {}) {
   sim::Simulator sim{1};
   space::SpaceEngine engine(sim);
   for (const space::Tuple& tuple : preexisting) {
@@ -826,7 +850,6 @@ std::vector<std::pair<std::uint64_t, space::Tuple>> reference_promotion(
               return a.handle < b.handle;
             });
   std::map<std::uint64_t, std::uint64_t> ticket_of_id;
-  *missed = 0;
   for (mw::Message& frame : stream) {
     if (frame.type == mw::MsgType::kReplicateWriteRequest) {
       const space::Lease lease =
@@ -834,8 +857,6 @@ std::vector<std::pair<std::uint64_t, space::Tuple>> reference_promotion(
       ticket_of_id[lease.id] = frame.handle;
     } else if (auto found = engine.peek_oldest(*frame.tmpl)) {
       engine.take_by_id(found->first);
-    } else {
-      ++*missed;
     }
   }
   std::vector<std::pair<std::uint64_t, space::Tuple>> state;
@@ -852,102 +873,140 @@ std::vector<std::pair<std::uint64_t, space::Tuple>> reference_promotion(
 constexpr int kStreamRecords = 240;
 constexpr std::uint64_t kStreamSeeds = 16;
 
-// In order, with an empty engine, every pair the standby drops is one the
-// replay would have applied and cancelled: the promotion leaves the same
-// state, and the buffer holds the live writes and the takes that found
-// nothing.
-TEST(StandbyPairing, InOrderStreamPromotesToTheReplayState) {
+// In order, each frame is applied as it arrives: the standby's engine
+// holds the replay's state before any promotion, which applies nothing.
+TEST(WarmStandby, InOrderStreamIsLiveBeforePromotion) {
   for (std::uint64_t seed = 1; seed <= kStreamSeeds; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const std::vector<mw::Message> stream = random_stream(seed, kStreamRecords);
-    std::size_t missed = 0;
-    const auto expected = reference_promotion(stream, {}, &missed);
+    const auto expected = reference_promotion(stream);
     StandbyRig rig;
     for (std::size_t i = 0; i < stream.size(); ++i) rig.send(stream[i], i + 1);
     rig.run();
-    EXPECT_GT(rig.core().stats().replicated_paired, 0u);
-    EXPECT_EQ(rig.core().standby_buffer_size(), expected.size() + missed);
-    rig.core().promote();
+    EXPECT_EQ(rig.core().ticketed_snapshot(), expected);
+    EXPECT_EQ(rig.core().standby_buffer_size(), 0u);
+    EXPECT_EQ(rig.core().stats().replicated_buffered, stream.size());
+    EXPECT_EQ(rig.core().promote(), 0u);
     EXPECT_EQ(rig.core().ticketed_snapshot(), expected);
   }
 }
 
-// One frame delivered late: the pairs dropped before it stand, since every
-// one of them is older than it; from the first frame past the gap on, the
-// standby buffers everything.
-TEST(StandbyPairing, LateFrameTurnsPairingOff) {
+// One frame delivered late: the five frames past it wait until it arrives,
+// and then all six apply in order.
+TEST(WarmStandby, LateFrameHoldsTheFramesPastIt) {
   for (std::uint64_t seed = 1; seed <= kStreamSeeds; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const std::vector<mw::Message> stream = random_stream(seed, kStreamRecords);
-    std::size_t missed = 0;
-    const auto expected = reference_promotion(stream, {}, &missed);
+    const auto expected = reference_promotion(stream);
     StandbyRig rig;
     const std::size_t late = 60 + seed;
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      if (i == late) continue;
-      rig.send(stream[i], i + 1);
-      if (i == late + 5) rig.send(stream[late], late + 1);
+    for (std::size_t i = 0; i <= late + 5; ++i) {
+      if (i != late) rig.send(stream[i], i + 1);
     }
     rig.run();
-    EXPECT_GT(rig.core().stats().replicated_paired, 0u);
-    rig.core().promote();
+    EXPECT_EQ(rig.core().standby_buffer_size(), 5u);
+    EXPECT_EQ(rig.core().ticketed_snapshot(),
+              reference_promotion({stream.begin(), stream.begin() + late}));
+    rig.send(stream[late], late + 1);
+    for (std::size_t i = late + 6; i < stream.size(); ++i) {
+      rig.send(stream[i], i + 1);
+    }
+    rig.run();
+    EXPECT_EQ(rig.core().standby_buffer_size(), 0u);
     EXPECT_EQ(rig.core().ticketed_snapshot(), expected);
+    EXPECT_EQ(rig.core().promote(), 0u);
   }
 }
 
-// A request id never sent (a shed or timed-out frame) is a gap too.
-TEST(StandbyPairing, SkippedRequestIdTurnsPairingOff) {
+// A request id never sent (a shed or timed-out frame) is a gap that never
+// closes: everything past it is held, and the promotion applies it.
+TEST(WarmStandby, SkippedRequestIdIsAppliedAtPromotion) {
   for (std::uint64_t seed = 1; seed <= kStreamSeeds; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const std::vector<mw::Message> stream = random_stream(seed, kStreamRecords);
-    std::size_t missed = 0;
-    const auto expected = reference_promotion(stream, {}, &missed);
+    const auto expected = reference_promotion(stream);
     StandbyRig rig;
     const std::size_t skip_after = 60 + seed;
     for (std::size_t i = 0; i < stream.size(); ++i) {
       rig.send(stream[i], i < skip_after ? i + 1 : i + 2);
     }
     rig.run();
-    // Pairing stopped at the gap: only the frames before it paired.
-    StandbyRig prefix;
-    for (std::size_t i = 0; i < skip_after; ++i) prefix.send(stream[i], i + 1);
-    prefix.run();
-    const std::uint64_t paired = rig.core().stats().replicated_paired;
-    EXPECT_GT(paired, 0u);
-    EXPECT_EQ(paired, prefix.core().stats().replicated_paired);
-    EXPECT_EQ(rig.core().standby_buffer_size(), stream.size() - 2 * paired);
-    rig.core().promote();
+    const std::size_t held = stream.size() - skip_after;
+    EXPECT_EQ(rig.core().standby_buffer_size(), held);
+    EXPECT_EQ(
+        rig.core().ticketed_snapshot(),
+        reference_promotion({stream.begin(), stream.begin() + skip_after}));
+    EXPECT_EQ(rig.core().promote(), held);
+    EXPECT_EQ(rig.core().standby_buffer_size(), 0u);
     EXPECT_EQ(rig.core().ticketed_snapshot(), expected);
   }
 }
 
-// An entry the standby's engine already holds is what a replayed take
-// finds first, so no take pairs while the engine holds one.
-TEST(StandbyPairing, PreexistingEntryKeepsEveryTakeBuffered) {
+// Frames shuffled within windows of 8, and about one in ten sent again
+// after 72 more frames, when the 64-entry response cache no longer holds
+// its reply: the standby applies each frame once, in request-id order.
+TEST(WarmStandby, ShuffledStreamWithLateRetransmitsAppliesEachFrameOnce) {
+  constexpr std::size_t kWindow = 8;
+  constexpr std::size_t kResendAfter = 72;
+  for (std::uint64_t seed = 1; seed <= kStreamSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::vector<mw::Message> stream = random_stream(seed, kStreamRecords);
+    const auto expected = reference_promotion(stream);
+    util::Xoshiro256 rng(seed + 1000);
+    std::vector<std::size_t> order(stream.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    for (std::size_t w = 0; w < order.size(); w += kWindow) {
+      for (std::size_t j = std::min(w + kWindow, order.size()) - 1; j > w;
+           --j) {
+        std::swap(order[j], order[w + rng.uniform(0, j - w)]);
+      }
+    }
+    std::vector<std::size_t> sends;
+    std::size_t resent = 0;
+    for (std::size_t p = 0; p < order.size(); ++p) {
+      sends.push_back(order[p]);
+      if (p >= kResendAfter && rng.bernoulli(0.1)) {
+        sends.push_back(order[p - kResendAfter]);
+        ++resent;
+      }
+    }
+    StandbyRig rig;
+    for (const std::size_t i : sends) rig.send(stream[i], i + 1);
+    rig.run();
+    EXPECT_GT(resent, 0u);
+    EXPECT_EQ(rig.core().stats().duplicates_replayed, 0u);
+    EXPECT_EQ(rig.core().stats().replicated_buffered, stream.size());
+    EXPECT_EQ(rig.core().standby_buffer_size(), 0u);
+    EXPECT_EQ(rig.core().ticketed_snapshot(), expected);
+    EXPECT_EQ(rig.core().promote(), 0u);
+  }
+}
+
+// An entry the standby's engine already holds is older than the whole
+// stream, so an applied take finds it first, as the replay's would.
+TEST(WarmStandby, PreexistingEntryIsTakenFirst) {
   const std::vector<space::Tuple> preexisting = {
       space::make_tuple("a", std::int64_t{0}),
       space::make_tuple("b", std::int64_t{2})};
   for (std::uint64_t seed = 1; seed <= kStreamSeeds; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const std::vector<mw::Message> stream = random_stream(seed, kStreamRecords);
-    std::size_t missed = 0;
-    const auto expected = reference_promotion(stream, preexisting, &missed);
+    const auto expected = reference_promotion(stream, preexisting);
     StandbyRig rig;
     for (const space::Tuple& tuple : preexisting) {
       rig.core().space().write(tuple, space::kLeaseForever);
     }
     for (std::size_t i = 0; i < stream.size(); ++i) rig.send(stream[i], i + 1);
     rig.run();
-    EXPECT_EQ(rig.core().stats().replicated_paired, 0u);
-    EXPECT_EQ(rig.core().standby_buffer_size(), stream.size());
-    rig.core().promote();
+    EXPECT_EQ(rig.core().standby_buffer_size(), 0u);
     EXPECT_EQ(rig.core().ticketed_snapshot(), expected);
+    EXPECT_EQ(rig.core().promote(), 0u);
   }
 }
 
 // A write frame without a positive lease is refused: the engine takes no
-// such write, so promote() could not replay it (its precondition threw).
-TEST(StandbyPairing, WriteWithoutLeaseIsRefused) {
+// such write.
+TEST(WarmStandby, WriteWithoutLeaseIsRefused) {
   StandbyRig rig;
   mw::Message frame = replicate_write(1, space::make_tuple("x", 1));
   frame.duration_ns = 0;
@@ -955,15 +1014,48 @@ TEST(StandbyPairing, WriteWithoutLeaseIsRefused) {
   rig.run();
   EXPECT_EQ(rig.core().stats().replicated_buffered, 0u);
   EXPECT_EQ(rig.core().standby_buffer_size(), 0u);
+  EXPECT_EQ(rig.core().space().size(), 0u);
   EXPECT_EQ(rig.core().promote(), 0u);
+}
+
+// Seed-pinned regression: a replication frame from a second session is
+// refused and changes nothing. Only the primary's stream is in ticket
+// order; a buffering standby kept the stray write and promoted it.
+TEST(WarmStandby, StraySessionChangesNothing) {
+  const std::vector<mw::Message> stream = random_stream(1, kStreamRecords);
+  const auto expected = reference_promotion(stream);
+  StandbyRig rig;
+  mw::LoopbackClient& stray = rig.hub().create_client();
+  std::vector<mw::Message> replies;
+  stray.on_message().connect([&](std::span<const std::uint8_t> bytes) {
+    std::optional<mw::Message> reply = rig.codec().decode(bytes);
+    ASSERT_TRUE(reply.has_value());
+    replies.push_back(std::move(*reply));
+  });
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    rig.send(stream[i], i + 1);
+    if (i == 100) {
+      rig.send(replicate_write(stream[i].handle + 1,
+                               space::make_tuple("a", std::int64_t{1})),
+               1, &stray);
+    }
+  }
+  rig.run();
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_FALSE(replies[0].ok);
+  EXPECT_EQ(static_cast<util::StatusCode>(replies[0].status),
+            util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(rig.core().stats().replicated_buffered, stream.size());
+  rig.core().promote();
+  EXPECT_EQ(rig.core().ticketed_snapshot(), expected);
 }
 
 // Seed-pinned regression: a retransmit that arrives after the standby's
 // 64-entry response cache evicted its reply is a duplicate, and the
-// standby buffered it a second time, so promotion wrote the tuple twice.
-// Here write 1 is resent after 64 more frames, as is write 2, which take 3
-// paired away: promotion leaves one "x" and no "y" (it left two and one).
-TEST(StandbyPairing, RetransmitPastTheResponseCacheIsNotBufferedTwice) {
+// standby once stored it a second time, so promotion wrote the tuple
+// twice. Here writes 1 and 2 are resent after 64 more frames, after take 3
+// removed write 2: the standby holds one "x" and no "y".
+TEST(WarmStandby, RetransmitPastTheResponseCacheIsNotAppliedTwice) {
   const space::Tuple x = space::make_tuple("x", std::int64_t{1});
   const space::Tuple y = space::make_tuple("y", std::int64_t{2});
   StandbyRig rig;
@@ -979,7 +1071,7 @@ TEST(StandbyPairing, RetransmitPastTheResponseCacheIsNotBufferedTwice) {
   rig.send(replicate_write(2, y), 2);
   rig.run();
   EXPECT_EQ(rig.core().stats().duplicates_replayed, 0u);
-  rig.core().promote();
+  EXPECT_EQ(rig.core().promote(), 0u);
   const std::vector<space::Tuple> state = rig.core().space().snapshot();
   EXPECT_EQ(std::count(state.begin(), state.end(), x), 1);
   EXPECT_EQ(std::count(state.begin(), state.end(), y), 0);

@@ -32,9 +32,13 @@ std::string job_name_of(const FederationConfig& config, int producer, int seq) {
 }
 
 space::Template wildcard_job_template() {
-  return space::Template(
-      std::nullopt, {space::FieldPattern::typed(space::ValueType::kInt),
-                     space::FieldPattern::typed(space::ValueType::kInt)});
+  // Built on a default (nameless) Template: a std::nullopt name argument
+  // makes GCC 12 at -O1 warn -Wmaybe-uninitialized on the optional's
+  // destructor inside the consume coroutine.
+  space::Template tmpl;
+  tmpl.fields = {space::FieldPattern::typed(space::ValueType::kInt),
+                 space::FieldPattern::typed(space::ValueType::kInt)};
+  return tmpl;
 }
 
 std::uint64_t encode_job(const space::Tuple& job) {

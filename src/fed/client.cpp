@@ -33,25 +33,16 @@ FederatedClient::FederatedClient(sim::Simulator& sim, RoutingSource& source,
 
 void FederatedClient::bind_metrics(obs::Registry& registry,
                                    const std::string& prefix) {
-  using Field = std::uint64_t Stats::*;
-  static constexpr std::pair<const char*, Field> kFields[] = {
-      {".routed_writes", &Stats::routed_writes},
-      {".routed_matches", &Stats::routed_matches},
-      {".wildcard_matches", &Stats::wildcard_matches},
-      {".peeks_sent", &Stats::peeks_sent},
-      {".directed_takes", &Stats::directed_takes},
-      {".directed_take_misses", &Stats::directed_take_misses},
-      {".misroute_refreshes", &Stats::misroute_refreshes},
-      {".table_fetches", &Stats::table_fetches},
-      {".polls", &Stats::polls},
-  };
-  std::vector<std::pair<obs::Counter*, Field>> bound;
-  for (const auto& [name, field] : kFields) {
-    bound.emplace_back(&registry.counter(prefix + name), field);
-  }
-  registry.add_collector([this, bound = std::move(bound)] {
-    for (const auto& [counter, field] : bound) counter->set(stats_.*field);
-  });
+  registry.mirror(prefix, stats_,
+                  {{".routed_writes", &Stats::routed_writes},
+                   {".routed_matches", &Stats::routed_matches},
+                   {".wildcard_matches", &Stats::wildcard_matches},
+                   {".peeks_sent", &Stats::peeks_sent},
+                   {".directed_takes", &Stats::directed_takes},
+                   {".directed_take_misses", &Stats::directed_take_misses},
+                   {".misroute_refreshes", &Stats::misroute_refreshes},
+                   {".table_fetches", &Stats::table_fetches},
+                   {".polls", &Stats::polls}});
 }
 
 sim::Task<bool> FederatedClient::ensure_table() {

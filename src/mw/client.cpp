@@ -1,7 +1,5 @@
 #include "src/mw/client.hpp"
 
-#include <climits>
-
 #include "src/obs/metrics.hpp"
 #include "src/util/assert.hpp"
 
@@ -12,10 +10,6 @@ SpaceClient::SpaceClient(sim::Simulator& sim, ClientTransport& transport,
     : sim_(&sim), transport_(&transport), codec_(&codec), config_(config) {
   transport_->on_message().connect(
       [this](std::span<const std::uint8_t> bytes) { handle_bytes(bytes); });
-}
-
-std::int64_t SpaceClient::duration_ns_of(sim::Time t) {
-  return t == space::kLeaseForever ? INT64_MAX : t.count_ns();
 }
 
 void SpaceClient::handle_bytes(std::span<const std::uint8_t> bytes) {
@@ -93,8 +87,8 @@ void SpaceClient::arm_timeout(std::uint64_t request_id) {
       });
 }
 
-void SpaceClient::call(Message request,
-                       std::function<void(std::optional<Message>)> on_done) {
+void SpaceClient::call_async(
+    Message request, std::function<void(std::optional<Message>)> on_done) {
   request.request_id = next_request_id_++;
   request.created_at_ns = sim_->now().count_ns();
   ++stats_.calls;
@@ -119,60 +113,20 @@ void SpaceClient::call(Message request,
 void SpaceClient::bind_metrics(obs::Registry& registry,
                                const std::string& prefix) {
   rpc_latency_ns_ = &registry.histogram(prefix + ".rpc_ns");
-  obs::Counter& calls = registry.counter(prefix + ".rpc.calls");
-  obs::Counter& completed = registry.counter(prefix + ".rpc.completed");
-  obs::Counter& timeouts = registry.counter(prefix + ".rpc.timeouts");
-  obs::Counter& failures = registry.counter(prefix + ".rpc.failures");
-  obs::Counter& retransmissions =
-      registry.counter(prefix + ".rpc.retransmissions");
-  obs::Counter& rejects =
-      registry.counter(prefix + ".rpc.retryable_rejects");
-  obs::Counter& events = registry.counter(prefix + ".events");
-  obs::Counter& decode_errors = registry.counter(prefix + ".decode_errors");
-  obs::Counter& strays = registry.counter(prefix + ".stray_responses");
-  obs::Counter& enc_msgs = registry.counter(prefix + ".codec.messages_encoded");
-  obs::Counter& enc_bytes = registry.counter(prefix + ".codec.bytes_encoded");
-  obs::Counter& dec_msgs = registry.counter(prefix + ".codec.messages_decoded");
-  obs::Counter& dec_bytes = registry.counter(prefix + ".codec.bytes_decoded");
-  registry.add_collector([this, &calls, &completed, &timeouts, &failures,
-                          &retransmissions, &rejects, &events, &decode_errors,
-                          &strays, &enc_msgs, &enc_bytes, &dec_msgs,
-                          &dec_bytes] {
-    calls.set(stats_.calls);
-    completed.set(stats_.completed);
-    timeouts.set(stats_.rpc_timeouts);
-    failures.set(stats_.rpc_failures);
-    retransmissions.set(stats_.retransmissions);
-    rejects.set(stats_.retryable_rejects);
-    events.set(stats_.events);
-    decode_errors.set(stats_.decode_errors);
-    strays.set(stats_.stray_responses);
-    enc_msgs.set(stats_.messages_encoded);
-    enc_bytes.set(stats_.bytes_encoded);
-    dec_msgs.set(stats_.messages_decoded);
-    dec_bytes.set(stats_.bytes_decoded);
-  });
-}
-
-// Outside the unnamed namespace: SpaceClient befriends mw::RpcAwaiter so it
-// can reach the private call().
-struct RpcAwaiter {
-  SpaceClient& client;
-  Message request;
-  std::optional<Message> response;
-
-  bool await_ready() const { return false; }
-  void await_suspend(std::coroutine_handle<> h) {
-    client.call(std::move(request), [this, h](std::optional<Message> r) {
-      response = std::move(r);
-      sim::resume_nested(h);
-    });
-  }
-  std::optional<Message> await_resume() { return std::move(response); }
-};
-
-auto SpaceClient::rpc(Message request) {
-  return RpcAwaiter{*this, std::move(request), std::nullopt};
+  registry.mirror(prefix, stats_,
+                  {{".rpc.calls", &Stats::calls},
+                   {".rpc.completed", &Stats::completed},
+                   {".rpc.timeouts", &Stats::rpc_timeouts},
+                   {".rpc.failures", &Stats::rpc_failures},
+                   {".rpc.retransmissions", &Stats::retransmissions},
+                   {".rpc.retryable_rejects", &Stats::retryable_rejects},
+                   {".events", &Stats::events},
+                   {".decode_errors", &Stats::decode_errors},
+                   {".stray_responses", &Stats::stray_responses},
+                   {".codec.messages_encoded", &Stats::messages_encoded},
+                   {".codec.bytes_encoded", &Stats::bytes_encoded},
+                   {".codec.messages_decoded", &Stats::messages_decoded},
+                   {".codec.bytes_decoded", &Stats::bytes_decoded}});
 }
 
 util::Status SpaceClient::status_of(const std::optional<Message>& response,
@@ -200,9 +154,7 @@ SpaceClient::WriteResult SpaceClient::write_result_of(
   if (result.status.ok() && response->ok) {
     result.ok = true;
     result.lease.id = response->handle;
-    result.lease.expires_at = response->expires_at_ns == INT64_MAX
-                                  ? sim::Time::max()
-                                  : sim::Time::ns(response->expires_at_ns);
+    result.lease.expires_at = sim::Time::ns(response->expires_at_ns);
   }
   return result;
 }
@@ -225,9 +177,9 @@ RpcFuture<SpaceClient::WriteResult> SpaceClient::write_async(
   Message request;
   request.type = MsgType::kWriteRequest;
   request.tuple = std::move(tuple);
-  request.duration_ns = duration_ns_of(lease_duration);
+  request.duration_ns = lease_duration.count_ns();
   request.txn = txn;
-  call(std::move(request), [future](std::optional<Message> response) {
+  call_async(std::move(request), [future](std::optional<Message> response) {
     future.resolve(write_result_of(response));
   });
   return future;
@@ -239,9 +191,9 @@ RpcFuture<SpaceClient::MatchResult> SpaceClient::match_async(
   Message request;
   request.type = type;
   request.tmpl = std::move(tmpl);
-  request.duration_ns = duration_ns_of(timeout);
+  request.duration_ns = timeout.count_ns();
   request.txn = txn;
-  call(std::move(request), [future](std::optional<Message> response) {
+  call_async(std::move(request), [future](std::optional<Message> response) {
     future.resolve(match_result_of(std::move(response)));
   });
   return future;
@@ -259,7 +211,7 @@ RpcFuture<SpaceClient::MatchResult> SpaceClient::read_match_async(
 
 RpcFuture<std::optional<Message>> SpaceClient::rpc_async(Message request) {
   RpcFuture<std::optional<Message>> future;
-  call(std::move(request), [future](std::optional<Message> response) {
+  call_async(std::move(request), [future](std::optional<Message> response) {
     future.resolve(std::move(response));
   });
   return future;
@@ -291,8 +243,8 @@ sim::Task<std::optional<std::uint64_t>> SpaceClient::notify(
   Message request;
   request.type = MsgType::kNotifyRequest;
   request.tmpl = std::move(tmpl);
-  request.duration_ns = duration_ns_of(lease_duration);
-  std::optional<Message> response = co_await rpc(std::move(request));
+  request.duration_ns = lease_duration.count_ns();
+  std::optional<Message> response = co_await rpc_async(std::move(request));
   if (!response || response->type != MsgType::kNotifyResponse || !response->ok) {
     co_return std::nullopt;
   }
@@ -305,16 +257,14 @@ sim::Task<std::optional<space::Lease>> SpaceClient::renew(
   Message request;
   request.type = MsgType::kRenewRequest;
   request.handle = lease_id;
-  request.duration_ns = duration_ns_of(extension);
-  std::optional<Message> response = co_await rpc(std::move(request));
+  request.duration_ns = extension.count_ns();
+  std::optional<Message> response = co_await rpc_async(std::move(request));
   if (!response || response->type != MsgType::kRenewResponse || !response->ok) {
     co_return std::nullopt;
   }
   space::Lease lease;
   lease.id = response->handle;
-  lease.expires_at = response->expires_at_ns == INT64_MAX
-                         ? sim::Time::max()
-                         : sim::Time::ns(response->expires_at_ns);
+  lease.expires_at = sim::Time::ns(response->expires_at_ns);
   co_return lease;
 }
 
@@ -322,8 +272,8 @@ sim::Task<std::optional<std::uint64_t>> SpaceClient::begin_transaction(
     sim::Time timeout) {
   Message request;
   request.type = MsgType::kTxnBeginRequest;
-  request.duration_ns = duration_ns_of(timeout);
-  std::optional<Message> response = co_await rpc(std::move(request));
+  request.duration_ns = timeout.count_ns();
+  std::optional<Message> response = co_await rpc_async(std::move(request));
   if (!response || response->type != MsgType::kTxnBeginResponse ||
       !response->ok) {
     co_return std::nullopt;
@@ -335,7 +285,7 @@ sim::Task<bool> SpaceClient::commit(std::uint64_t txn) {
   Message request;
   request.type = MsgType::kTxnCommitRequest;
   request.handle = txn;
-  std::optional<Message> response = co_await rpc(std::move(request));
+  std::optional<Message> response = co_await rpc_async(std::move(request));
   co_return response && response->type == MsgType::kTxnResolveResponse &&
       response->ok;
 }
@@ -344,7 +294,7 @@ sim::Task<bool> SpaceClient::abort(std::uint64_t txn) {
   Message request;
   request.type = MsgType::kTxnAbortRequest;
   request.handle = txn;
-  std::optional<Message> response = co_await rpc(std::move(request));
+  std::optional<Message> response = co_await rpc_async(std::move(request));
   co_return response && response->type == MsgType::kTxnResolveResponse &&
       response->ok;
 }
@@ -353,7 +303,7 @@ sim::Task<bool> SpaceClient::cancel(std::uint64_t handle) {
   Message request;
   request.type = MsgType::kCancelRequest;
   request.handle = handle;
-  std::optional<Message> response = co_await rpc(std::move(request));
+  std::optional<Message> response = co_await rpc_async(std::move(request));
   const bool ok =
       response && response->type == MsgType::kCancelResponse && response->ok;
   if (ok) event_callbacks_.erase(handle);

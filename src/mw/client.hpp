@@ -16,7 +16,9 @@
 // immediately, so one client coroutine can keep several requests in flight
 // on the same connection and await them in any order — the session-based
 // server answers by request id as operations complete, not in arrival
-// order. Every operation is one request and one reply on the wire.
+// order. Every operation is one request and one reply on the wire, sent by
+// call_async(); the coroutine operations await the same futures, so each
+// request takes that one path.
 #pragma once
 
 #include <coroutine>
@@ -42,6 +44,11 @@ class Registry;
 }
 
 namespace tb::mw {
+
+// A wire duration or expiry is a sim::Time's count_ns(): forever
+// (kLeaseForever) travels as INT64_MAX, and NodeCore reads INT64_MAX back as
+// forever (NodeCore::duration_of).
+static_assert(space::kLeaseForever.count_ns() == INT64_MAX);
 
 struct ClientConfig {
   /// Upper bound on any single request/response attempt;
@@ -194,21 +201,22 @@ class SpaceClient {
   /// Cancels a tuple lease or notify registration.
   sim::Task<bool> cancel(std::uint64_t handle);
 
-  // --- raw frame rpc (federation plumbing, DESIGN.md §16) --------------------
-  // The router and the replication stream speak frames the typed API does
-  // not cover (kPeekRequest, kTakeByIdRequest, kReplicate*). Both entry
+  // --- raw frame rpc ---------------------------------------------------------
+  // Every operation above is one of these calls. The router and the
+  // replication stream also speak frames the typed API does not cover
+  // (kPeekRequest, kTakeByIdRequest, kReplicate*; DESIGN.md §16). Both entry
   // points stamp request id + timestamp and run the full rpc machinery
   // (timeout, retransmission, duplicate-safe ids); nullopt = rpc failure.
 
   /// Callback form — usable outside a coroutine (the NodeCore replication
-  /// stream completes acks from plain event context).
+  /// stream completes acks from plain event context). `on_done` runs on a
+  /// zero-delay event with the response, or from the timeout event with
+  /// nullopt.
   void call_async(Message request,
-                  std::function<void(std::optional<Message>)> on_done) {
-    call(std::move(request), std::move(on_done));
-  }
+                  std::function<void(std::optional<Message>)> on_done);
 
-  /// Future form — co_await it from router coroutines; several scattered
-  /// frames can be in flight on the one connection at once.
+  /// Future form — every coroutine awaits this; several frames can be in
+  /// flight on the one connection at once.
   RpcFuture<std::optional<Message>> rpc_async(Message request);
 
   struct Stats {
@@ -237,8 +245,6 @@ class SpaceClient {
                     const std::string& prefix = "mw.client");
 
  private:
-  friend struct RpcAwaiter;
-
   struct Pending {
     std::function<void(std::optional<Message>)> complete;
     sim::EventHandle timeout_event;
@@ -250,10 +256,6 @@ class SpaceClient {
 
   void arm_timeout(std::uint64_t request_id);
 
-  /// Sends `request` (stamping id + timestamp) and completes `on_done`
-  /// via a zero-delay event with the response (nullopt on rpc timeout).
-  void call(Message request, std::function<void(std::optional<Message>)> on_done);
-
   void handle_bytes(std::span<const std::uint8_t> bytes);
 
   static WriteResult write_result_of(const std::optional<Message>& response);
@@ -264,14 +266,9 @@ class SpaceClient {
   static util::Status status_of(const std::optional<Message>& response,
                                 MsgType expected);
 
-  /// Awaitable wrapper over call().
-  auto rpc(Message request);
-
   /// Sends every match request: `type` is kTakeRequest or kReadRequest.
   RpcFuture<MatchResult> match_async(MsgType type, space::Template tmpl,
                                      sim::Time timeout, std::uint64_t txn);
-
-  static std::int64_t duration_ns_of(sim::Time t);
 
   sim::Simulator* sim_;
   ClientTransport* transport_;

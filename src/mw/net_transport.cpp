@@ -6,7 +6,7 @@ namespace tb::mw {
 namespace {
 
 /// Chops a framed byte stream into MTU-sized packets and sends each. The
-/// per-packet vector is the one copy a packet hop needs — downstream links
+/// per-packet payload is the one copy a packet hop needs — downstream links
 /// share it copy-on-write.
 template <typename SendPacket>
 void chop_and_send(std::span<const std::uint8_t> framed,
@@ -14,9 +14,8 @@ void chop_and_send(std::span<const std::uint8_t> framed,
   std::size_t offset = 0;
   while (offset < framed.size()) {
     const std::size_t chunk = std::min(params.mtu_payload, framed.size() - offset);
-    std::vector<std::uint8_t> payload(framed.begin() + offset,
-                                      framed.begin() + offset + chunk);
-    send_packet(std::move(payload));
+    send_packet(net::Payload(std::vector<std::uint8_t>(
+        framed.begin() + offset, framed.begin() + offset + chunk)));
     offset += chunk;
   }
 }
@@ -34,7 +33,7 @@ void NetClientTransport::send(std::span<const std::uint8_t> message) {
   note_sent(message.size());
   frame_buf_.clear();
   MessageFramer::frame_into(message, frame_buf_);
-  chop_and_send(frame_buf_, params_, [this](std::vector<std::uint8_t> payload) {
+  chop_and_send(frame_buf_, params_, [this](net::Payload payload) {
     net::Packet packet;
     packet.dst = server_;
     packet.seq = seq_++;
@@ -62,7 +61,7 @@ void NetServerTransport::send(SessionId session,
   frame_buf_.clear();
   MessageFramer::frame_into(message, frame_buf_);
   Session& s = it->second;
-  chop_and_send(frame_buf_, params_, [this, &s](std::vector<std::uint8_t> payload) {
+  chop_and_send(frame_buf_, params_, [this, &s](net::Payload payload) {
     net::Packet packet;
     packet.dst = s.peer;
     packet.seq = s.seq++;

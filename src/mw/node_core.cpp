@@ -1,7 +1,7 @@
 #include "src/mw/node_core.hpp"
 
 #include <algorithm>
-#include <climits>
+#include <cstdint>
 
 #include "src/obs/metrics.hpp"
 #include "src/util/assert.hpp"
@@ -18,22 +18,27 @@ NodeCore::NodeCore(space::SpaceEngine& space, ServerTransport& transport,
       });
 }
 
-sim::Time NodeCore::duration_of(std::int64_t ns) {
-  if (ns == INT64_MAX) return space::kLeaseForever;
-  return sim::Time::ns(ns);
+sim::Time NodeCore::duration_of(std::int64_t ns) const {
+  // A duration that would end past Time::max() never ends: saturating here
+  // keeps `now + duration` from overflowing anywhere downstream. INT64_MAX
+  // itself is kLeaseForever.
+  const std::int64_t now = space_->simulator().now().count_ns();
+  return ns >= INT64_MAX - now ? space::kLeaseForever : sim::Time::ns(ns);
 }
 
-std::optional<sim::Time> NodeCore::remaining_lease(
-    std::int64_t duration_ns, std::int64_t created_at_ns) const {
-  sim::Time lease_duration = duration_of(duration_ns);
-  if (lease_duration != space::kLeaseForever) {
-    // The lease counts from the send timestamp (message.hpp).
-    const sim::Time in_transit =
-        space_->simulator().now() - sim::Time::ns(created_at_ns);
-    lease_duration -= in_transit;
-    if (lease_duration <= sim::Time::zero()) return std::nullopt;
-  }
-  return lease_duration;
+Message NodeCore::reply_to(std::uint64_t id, MsgType type) {
+  Message reply;
+  reply.type = type;
+  reply.request_id = id;
+  return reply;
+}
+
+Message NodeCore::failure(const Message& request, MsgType type,
+                          util::StatusCode code, std::string text) {
+  Message reply = reply_to(request.request_id, type);
+  reply.status = static_cast<std::uint8_t>(code);
+  reply.error = std::move(text);
+  return reply;
 }
 
 void NodeCore::set_ownership(std::function<bool(std::uint64_t)> owns,
@@ -99,16 +104,40 @@ void NodeCore::record_take(const space::Tuple& taken, std::uint64_t ticket) {
   record_sink_(std::move(record));
 }
 
-void NodeCore::replicate(Message frame, std::function<void()> on_acked) {
+void NodeCore::replicate(Message frame, SessionId session, Message response) {
   TB_ASSERT(standby_);
   ++stats_.replication_forwards;
   // The data-plane ack is withheld until the standby confirms; a stream
   // failure (standby down, rpc timeout) still acks the client — the
   // documented at-least-once replica edge. A frame the standby never got
   // is a request-id gap there, and promotion applies what it held back.
-  standby_->call_async(std::move(frame),
-                       [done = std::move(on_acked)](
-                           const std::optional<Message>&) { done(); });
+  standby_->call_async(
+      std::move(frame),
+      [this, session, response = std::move(response)](
+          const std::optional<Message>&) mutable {
+        respond(session, std::move(response));
+      });
+}
+
+void NodeCore::answer_take(SessionId session, Message response,
+                           space::Tuple taken) {
+  response.ok = true;
+  response.tuple = std::move(taken);
+  if (ticketing()) {
+    // The removal is the linearization point, so the take draws its ticket
+    // here, not at request arrival (a parked take completes long after).
+    const std::uint64_t ticket = draw_ticket();
+    record_take(*response.tuple, ticket);
+    if (standby_) {
+      Message frame;
+      frame.type = MsgType::kReplicateTakeRequest;
+      frame.tmpl = space::Template::exact_of(*response.tuple);
+      frame.handle = ticket;
+      replicate(std::move(frame), session, std::move(response));
+      return;
+    }
+  }
+  respond(session, std::move(response));
 }
 
 std::size_t NodeCore::promote() {
@@ -152,16 +181,9 @@ void NodeCore::handle_bytes(SessionId session,
     // duplicate cache would pin id 0 forever. Reject without entering the
     // pipeline (and without caching the rejection).
     ++stats_.rejected_requests;
-    Message err;
-    err.type = MsgType::kError;
-    err.created_at_ns = space_->simulator().now().count_ns();
-    err.error = "missing request id";
-    err.status = static_cast<std::uint8_t>(util::StatusCode::kInvalidArgument);
-    encode_buf_.clear();
-    codec_->encode_into(err, encode_buf_);
-    ++stats_.messages_encoded;
-    stats_.bytes_encoded += encode_buf_.size();
-    transport_->send(session, encode_buf_);
+    send_uncached(session, failure(*request, MsgType::kError,
+                                   util::StatusCode::kInvalidArgument,
+                                   "missing request id"));
     return;
   }
 
@@ -207,18 +229,9 @@ void NodeCore::reject_overload(SessionId session, const Message& request) {
   // reject from the duplicate cache.
   ++stats_.overload_rejects;
   sessions_[session].in_flight.erase(request.request_id);
-  Message err;
-  err.type = MsgType::kError;
-  err.request_id = request.request_id;
-  err.created_at_ns = space_->simulator().now().count_ns();
-  err.error = "server at max_service_slots";
-  err.status =
-      static_cast<std::uint8_t>(util::StatusCode::kResourceExhausted);
-  encode_buf_.clear();
-  codec_->encode_into(err, encode_buf_);
-  ++stats_.messages_encoded;
-  stats_.bytes_encoded += encode_buf_.size();
-  transport_->send(session, encode_buf_);
+  send_uncached(session, failure(request, MsgType::kError,
+                                 util::StatusCode::kResourceExhausted,
+                                 "server at max_service_slots"));
 }
 
 void NodeCore::start_service(SessionId session, Message request) {
@@ -281,6 +294,15 @@ void NodeCore::respond(SessionId session, Message response) {
   transport_->send(session, cached->second);
 }
 
+void NodeCore::send_uncached(SessionId session, Message message) {
+  message.created_at_ns = space_->simulator().now().count_ns();
+  encode_buf_.clear();
+  codec_->encode_into(message, encode_buf_);
+  ++stats_.messages_encoded;
+  stats_.bytes_encoded += encode_buf_.size();
+  transport_->send(session, encode_buf_);
+}
+
 bool NodeCore::misrouted(const Message& request) const {
   if (!owns_) return false;
   switch (request.type) {
@@ -300,24 +322,17 @@ bool NodeCore::misrouted(const Message& request) const {
   }
 }
 
-void NodeCore::reject_misroute(SessionId session, const Message& request) {
-  ++stats_.misroute_rejects;
-  Message err;
-  err.type = MsgType::kError;
-  err.request_id = request.request_id;
-  err.error = "type_key not owned by this node";
-  err.status =
-      static_cast<std::uint8_t>(util::StatusCode::kFailedPrecondition);
-  // The node's current routing epoch rides along so the client can tell a
-  // stale table (its epoch < ours: refresh and re-route) from a race it
-  // should retry against a fresher table it already holds.
-  err.epoch = epoch_;
-  respond(session, err);
-}
-
 void NodeCore::process(SessionId session, Message request) {
   if (misrouted(request)) {
-    reject_misroute(session, request);
+    ++stats_.misroute_rejects;
+    Message err = failure(request, MsgType::kError,
+                          util::StatusCode::kFailedPrecondition,
+                          "type_key not owned by this node");
+    // The node's current routing epoch rides along so the client can tell
+    // a stale table (its epoch < ours: refresh and re-route) from a race
+    // it should retry against a fresher table it already holds.
+    err.epoch = epoch_;
+    respond(session, std::move(err));
     return;
   }
   switch (request.type) {
@@ -359,61 +374,53 @@ void NodeCore::process(SessionId session, Message request) {
       // its header). Answer typed instead of dropping the session, so a
       // mixed-version peer degrades per-operation rather than per-link.
       ++stats_.unknown_frames;
-      Message err;
-      err.type = MsgType::kError;
-      err.request_id = request.request_id;
-      err.error = "frame kind not implemented by this node";
-      err.status =
-          static_cast<std::uint8_t>(util::StatusCode::kUnimplemented);
-      respond(session, err);
+      respond(session, failure(request, MsgType::kError,
+                               util::StatusCode::kUnimplemented,
+                               "frame kind not implemented by this node"));
       return;
     }
-    default: {
-      Message err;
-      err.type = MsgType::kError;
-      err.request_id = request.request_id;
-      err.error = "unexpected message type";
-      err.status =
-          static_cast<std::uint8_t>(util::StatusCode::kInvalidArgument);
-      respond(session, err);
+    default:
+      respond(session, failure(request, MsgType::kError,
+                               util::StatusCode::kInvalidArgument,
+                               "unexpected message type"));
       return;
-    }
   }
 }
 
 void NodeCore::handle_write(SessionId session, Message& request) {
-  Message response;
-  response.type = MsgType::kWriteResponse;
-  response.request_id = request.request_id;
   if (!request.tuple) {
-    response.ok = false;
-    response.error = "write without tuple";
-    response.status =
-        static_cast<std::uint8_t>(util::StatusCode::kInvalidArgument);
-    respond(session, response);
+    respond(session, failure(request, MsgType::kWriteResponse,
+                             util::StatusCode::kInvalidArgument,
+                             "write without tuple"));
     return;
   }
   ++stats_.named_ops;
+  Message response = reply_to(request.request_id, MsgType::kWriteResponse);
+  response.ok = true;
 
-  const std::optional<sim::Time> lease_duration =
-      remaining_lease(request.duration_ns, request.created_at_ns);
-  if (!lease_duration) {
-    // Expired in transit: acknowledge, but never store ("the entry
-    // lifetime is out-of-date" — paper §5).
-    ++stats_.dead_on_arrival;
-    response.ok = true;
-    response.handle = 0;
-    response.expires_at_ns = request.created_at_ns + request.duration_ns;
-    respond(session, response);
-    return;
+  // The lease counts from the send timestamp (message.hpp), which no
+  // sender can place before time 0 or after the request's arrival.
+  const sim::Time now = space_->simulator().now();
+  const sim::Time sent = sim::Time::ns(
+      std::clamp<std::int64_t>(request.created_at_ns, 0, now.count_ns()));
+  sim::Time lease = duration_of(request.duration_ns);
+  if (lease != space::kLeaseForever) {
+    if (lease <= now - sent) {
+      // Expired in transit: acknowledge, but never store ("the entry
+      // lifetime is out-of-date" — paper §5).
+      ++stats_.dead_on_arrival;
+      response.expires_at_ns = (sent + lease).count_ns();
+      respond(session, std::move(response));
+      return;
+    }
+    lease -= now - sent;
   }
 
   if (request.txn != space::kNoTxn &&
       !space_->transaction_open(request.txn)) {
-    response.ok = false;
-    response.error = "unknown transaction";
-    response.status = static_cast<std::uint8_t>(util::StatusCode::kNotFound);
-    respond(session, response);
+    respond(session, failure(request, MsgType::kWriteResponse,
+                             util::StatusCode::kNotFound,
+                             "unknown transaction"));
     return;
   }
   // With ticketing active, the payload is copied before the store consumes
@@ -423,51 +430,54 @@ void NodeCore::handle_write(SessionId session, Message& request) {
   const bool ticketed = ticketing() && request.txn == space::kNoTxn;
   if (ticketed) recorded = *request.tuple;
   // The decoded tuple's buffers move through into the store untouched.
-  const space::Lease lease =
-      space_->write(std::move(*request.tuple), *lease_duration, request.txn);
-  response.ok = true;
-  response.handle = lease.id;
-  response.expires_at_ns = lease.expires_at == sim::Time::max()
-                               ? INT64_MAX
-                               : lease.expires_at.count_ns();
+  const space::Lease stored =
+      space_->write(std::move(*request.tuple), lease, request.txn);
+  response.handle = stored.id;
+  response.expires_at_ns = stored.expires_at.count_ns();
   if (ticketed) {
     const std::uint64_t ticket = draw_ticket();
-    if (!standby_) {
-      record_write(lease.id, std::move(recorded), ticket);
-    } else {
-      record_write(lease.id, recorded, ticket);
+    if (standby_) {
+      record_write(stored.id, recorded, ticket);
       Message frame;
       frame.type = MsgType::kReplicateWriteRequest;
       frame.tuple = std::move(recorded);
       frame.handle = ticket;
-      frame.duration_ns = *lease_duration == space::kLeaseForever
-                              ? INT64_MAX
-                              : lease_duration->count_ns();
-      replicate(std::move(frame),
-                [this, session, resp = std::move(response)]() mutable {
-                  respond(session, std::move(resp));
-                });
+      frame.duration_ns = lease.count_ns();
+      replicate(std::move(frame), session, std::move(response));
       return;
     }
+    record_write(stored.id, std::move(recorded), ticket);
   }
-  respond(session, response);
+  respond(session, std::move(response));
 }
 
 void NodeCore::handle_match(SessionId session, Message& request, bool take) {
   if (!request.tmpl) {
-    Message response;
-    response.type = MsgType::kError;
-    response.request_id = request.request_id;
-    response.error = "match without template";
-    response.status =
-        static_cast<std::uint8_t>(util::StatusCode::kInvalidArgument);
-    respond(session, response);
+    respond(session, failure(request, MsgType::kError,
+                             util::StatusCode::kInvalidArgument,
+                             "match without template"));
     return;
   }
   if (request.tmpl->name) {
     ++stats_.named_ops;
   } else {
     ++stats_.wildcard_ops;
+  }
+  if (request.txn != space::kNoTxn) {
+    // Transactional matches are if-exists only (blocking under a
+    // transaction would let a parked operation outlive its transaction),
+    // and a take under one holds its entry until the transaction resolves.
+    if (!space_->transaction_open(request.txn)) {
+      respond(session, failure(request, MsgType::kMatchResponse,
+                               util::StatusCode::kNotFound));
+      return;
+    }
+    Message response = reply_to(request.request_id, MsgType::kMatchResponse);
+    response.tuple = take ? space_->take_if_exists(*request.tmpl, request.txn)
+                          : space_->read_if_exists(*request.tmpl, request.txn);
+    response.ok = response.tuple.has_value();
+    respond(session, std::move(response));
+    return;
   }
   const sim::Time timeout = duration_of(request.duration_ns);
   // An empty blocking result means the caller's deadline passed while
@@ -476,61 +486,20 @@ void NodeCore::handle_match(SessionId session, Message& request, bool take) {
   const bool blocking = timeout > sim::Time::zero();
   auto completion = [this, session, id = request.request_id, blocking,
                      take](std::optional<space::Tuple> result) {
-    Message response;
-    response.type = MsgType::kMatchResponse;
-    response.request_id = id;
-    response.ok = result.has_value();
-    if (result && take && ticketing()) {
-      // The completion is the linearization point: the removal became
-      // visible just now, so it draws a fresh global ticket here, not at
-      // request arrival (a parked take completes long after it arrives).
-      const std::uint64_t ticket = draw_ticket();
-      record_take(*result, ticket);
-      if (standby_) {
-        Message frame;
-        frame.type = MsgType::kReplicateTakeRequest;
-        frame.tmpl = space::Template::exact_of(*result);
-        frame.handle = ticket;
-        response.tuple = std::move(result);
-        replicate(std::move(frame),
-                  [this, session, resp = std::move(response)]() mutable {
-                    respond(session, std::move(resp));
-                  });
-        return;
-      }
+    Message response = reply_to(id, MsgType::kMatchResponse);
+    if (result && take) {
+      answer_take(session, std::move(response), std::move(*result));
+      return;
     }
+    response.ok = result.has_value();
     if (result) {
       response.tuple = std::move(result);
     } else if (blocking) {
       response.status =
           static_cast<std::uint8_t>(util::StatusCode::kDeadlineExceeded);
     }
-    respond(session, response);
+    respond(session, std::move(response));
   };
-  if (request.txn != space::kNoTxn) {
-    // Transactional matches are if-exists only (blocking under a
-    // transaction would let a parked operation outlive its transaction).
-    if (!space_->transaction_open(request.txn)) {
-      Message response;
-      response.type = MsgType::kMatchResponse;
-      response.request_id = request.request_id;
-      response.ok = false;
-      response.status =
-          static_cast<std::uint8_t>(util::StatusCode::kNotFound);
-      respond(session, response);
-      return;
-    }
-    Message response;
-    response.type = MsgType::kMatchResponse;
-    response.request_id = request.request_id;
-    std::optional<space::Tuple> result =
-        take ? space_->take_if_exists(*request.tmpl, request.txn)
-             : space_->read_if_exists(*request.tmpl, request.txn);
-    response.ok = result.has_value();
-    if (result) response.tuple = std::move(result);
-    respond(session, response);
-    return;
-  }
   if (take) {
     space_->take_async(std::move(*request.tmpl), timeout,
                        std::move(completion));
@@ -541,18 +510,14 @@ void NodeCore::handle_match(SessionId session, Message& request, bool take) {
 }
 
 void NodeCore::handle_peek(SessionId session, const Message& request) {
-  Message response;
-  response.type = MsgType::kPeekResponse;
-  response.request_id = request.request_id;
   if (!request.tmpl) {
-    response.type = MsgType::kError;
-    response.error = "peek without template";
-    response.status =
-        static_cast<std::uint8_t>(util::StatusCode::kInvalidArgument);
-    respond(session, response);
+    respond(session, failure(request, MsgType::kError,
+                             util::StatusCode::kInvalidArgument,
+                             "peek without template"));
     return;
   }
   ++stats_.peeks;
+  Message response = reply_to(request.request_id, MsgType::kPeekResponse);
   if (auto found = space_->peek_oldest(*request.tmpl)) {
     response.ok = true;
     response.tuple = std::move(found->second);
@@ -561,102 +526,69 @@ void NodeCore::handle_peek(SessionId session, const Message& request) {
     // outside the federated path); the router skips such candidates.
     const auto it = ticket_of_id_.find(found->first);
     response.handle = it != ticket_of_id_.end() ? it->second : 0;
-  } else {
-    response.ok = false;
   }
-  respond(session, response);
+  respond(session, std::move(response));
 }
 
 void NodeCore::handle_take_by_id(SessionId session, const Message& request) {
   ++stats_.takes_by_id;
-  Message response;
-  response.type = MsgType::kMatchResponse;
-  response.request_id = request.request_id;
-  const std::uint64_t ticket = request.handle;
-  const auto it = id_of_ticket_.find(ticket);
-  if (it == id_of_ticket_.end()) {
-    // Never ours, or already removed: a clean miss — the router
-    // re-scatters.
-    response.ok = false;
-    respond(session, response);
+  Message response = reply_to(request.request_id, MsgType::kMatchResponse);
+  // A ticket that was never ours, or whose entry is gone, is a clean miss:
+  // the router re-scatters. So is a mapped entry the engine no longer
+  // serves: one a transaction holds, or one whose lease ran out and whose
+  // reclamation, which drops the mapping, is due. A win drops the mapping
+  // through the removal listener.
+  std::optional<space::Tuple> taken;
+  if (const auto it = id_of_ticket_.find(request.handle);
+      it != id_of_ticket_.end()) {
+    taken = space_->take_by_id(it->second);
+  }
+  if (!taken) {
+    respond(session, std::move(response));
     return;
   }
-  // A win drops the mapping through the removal listener. A miss means the
-  // entry's lease ran out and its reclamation, which drops it, is due.
-  std::optional<space::Tuple> tuple = space_->take_by_id(it->second);
-  if (!tuple) {
-    response.ok = false;
-    respond(session, response);
-    return;
-  }
-  if (ticketing()) {
-    const std::uint64_t take_ticket = draw_ticket();
-    record_take(*tuple, take_ticket);
-    if (standby_) {
-      Message frame;
-      frame.type = MsgType::kReplicateTakeRequest;
-      frame.tmpl = space::Template::exact_of(*tuple);
-      frame.handle = take_ticket;
-      response.ok = true;
-      response.tuple = std::move(tuple);
-      replicate(std::move(frame),
-                [this, session, resp = std::move(response)]() mutable {
-                  respond(session, std::move(resp));
-                });
-      return;
-    }
-  }
-  response.ok = true;
-  response.tuple = std::move(tuple);
-  respond(session, response);
+  answer_take(session, std::move(response), std::move(*taken));
 }
 
 void NodeCore::handle_replicate(SessionId session, Message& request) {
-  Message response;
-  response.type = MsgType::kReplicateResponse;
-  response.request_id = request.request_id;
-  response.handle = request.handle;
   const bool write = request.type == MsgType::kReplicateWriteRequest;
+  const std::uint64_t id = request.request_id;
+  const std::uint64_t ticket = request.handle;
+  Message response = reply_to(id, MsgType::kReplicateResponse);
   if (write ? !request.tuple || request.duration_ns <= 0 : !request.tmpl) {
-    response.ok = false;
-    response.error = write ? "replicate-write without tuple or lease"
-                           : "replicate-take without template";
-    response.status =
-        static_cast<std::uint8_t>(util::StatusCode::kInvalidArgument);
-    respond(session, response);
-    return;
-  }
-  if (!repl_session_) repl_session_ = session;
-  if (session != *repl_session_) {
+    response = failure(request, MsgType::kReplicateResponse,
+                       util::StatusCode::kInvalidArgument,
+                       write ? "replicate-write without tuple or lease"
+                             : "replicate-take without template");
+  } else if (repl_session_ && session != *repl_session_) {
     // Only the primary's stream is in ticket order; a frame from any
     // other sender has no place in it.
-    response.ok = false;
-    response.error = "replication from a second session";
-    response.status =
-        static_cast<std::uint8_t>(util::StatusCode::kFailedPrecondition);
-    respond(session, response);
-    return;
-  }
-  response.ok = true;
-  const std::uint64_t id = request.request_id;
-  // A frame below the next id, or one already held, is a retransmit that
-  // outlived its cached reply: it is answered and applied only once.
-  if (id >= repl_next_id_ && !repl_held_.contains(id)) {
-    ++stats_.replicated_buffered;
-    if (id != repl_next_id_) {
-      repl_held_.emplace(id, std::move(request));
-    } else {
-      apply_replicated(request);
-      ++repl_next_id_;
-      // The gap this frame closed may free the frames held behind it.
-      for (auto it = repl_held_.begin();
-           it != repl_held_.end() && it->first == repl_next_id_;
-           it = repl_held_.erase(it), ++repl_next_id_) {
-        apply_replicated(it->second);
+    response = failure(request, MsgType::kReplicateResponse,
+                       util::StatusCode::kFailedPrecondition,
+                       "replication from a second session");
+  } else {
+    repl_session_ = session;
+    response.ok = true;
+    // A frame below the next id, or one already held, is a retransmit that
+    // outlived its cached reply: it is answered and applied only once.
+    if (id >= repl_next_id_ && !repl_held_.contains(id)) {
+      ++stats_.replicated_buffered;
+      if (id != repl_next_id_) {
+        repl_held_.emplace(id, std::move(request));
+      } else {
+        apply_replicated(request);
+        ++repl_next_id_;
+        // The gap this frame closed may free the frames held behind it.
+        for (auto it = repl_held_.begin();
+             it != repl_held_.end() && it->first == repl_next_id_;
+             it = repl_held_.erase(it), ++repl_next_id_) {
+          apply_replicated(it->second);
+        }
       }
     }
   }
-  respond(session, response);
+  response.handle = ticket;
+  respond(session, std::move(response));
 }
 
 void NodeCore::apply_replicated(Message& frame) {
@@ -675,34 +607,46 @@ void NodeCore::apply_replicated(Message& frame) {
 
 void NodeCore::handle_txn(SessionId session, const Message& request) {
   // process() routes only the three txn kinds here.
-  Message response;
-  response.request_id = request.request_id;
   if (request.type == MsgType::kTxnBeginRequest) {
-    response.type = MsgType::kTxnBeginResponse;
-    response.ok = true;
-    response.handle =
-        space_->begin_transaction(duration_of(request.duration_ns));
-  } else {
-    response.type = MsgType::kTxnResolveResponse;
-    response.ok = request.type == MsgType::kTxnCommitRequest
-                      ? space_->commit(request.handle)
-                      : space_->abort(request.handle);
-    if (!response.ok) {
-      response.status = static_cast<std::uint8_t>(util::StatusCode::kNotFound);
+    const sim::Time timeout = duration_of(request.duration_ns);
+    if (timeout <= sim::Time::zero()) {
+      respond(session, failure(request, MsgType::kTxnBeginResponse,
+                               util::StatusCode::kInvalidArgument,
+                               "txn-begin without a positive timeout"));
+      return;
     }
+    Message response =
+        reply_to(request.request_id, MsgType::kTxnBeginResponse);
+    response.ok = true;
+    response.handle = space_->begin_transaction(timeout);
+    respond(session, std::move(response));
+    return;
   }
-  respond(session, response);
+  const bool resolved = request.type == MsgType::kTxnCommitRequest
+                            ? space_->commit(request.handle)
+                            : space_->abort(request.handle);
+  if (!resolved) {
+    respond(session, failure(request, MsgType::kTxnResolveResponse,
+                             util::StatusCode::kNotFound));
+    return;
+  }
+  Message response = reply_to(request.request_id, MsgType::kTxnResolveResponse);
+  response.ok = true;
+  respond(session, std::move(response));
 }
 
 void NodeCore::handle_notify(SessionId session, const Message& request) {
-  Message response;
-  response.request_id = request.request_id;
   if (!request.tmpl) {
-    response.type = MsgType::kError;
-    response.error = "notify without template";
-    response.status =
-        static_cast<std::uint8_t>(util::StatusCode::kInvalidArgument);
-    respond(session, response);
+    respond(session, failure(request, MsgType::kError,
+                             util::StatusCode::kInvalidArgument,
+                             "notify without template"));
+    return;
+  }
+  const sim::Time lease = duration_of(request.duration_ns);
+  if (lease <= sim::Time::zero()) {
+    respond(session, failure(request, MsgType::kError,
+                             util::StatusCode::kInvalidArgument,
+                             "notify without a positive lease"));
     return;
   }
   // The callback outlives this frame; capture what it needs by value.
@@ -710,7 +654,7 @@ void NodeCore::handle_notify(SessionId session, const Message& request) {
   // through a slot the callback reads.
   auto reg_slot = std::make_shared<std::uint64_t>(0);
   const std::uint64_t registration = space_->notify(
-      *request.tmpl, duration_of(request.duration_ns),
+      *request.tmpl, lease,
       [this, session, reg_slot](const space::Tuple& tuple) {
         Message event;
         event.type = MsgType::kEvent;
@@ -720,10 +664,10 @@ void NodeCore::handle_notify(SessionId session, const Message& request) {
       });
   *reg_slot = registration;
 
-  response.type = MsgType::kNotifyResponse;
+  Message response = reply_to(request.request_id, MsgType::kNotifyResponse);
   response.ok = true;
   response.handle = registration;
-  respond(session, response);
+  respond(session, std::move(response));
 }
 
 void NodeCore::push_event(SessionId session, Message event) {
@@ -751,63 +695,36 @@ void NodeCore::flush_events(SessionId session) {
   // reacting service) land in the next flush; swap keeps iteration stable.
   std::vector<Message> batch;
   batch.swap(state.pending_events);
-  const std::int64_t now_ns = space_->simulator().now().count_ns();
   for (Message& event : batch) {
-    event.created_at_ns = now_ns;
     ++stats_.events_pushed;
-    encode_buf_.clear();
-    codec_->encode_into(event, encode_buf_);
-    ++stats_.messages_encoded;
-    stats_.bytes_encoded += encode_buf_.size();
-    transport_->send(session, encode_buf_);
+    send_uncached(session, std::move(event));
   }
 }
 
 void NodeCore::bind_metrics(obs::Registry& registry,
                             const std::string& prefix) {
-  obs::Counter& requests = registry.counter(prefix + ".requests");
-  obs::Counter& responses = registry.counter(prefix + ".responses");
-  obs::Counter& events = registry.counter(prefix + ".events_pushed");
-  obs::Counter& decode_errors = registry.counter(prefix + ".decode_errors");
-  obs::Counter& doa = registry.counter(prefix + ".dead_on_arrival");
-  obs::Counter& replayed = registry.counter(prefix + ".duplicates_replayed");
-  obs::Counter& ignored = registry.counter(prefix + ".duplicates_ignored");
-  obs::Counter& rejected = registry.counter(prefix + ".rejected_requests");
-  obs::Counter& adm_queued = registry.counter(prefix + ".admission_queued");
-  obs::Counter& overload = registry.counter(prefix + ".overload_rejects");
-  obs::Counter& flushes =
-      registry.counter(prefix + ".notify_batch_flushes");
-  obs::Counter& misroutes = registry.counter(prefix + ".misroute_rejects");
-  obs::Counter& unknown = registry.counter(prefix + ".unknown_frames");
-  obs::Counter& enc_msgs = registry.counter(prefix + ".codec.messages_encoded");
-  obs::Counter& enc_bytes = registry.counter(prefix + ".codec.bytes_encoded");
-  obs::Counter& dec_msgs = registry.counter(prefix + ".codec.messages_decoded");
-  obs::Counter& dec_bytes = registry.counter(prefix + ".codec.bytes_decoded");
+  registry.mirror(prefix, stats_,
+                  {{".requests", &Stats::requests},
+                   {".responses", &Stats::responses},
+                   {".events_pushed", &Stats::events_pushed},
+                   {".decode_errors", &Stats::decode_errors},
+                   {".dead_on_arrival", &Stats::dead_on_arrival},
+                   {".duplicates_replayed", &Stats::duplicates_replayed},
+                   {".duplicates_ignored", &Stats::duplicates_ignored},
+                   {".rejected_requests", &Stats::rejected_requests},
+                   {".admission_queued", &Stats::admission_queued},
+                   {".overload_rejects", &Stats::overload_rejects},
+                   {".notify_batch_flushes", &Stats::notify_batch_flushes},
+                   {".misroute_rejects", &Stats::misroute_rejects},
+                   {".unknown_frames", &Stats::unknown_frames},
+                   {".codec.messages_encoded", &Stats::messages_encoded},
+                   {".codec.bytes_encoded", &Stats::bytes_encoded},
+                   {".codec.messages_decoded", &Stats::messages_decoded},
+                   {".codec.bytes_decoded", &Stats::bytes_decoded}});
   obs::Gauge& oplog_records = registry.gauge(prefix + ".oplog_records");
   obs::Gauge& mappings = registry.gauge(prefix + ".ticket_mappings");
   obs::Gauge& standby_buffered = registry.gauge(prefix + ".standby_buffered");
-  registry.add_collector([this, &requests, &responses, &events, &decode_errors,
-                          &doa, &replayed, &ignored, &rejected, &adm_queued,
-                          &overload, &flushes, &misroutes, &unknown,
-                          &enc_msgs, &enc_bytes, &dec_msgs, &dec_bytes,
-                          &oplog_records, &mappings, &standby_buffered] {
-    requests.set(stats_.requests);
-    responses.set(stats_.responses);
-    events.set(stats_.events_pushed);
-    decode_errors.set(stats_.decode_errors);
-    doa.set(stats_.dead_on_arrival);
-    replayed.set(stats_.duplicates_replayed);
-    ignored.set(stats_.duplicates_ignored);
-    rejected.set(stats_.rejected_requests);
-    adm_queued.set(stats_.admission_queued);
-    overload.set(stats_.overload_rejects);
-    flushes.set(stats_.notify_batch_flushes);
-    misroutes.set(stats_.misroute_rejects);
-    unknown.set(stats_.unknown_frames);
-    enc_msgs.set(stats_.messages_encoded);
-    enc_bytes.set(stats_.bytes_encoded);
-    dec_msgs.set(stats_.messages_decoded);
-    dec_bytes.set(stats_.bytes_decoded);
+  registry.add_collector([this, &oplog_records, &mappings, &standby_buffered] {
     oplog_records.set(static_cast<double>(records_logged_));
     mappings.set(static_cast<double>(ticket_of_id_.size()));
     standby_buffered.set(static_cast<double>(repl_held_.size()));
@@ -815,40 +732,41 @@ void NodeCore::bind_metrics(obs::Registry& registry,
 }
 
 void NodeCore::handle_renew(SessionId session, const Message& request) {
-  Message response;
-  response.type = MsgType::kRenewResponse;
-  response.request_id = request.request_id;
+  const sim::Time extension = duration_of(request.duration_ns);
+  if (extension <= sim::Time::zero()) {
+    respond(session, failure(request, MsgType::kRenewResponse,
+                             util::StatusCode::kInvalidArgument,
+                             "renew without a positive extension"));
+    return;
+  }
   const std::optional<space::Lease> lease =
-      space_->renew(request.handle, duration_of(request.duration_ns));
-  response.ok = lease.has_value();
-  if (lease) {
-    response.handle = lease->id;
-    response.expires_at_ns = lease->expires_at == sim::Time::max()
-                                 ? INT64_MAX
-                                 : lease->expires_at.count_ns();
-  } else {
+      space_->renew(request.handle, extension);
+  if (!lease) {
     // Already expired, taken, or never existed: renewal has nothing to
     // extend.
-    response.status = static_cast<std::uint8_t>(util::StatusCode::kNotFound);
+    respond(session, failure(request, MsgType::kRenewResponse,
+                             util::StatusCode::kNotFound));
+    return;
   }
-  respond(session, response);
+  Message response = reply_to(request.request_id, MsgType::kRenewResponse);
+  response.ok = true;
+  response.handle = lease->id;
+  response.expires_at_ns = lease->expires_at.count_ns();
+  respond(session, std::move(response));
 }
 
 void NodeCore::handle_cancel(SessionId session, const Message& request) {
-  Message response;
-  response.type = MsgType::kCancelResponse;
-  response.request_id = request.request_id;
   // Space ids are globally unique, so try tuples first, then notify
   // registrations.
-  if (space_->cancel(request.handle)) {
-    response.ok = true;
-  } else if (space_->cancel_notify(request.handle)) {
-    response.ok = true;
-  } else {
-    response.ok = false;
-    response.status = static_cast<std::uint8_t>(util::StatusCode::kNotFound);
+  if (!space_->cancel(request.handle) &&
+      !space_->cancel_notify(request.handle)) {
+    respond(session, failure(request, MsgType::kCancelResponse,
+                             util::StatusCode::kNotFound));
+    return;
   }
-  respond(session, response);
+  Message response = reply_to(request.request_id, MsgType::kCancelResponse);
+  response.ok = true;
+  respond(session, std::move(response));
 }
 
 }  // namespace tb::mw

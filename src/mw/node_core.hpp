@@ -35,6 +35,14 @@
 // admission queue (ServerConfig::max_service_slots / admission_queue_limit)
 // into the service stage; see message.hpp for why leases count from the
 // request's send timestamp.
+//
+// Replies (DESIGN.md §10): reply_to() starts every answer and failure()
+// builds every typed rejection. respond() stamps, encodes, caches and sends
+// a request's reply; send_uncached() sends the three replies that must not
+// enter the duplicate cache: the id-0 reject, the overload shed and notify
+// events. Every completed take, whether a match or a directed take, commits
+// through answer_take(): ticket, kTakeExact record and, with a standby, the
+// replication frame whose ack releases the reply.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +63,7 @@
 #include "src/sim/simulator.hpp"
 #include "src/space/engine.hpp"
 #include "src/space/oplog.hpp"
+#include "src/util/status.hpp"
 
 namespace tb::obs {
 class Registry;
@@ -224,7 +233,18 @@ class NodeCore {
   void push_event(SessionId session, Message event);
   void flush_events(SessionId session);
   void process(SessionId session, Message request);
+
+  /// An empty (not ok) reply of `type` to request `id`.
+  static Message reply_to(std::uint64_t id, MsgType type);
+  /// A typed rejection of `request`: a `type` reply, not ok, with `code`
+  /// and `text`.
+  static Message failure(const Message& request, MsgType type,
+                         util::StatusCode code, std::string text = {});
+  /// Stamps, encodes and sends a request's reply, caching the bytes for
+  /// duplicate replay.
   void respond(SessionId session, Message response);
+  /// Stamps, encodes and sends a message the duplicate cache must not pin.
+  void send_uncached(SessionId session, Message message);
 
   void handle_write(SessionId session, Message& request);
   void handle_match(SessionId session, Message& request, bool take);
@@ -242,8 +262,6 @@ class NodeCore {
   /// which, frames applying in ticket order, is the one the primary took.
   void apply_replicated(Message& frame);
 
-  /// The mis-routed-key reject: kError + kFailedPrecondition + epoch.
-  void reject_misroute(SessionId session, const Message& request);
   /// True when the ownership filter is active and vetoes this request's
   /// type_key (named data ops only).
   bool misrouted(const Message& request) const;
@@ -262,15 +280,19 @@ class NodeCore {
   void map_ticket(std::uint64_t entry_id, std::uint64_t ticket);
   /// The engine's removal listener: drops the entry's ticket mapping.
   void forget_entry(std::uint64_t entry_id);
-  /// Forwards one record on the replication stream; `on_acked` runs when
-  /// the standby confirms. Callers forward only when a standby is attached.
-  void replicate(Message frame, std::function<void()> on_acked);
+  /// Forwards one record on the replication stream and sends `response`
+  /// to `session` once the standby confirms. Callers forward only when a
+  /// standby is attached.
+  void replicate(Message frame, SessionId session, Message response);
+  /// Answers a take that removed `taken` — the one commit path for match
+  /// and directed takes: with ticketing it draws the take's ticket and
+  /// records kTakeExact; with a standby it forwards the exact-template
+  /// frame and withholds the answer until the standby confirms.
+  void answer_take(SessionId session, Message response, space::Tuple taken);
 
-  /// Lease/timeout duration left after transit; nullopt = dead on arrival.
-  std::optional<sim::Time> remaining_lease(std::int64_t duration_ns,
-                                           std::int64_t created_at_ns) const;
-
-  static sim::Time duration_of(std::int64_t ns);
+  /// The one reader of a wire duration (DESIGN.md §10): INT64_MAX, or any
+  /// duration that would end past Time::max(), is kLeaseForever.
+  sim::Time duration_of(std::int64_t ns) const;
 
   space::SpaceEngine* space_;
   ServerTransport* transport_;
@@ -279,7 +301,7 @@ class NodeCore {
 
   static constexpr std::size_t kResponseCacheSize = 64;
   std::unordered_map<SessionId, Session> sessions_;
-  std::vector<std::uint8_t> encode_buf_;  ///< reused for event pushes
+  std::vector<std::uint8_t> encode_buf_;  ///< reused by send_uncached()
 
   /// Requests waiting for a service slot (max_service_slots), FIFO across
   /// sessions.

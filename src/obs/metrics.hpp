@@ -6,9 +6,10 @@
 //  * push — hot paths hold a `Counter*` / `Histogram*` obtained once from
 //    bind_metrics() and update it inline. An update is a branch plus an
 //    integer add; no clock read, no lookup, no allocation.
-//  * pull — components that already keep a Stats struct register a
-//    collector; Registry::snapshot() runs the collectors first, so the
-//    struct is copied into instruments only when somebody looks.
+//  * pull — a component that already keeps a Stats struct mirrors it with
+//    Registry::mirror(); levels that live elsewhere (queue depths, sizes)
+//    register a collector. Registry::snapshot() runs the collectors first,
+//    so the values are copied into instruments only when somebody looks.
 //
 // The registry is sim-time aware: it carries a nanosecond clock (normally
 // the simulator's), stamps every snapshot with it, and derives per-window
@@ -22,10 +23,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace tb::obs {
@@ -171,6 +174,23 @@ class Registry {
   /// Stats struct into instruments via Counter::set / Gauge::set.
   void add_collector(std::function<void()> collector) {
     collectors_.push_back(std::move(collector));
+  }
+
+  /// The one pull path for a component's Stats struct: at every snapshot,
+  /// counter `prefix + suffix` is set to `stats.*field` for each
+  /// `{suffix, field}` pair. `stats` must outlive the registry.
+  template <typename Stats>
+  void mirror(const std::string& prefix, const Stats& stats,
+              std::initializer_list<
+                  std::pair<const char*, std::uint64_t Stats::*>> fields) {
+    std::vector<std::pair<Counter*, std::uint64_t Stats::*>> bound;
+    bound.reserve(fields.size());
+    for (const auto& [suffix, field] : fields) {
+      bound.emplace_back(&counter(prefix + suffix), field);
+    }
+    add_collector([&stats, bound = std::move(bound)] {
+      for (const auto& [counter, field] : bound) counter->set(stats.*field);
+    });
   }
 
   /// Runs collectors, stamps the clock, and copies every instrument.

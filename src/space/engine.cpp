@@ -462,17 +462,18 @@ void SpaceEngine::bind_metrics(obs::Registry& registry,
                                const std::string& prefix) {
   match_read_ns_ = &registry.histogram(prefix + ".match_ns.read");
   match_take_ns_ = &registry.histogram(prefix + ".match_ns.take");
-  obs::Counter& writes = registry.counter(prefix + ".writes");
-  obs::Counter& reads = registry.counter(prefix + ".reads");
-  obs::Counter& takes = registry.counter(prefix + ".takes");
-  obs::Counter& misses = registry.counter(prefix + ".misses");
-  obs::Counter& notifications = registry.counter(prefix + ".notifications");
-  obs::Counter& expirations = registry.counter(prefix + ".expirations");
-  obs::Counter& renewals = registry.counter(prefix + ".renewals");
-  obs::Counter& cancellations = registry.counter(prefix + ".cancellations");
-  obs::Counter& scan_steps = registry.counter(prefix + ".scan_steps");
-  obs::Counter& commits = registry.counter(prefix + ".commits");
-  obs::Counter& aborts = registry.counter(prefix + ".aborts");
+  registry.mirror(prefix, stats_,
+                  {{".writes", &Stats::writes},
+                   {".reads", &Stats::reads},
+                   {".takes", &Stats::takes},
+                   {".misses", &Stats::misses},
+                   {".notifications", &Stats::notifications},
+                   {".expirations", &Stats::expirations},
+                   {".renewals", &Stats::renewals},
+                   {".cancellations", &Stats::cancellations},
+                   {".scan_steps", &Stats::scan_steps},
+                   {".commits", &Stats::commits},
+                   {".aborts", &Stats::aborts}});
   obs::Gauge& size = registry.gauge(prefix + ".size");
   obs::Gauge& stored = registry.gauge(prefix + ".stored_bytes");
   obs::Gauge& blocked = registry.gauge(prefix + ".blocked");
@@ -496,22 +497,8 @@ void SpaceEngine::bind_metrics(obs::Registry& registry,
   }
   obs::Gauge& wildcard_blocked = registry.gauge(prefix + ".wildcard_blocked");
 
-  registry.add_collector([this, &writes, &reads, &takes, &misses,
-                          &notifications, &expirations, &renewals,
-                          &cancellations, &scan_steps, &commits, &aborts,
-                          &size, &stored, &blocked, &wildcard_blocked,
+  registry.add_collector([this, &size, &stored, &blocked, &wildcard_blocked,
                           per_shard = std::move(per_shard)] {
-    writes.set(stats_.writes);
-    reads.set(stats_.reads);
-    takes.set(stats_.takes);
-    misses.set(stats_.misses);
-    notifications.set(stats_.notifications);
-    expirations.set(stats_.expirations);
-    renewals.set(stats_.renewals);
-    cancellations.set(stats_.cancellations);
-    scan_steps.set(stats_.scan_steps);
-    commits.set(stats_.commits);
-    aborts.set(stats_.aborts);
     size.set(static_cast<double>(this->size()));
     stored.set(static_cast<double>(stored_bytes()));
     blocked.set(static_cast<double>(blocked_operations()));

@@ -5,18 +5,13 @@ namespace tb::wire {
 void bind_metrics(obs::Registry& registry, BusModel& bus,
                   const std::string& prefix) {
   const std::string base = prefix + ".bus.";
-  obs::Counter& cycles = registry.counter(base + "cycles");
-  obs::Counter& ok = registry.counter(base + "ok");
-  obs::Counter& timeouts = registry.counter(base + "timeouts");
-  obs::Counter& crc_errors = registry.counter(base + "crc_errors");
-  obs::Counter& frames_tx = registry.counter(base + "frames_tx");
   obs::Counter& frames_rx = registry.counter(base + "frames_rx");
   obs::Histogram& cycle_ns = registry.histogram(base + "cycle_ns");
 
   bus.on_cycle().connect([&registry, &frames_rx, &cycle_ns,
                           base](const CycleTrace& trace) {
-    // frames_tx / status counters come from the bus Stats collector below;
-    // the signal adds what Stats cannot: RX word sightings and latency.
+    // frames_tx / status counters mirror the bus Stats below; the signal
+    // adds what Stats cannot: RX word sightings and latency.
     if (trace.rx_seen) frames_rx.add();
     const std::uint64_t ns =
         static_cast<std::uint64_t>((trace.end - trace.start).count_ns());
@@ -28,23 +23,19 @@ void bind_metrics(obs::Registry& registry, BusModel& bus,
     }
   });
 
+  using Stats = BusModel::Stats;
+  registry.mirror(base, bus.stats(),
+                  {{"cycles", &Stats::cycles},
+                   {"ok", &Stats::ok},
+                   {"timeouts", &Stats::timeouts},
+                   {"crc_errors", &Stats::crc_errors},
+                   // Every cycle puts exactly one TX word out.
+                   {"frames_tx", &Stats::cycles},
+                   {"tx_corrupted", &Stats::tx_corrupted},
+                   {"rx_corrupted", &Stats::rx_corrupted}});
   obs::Gauge& utilization = registry.gauge(base + "utilization");
-  registry.add_collector([&bus, &cycles, &ok, &timeouts, &crc_errors,
-                          &frames_tx, &utilization] {
-    const BusModel::Stats& stats = bus.stats();
-    cycles.set(stats.cycles);
-    ok.set(stats.ok);
-    timeouts.set(stats.timeouts);
-    crc_errors.set(stats.crc_errors);
-    frames_tx.set(stats.cycles);  // every cycle puts exactly one TX word out
-    utilization.set(bus.utilization());
-  });
-  obs::Counter& tx_corrupted = registry.counter(base + "tx_corrupted");
-  obs::Counter& rx_corrupted = registry.counter(base + "rx_corrupted");
-  registry.add_collector([&bus, &tx_corrupted, &rx_corrupted] {
-    tx_corrupted.set(bus.stats().tx_corrupted);
-    rx_corrupted.set(bus.stats().rx_corrupted);
-  });
+  registry.add_collector(
+      [&bus, &utilization] { utilization.set(bus.utilization()); });
 }
 
 void bind_metrics(obs::Registry& registry, Master& master,
@@ -55,25 +46,15 @@ void bind_metrics(obs::Registry& registry, Master& master,
     transact_ns.record(static_cast<std::uint64_t>((t.end - t.start).count_ns()));
   });
 
-  obs::Counter& operations = registry.counter(base + "operations");
-  obs::Counter& frames_sent = registry.counter(base + "frames_sent");
-  obs::Counter& retries = registry.counter(base + "retries");
-  obs::Counter& failures = registry.counter(base + "failures");
-  obs::Counter& select_skips = registry.counter(base + "select_skips");
-  obs::Counter& address_skips = registry.counter(base + "address_skips");
-  obs::Counter& ack_losses = registry.counter(base + "ack_losses");
-  registry.add_collector([&master, &operations, &frames_sent, &retries,
-                          &failures, &select_skips, &address_skips,
-                          &ack_losses] {
-    const Master::Stats& stats = master.stats();
-    operations.set(stats.operations);
-    frames_sent.set(stats.frames_sent);
-    retries.set(stats.retries);
-    failures.set(stats.failures);
-    select_skips.set(stats.select_skips);
-    address_skips.set(stats.address_skips);
-    ack_losses.set(stats.ack_losses);
-  });
+  using Stats = Master::Stats;
+  registry.mirror(base, master.stats(),
+                  {{"operations", &Stats::operations},
+                   {"frames_sent", &Stats::frames_sent},
+                   {"retries", &Stats::retries},
+                   {"failures", &Stats::failures},
+                   {"select_skips", &Stats::select_skips},
+                   {"address_skips", &Stats::address_skips},
+                   {"ack_losses", &Stats::ack_losses}});
 }
 
 }  // namespace tb::wire

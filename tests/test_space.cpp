@@ -782,7 +782,10 @@ TEST(ShardStoreMemory, HeapPerIndexedEntry) {
   const std::size_t before = mallinfo2().uordblks;
   for (int i = 0; i < kEntries; ++i) {
     const std::int64_t v = i;
-    Tuple tuple = space::make_tuple("k" + std::to_string(i % 1024), v, v);
+    // Built with += : GCC 12's -Wrestrict misfires on "k" + std::string.
+    std::string name = "k";
+    name += std::to_string(i % 1024);
+    Tuple tuple = space::make_tuple(std::move(name), v, v);
     const std::uint64_t key = type_key(tuple.name, tuple.arity());
     store.store(static_cast<std::uint64_t>(i) + 1, key, std::move(tuple),
                 kNoDeadline);

@@ -219,7 +219,11 @@ TEST_F(FedClusterTest, StaleRouterRefreshesOnMisroute) {
     CO_ASSERT_TRUE(taken.has_value());
   });
 
-  EXPECT_GE(router->stats().misroute_refreshes, 1u);
+  // Exact: one fetch warms the table, one refresh follows the single
+  // mis-route, and the op sequence ends at a pinned simulated time.
+  EXPECT_EQ(router->stats().table_fetches, 2u);
+  EXPECT_EQ(router->stats().misroute_refreshes, 1u);
+  EXPECT_EQ(sim.now().count_ns(), 9600000);
   const mw::NodeCore::Stats& old_owner = cluster.core(3).stats();
   EXPECT_GE(old_owner.misroute_rejects, 1u);
 }

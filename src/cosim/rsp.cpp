@@ -115,7 +115,6 @@ void RspParser::feed_byte(std::uint8_t byte) {
       }
       if (computed == received) {
         ready_.push_back(payload_);
-        ++packets_;
         acks_.push_back('+');
       } else {
         ++checksum_errors_;

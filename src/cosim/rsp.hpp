@@ -37,7 +37,6 @@ class RspParser {
   /// Drains the pending ack bytes the receiver should transmit.
   std::vector<std::uint8_t> take_acks();
 
-  std::uint64_t packets() const { return packets_; }
   std::uint64_t checksum_errors() const { return checksum_errors_; }
   std::uint64_t junk_bytes() const { return junk_bytes_; }
 
@@ -49,7 +48,6 @@ class RspParser {
   std::uint8_t checksum_hi_ = 0;
   std::vector<std::vector<std::uint8_t>> ready_;
   std::vector<std::uint8_t> acks_;
-  std::uint64_t packets_ = 0;
   std::uint64_t checksum_errors_ = 0;
   std::uint64_t junk_bytes_ = 0;
 };

@@ -139,7 +139,6 @@ class WireScenario {
   /// Call `checker().finish()` after the workload for the space ledger check.
   fault::InvariantChecker& checker() { return *checker_; }
 
-  bool has_faults() const { return fault_plan_ != nullptr; }
   fault::FaultPlan& fault_plan() { return *fault_plan_; }
 
  private:

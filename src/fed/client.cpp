@@ -27,7 +27,8 @@ constexpr sim::Time kPollInterval = sim::Time::ms(5);
 
 }  // namespace
 
-FederatedClient::FederatedClient(sim::Simulator& sim, RoutingSource& source,
+FederatedClient::FederatedClient(sim::Simulator& sim,
+                                 const SharedRoutingSource& source,
                                  Resolver resolver)
     : sim_(&sim), source_(&source), resolver_(std::move(resolver)) {}
 
@@ -45,20 +46,18 @@ void FederatedClient::bind_metrics(obs::Registry& registry,
                    {".polls", &Stats::polls}});
 }
 
-sim::Task<bool> FederatedClient::ensure_table() {
-  if (table_ && !table_->empty()) co_return true;
+bool FederatedClient::ensure_table() {
+  if (!table_.empty()) return true;
   ++stats_.table_fetches;
-  table_ = co_await source_->fetch();
-  co_return table_ && !table_->empty();
+  if (source_->current().empty()) return false;
+  table_ = source_->current();
+  return true;
 }
 
-sim::Task<void> FederatedClient::refresh_table() {
+void FederatedClient::refresh_table() {
   ++stats_.misroute_refreshes;
   ++stats_.table_fetches;
-  std::optional<RoutingTable> fetched = co_await source_->fetch();
-  if (fetched && !fetched->empty()) {
-    table_ = std::move(fetched);
-  }
+  if (!source_->current().empty()) table_ = source_->current();
 }
 
 sim::Task<bool> FederatedClient::write(space::Tuple tuple, sim::Time lease) {
@@ -69,7 +68,7 @@ sim::Task<bool> FederatedClient::write(space::Tuple tuple, sim::Time lease) {
 
 sim::Task<util::Status> FederatedClient::write_status(space::Tuple tuple,
                                                       sim::Time lease) {
-  if (!co_await ensure_table()) {
+  if (!ensure_table()) {
     co_return util::Unavailable("no routing table");
   }
   const std::uint64_t key =
@@ -77,7 +76,7 @@ sim::Task<util::Status> FederatedClient::write_status(space::Tuple tuple,
   int route_retries = kMaxRouteRetries;
   int same_node_retries = kMaxRetryableRetries;
   while (true) {
-    const std::uint32_t owner = table_->owner_of(key);
+    const std::uint32_t owner = table_.owner_of(key);
     mw::SpaceClient* client = client_for(owner);
     if (client == nullptr) {
       // No channel: the table outran the fabric (node died, promotion in
@@ -85,7 +84,7 @@ sim::Task<util::Status> FederatedClient::write_status(space::Tuple tuple,
       if (route_retries-- <= 0) {
         co_return util::Unavailable("no channel to owner node");
       }
-      co_await refresh_table();
+      refresh_table();
       continue;
     }
     ++stats_.routed_writes;
@@ -93,7 +92,7 @@ sim::Task<util::Status> FederatedClient::write_status(space::Tuple tuple,
         co_await client->write_async(tuple, lease);  // copy: may re-route
     if (result.status.code() == util::StatusCode::kFailedPrecondition) {
       if (route_retries-- <= 0) co_return result.status;
-      co_await refresh_table();
+      refresh_table();
       continue;
     }
     if (!result.status.ok() && result.status.retryable() &&
@@ -120,15 +119,15 @@ sim::Task<std::optional<space::Tuple>> FederatedClient::read(
 
 sim::Task<std::optional<space::Tuple>> FederatedClient::named_match(
     space::Template tmpl, sim::Time timeout, bool take) {
-  if (!co_await ensure_table()) co_return std::nullopt;
+  if (!ensure_table()) co_return std::nullopt;
   const std::uint64_t key = space::type_key(*tmpl.name, tmpl.fields.size());
   int route_retries = kMaxRouteRetries;
   while (true) {
-    const std::uint32_t owner = table_->owner_of(key);
+    const std::uint32_t owner = table_.owner_of(key);
     mw::SpaceClient* client = client_for(owner);
     if (client == nullptr) {
       if (route_retries-- <= 0) co_return std::nullopt;
-      co_await refresh_table();
+      refresh_table();
       continue;
     }
     ++stats_.routed_matches;
@@ -143,7 +142,7 @@ sim::Task<std::optional<space::Tuple>> FederatedClient::named_match(
     }
     if (result.status.code() == util::StatusCode::kFailedPrecondition) {
       if (route_retries-- <= 0) co_return std::nullopt;
-      co_await refresh_table();
+      refresh_table();
       continue;
     }
     // OK with a tuple = match; OK without = clean miss; DEADLINE_EXCEEDED
@@ -154,7 +153,7 @@ sim::Task<std::optional<space::Tuple>> FederatedClient::named_match(
 
 sim::Task<std::optional<space::Tuple>> FederatedClient::wildcard_match(
     space::Template tmpl, sim::Time timeout, bool take) {
-  if (!co_await ensure_table()) co_return std::nullopt;
+  if (!ensure_table()) co_return std::nullopt;
   ++stats_.wildcard_matches;
   const bool blocking =
       timeout > sim::Time::zero() || timeout == space::kLeaseForever;
@@ -167,9 +166,9 @@ sim::Task<std::optional<space::Tuple>> FederatedClient::wildcard_match(
     // channel. Refresh before scattering or a post-failover table — the
     // promoted standby holding the dead node's entries — would never be
     // probed and its tuples would stay invisible to this router.
-    for (const std::uint32_t node : table_->nodes()) {
+    for (const std::uint32_t node : table_.nodes()) {
       if (client_for(node) == nullptr) {
-        co_await refresh_table();
+        refresh_table();
         break;
       }
     }
@@ -192,7 +191,7 @@ sim::Task<std::optional<space::Tuple>> FederatedClient::scatter_once(
     std::vector<std::pair<std::uint32_t,
                           mw::RpcFuture<std::optional<mw::Message>>>>
         peeks;
-    for (const std::uint32_t node : table_->nodes()) {
+    for (const std::uint32_t node : table_.nodes()) {
       mw::SpaceClient* client = client_for(node);
       if (client == nullptr) continue;
       mw::Message request;

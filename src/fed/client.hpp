@@ -6,7 +6,7 @@
 //  * named operations (writes; reads/takes with a name-constrained
 //    template) hash the type_key through the cached RoutingTable and go to
 //    exactly one node. A kFailedPrecondition reject means the table is
-//    stale: refresh through the RoutingSource and re-route (bounded).
+//    stale: re-read the SharedRoutingSource and re-route (bounded).
 //    Canonically retryable rejects (RESOURCE_EXHAUSTED, UNAVAILABLE) retry
 //    against the same owner — re-routing on overload would violate
 //    ownership.
@@ -45,7 +45,7 @@ class FederatedClient final : public svc::SpaceApi {
   /// that node; nullptr = no channel (the node is treated as unreachable).
   using Resolver = std::function<mw::SpaceClient*(std::uint32_t)>;
 
-  FederatedClient(sim::Simulator& sim, RoutingSource& source,
+  FederatedClient(sim::Simulator& sim, const SharedRoutingSource& source,
                   Resolver resolver);
 
   sim::Task<bool> write(space::Tuple tuple, sim::Time lease) override;
@@ -58,7 +58,7 @@ class FederatedClient final : public svc::SpaceApi {
   sim::Simulator& simulator() override { return *sim_; }
 
   /// The epoch of the cached table (0 = none fetched yet).
-  std::uint64_t table_epoch() const { return table_ ? table_->epoch : 0; }
+  std::uint64_t table_epoch() const { return table_.epoch; }
 
   struct Stats {
     std::uint64_t routed_writes = 0;   ///< named writes dispatched
@@ -82,12 +82,12 @@ class FederatedClient final : public svc::SpaceApi {
 
  private:
   /// Fetches a table when none is cached; false when the source has none.
-  sim::Task<bool> ensure_table();
+  bool ensure_table();
   /// Re-fetches after a mis-route reject or a member with no channel. A
-  /// fetched table may itself be stale (the authority write hasn't landed
-  /// yet); it is still installed, and the bounded retry loop re-fetches on
-  /// the next reject.
-  sim::Task<void> refresh_table();
+  /// fetched table may itself be stale (the ownership filters are not yet
+  /// restamped); it is still installed, and the bounded retry loop
+  /// re-fetches on the next reject.
+  void refresh_table();
 
   mw::SpaceClient* client_for(std::uint32_t node) const {
     return resolver_(node);
@@ -104,9 +104,9 @@ class FederatedClient final : public svc::SpaceApi {
       const space::Template& tmpl, bool take);
 
   sim::Simulator* sim_;
-  RoutingSource* source_;
+  const SharedRoutingSource* source_;
   Resolver resolver_;
-  std::optional<RoutingTable> table_;
+  RoutingTable table_;  ///< empty (epoch 0) until the first fetch
   Stats stats_;
 };
 

@@ -35,13 +35,6 @@ void HashRing::add_node_as(std::uint32_t node_id, std::uint32_t slot_id) {
   std::sort(points_.begin(), points_.end());
 }
 
-void HashRing::remove_node(std::uint32_t node_id) {
-  if (members_.erase(node_id) == 0) return;
-  std::erase_if(points_, [node_id](const auto& point) {
-    return point.second == node_id;
-  });
-}
-
 std::uint32_t HashRing::owner_of(std::uint64_t type_key) const {
   TB_REQUIRE(!points_.empty());
   // Re-mix the key: type_key is FNV over short names, whose low bits

@@ -34,8 +34,6 @@ class HashRing {
   /// cluster changes owner (a plain remove+add would remap ~K/N unrelated
   /// keys toward nodes that do not hold the data).
   void add_node_as(std::uint32_t node_id, std::uint32_t slot_id);
-  /// No-op when the node is not a member.
-  void remove_node(std::uint32_t node_id);
 
   bool contains(std::uint32_t node_id) const {
     return members_.contains(node_id);

@@ -42,8 +42,6 @@ class LoopbackHub final : public ServerTransport {
   using ServerTransport::send;
   void send(SessionId session, std::span<const std::uint8_t> message) override;
 
-  std::size_t session_count() const { return clients_.size(); }
-
  private:
   friend class LoopbackClient;
   void client_to_server(SessionId session, std::vector<std::uint8_t> message);

@@ -16,7 +16,7 @@ class Parser {
 
   std::optional<XmlNode> parse_document() {
     skip_whitespace_and_misc();
-    std::optional<XmlNode> root = parse_element();
+    std::optional<XmlNode> root = parse_element(1);
     if (!root) return std::nullopt;
     skip_whitespace_and_misc();
     if (pos_ != text_.size()) return std::nullopt;  // trailing garbage
@@ -76,8 +76,8 @@ class Parser {
     return std::string(text_.substr(start, pos_ - start));
   }
 
-  std::optional<XmlNode> parse_element() {
-    if (!consume('<')) return std::nullopt;
+  std::optional<XmlNode> parse_element(int depth) {
+    if (depth > kMaxXmlDepth || !consume('<')) return std::nullopt;
     std::optional<std::string> name = parse_name();
     if (!name) return std::nullopt;
     XmlNode node;
@@ -122,7 +122,7 @@ class Parser {
         return node;
       }
       if (!at_end() && peek() == '<') {
-        std::optional<XmlNode> childNode = parse_element();
+        std::optional<XmlNode> childNode = parse_element(depth + 1);
         if (!childNode) return std::nullopt;
         node.children.push_back(std::move(*childNode));
         continue;

@@ -5,6 +5,11 @@
 // the space protocol emits. No namespaces, DTDs or processing instructions;
 // comments are skipped. The parser is strict about well-formedness within
 // that subset and reports failures as std::nullopt.
+//
+// The parser recurses once per element level, so it caps the depth at
+// kMaxXmlDepth and rejects deeper documents: a hostile frame (the framer
+// admits up to 16 MiB) must not overflow the native stack. The protocol's
+// own messages nest at most 4 levels deep.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +35,11 @@ struct XmlNode {
   std::optional<std::string> attribute(std::string_view key) const;
 };
 
-/// Parses a single-rooted document. nullopt on malformed input.
+/// Deepest element nesting xml_parse() accepts; the root is level 1.
+inline constexpr int kMaxXmlDepth = 64;
+
+/// Parses a single-rooted document. nullopt on malformed input or on
+/// nesting deeper than kMaxXmlDepth.
 std::optional<XmlNode> xml_parse(std::string_view text);
 
 /// Append-only serializer writing straight into a caller-owned byte buffer —

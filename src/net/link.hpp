@@ -51,7 +51,6 @@ class SimplexLink {
     std::size_t max_queue_depth = 0;
   };
   const Stats& stats() const { return stats_; }
-  std::size_t queue_depth() const { return queue_.size(); }
 
   /// Packet event hooks in NS-2 trace terms: enqueue ('+'), dequeue /
   /// transmission start ('-'), receive at the far node ('r'), drop ('d').

@@ -1,7 +1,5 @@
 #include "src/net/network.hpp"
 
-#include "src/util/assert.hpp"
-
 namespace tb::net {
 
 Node& Network::add_node(std::string name) {
@@ -17,23 +15,6 @@ DuplexLink Network::connect(Node& a, Node& b, LinkParams params) {
   a.add_route(b.id(), *forward);
   b.add_route(a.id(), *backward);
   return {forward, backward};
-}
-
-SimplexLink* Network::find_link(Node& from, Node& to) {
-  for (const auto& link : links_) {
-    if (&link->from() == &from && &link->to() == &to) return link.get();
-  }
-  return nullptr;
-}
-
-void Network::add_path_route(const std::vector<Node*>& path) {
-  TB_REQUIRE(path.size() >= 2);
-  Node* destination = path.back();
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    SimplexLink* hop = find_link(*path[i], *path[i + 1]);
-    TB_REQUIRE_MSG(hop != nullptr, "no link between consecutive path nodes");
-    path[i]->add_route(destination->id(), *hop);
-  }
 }
 
 }  // namespace tb::net

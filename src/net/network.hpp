@@ -31,18 +31,10 @@ class Network {
   /// directly-connected routes in both nodes.
   DuplexLink connect(Node& a, Node& b, LinkParams params);
 
-  /// Installs a static route on every node along `path` toward the path's
-  /// last node (and records nothing for the reverse direction — call twice
-  /// for symmetric reachability).
-  void add_path_route(const std::vector<Node*>& path);
-
   sim::Simulator& simulator() { return *sim_; }
   std::size_t node_count() const { return nodes_.size(); }
-  Node& node_at(std::size_t i) { return *nodes_.at(i); }
 
  private:
-  SimplexLink* find_link(Node& from, Node& to);
-
   sim::Simulator* sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<SimplexLink>> links_;

@@ -70,17 +70,10 @@ struct Address {
   std::string to_string() const;
 };
 
-enum class PacketType : std::uint8_t {
-  kData = 0,
-  kAck,
-  kControl,
-};
-
 struct Packet {
   std::uint64_t uid = 0;       ///< globally unique, stamped by the sender
   std::uint32_t flow_id = 0;   ///< groups packets for monitoring
   std::uint64_t seq = 0;       ///< per-flow sequence number
-  PacketType type = PacketType::kData;
   Address src;
   Address dst;
   std::size_t size_bytes = 0;  ///< wire size (headers + payload)

@@ -1,7 +1,5 @@
-// Receiving agents: a counting sink and an echo responder.
+// A counting sink agent.
 #pragma once
-
-#include <functional>
 
 #include "src/net/agent.hpp"
 #include "src/util/stats.hpp"
@@ -18,12 +16,6 @@ class SinkAgent : public Agent {
     ++received_;
     bytes_ += packet.size_bytes;
     latency_.add((simulator().now() - packet.created_at).seconds());
-    if (on_packet_) on_packet_(packet);
-  }
-
-  /// Optional tap invoked for every arrival.
-  void set_on_packet(std::function<void(const Packet&)> fn) {
-    on_packet_ = std::move(fn);
   }
 
   std::uint64_t packets_received() const { return received_; }
@@ -34,32 +26,6 @@ class SinkAgent : public Agent {
   std::uint64_t received_ = 0;
   std::uint64_t bytes_ = 0;
   util::SampleSet latency_;
-  std::function<void(const Packet&)> on_packet_;
-};
-
-/// Bounces every data packet back to its source as an ACK of equal size —
-/// a cheap RTT probe.
-class EchoAgent : public Agent {
- public:
-  EchoAgent(sim::Simulator& sim, Node& node, std::uint16_t port)
-      : Agent(sim, node, port) {}
-
-  void recv(Packet packet) override {
-    ++received_;
-    if (packet.type == PacketType::kAck) return;  // don't echo echoes
-    Packet reply;
-    reply.type = PacketType::kAck;
-    reply.flow_id = packet.flow_id;
-    reply.seq = packet.seq;
-    reply.dst = packet.src;
-    reply.size_bytes = packet.size_bytes;
-    send(std::move(reply));
-  }
-
-  std::uint64_t packets_received() const { return received_; }
-
- private:
-  std::uint64_t received_ = 0;
 };
 
 }  // namespace tb::net

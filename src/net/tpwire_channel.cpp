@@ -31,14 +31,9 @@ void WireCbrSource::emit_and_reschedule() {
     ts.put_i64(sim_->now().count_ns());
     std::copy(ts.bytes().begin(), ts.bytes().end(), segment.payload.begin());
   }
-  const auto raw = wire::encode_segment(segment);
-  const std::size_t accepted = slave_->host_send(raw);
-  if (accepted == raw.size()) {
-    ++sent_;
-    bytes_ += params_.packet_size;
-  } else {
-    rejected_ += params_.packet_size;
-  }
+  // A full outbox refuses the segment (overflow back-pressure); the source
+  // keeps its rate regardless.
+  slave_->host_send(wire::encode_segment(segment));
   const sim::Time gap = sim::Time::from_seconds(
       static_cast<double>(params_.packet_size) / params_.rate_bytes_per_sec);
   sim_->schedule_in(gap, [this] { emit_and_reschedule(); });
@@ -55,7 +50,6 @@ void WireSink::drain() {
   while (auto segment = parser_.next()) {
     ++segments_;
     payload_bytes_ += segment->payload.size();
-    last_arrival_ = sim_->now();
     if (segment->payload.size() >= 8) {
       util::ByteCursor cursor(segment->payload);
       const auto sent_ns = cursor.get_i64();

@@ -1,8 +1,8 @@
 // TpWIRE traffic agents (the paper's "TpWIRE Agent" implemented in NS-2).
 //
-// These bind the generic traffic-generator concept to the bus model: the
-// source writes relay segments into its slave's outbox (the master relay
-// shuttles them), and the sink parses segments out of its slave's inbox.
+// These bind NS-2's Constant Bit Rate source to the bus model: the source
+// writes relay segments into its slave's outbox (the master relay shuttles
+// them), and the sink parses segments out of its slave's inbox.
 // This is exactly the Figure 6 validation setup — "We plugged a Constant
 // Bit Rate (CBR) traffic generator on the Slave1 node to send a 1 byte
 // packet to the agent object that receives the data on the Slave2 node" —
@@ -14,15 +14,24 @@
 // time externally.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
-#include "src/net/traffic.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/util/stats.hpp"
 #include "src/wire/segment.hpp"
 #include "src/wire/slave.hpp"
 
 namespace tb::net {
+
+/// The paper's workload for both experiments: Table 3 validates the TpWIRE
+/// model with a CBR pushing 1-byte packets between two slaves (Figure 6),
+/// and Table 4 sweeps CBR rates of 0 / 0.3 / 1 byte-per-second as
+/// background load (Figure 7). The inter-packet gap is packet_size / rate.
+struct CbrParams {
+  double rate_bytes_per_sec = 1.0;
+  std::size_t packet_size = 1;  ///< payload bytes per packet
+};
 
 /// CBR source feeding a slave's outbox with relay segments.
 class WireCbrSource {
@@ -32,12 +41,6 @@ class WireCbrSource {
 
   void start();
   void stop() { running_ = false; }
-  bool running() const { return running_; }
-
-  std::uint64_t packets_sent() const { return sent_; }
-  std::uint64_t bytes_sent() const { return bytes_; }
-  /// Payload bytes the outbox refused (overflow back-pressure).
-  std::uint64_t bytes_rejected() const { return rejected_; }
 
  private:
   void emit_and_reschedule();
@@ -47,9 +50,6 @@ class WireCbrSource {
   std::uint8_t dst_node_;
   CbrParams params_;
   bool running_ = false;
-  std::uint64_t sent_ = 0;
-  std::uint64_t bytes_ = 0;
-  std::uint64_t rejected_ = 0;
 };
 
 /// Sink draining a slave's inbox and reassembling relay segments.
@@ -61,7 +61,6 @@ class WireSink {
   std::uint64_t payload_bytes() const { return payload_bytes_; }
   /// One-way latencies for timestamped segments (>= 8 byte payloads).
   const util::SampleSet& latency() const { return latency_; }
-  sim::Time last_arrival() const { return last_arrival_; }
 
  private:
   void drain();
@@ -72,7 +71,6 @@ class WireSink {
   std::uint64_t segments_ = 0;
   std::uint64_t payload_bytes_ = 0;
   util::SampleSet latency_;
-  sim::Time last_arrival_;
 };
 
 }  // namespace tb::net

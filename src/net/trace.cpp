@@ -52,7 +52,6 @@ void Tracer::attach(wire::BusModel& bus) {
                   cycle.end.seconds(), cycle.tx_word,
                   wire::to_string(cycle.status), rx, cycle.responder);
     lines_.push_back(buf);
-    ++wire_cycles_;
   });
 }
 

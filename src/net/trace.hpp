@@ -68,8 +68,6 @@ class Tracer {
   /// Count of records with the given op.
   std::size_t count(TraceOp op) const;
 
-  std::size_t wire_cycles() const { return wire_cycles_; }
-
   /// The whole trace as text: NS-2-style link lines and TpWIRE cycle lines
   /// interleaved in event order.
   std::string dump() const;
@@ -83,7 +81,6 @@ class Tracer {
   sim::Simulator* sim_;
   std::vector<TraceRecord> records_;
   std::vector<std::string> lines_;  ///< all events, formatted, in order
-  std::size_t wire_cycles_ = 0;
 };
 
 }  // namespace tb::net

@@ -33,16 +33,9 @@ class JsonValue {
   static JsonValue array() { return JsonValue(Type::kArray); }
   static JsonValue object() { return JsonValue(Type::kObject); }
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_bool() const { return type_ == Type::kBool; }
-  bool is_number() const { return type_ == Type::kNumber; }
   /// True for numbers built from an integer; dump() writes their exact
   /// int64 value.
   bool is_integral() const { return type_ == Type::kNumber && integral_; }
-  bool is_string() const { return type_ == Type::kString; }
-  bool is_array() const { return type_ == Type::kArray; }
-  bool is_object() const { return type_ == Type::kObject; }
 
   bool as_bool() const;
   double as_number() const;

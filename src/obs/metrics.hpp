@@ -155,20 +155,6 @@ class Registry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
-  bool has_counter(std::string_view name) const {
-    return counters_.find(name) != counters_.end();
-  }
-  bool has_gauge(std::string_view name) const {
-    return gauges_.find(name) != gauges_.end();
-  }
-  bool has_histogram(std::string_view name) const {
-    return histograms_.find(name) != histograms_.end();
-  }
-
-  std::size_t instrument_count() const {
-    return counters_.size() + gauges_.size() + histograms_.size();
-  }
-
   /// Registers a pull-style collector, run (in registration order) at the
   /// start of every snapshot(). Collectors typically copy a component's
   /// Stats struct into instruments via Counter::set / Gauge::set.

@@ -22,7 +22,6 @@ class Signal {
     for (const auto& slot : slots_) slot(args...);
   }
 
-  std::size_t slot_count() const { return slots_.size(); }
   bool empty() const { return slots_.empty(); }
 
  private:

@@ -165,7 +165,6 @@ class Simulator {
 
   /// Requests run()/run_until() to return after the current event.
   void stop() { stop_requested_ = true; }
-  bool stop_requested() const { return stop_requested_; }
 
   /// Timestamp of the next live event, or nullopt when the queue is empty.
   /// Discards cancelled entries encountered while peeking.
@@ -202,7 +201,6 @@ class Simulator {
   void set_delay_perturbation(DelayPerturbation f) {
     perturb_delay_ = std::move(f);
   }
-  bool has_delay_perturbation() const { return perturb_delay_ != nullptr; }
 
  private:
   /// Marks "not known" in horizon_ and "no lookahead" in ahead_limit_:

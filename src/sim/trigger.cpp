@@ -40,11 +40,4 @@ void Trigger::notify_all() {
   for (const auto& node : batch) wake(node, /*notified=*/true);
 }
 
-void Trigger::notify_one() {
-  if (waiters_.empty()) return;
-  NodePtr node = waiters_.front();
-  waiters_.pop_front();
-  wake(node, /*notified=*/true);
-}
-
 }  // namespace tb::sim

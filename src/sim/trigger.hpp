@@ -1,9 +1,9 @@
 // Condition objects for coroutine processes (the SystemC sc_event analogue).
 //
-// A Trigger parks waiting coroutines; notify_all()/notify_one() resume them
-// through zero-delay events so notification never re-enters the notifier's
-// stack (the same discipline SystemC uses for immediate vs delta
-// notification — we always use the delta form for determinism).
+// A Trigger parks waiting coroutines; notify_all() resumes them through
+// zero-delay events so notification never re-enters the notifier's stack
+// (the same discipline SystemC uses for immediate vs delta notification —
+// we always use the delta form for determinism).
 //
 // wait_for() gives a timed wait that reports whether the trigger fired before
 // the deadline — the primitive behind the TpWIRE master's RX timeout and the
@@ -38,9 +38,6 @@ class Trigger {
   /// Wakes every currently parked waiter (waiters added during notification
   /// processing wait for the next notify).
   void notify_all();
-
-  /// Wakes the longest-waiting coroutine, if any.
-  void notify_one();
 
   std::size_t waiter_count() const { return waiters_.size(); }
   Simulator& simulator() { return *sim_; }

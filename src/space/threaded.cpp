@@ -10,9 +10,8 @@
 
 namespace tb::space {
 
-// A request cell is a pooled slab slot (SlabPool, mpsc_ring.hpp): sync ops
-// release it on return, drains release async cells after applying. The
-// applier writes the result fields, then publishes a phase bit with an
+// A request cell is a pooled slab slot (SlabPool, mpsc_ring.hpp): the
+// issuing op releases it on return. The applier writes the result fields, then publishes a phase bit with an
 // acq_rel fetch_or — a spinning client sees the bit with one acquire load
 // and never touches the mutex; a client that gave up spinning sets
 // kSleeping under `mu` before waiting, so the applier's fetch_or tells it
@@ -32,7 +31,6 @@ struct ThreadedSpaceEngine::Request {
     kBlockingRead,
     kBlockingTake,
     kCancelWaiter,
-    kStall,
   };
 
   static constexpr std::uint32_t kDone = 1;      ///< result fields final
@@ -40,7 +38,6 @@ struct ThreadedSpaceEngine::Request {
   static constexpr std::uint32_t kSleeping = 4;  ///< client in cv wait
 
   Kind kind = Kind::kWrite;
-  bool async = false;  ///< pool-owned; the drain releases after applying
   Tuple tuple;
   Template tmpl;
   std::uint64_t txn = kNoTxn;
@@ -62,7 +59,6 @@ struct ThreadedSpaceEngine::Request {
   /// point of the pool); producers overwrite what their op reads.
   void reset() {
     kind = Kind::kWrite;
-    async = false;
     txn = kNoTxn;
     txn_state = nullptr;
     max = 0;
@@ -217,15 +213,14 @@ void ThreadedSpaceEngine::wait_phase(int shard_idx, Request& req,
   req.phase.fetch_and(~Request::kSleeping, std::memory_order_relaxed);
 }
 
-void ThreadedSpaceEngine::push_request(int shard_idx, Request* req,
-                                       bool allow_combine) {
+void ThreadedSpaceEngine::push_request(int shard_idx, Request* req) {
   Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
   if (!sh.ring.try_push(req)) {
-    // Full ring: backpressure. Sync producers make space themselves by
-    // draining; async producers must never drain on the calling thread
-    // (write_async contract), so they wake the worker and park.
+    // Full ring: backpressure. The producer makes space itself by
+    // draining; while the shard is owned elsewhere it wakes the worker and
+    // parks.
     for (int spin = 0;; ++spin) {
-      if (allow_combine && try_combine(shard_idx)) {
+      if (try_combine(shard_idx)) {
         if (sh.ring.try_push(req)) break;
         continue;
       }
@@ -260,12 +255,6 @@ void ThreadedSpaceEngine::push_request(int shard_idx, Request* req,
   std::size_t prev = sh.inbox_peak.load(std::memory_order_relaxed);
   while (depth > prev && !sh.inbox_peak.compare_exchange_weak(
                              prev, depth, std::memory_order_relaxed)) {
-  }
-  if (!allow_combine) {
-    // Async: nobody spins for this request, so Dekker-check the worker
-    // (store-fence-load against its store-fence-load in the sleep path).
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    wake_worker(sh);
   }
 }
 
@@ -334,9 +323,10 @@ void ThreadedSpaceEngine::worker_loop(int shard_idx) {
   Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
   for (;;) {
     if (sh.stop.load(std::memory_order_acquire)) {
-      // Exit only once the ring is drained (trailing async writes must
-      // apply). A combiner/coordinator holding the word drains or returns
-      // it; shutdown guarantees no new pushes.
+      // Exit only once the ring is drained: the timeout leg of a blocking
+      // op may still have a kCancelWaiter queued. A combiner/coordinator
+      // holding the word drains or returns it; shutdown guarantees no new
+      // pushes.
       if (!sh.handoff_req.load(std::memory_order_acquire) && try_own(sh)) {
         FireBatch fire;
         drain(shard_idx, &fire);
@@ -448,17 +438,6 @@ void ThreadedSpaceEngine::apply(int shard_idx, Request& req,
     case Request::Kind::kCancelWaiter:
       apply_cancel_waiter(shard_idx, req);
       return;
-    case Request::Kind::kStall: {
-      // Test hook: the drainer (the worker — async requests are pushed
-      // with combining disabled on the producer side, and stall tests
-      // issue no concurrent sync ops on the shard) blocks holding the
-      // ownership word, so the ring backs up behind it.
-      std::unique_lock<std::mutex> lk(stall_mu_);
-      stall_cv_.wait(lk, [this] { return !stalled_; });
-      lk.unlock();
-      release_request(&req);
-      return;
-    }
   }
 }
 
@@ -466,7 +445,6 @@ void ThreadedSpaceEngine::apply(int shard_idx, Request& req,
 
 void ThreadedSpaceEngine::apply_write(int shard_idx, Request& req,
                                       FireBatch* fire) {
-  const bool async = req.async;
   Tuple tuple = std::move(req.tuple);
   // The deadline counts from the linearization point (the apply), not from
   // the client's enqueue — transit through a backlogged inbox eats into
@@ -491,13 +469,9 @@ void ThreadedSpaceEngine::apply_write(int shard_idx, Request& req,
   if (cross) cl.unlock();
   ++shards_[static_cast<std::size_t>(shard_idx)]->stats.writes;
 
-  if (async) {
-    release_request(&req);
-  } else {
-    req.ticket = id;
-    req.deadline = deadline;
-    signal_phase(req, Request::kDone);
-  }
+  req.ticket = id;
+  req.deadline = deadline;
+  signal_phase(req, Request::kDone);
 }
 
 void ThreadedSpaceEngine::publish(std::uint64_t id, Tuple tuple,
@@ -560,20 +534,11 @@ Lease ThreadedSpaceEngine::write(Tuple tuple, sim::Time lease_duration,
   req->tuple = std::move(tuple);
   req->lease = lease_duration;
   const int shard_idx = shard_of(type_key(req->tuple.name, req->tuple.arity()));
-  push_request(shard_idx, req, /*allow_combine=*/true);
+  push_request(shard_idx, req);
   wait_phase(shard_idx, *req, Request::kDone);
   const Lease out{req->ticket, sim::Time::ns(req->deadline)};
   release_request(req);
   return out;
-}
-
-void ThreadedSpaceEngine::write_async(Tuple tuple) {
-  Request* req = acquire_request();
-  req->kind = Request::Kind::kWrite;
-  req->async = true;
-  req->tuple = std::move(tuple);
-  const int shard_idx = shard_of(type_key(req->tuple.name, req->tuple.arity()));
-  push_request(shard_idx, req, /*allow_combine=*/false);
 }
 
 // --- matching ---------------------------------------------------------------
@@ -677,7 +642,7 @@ std::optional<Tuple> ThreadedSpaceEngine::if_exists(const Template& tmpl,
   req->txn = txn;
   req->txn_state = state;
   const int shard_idx = shard_of(type_key(*tmpl.name, tmpl.arity()));
-  push_request(shard_idx, req, /*allow_combine=*/true);
+  push_request(shard_idx, req);
   wait_phase(shard_idx, *req, Request::kDone);
   auto out = std::move(req->result);
   release_request(req);
@@ -698,7 +663,7 @@ std::vector<Tuple> ThreadedSpaceEngine::bulk(const Template& tmpl,
   req->tmpl = tmpl;
   req->max = max;
   const int shard_idx = shard_of(type_key(*tmpl.name, tmpl.arity()));
-  push_request(shard_idx, req, /*allow_combine=*/true);
+  push_request(shard_idx, req);
   wait_phase(shard_idx, *req, Request::kDone);
   auto out = std::move(req->results);
   release_request(req);
@@ -787,7 +752,7 @@ std::optional<Tuple> ThreadedSpaceEngine::blocking_op(
 
   if (tmpl.name.has_value()) {
     const int shard_idx = shard_of(type_key(*tmpl.name, tmpl.arity()));
-    push_request(shard_idx, req, /*allow_combine=*/true);
+    push_request(shard_idx, req);
     wait_phase(shard_idx, *req, Request::kDone | Request::kParked);
     if ((req->phase.load(std::memory_order_acquire) & Request::kDone) == 0) {
       // Parked: our waiter is registered (ticket published with kParked).
@@ -801,7 +766,7 @@ std::optional<Tuple> ThreadedSpaceEngine::blocking_op(
         Request* cancel = acquire_request();
         cancel->kind = Request::Kind::kCancelWaiter;
         cancel->target = req->ticket;
-        push_request(shard_idx, cancel, /*allow_combine=*/true);
+        push_request(shard_idx, cancel);
         wait_phase(shard_idx, *cancel, Request::kDone);
         release_request(cancel);
         wait_phase(-1, *req, Request::kDone);
@@ -1247,7 +1212,6 @@ void ThreadedSpaceEngine::shutdown() {
     if (shut_down_) return;
     shut_down_ = true;
   }
-  resume_stalled_shards_for_testing();
   for (auto& sh : shards_) {
     sh->stop.store(true, std::memory_order_seq_cst);
     std::lock_guard<std::mutex> lk(sh->park_mu);
@@ -1281,22 +1245,12 @@ void ThreadedSpaceEngine::shutdown() {
 }
 
 void ThreadedSpaceEngine::stall_shard_for_testing(int shard) {
-  {
-    std::lock_guard<std::mutex> lk(stall_mu_);
-    stalled_ = true;
-  }
-  Request* req = acquire_request();
-  req->kind = Request::Kind::kStall;
-  req->async = true;
-  push_request(shard, req, /*allow_combine=*/false);
+  Shard& sh = *shards_.at(static_cast<std::size_t>(shard));
+  while (!try_own(sh)) std::this_thread::yield();
 }
 
-void ThreadedSpaceEngine::resume_stalled_shards_for_testing() {
-  {
-    std::lock_guard<std::mutex> lk(stall_mu_);
-    stalled_ = false;
-  }
-  stall_cv_.notify_all();
+void ThreadedSpaceEngine::resume_shard_for_testing(int shard) {
+  release_own(*shards_.at(static_cast<std::size_t>(shard)));
 }
 
 }  // namespace tb::space

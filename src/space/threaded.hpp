@@ -9,8 +9,8 @@
 // the ring: normally the *issuing client itself* CASes the free ownership
 // word and drains inline (flat combining — the common named op completes
 // with zero context switches, zero syscalls and zero heap allocations), and
-// the shard's worker thread picks up whatever backlog is left, async
-// writes, and due lease timers. Producers facing a full ring and clients
+// the shard's worker thread picks up whatever backlog is left and due lease
+// timers. Producers facing a full ring and clients
 // awaiting completion both spin-then-park; every park/wake pair uses a
 // store-fence-check (Dekker) protocol so a wakeup is never lost.
 //
@@ -120,11 +120,6 @@ class ThreadedSpaceEngine {
   /// engine-relative steady-clock ns (sim::Time::max() = forever).
   Lease write(Tuple tuple, sim::Time lease_duration, std::uint64_t txn);
 
-  /// Fire-and-forget write: enqueues and returns without waiting for the
-  /// shard to apply it (still blocks on a full ring — backpressure, not
-  /// unbounded buffering). Never drains the shard on the calling thread.
-  void write_async(Tuple tuple);
-
   // --- non-blocking match --------------------------------------------------
 
   std::optional<Tuple> read_if_exists(const Template& tmpl,
@@ -222,12 +217,13 @@ class ThreadedSpaceEngine {
 
   // --- test hooks ----------------------------------------------------------
 
-  /// Enqueues a request that makes the shard's next drainer (its worker —
-  /// async requests never combine) block until
-  /// resume_stalled_shards_for_testing() — the inbox-backpressure tests.
-  /// Never combine with wildcard/txn/snapshot ops while stalled.
+  /// Takes the shard's ownership word on the calling thread (spinning until
+  /// it is free), so no request on the shard applies and its inbox backs up
+  /// until resume_shard_for_testing(shard) releases the word from the same
+  /// thread — the inbox-backpressure tests. Never combine with
+  /// wildcard/txn/snapshot ops or shutdown() while stalled.
   void stall_shard_for_testing(int shard);
-  void resume_stalled_shards_for_testing();
+  void resume_shard_for_testing(int shard);
 
  private:
   struct Request;
@@ -391,10 +387,10 @@ class ThreadedSpaceEngine {
 
   Request* acquire_request();
   void release_request(Request* req);
-  /// Enqueues with full-ring backpressure. Sync producers (allow_combine)
-  /// drain the shard themselves to make space; async producers wake the
-  /// worker and park.
-  void push_request(int shard_idx, Request* req, bool allow_combine);
+  /// Enqueues with full-ring backpressure: the producer drains the shard
+  /// itself to make space, or wakes the worker and parks while the shard
+  /// is owned elsewhere.
+  void push_request(int shard_idx, Request* req);
   /// Spins (combining when shard_idx >= 0), then parks on the request cell
   /// until `bits` appears in its phase word.
   void wait_phase(int shard_idx, Request& req, std::uint32_t bits);
@@ -426,8 +422,8 @@ class ThreadedSpaceEngine {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<ShardEntries*> stores_;  ///< &shards_[i]->store, for Scan
 
-  /// Slab of reusable request cells (zero heap allocation per op); sync
-  /// ops release their cell on return, drains release async cells.
+  /// Slab of reusable request cells (zero heap allocation per op); every
+  /// op releases its cell on return.
   /// Indirect because Request is incomplete here (threaded.cpp owns it).
   std::unique_ptr<util::SlabPool<Request>> pool_;
 
@@ -461,10 +457,6 @@ class ThreadedSpaceEngine {
   std::atomic<std::size_t> peak_blocked_{0};
   std::atomic<std::uint64_t> barriers_{0};
   std::atomic<std::uint64_t> cross_serves_{0};
-
-  std::mutex stall_mu_;
-  std::condition_variable stall_cv_;
-  bool stalled_ = false;
 
   std::mutex shutdown_mu_;
   bool shut_down_ = false;

@@ -71,7 +71,6 @@ class FieldPattern {
 
   bool is_exact() const { return kind_ == Kind::kExact; }
   bool is_typed() const { return kind_ == Kind::kTyped; }
-  bool is_any() const { return kind_ == Kind::kAny; }
   const Value& exact_value() const { return value_; }
   ValueType typed_type() const { return type_; }
 
@@ -109,12 +108,6 @@ struct Template {
   Template() = default;
   Template(std::optional<std::string> name, std::vector<FieldPattern> fields)
       : name(std::move(name)), fields(std::move(fields)) {}
-
-  /// Template that matches any tuple with the given name and arity-free...
-  /// — matching still requires equal arity, so `fields` must be sized.
-  static Template of_name(std::string name, std::vector<FieldPattern> fields) {
-    return Template(std::move(name), std::move(fields));
-  }
 
   /// The exact-value template of `tuple`: its name and every field as an
   /// actual. This is the take discipline of the federation's OpLog and

@@ -4,8 +4,6 @@ namespace tb::svc {
 
 namespace {
 constexpr const char* kRegistryName = "svc-registry";
-constexpr const char* kMemberName = "fed-member";
-constexpr const char* kTableName = "fed-table";
 }
 
 space::Tuple Discovery::to_tuple(const ServiceRecord& record) {
@@ -84,133 +82,6 @@ sim::Task<bool> Discovery::withdraw(std::string service,
   std::optional<space::Tuple> taken =
       co_await api_->take(std::move(tmpl), sim::Time::zero());
   co_return taken.has_value();
-}
-
-// --- Membership --------------------------------------------------------------
-
-space::Tuple Membership::to_tuple(const NodeRecord& record) {
-  return space::Tuple(kMemberName,
-                      {static_cast<std::int64_t>(record.node_id), record.role});
-}
-
-std::optional<NodeRecord> Membership::from_tuple(const space::Tuple& tuple) {
-  if (tuple.name != kMemberName || tuple.arity() != 2) return std::nullopt;
-  if (!tuple.fields[0].is(space::ValueType::kInt) ||
-      !tuple.fields[1].is(space::ValueType::kString)) {
-    return std::nullopt;
-  }
-  NodeRecord record;
-  record.node_id = static_cast<std::uint32_t>(tuple.fields[0].as_int());
-  record.role = tuple.fields[1].as_string();
-  return record;
-}
-
-namespace {
-
-space::Template member_template(std::optional<std::uint32_t> node_id) {
-  space::FieldPattern id_pattern =
-      node_id ? space::FieldPattern::exact(
-                    space::Value(static_cast<std::int64_t>(*node_id)))
-              : space::FieldPattern::typed(space::ValueType::kInt);
-  return space::Template(
-      std::string(kMemberName),
-      {std::move(id_pattern), space::FieldPattern::typed(space::ValueType::kString)});
-}
-
-space::Template table_template() {
-  return space::Template(std::string(kTableName),
-                         {space::FieldPattern::typed(space::ValueType::kInt),
-                          space::FieldPattern::typed(space::ValueType::kString)});
-}
-
-std::string members_csv(const std::vector<std::uint32_t>& members) {
-  std::string csv;
-  for (std::uint32_t id : members) {
-    if (!csv.empty()) csv.push_back(',');
-    csv += std::to_string(id);
-  }
-  return csv;
-}
-
-space::Tuple table_tuple(std::uint64_t epoch,
-                         const std::vector<std::uint32_t>& members) {
-  return space::Tuple(kTableName,
-                      {static_cast<std::int64_t>(epoch), members_csv(members)});
-}
-
-std::vector<std::uint32_t> members_from_csv(const std::string& csv) {
-  std::vector<std::uint32_t> members;
-  std::size_t start = 0;
-  while (start <= csv.size() && !csv.empty()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string token = csv.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!token.empty()) {
-      members.push_back(
-          static_cast<std::uint32_t>(std::stoull(token)));
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return members;
-}
-
-}  // namespace
-
-sim::Task<bool> Membership::announce_node(NodeRecord record, sim::Time lease) {
-  co_await withdraw_node(record.node_id);  // replace any stale record
-  co_return co_await api_->write(to_tuple(record), lease);
-}
-
-sim::Task<bool> Membership::withdraw_node(std::uint32_t node_id) {
-  std::optional<space::Tuple> taken =
-      co_await api_->take(member_template(node_id), sim::Time::zero());
-  co_return taken.has_value();
-}
-
-sim::Task<std::vector<NodeRecord>> Membership::nodes() {
-  std::vector<NodeRecord> records;
-  std::vector<space::Tuple> drained;
-  while (true) {
-    std::optional<space::Tuple> tuple =
-        co_await api_->take(member_template(std::nullopt), sim::Time::zero());
-    if (!tuple) break;
-    if (auto record = from_tuple(*tuple)) records.push_back(std::move(*record));
-    drained.push_back(std::move(*tuple));
-  }
-  for (space::Tuple& tuple : drained) {
-    co_await api_->write(std::move(tuple), space::kLeaseForever);
-  }
-  co_return records;
-}
-
-sim::Task<bool> Membership::publish_table(std::uint64_t epoch,
-                                          std::vector<std::uint32_t> members) {
-  // Swap-if-newer: at most one table tuple exists at any instant, so a
-  // fetch never has to disambiguate — but a stale publisher (an old
-  // coordinator racing a failover) must not clobber a newer table.
-  std::optional<space::Tuple> current =
-      co_await api_->take(table_template(), sim::Time::zero());
-  if (current) {
-    const std::uint64_t current_epoch =
-        static_cast<std::uint64_t>(current->fields[0].as_int());
-    if (current_epoch >= epoch) {
-      co_await api_->write(std::move(*current), space::kLeaseForever);
-      co_return false;
-    }
-  }
-  co_await api_->write(table_tuple(epoch, members), space::kLeaseForever);
-  co_return true;
-}
-
-sim::Task<std::optional<Membership::TableRecord>> Membership::fetch_table() {
-  std::optional<space::Tuple> tuple =
-      co_await api_->read(table_template(), sim::Time::zero());
-  if (!tuple) co_return std::nullopt;
-  TableRecord record;
-  record.epoch = static_cast<std::uint64_t>(tuple->fields[0].as_int());
-  record.members = members_from_csv(tuple->fields[1].as_string());
-  co_return record;
 }
 
 }  // namespace tb::svc

@@ -54,57 +54,4 @@ class Discovery {
   SpaceApi* api_;
 };
 
-// --- federation membership (DESIGN.md §16) -----------------------------------
-//
-// The control space doubles as the cluster's membership authority: each
-// space node keeps a leased ("fed-member", node_id, role) tuple alive, and
-// the coordinator publishes the routing membership as an epoch-stamped
-// ("fed-table", epoch, members_csv) tuple. Epochs are strictly monotonic —
-// publish_table refuses a stale epoch — so a client holding table E that is
-// rejected by a node at epoch E' > E knows exactly which fetch to trust.
-
-struct NodeRecord {
-  std::uint32_t node_id = 0;
-  std::string role;  ///< "primary" | "standby" | "member"
-
-  bool operator==(const NodeRecord&) const = default;
-};
-
-class Membership {
- public:
-  explicit Membership(SpaceApi& api) : api_(&api) {}
-
-  /// Registers (or refreshes) a node. `lease` bounds staleness exactly like
-  /// Discovery::announce: a crashed node's record evaporates on expiry.
-  sim::Task<bool> announce_node(NodeRecord record,
-                                sim::Time lease = space::kLeaseForever);
-
-  /// Removes a node's record. False when not registered.
-  sim::Task<bool> withdraw_node(std::uint32_t node_id);
-
-  /// All live member records (Linda scan, like Discovery::locate_all).
-  sim::Task<std::vector<NodeRecord>> nodes();
-
-  struct TableRecord {
-    std::uint64_t epoch = 0;
-    std::vector<std::uint32_t> members;  ///< ring members, ascending
-  };
-
-  /// Publishes the routing membership under `epoch`, replacing the current
-  /// table. Refuses (and leaves the current table in place) unless `epoch`
-  /// is strictly greater than the published one — the monotonicity the
-  /// mis-route protocol depends on.
-  sim::Task<bool> publish_table(std::uint64_t epoch,
-                                std::vector<std::uint32_t> members);
-
-  /// The currently published table; nullopt when none was ever published.
-  sim::Task<std::optional<TableRecord>> fetch_table();
-
-  static space::Tuple to_tuple(const NodeRecord& record);
-  static std::optional<NodeRecord> from_tuple(const space::Tuple& tuple);
-
- private:
-  SpaceApi* api_;
-};
-
 }  // namespace tb::svc

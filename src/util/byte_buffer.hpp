@@ -64,7 +64,6 @@ class ByteCursor {
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool at_end() const { return remaining() == 0; }
-  std::size_t position() const { return pos_; }
 
  private:
   std::span<const std::uint8_t> take_raw(std::size_t n);

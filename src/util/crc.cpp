@@ -66,16 +66,4 @@ std::uint8_t crc8(std::span<const std::uint8_t> data) {
   return crc;
 }
 
-std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data) {
-  std::uint16_t crc = 0xFFFF;
-  for (std::uint8_t byte : data) {
-    crc ^= static_cast<std::uint16_t>(byte) << 8;
-    for (int i = 0; i < 8; ++i) {
-      crc = (crc & 0x8000) ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021)
-                           : static_cast<std::uint16_t>(crc << 1);
-    }
-  }
-  return crc;
-}
-
 }  // namespace tb::util

@@ -2,8 +2,8 @@
 //
 // TpWIRE frames protect CMD/TYPE + DATA with a 4-bit CRC over the generator
 // polynomial x^4 + x + 1 (0b10011) — see Tables 1 and 2 of the paper. The
-// middleware transport additionally uses CRC-8 (ATM HEC polynomial) and
-// CRC-16/CCITT for message segmentation integrity.
+// relay segments that carry middleware messages over the bus end in a CRC-8
+// (ATM HEC polynomial).
 #pragma once
 
 #include <cstdint>
@@ -20,8 +20,5 @@ std::uint8_t crc4_itu(std::uint64_t bits, int bit_count);
 
 /// CRC-8 with generator x^8 + x^2 + x + 1 (0x07), MSB-first, init 0.
 std::uint8_t crc8(std::span<const std::uint8_t> data);
-
-/// CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, MSB-first, no final xor.
-std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data);
 
 }  // namespace tb::util

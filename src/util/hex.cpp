@@ -1,7 +1,5 @@
 #include "src/util/hex.hpp"
 
-#include <cctype>
-#include <sstream>
 
 namespace tb::util {
 namespace {
@@ -38,33 +36,6 @@ std::optional<std::vector<std::uint8_t>> from_hex(std::string_view hex) {
     out.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
   }
   return out;
-}
-
-std::string hex_dump(std::span<const std::uint8_t> data) {
-  std::ostringstream os;
-  for (std::size_t row = 0; row < data.size(); row += 16) {
-    // Offset column.
-    char offset[32];
-    std::snprintf(offset, sizeof offset, "%08zx  ", row);
-    os << offset;
-    // Hex column.
-    for (std::size_t i = 0; i < 16; ++i) {
-      if (row + i < data.size()) {
-        os << kDigits[data[row + i] >> 4] << kDigits[data[row + i] & 0xF] << ' ';
-      } else {
-        os << "   ";
-      }
-      if (i == 7) os << ' ';
-    }
-    // ASCII column.
-    os << " |";
-    for (std::size_t i = 0; i < 16 && row + i < data.size(); ++i) {
-      const char c = static_cast<char>(data[row + i]);
-      os << (std::isprint(static_cast<unsigned char>(c)) ? c : '.');
-    }
-    os << "|\n";
-  }
-  return os.str();
 }
 
 }  // namespace tb::util

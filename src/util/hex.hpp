@@ -1,4 +1,4 @@
-// Hex encoding / decoding and dump formatting for protocol debugging.
+// Hex encoding and decoding (bytes fields of the XML codec).
 #pragma once
 
 #include <cstdint>
@@ -15,8 +15,5 @@ std::string to_hex(std::span<const std::uint8_t> data);
 
 /// Parses a hex string (even length, [0-9a-fA-F]); nullopt on bad input.
 std::optional<std::vector<std::uint8_t>> from_hex(std::string_view hex);
-
-/// Classic 16-bytes-per-row offset/hex/ascii dump.
-std::string hex_dump(std::span<const std::uint8_t> data);
 
 }  // namespace tb::util

@@ -23,7 +23,7 @@
 
 namespace tb::util {
 
-template <typename Signature, std::size_t Capacity = 48>
+template <typename, std::size_t Capacity = 48>
 class InplaceFunction;
 
 template <typename R, typename... Args, std::size_t Capacity>

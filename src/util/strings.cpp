@@ -6,50 +6,12 @@
 
 namespace tb::util {
 
-std::vector<std::string> split(std::string_view s, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = s.find(delim, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(s.substr(start));
-      return out;
-    }
-    out.emplace_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
 std::string_view trim(std::string_view s) {
   std::size_t begin = 0;
   while (begin < s.size() && std::isspace(static_cast<unsigned char>(s[begin]))) ++begin;
   std::size_t end = s.size();
   while (end > begin && std::isspace(static_cast<unsigned char>(s[end - 1]))) --end;
   return s.substr(begin, end - begin);
-}
-
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
-}
-
-std::string xml_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      case '\'': out += "&apos;"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
 }
 
 void xml_escape_into(std::string_view s, std::vector<std::uint8_t>& out) {

@@ -1,4 +1,4 @@
-// Small string helpers shared by the XML-ish codec and report printers.
+// Small string helpers shared by the XML codec and report printers.
 #pragma once
 
 #include <cstdint>
@@ -8,23 +8,15 @@
 
 namespace tb::util {
 
-/// Splits on a single-character delimiter; empty fields are preserved.
-std::vector<std::string> split(std::string_view s, char delim);
-
 /// Trims ASCII whitespace from both ends.
 std::string_view trim(std::string_view s);
 
-bool starts_with(std::string_view s, std::string_view prefix);
-bool ends_with(std::string_view s, std::string_view suffix);
-
-/// Escapes &, <, >, ", ' as XML character entities.
-std::string xml_escape(std::string_view s);
-
-/// Appends the escaped form of `s` to `out` without intermediate strings —
-/// the XML writer's hot path. Runs of ordinary characters append in bulk.
+/// Appends `s` to `out` with &, <, >, ", ' escaped as XML character
+/// entities, without intermediate strings — the XML writer's hot path. Runs
+/// of ordinary characters append in bulk.
 void xml_escape_into(std::string_view s, std::vector<std::uint8_t>& out);
 
-/// Inverse of xml_escape; unknown entities are passed through verbatim.
+/// Inverse of xml_escape_into; unknown entities are passed through verbatim.
 std::string xml_unescape(std::string_view s);
 
 /// Fixed-precision decimal rendering (printf "%.*f").

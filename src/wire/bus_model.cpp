@@ -15,13 +15,6 @@ const char* to_string(BusModelLevel level) {
   return "?";
 }
 
-std::optional<BusModelLevel> parse_bus_model_level(std::string_view name) {
-  if (name == "bit-accurate") return BusModelLevel::kBitAccurate;
-  if (name == "frame-level") return BusModelLevel::kFrameLevel;
-  if (name == "analytic") return BusModelLevel::kAnalytic;
-  return std::nullopt;
-}
-
 const char* to_string(CycleResult::Status status) {
   switch (status) {
     case CycleResult::Status::kOk: return "ok";

@@ -27,7 +27,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string_view>
 #include <vector>
 
 #include "src/sim/process.hpp"
@@ -48,10 +47,6 @@ enum class BusModelLevel : std::uint8_t {
 };
 
 const char* to_string(BusModelLevel level);
-
-/// Parses the names to_string() emits ("bit-accurate", "frame-level",
-/// "analytic"); nullopt on anything else.
-std::optional<BusModelLevel> parse_bus_model_level(std::string_view name);
 
 /// Outcome of one communication cycle as the master sees it.
 struct CycleResult {
@@ -104,7 +99,6 @@ class BusModel {
   virtual int attach(SlaveDevice& slave);
 
   std::size_t slave_count() const { return chain_.size(); }
-  SlaveDevice& slave_at(std::size_t pos) { return *chain_.at(pos); }
 
   /// Runs one communication cycle. `expect_reply` is false for cycles under
   /// broadcast selection (and for the broadcast SELECT itself), where the
@@ -114,9 +108,6 @@ class BusModel {
 
   const LinkConfig& link() const { return link_; }
   sim::Simulator& simulator() { return *sim_; }
-
-  /// True while a cycle occupies the medium.
-  bool busy() const { return busy_; }
 
   struct Stats {
     std::uint64_t cycles = 0;

@@ -39,11 +39,6 @@ class MultiBusRelay {
 
   const RelayStats& stats() const { return poller_.stats(); }
 
-  /// Segments currently queued toward the given bus.
-  std::size_t queued_for_bus(int bus_index) const {
-    return queues_.at(bus_index)->pending.size();
-  }
-
  private:
   struct BusQueue {
     std::deque<RelaySegment> pending;

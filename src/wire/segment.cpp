@@ -75,7 +75,6 @@ void SegmentParser::step(std::uint8_t byte,
         expected_payload_ = static_cast<std::size_t>(header_[2]) |
                             (static_cast<std::size_t>(header_[3]) << 8);
         if (expected_payload_ > max_payload_) {
-          ++length_errors_;
           salvage.assign(raw_.begin() + 1, raw_.end());
           state_ = State::kMagic;
           return;
@@ -100,7 +99,6 @@ void SegmentParser::step(std::uint8_t byte,
         segment.dst = header_[1];
         segment.payload = payload_;
         ready_.push_back(std::move(segment));
-        ++parsed_;
         raw_.clear();
       } else {
         ++crc_failures_;

@@ -74,14 +74,12 @@ class SegmentParser {
   std::optional<RelaySegment> next();
 
   /// Rejects in-flight frames whose header claims more than `cap` payload
-  /// bytes (counted under length_errors) and re-scans them immediately.
+  /// bytes and re-scans them immediately.
   /// Streams whose producers are known to emit small segments should set a
   /// tight cap; the default accepts anything encodable.
   void set_max_payload(std::size_t cap) { max_payload_ = cap; }
 
-  std::uint64_t segments_parsed() const { return parsed_; }
   std::uint64_t crc_failures() const { return crc_failures_; }
-  std::uint64_t length_errors() const { return length_errors_; }
   std::uint64_t resync_bytes() const { return resync_bytes_; }
 
  private:
@@ -98,9 +96,7 @@ class SegmentParser {
   std::vector<std::uint8_t> payload_;
   std::size_t expected_payload_ = 0;
   std::vector<RelaySegment> ready_;
-  std::uint64_t parsed_ = 0;
   std::uint64_t crc_failures_ = 0;
-  std::uint64_t length_errors_ = 0;
   std::uint64_t resync_bytes_ = 0;
 };
 

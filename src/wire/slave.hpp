@@ -126,8 +126,6 @@ class SlaveDevice {
     return selected_;
   }
 
-  bool broadcast_selected() const { return broadcast_selected_; }
-
   // --- host (board CPU) side ---------------------------------------------
 
   /// Queues bytes for the master to collect; raises the interrupt line.
@@ -160,15 +158,12 @@ class SlaveDevice {
   /// sticky WAS_RESET set) followed by the normal 33-bit reset pulse.
   void restart();
 
-  bool alive() const { return alive_; }
-
   /// Hardware fault: the INT line is stuck asserted. Every passing RX frame
   /// reports a pending interrupt regardless of actual mailbox state.
   void set_stuck_interrupt(bool stuck) {
     stuck_interrupt_ = stuck;
     notify_pending();
   }
-  bool stuck_interrupt() const { return stuck_interrupt_; }
 
   void set_spi(std::unique_ptr<SpiPeripheral> spi);
 
@@ -183,7 +178,6 @@ class SlaveDevice {
 
   std::uint8_t memory_at(std::uint16_t addr) const;
   void set_memory(std::uint16_t addr, std::uint8_t value);
-  std::size_t memory_size() const { return memory_.size(); }
   std::uint16_t address_pointer() const { return address_ptr_; }
   std::uint8_t flags() const;
 

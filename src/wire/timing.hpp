@@ -43,22 +43,10 @@ class AnalyticTiming {
            overhead();
   }
 
-  /// Broadcast cycle (no replies, fixed gap).
-  sim::Time broadcast_cycle() const {
-    return link_.frame_duration() + link_.broadcast_gap() +
-           link_.interframe_gap() + overhead();
-  }
-
   /// Time to run `frames` back-to-back reply cycles (the Table 3 workload:
   /// a CBR source pushing 1-byte packets through the model).
   sim::Time frames(std::uint64_t count, int chain_pos) const {
     return reply_cycle(chain_pos) * static_cast<std::int64_t>(count);
-  }
-
-  /// Payload throughput in bytes/second when each reply cycle moves one
-  /// DATA byte (the protocol's best case).
-  double data_rate_bps(int chain_pos) const {
-    return 1.0 / reply_cycle(chain_pos).seconds();
   }
 
   const LinkConfig& link() const { return link_; }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/mw/xml.hpp"
 #include "src/util/byte_buffer.hpp"
 #include "src/util/status.hpp"
 
@@ -168,6 +169,31 @@ TEST(XmlCodecTest, RejectsWrongRoot) {
       codec.decode({reinterpret_cast<const std::uint8_t*>(text.data()),
                     text.size()})
           .has_value());
+}
+
+// A frame nested far past the protocol's four levels is rejected, not
+// recursed into until the decoder overflows the native stack: the framer
+// admits frames up to 16 MiB, and this one is 210,035 bytes.
+TEST(XmlCodecTest, DeepNestingIsRejectedNotACrash) {
+  std::string text = R"(<msg type="write-req" id="1">)";
+  for (int i = 0; i < 30'000; ++i) text += "<n>";
+  for (int i = 0; i < 30'000; ++i) text += "</n>";
+  text += "</msg>";
+  ASSERT_EQ(text.size(), 210'035u);
+  XmlCodec codec;
+  EXPECT_FALSE(
+      codec.decode({reinterpret_cast<const std::uint8_t*>(text.data()),
+                    text.size()})
+          .has_value());
+
+  const auto nested = [](int depth) {
+    std::string doc;
+    for (int i = 0; i < depth; ++i) doc += "<n>";
+    for (int i = 0; i < depth; ++i) doc += "</n>";
+    return doc;
+  };
+  EXPECT_TRUE(xml_parse(nested(64)).has_value());
+  EXPECT_FALSE(xml_parse(nested(65)).has_value());
 }
 
 // Wire-protocol negotiation: a type tag from a newer protocol revision is

@@ -4,7 +4,6 @@
 
 #include "src/net/network.hpp"
 #include "src/net/sink.hpp"
-#include "src/net/traffic.hpp"
 
 namespace tb::net {
 namespace {
@@ -85,10 +84,10 @@ TEST(Node, RoutesAcrossIntermediateHop) {
   Node& a = rig.network.add_node("a");
   Node& r = rig.network.add_node("router");
   Node& b = rig.network.add_node("b");
-  rig.network.connect(a, r, {});
-  rig.network.connect(r, b, {});
-  rig.network.add_path_route({&a, &r, &b});
-  rig.network.add_path_route({&b, &r, &a});
+  DuplexLink ar = rig.network.connect(a, r, {});
+  DuplexLink rb = rig.network.connect(r, b, {});
+  a.add_route(b.id(), *ar.forward);
+  b.add_route(a.id(), *rb.backward);
   SinkAgent sink(rig.sim, b, 9);
 
   Packet packet;
@@ -142,108 +141,29 @@ TEST(Node, DoubleBindRejected) {
   EXPECT_THROW(SinkAgent(rig.sim, a, 1), util::PreconditionError);
 }
 
-TEST(Cbr, RateAndCountExact) {
-  NetRig rig;
-  Node& a = rig.network.add_node("a");
-  Node& b = rig.network.add_node("b");
-  rig.network.connect(a, b, {});
-  SinkAgent sink(rig.sim, b, 1);
-  CbrParams params;
-  params.rate_bytes_per_sec = 10.0;
-  params.packet_size = 1;
-  CbrGenerator cbr(rig.sim, a, 2, {b.id(), 1}, params);
-  cbr.start();
-  rig.sim.run_until(10_s);
-  // 10 B/s of 1-byte packets for 10 s: first fires at t=0 -> 101 sends in
-  // [0, 10]; allow the boundary packet.
-  EXPECT_GE(sink.packets_received(), 100u);
-  EXPECT_LE(sink.packets_received(), 101u);
-}
-
-TEST(Cbr, LatencyMeasured) {
+TEST(Sink, LatencyFromCreationToArrival) {
   NetRig rig;
   Node& a = rig.network.add_node("a");
   Node& b = rig.network.add_node("b");
   LinkParams params;
   params.prop_delay = 3_ms;
-  params.bandwidth_bps = 1e9;
+  params.bandwidth_bps = 8'000'000;  // 10 bytes serialize in 10 us
   rig.network.connect(a, b, params);
   SinkAgent sink(rig.sim, b, 1);
-  CbrGenerator cbr(rig.sim, a, 2, {b.id(), 1}, {100.0, 10, 0});
-  cbr.start();
-  rig.sim.run_until(1_s);
-  ASSERT_GT(sink.packets_received(), 0u);
-  EXPECT_NEAR(sink.latency().mean(), 0.003, 0.0005);
-}
 
-TEST(Poisson, MeanRateApproximatelyCorrect) {
-  NetRig rig;
-  Node& a = rig.network.add_node("a");
-  Node& b = rig.network.add_node("b");
-  rig.network.connect(a, b, {});
-  SinkAgent sink(rig.sim, b, 1);
-  PoissonParams params;
-  params.mean_rate_pps = 50.0;
-  PoissonGenerator gen(rig.sim, a, 2, {b.id(), 1}, params);
-  gen.start();
-  rig.sim.run_until(100_s);
-  EXPECT_NEAR(static_cast<double>(sink.packets_received()) / 100.0, 50.0, 5.0);
-}
-
-TEST(OnOff, ProducesBurstsAndSilences) {
-  NetRig rig;
-  Node& a = rig.network.add_node("a");
-  Node& b = rig.network.add_node("b");
-  rig.network.connect(a, b, {});
-  SinkAgent sink(rig.sim, b, 1);
-  OnOffParams params;
-  params.mean_on_sec = 0.2;
-  params.mean_off_sec = 0.2;
-  params.on_rate_bytes_per_sec = 6400.0;
-  params.packet_size = 64;
-  OnOffGenerator gen(rig.sim, a, 2, {b.id(), 1}, params);
-  gen.start();
-  rig.sim.run_until(20_s);
-  EXPECT_GT(gen.bursts(), 5u);
-  // Duty cycle ~50%: expect roughly half of the full-rate packet count.
-  const double full_rate_packets = 6400.0 / 64.0 * 20.0;
-  EXPECT_GT(sink.packets_received(), full_rate_packets * 0.25);
-  EXPECT_LT(sink.packets_received(), full_rate_packets * 0.75);
-}
-
-TEST(Echo, BouncesPacketsBack) {
-  NetRig rig;
-  Node& a = rig.network.add_node("a");
-  Node& b = rig.network.add_node("b");
-  rig.network.connect(a, b, {});
-  EchoAgent echo(rig.sim, b, 1);
-  SinkAgent reply_sink(rig.sim, a, 2);
-
-  Packet packet;
-  packet.dst = {b.id(), 1};
-  packet.size_bytes = 20;
-  // Send from the sink's port so the echo returns to it.
-  CbrGenerator probe(rig.sim, a, 3, {b.id(), 1}, {1000.0, 20, 0});
-  (void)probe;  // we craft manually instead
-  Packet manual;
-  manual.dst = {b.id(), 1};
-  manual.src = {a.id(), 2};
-  manual.size_bytes = 20;
-  // Inject with src pre-set by sending through the node directly.
-  manual.created_at = rig.sim.now();
-  a.send(manual);
+  for (int i = 0; i < 4; ++i) {
+    rig.sim.schedule_in(sim::Time::ms(100 * i), [&] {
+      Packet packet;
+      packet.dst = {b.id(), 1};
+      packet.size_bytes = 10;
+      packet.created_at = rig.sim.now();
+      a.send(packet);
+    });
+  }
   rig.sim.run();
-  EXPECT_EQ(echo.packets_received(), 1u);
-  EXPECT_EQ(reply_sink.packets_received(), 1u);
-}
-
-TEST(Cbr, ZeroRateStartRejected) {
-  NetRig rig;
-  Node& a = rig.network.add_node("a");
-  CbrParams params;
-  params.rate_bytes_per_sec = 0.0;
-  CbrGenerator cbr(rig.sim, a, 2, {a.id(), 1}, params);
-  EXPECT_THROW(cbr.start(), util::PreconditionError);
+  ASSERT_EQ(sink.packets_received(), 4u);
+  EXPECT_EQ(sink.bytes_received(), 40u);
+  EXPECT_DOUBLE_EQ(sink.latency().mean(), 0.003010);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include "src/net/network.hpp"
 #include "src/net/sink.hpp"
 #include "src/net/trace.hpp"
-#include "src/net/traffic.hpp"
 
 namespace tb {
 namespace {
@@ -85,8 +84,15 @@ TEST(Trace, DumpOneLinePerEvent) {
   net::SinkAgent sink(sim, b, 1);
   net::Tracer tracer(sim);
   tracer.attach(*link.forward);
-  net::CbrGenerator cbr(sim, a, 2, {b.id(), 1}, {100.0, 10, 1});
-  cbr.start();
+  for (int i = 0; i < 10; ++i) {
+    sim.schedule_in(sim::Time::ms(100 * i), [&] {
+      net::Packet packet;
+      packet.dst = {b.id(), 1};
+      packet.size_bytes = 10;
+      packet.flow_id = 1;
+      a.send(packet);
+    });
+  }
   sim.run_until(1_s);
   const std::string dump = tracer.dump();
   const auto lines = static_cast<std::size_t>(

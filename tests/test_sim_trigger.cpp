@@ -26,28 +26,10 @@ TEST(Trigger, NotifyAllWakesEveryWaiter) {
   EXPECT_EQ(trigger.waiter_count(), 0u);
 }
 
-TEST(Trigger, NotifyOneWakesFifo) {
-  Simulator sim;
-  Trigger trigger(sim);
-  std::vector<int> order;
-  for (int i = 0; i < 3; ++i) {
-    spawn([&, i]() -> Task<void> {
-      co_await trigger.wait();
-      order.push_back(i);
-    });
-  }
-  sim.schedule_at(1_ms, [&] { trigger.notify_one(); });
-  sim.schedule_at(2_ms, [&] { trigger.notify_one(); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1}));
-  EXPECT_EQ(trigger.waiter_count(), 1u);
-}
-
 TEST(Trigger, NotifyWithNoWaitersIsNoop) {
   Simulator sim;
   Trigger trigger(sim);
   trigger.notify_all();
-  trigger.notify_one();
   sim.run();
   SUCCEED();
 }

@@ -209,30 +209,33 @@ TEST(ThreadedSpaceEngine, BlockingTakeTimesOut) {
 }
 
 TEST(ThreadedSpaceEngine, InboxBackpressureWhenShardStalls) {
-  // Capacity-2 inbox on a stalled single shard: the worker is wedged inside
-  // the stall request, so the third async write must block its producer
-  // until the shard resumes.
+  // Capacity-2 inbox on a stalled single shard: this thread holds the
+  // shard's ownership word, so no write applies. Two writes fill the inbox
+  // and the third blocks its producer on the full ring; none of the three
+  // writers may return until the shard resumes.
   ThreadedSpaceEngine space(threaded_config(1, /*inbox=*/2));
   space.stall_shard_for_testing(0);
 
-  space.write_async(make_tuple("q", std::int64_t{0}));
-  space.write_async(make_tuple("q", std::int64_t{1}));
-  ASSERT_TRUE(eventually([&] { return space.inbox_depth(0) == 2; }));
-
-  std::atomic<bool> third_done{false};
-  std::thread producer([&] {
-    space.write_async(make_tuple("q", std::int64_t{2}));
-    third_done.store(true);
-  });
+  constexpr int kWriters = 3;
+  std::atomic<int> done{0};
+  std::vector<std::thread> writers;
+  for (int i = 0; i < kWriters; ++i) {
+    writers.emplace_back([&space, &done, i] {
+      space.write(make_tuple("q", std::int64_t{i}));
+      done.fetch_add(1);
+    });
+  }
+  EXPECT_TRUE(eventually([&] { return space.inbox_depth(0) == 2; }));
   std::this_thread::sleep_for(50ms);
-  EXPECT_FALSE(third_done.load());  // backpressure: inbox full, producer waits
+  EXPECT_EQ(done.load(), 0);  // stalled: nothing applied, nobody returns
   EXPECT_LE(space.inbox_depth(0), 2u);
 
-  space.resume_stalled_shards_for_testing();
-  producer.join();
-  EXPECT_TRUE(third_done.load());
-  ASSERT_TRUE(eventually([&] { return space.size() == 3; }));
-  EXPECT_EQ(space.take_all(any_named("q", 1)).size(), 3u);
+  space.resume_shard_for_testing(0);
+  for (std::thread& t : writers) t.join();
+  EXPECT_EQ(done.load(), kWriters);
+  EXPECT_EQ(space.size(), static_cast<std::size_t>(kWriters));
+  EXPECT_EQ(space.take_all(any_named("q", 1)).size(),
+            static_cast<std::size_t>(kWriters));
 }
 
 TEST(ThreadedSpaceEngine, CleanShutdownCompletesParkedBlockingTakes) {
@@ -433,8 +436,8 @@ TEST(ThreadedSpaceEngine, MetricsExposeInboxDepthAndAppliedOps) {
 }
 
 TEST(ThreadedSpaceEngine, InboxPeakIsMonotoneUnderConcurrentProducers) {
-  // inbox_peak is a CAS-max watermark: concurrent async producers hammer
-  // one shard while this thread samples the metric. Every sample must be
+  // inbox_peak is a CAS-max watermark: concurrent producers hammer one
+  // shard while this thread samples the metric. Every sample must be
   // >= the previous one (a plain store instead of the CAS-max loop loses
   // the race and shows up here as a dip), and the final value can never
   // exceed the ring capacity.
@@ -457,8 +460,7 @@ TEST(ThreadedSpaceEngine, InboxPeakIsMonotoneUnderConcurrentProducers) {
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&space, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        space.write_async(make_tuple("m-" + std::to_string(p),
-                                     std::int64_t{i}));
+        space.write(make_tuple("m-" + std::to_string(p), std::int64_t{i}));
       }
     });
   }

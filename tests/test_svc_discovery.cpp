@@ -146,100 +146,5 @@ TEST_F(DiscoveryTest, RoundTripThroughTuple) {
   EXPECT_EQ(*decoded, record);
 }
 
-// --- Membership (federation authority, DESIGN.md §16) ------------------------
-
-class MembershipTest : public DiscoveryTest {
- protected:
-  MembershipTest() : membership_(api_) {}
-  Membership membership_;
-};
-
-TEST_F(MembershipTest, AnnounceAndEnumerate) {
-  drive([&]() -> sim::Task<void> {
-    NodeRecord one{1, "node"};
-    NodeRecord two{2, "standby"};
-    EXPECT_TRUE(co_await membership_.announce_node(one, 10_s));
-    EXPECT_TRUE(co_await membership_.announce_node(two, 10_s));
-    auto nodes = co_await membership_.nodes();
-    CO_ASSERT_EQ(nodes.size(), 2u);
-    // The scan restores the records.
-    auto again = co_await membership_.nodes();
-    EXPECT_EQ(again.size(), 2u);
-  });
-}
-
-TEST_F(MembershipTest, ReannounceReplacesNotDuplicates) {
-  drive([&]() -> sim::Task<void> {
-    NodeRecord original{3, "node"};
-    NodeRecord replacement{3, "standby"};
-    co_await membership_.announce_node(original, 10_s);
-    co_await membership_.announce_node(replacement, 10_s);  // role change
-    auto nodes = co_await membership_.nodes();
-    CO_ASSERT_EQ(nodes.size(), 1u);
-    EXPECT_EQ(nodes[0].role, "standby");
-  });
-}
-
-TEST_F(MembershipTest, LeaseBoundedRecordExpires) {
-  drive([&]() -> sim::Task<void> {
-    NodeRecord record{4, "node"};
-    co_await membership_.announce_node(record, 300_ms);
-    co_await sim::delay(sim_, 1_s);
-    auto nodes = co_await membership_.nodes();
-    EXPECT_TRUE(nodes.empty());
-    // Re-registration after expiry starts a fresh lease.
-    EXPECT_TRUE(co_await membership_.announce_node(record, 10_s));
-    auto again = co_await membership_.nodes();
-    EXPECT_EQ(again.size(), 1u);
-  });
-}
-
-TEST_F(MembershipTest, WithdrawRemoves) {
-  drive([&]() -> sim::Task<void> {
-    NodeRecord record{5, "node"};
-    co_await membership_.announce_node(record, 10_s);
-    EXPECT_TRUE(co_await membership_.withdraw_node(5));
-    EXPECT_FALSE(co_await membership_.withdraw_node(5));
-    auto nodes = co_await membership_.nodes();
-    EXPECT_TRUE(nodes.empty());
-  });
-}
-
-TEST_F(MembershipTest, TableEpochsAreStrictlyMonotonic) {
-  drive([&]() -> sim::Task<void> {
-    EXPECT_FALSE((co_await membership_.fetch_table()).has_value());
-    std::vector<std::uint32_t> three{1, 2, 3};
-    std::vector<std::uint32_t> stale{9};
-    EXPECT_TRUE(co_await membership_.publish_table(2, three));
-    // A stale publisher (same or older epoch) must not clobber the table.
-    EXPECT_FALSE(co_await membership_.publish_table(2, stale));
-    EXPECT_FALSE(co_await membership_.publish_table(1, stale));
-    auto table = co_await membership_.fetch_table();
-    CO_ASSERT_TRUE(table.has_value());
-    EXPECT_EQ(table->epoch, 2u);
-    CO_ASSERT_EQ(table->members.size(), 3u);
-    EXPECT_EQ(table->members[0], 1u);
-
-    // Strictly newer epochs swap in.
-    std::vector<std::uint32_t> four{1, 2, 3, 4};
-    EXPECT_TRUE(co_await membership_.publish_table(3, four));
-    auto fresh = co_await membership_.fetch_table();
-    CO_ASSERT_TRUE(fresh.has_value());
-    EXPECT_EQ(fresh->epoch, 3u);
-    EXPECT_EQ(fresh->members.size(), 4u);
-  });
-}
-
-TEST_F(MembershipTest, NodeTupleRoundTrip) {
-  const NodeRecord record{42, "standby"};
-  auto decoded = Membership::from_tuple(Membership::to_tuple(record));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->node_id, record.node_id);
-  EXPECT_EQ(decoded->role, record.role);
-  EXPECT_FALSE(
-      Membership::from_tuple(space::make_tuple("unrelated", space::Value(1)))
-          .has_value());
-}
-
 }  // namespace
 }  // namespace tb::svc

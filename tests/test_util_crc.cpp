@@ -79,16 +79,6 @@ TEST(Crc8, EmptyIsZero) {
   EXPECT_EQ(crc8({}), 0);
 }
 
-TEST(Crc16Ccitt, KnownVector) {
-  // CRC-16/CCITT-FALSE of "123456789" is 0x29B1.
-  const std::uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(crc16_ccitt(data), 0x29B1);
-}
-
-TEST(Crc16Ccitt, EmptyIsInit) {
-  EXPECT_EQ(crc16_ccitt({}), 0xFFFF);
-}
-
 TEST(Crc8, SingleByteChangesCrc) {
   for (int b = 0; b < 256; ++b) {
     const auto byte = static_cast<std::uint8_t>(b);

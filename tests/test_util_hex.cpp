@@ -43,25 +43,5 @@ TEST(Hex, RoundTripAllBytes) {
   EXPECT_EQ(*decoded, all);
 }
 
-TEST(HexDump, ShowsOffsetsHexAndAscii) {
-  std::vector<std::uint8_t> data;
-  for (int i = 0; i < 20; ++i) data.push_back(static_cast<std::uint8_t>('A' + i));
-  const std::string dump = hex_dump(data);
-  EXPECT_NE(dump.find("00000000"), std::string::npos);
-  EXPECT_NE(dump.find("00000010"), std::string::npos);
-  EXPECT_NE(dump.find("41 "), std::string::npos);
-  EXPECT_NE(dump.find("|ABCDEFGHIJKLMNOP|"), std::string::npos);
-}
-
-TEST(HexDump, NonPrintableShownAsDots) {
-  std::vector<std::uint8_t> data = {0x00, 0x1F, 'x'};
-  const std::string dump = hex_dump(data);
-  EXPECT_NE(dump.find("|..x|"), std::string::npos);
-}
-
-TEST(HexDump, EmptyProducesNothing) {
-  EXPECT_EQ(hex_dump({}), "");
-}
-
 }  // namespace
 }  // namespace tb::util

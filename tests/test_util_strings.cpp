@@ -5,27 +5,10 @@
 namespace tb::util {
 namespace {
 
-TEST(Split, BasicFields) {
-  const auto parts = split("a,b,c", ',');
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "b");
-  EXPECT_EQ(parts[2], "c");
-}
-
-TEST(Split, PreservesEmptyFields) {
-  const auto parts = split(",x,,", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "");
-  EXPECT_EQ(parts[1], "x");
-  EXPECT_EQ(parts[2], "");
-  EXPECT_EQ(parts[3], "");
-}
-
-TEST(Split, NoDelimiterYieldsWhole) {
-  const auto parts = split("abc", ',');
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0], "abc");
+std::string escaped(std::string_view s) {
+  std::vector<std::uint8_t> out;
+  xml_escape_into(s, out);
+  return std::string(out.begin(), out.end());
 }
 
 TEST(Trim, StripsBothEnds) {
@@ -35,22 +18,15 @@ TEST(Trim, StripsBothEnds) {
   EXPECT_EQ(trim(""), "");
 }
 
-TEST(StartsEndsWith, Basics) {
-  EXPECT_TRUE(starts_with("foobar", "foo"));
-  EXPECT_FALSE(starts_with("foobar", "bar"));
-  EXPECT_TRUE(ends_with("foobar", "bar"));
-  EXPECT_FALSE(ends_with("foobar", "foo"));
-  EXPECT_TRUE(starts_with("x", ""));
-  EXPECT_FALSE(starts_with("", "x"));
-}
-
 TEST(XmlEscape, EscapesSpecials) {
-  EXPECT_EQ(xml_escape("a<b>&\"c'"), "a&lt;b&gt;&amp;&quot;c&apos;");
+  EXPECT_EQ(escaped("a<b>&\"c'"), "a&lt;b&gt;&amp;&quot;c&apos;");
+  EXPECT_EQ(escaped("plain"), "plain");
+  EXPECT_EQ(escaped(""), "");
 }
 
 TEST(XmlEscape, RoundTrips) {
   const std::string original = R"(a <tag attr="v">&'text' </tag>)";
-  EXPECT_EQ(xml_unescape(xml_escape(original)), original);
+  EXPECT_EQ(xml_unescape(escaped(original)), original);
 }
 
 TEST(XmlUnescape, UnknownEntityPassesThrough) {

@@ -313,13 +313,10 @@ TEST(BusLevels, DisturbanceFallsBackAndResyncs) {
   EXPECT_EQ(bus.fast_path_cycles(), fast_after_recovery + 3);
 }
 
-TEST(BusLevels, ParseAndFormatLevels) {
+TEST(BusLevels, FormatLevels) {
   EXPECT_STREQ(to_string(BusModelLevel::kBitAccurate), "bit-accurate");
   EXPECT_STREQ(to_string(BusModelLevel::kFrameLevel), "frame-level");
   EXPECT_STREQ(to_string(BusModelLevel::kAnalytic), "analytic");
-  EXPECT_EQ(parse_bus_model_level("frame-level"), BusModelLevel::kFrameLevel);
-  EXPECT_EQ(parse_bus_model_level("analytic"), BusModelLevel::kAnalytic);
-  EXPECT_EQ(parse_bus_model_level("nonsense"), std::nullopt);
 }
 
 TEST(BusLevels, AnalyticLevelHasNoEventModel) {

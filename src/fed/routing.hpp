@@ -10,10 +10,10 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/fed/hash_ring.hpp"
-#include <utility>
 
 namespace tb::fed {
 

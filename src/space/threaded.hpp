@@ -10,9 +10,9 @@
 // word and drains inline (flat combining — the common named op completes
 // with zero context switches, zero syscalls and zero heap allocations), and
 // the shard's worker thread picks up whatever backlog is left and due lease
-// timers. Producers facing a full ring and clients
-// awaiting completion both spin-then-park; every park/wake pair uses a
-// store-fence-check (Dekker) protocol so a wakeup is never lost.
+// timers. Producers facing a full ring and clients awaiting completion both
+// spin-then-park; every park/wake pair uses a store-fence-check (Dekker)
+// protocol so a wakeup is never lost (DESIGN.md §15, "Fences").
 //
 // Wildcard operations, transaction resolution, snapshots and notify
 // registration acquire *all* shard ownership words in index order (the

@@ -11,8 +11,9 @@ level of benchmark/. Two groups are printed:
 
   (a) test-only: names that occur in tests/ and, outside tests/, only as
       their own declaration and definition: once in the header that
-      declares them, plus out-of-line `Class::name(` definitions in the
-      .cpp of the same stem. No other src/ file, bench, benchmark or example names
+      declares them, plus out-of-line definitions (an unindented
+      `Type name(` or `Type Class::name(` line) in the .cpp of the same
+      stem. No other src/ file, bench, benchmark or example names
       them. Such a name is a test seam, a reference implementation, a
       paper operation kept for its own sake, or code that only its tests
       drive.
@@ -67,8 +68,11 @@ endif
 
 IDENT = re.compile(r"\b[A-Za-z_][A-Za-z0-9_]*\b")
 LITERAL_SUFFIX = re.compile(r"\b[0-9][0-9.']*(_[A-Za-z]\w*)")
-# An out-of-line definition: an unindented line naming `Class::name(`.
-DEFINITION = re.compile(r"^\S[^\n;{]*::\s*([A-Za-z_]\w*)\s*\(", re.MULTILINE)
+# An out-of-line definition: an unindented line `Type name(` or
+# `Type Class::name(`.
+DEFINITION = re.compile(
+    r"^(?!return\b|if\b|for\b|while\b|switch\b)[A-Za-z_][\w:<>,*& ]*?"
+    r"[\s:*&]([A-Za-z_]\w*)\s*\(", re.MULTILINE)
 # A header occurrence after one of these uses a name declared elsewhere.
 FOREIGN = re.compile(r"(std::|\.|->|\[\[)\s*$")
 STRIP = re.compile(

@@ -11,11 +11,11 @@
 namespace tb::space {
 
 // A request cell is a pooled slab slot (SlabPool, mpsc_ring.hpp): the
-// issuing op releases it on return. The applier writes the result fields, then publishes a phase bit with an
-// acq_rel fetch_or — a spinning client sees the bit with one acquire load
-// and never touches the mutex; a client that gave up spinning sets
-// kSleeping under `mu` before waiting, so the applier's fetch_or tells it
-// (and only then) to take the lock and notify. A blocking op that missed
+// issuing op releases it on return. The applier writes the result fields,
+// then publishes a phase bit with an acq_rel fetch_or — a spinning client
+// sees the bit with one acquire load and never touches the mutex; a client
+// that gave up spinning sets kSleeping under `mu` before waiting, so the
+// applier's fetch_or tells it (and only then) to take the lock and notify. A blocking op that missed
 // gets kParked instead of kDone — the completion then arrives from
 // whichever path resolves the waiter (a serving publish, a timeout
 // cancellation, or shutdown). Slots are recycled, never destroyed, so an

@@ -81,7 +81,7 @@ STRIP = re.compile(
 
 
 def strip(text):
-    """Drops comments and string/char literals; keeps #include paths out."""
+    """Drops comments, string and char literals, and #include lines."""
     text = re.sub(r"^\s*#\s*include[^\n]*", "", text, flags=re.MULTILINE)
     return STRIP.sub(" ", text)
 
@@ -115,7 +115,7 @@ def main():
     total = Counter()            # name -> occurrences everywhere
     in_tests = Counter()         # name -> occurrences under tests/
     per_file = defaultdict(Counter)  # name -> {non-test file: count}
-    qualified = defaultdict(Counter)  # name -> {.cpp file: `::name` count}
+    defined = defaultdict(Counter)  # name -> {.cpp file: definitions}
     for rel, tree in files():
         text = strip((ROOT / rel).read_text(encoding="utf-8",
                                             errors="replace"))
@@ -129,7 +129,7 @@ def main():
                 per_file[word][rel] += n
         if rel.suffix == ".cpp":
             for m in DEFINITION.finditer(text):
-                qualified[m.group(1)][rel] += 1
+                defined[m.group(1)][rel] += 1
         if tree == "src" and rel.suffix == ".hpp":
             for m in IDENT.finditer(text):
                 declared[m.group(0)].add(rel)
@@ -153,7 +153,7 @@ def main():
         if set(where) - {header, source}:
             return False
         return (where[header] <= 1 and
-                where[source] <= qualified[name][source])
+                where[source] <= defined[name][source])
 
     names = sorted(name for name in declared if candidate(name))
     group_a = [name for name in names if test_only(name)]

@@ -2,7 +2,6 @@
 
 #include <thread>
 
-#include "src/sim/bridge.hpp"
 #include "src/util/assert.hpp"
 
 namespace tb::sim {
@@ -28,28 +27,12 @@ std::chrono::nanoseconds RealTimeRunner::run_until(Time until) {
   };
 
   while (true) {
-    if (bridge_ != nullptr) bridge_->drain(*sim_);
     const std::optional<Time> next = sim_->next_event_time();
-    if (!next || *next > until) {
-      // Queue (effectively) empty. Without a bridge that is the end of the
-      // window; with one, park until the window's wall deadline — an
-      // injection wakes the wait and re-enters the loop through drain().
-      if (bridge_ == nullptr) break;
-      const auto window_end = ideal_wall_for(until);
-      if (WallClock::now() >= window_end) break;
-      bridge_->wait_until(window_end);
-      continue;
-    }
+    if (!next || *next > until) break;  // the window's queue is empty
     const auto ideal = ideal_wall_for(*next);
     const auto now_wall = WallClock::now();
     if (now_wall < ideal) {
-      if (bridge_ != nullptr) {
-        // Interruptible pacing: a cross-thread post may beat `next` to the
-        // wire; restart the loop so it gets drained and scheduled first.
-        if (bridge_->wait_until(ideal)) continue;
-      } else {
-        std::this_thread::sleep_until(ideal);
-      }
+      std::this_thread::sleep_until(ideal);
     } else {
       max_lag_ = std::max(max_lag_, std::chrono::duration_cast<std::chrono::nanoseconds>(
                                         now_wall - ideal));

@@ -16,19 +16,10 @@
 
 namespace tb::sim {
 
-class RealtimeBridge;
-
 class RealTimeRunner {
  public:
   /// `scale` is simulated seconds per wall-clock second (must be > 0).
   explicit RealTimeRunner(Simulator& sim, double scale = 1.0);
-
-  /// Attaches a cross-thread injection bridge (bridge.hpp): run_until then
-  /// drains it before every dispatch and sleeps interruptibly, so work
-  /// posted from other threads enters the schedule as soon as it arrives —
-  /// even while the runner is pacing toward a later event or idling on an
-  /// empty queue inside the window. The bridge must outlive the runner.
-  void attach_bridge(RealtimeBridge* bridge) { bridge_ = bridge; }
 
   /// Runs events up to sim time `until`, pacing against the wall clock.
   /// Returns the wall-clock duration actually consumed.
@@ -43,7 +34,6 @@ class RealTimeRunner {
  private:
   Simulator* sim_;
   double scale_;
-  RealtimeBridge* bridge_ = nullptr;
   std::chrono::nanoseconds max_lag_{0};
   std::uint64_t events_run_ = 0;
 };

@@ -27,7 +27,7 @@ std::vector<Tuple> SpaceEngine::snapshot() const {
   std::vector<Tuple> out;
   out.reserve(entry_count_);
   Scan scan(stores_, now_ns());
-  while (const Hit hit = scan.next()) out.push_back(hit.it->second.tuple);
+  while (const Hit hit = scan.next()) out.push_back(hit.slot->entry.tuple);
   return out;
 }
 
@@ -35,7 +35,7 @@ std::optional<std::pair<std::uint64_t, Tuple>> SpaceEngine::peek_oldest(
     const Template& tmpl) {
   const Hit hit = find_match(tmpl);
   if (!hit) return std::nullopt;
-  return std::make_pair(hit.it->first, hit.it->second.tuple);
+  return std::make_pair(hit.slot->id, hit.slot->entry.tuple);
 }
 
 std::optional<Tuple> SpaceEngine::take_by_id(std::uint64_t id) {
@@ -51,7 +51,7 @@ std::vector<std::pair<std::uint64_t, Tuple>> SpaceEngine::snapshot_with_ids()
   out.reserve(entry_count_);
   Scan scan(stores_, now_ns());
   while (const Hit hit = scan.next()) {
-    out.emplace_back(hit.it->first, hit.it->second.tuple);
+    out.emplace_back(hit.slot->id, hit.slot->entry.tuple);
   }
   return out;
 }
@@ -151,8 +151,8 @@ SpaceEngine::Hit SpaceEngine::find_match(const Template& tmpl) {
 
 Tuple SpaceEngine::erase_entry(Hit hit, bool for_good) {
   --entry_count_;
-  if (for_good && removed_) removed_(hit.it->first);
-  return shards_[hit.shard].store.erase(hit.it);
+  if (for_good && removed_) removed_(hit.slot->id);
+  return shards_[hit.shard].store.erase(hit.ref);
 }
 
 std::optional<Tuple> SpaceEngine::read_if_exists(const Template& tmpl,
@@ -160,7 +160,7 @@ std::optional<Tuple> SpaceEngine::read_if_exists(const Template& tmpl,
   const Hit hit = find_match(tmpl);
   if (hit) {
     ++stats_.reads;
-    return hit.it->second.tuple;
+    return hit.slot->entry.tuple;
   }
   if (txn != kNoTxn) {
     Txn* transaction = find_txn(txn);
@@ -189,9 +189,9 @@ std::optional<Tuple> SpaceEngine::take_if_exists(const Template& tmpl,
       // Hold a copy of the committed entry: invisible to everyone until the
       // transaction resolves; abort restores it with its remaining lease.
       const sim::Time expires_at =
-          sim::Time::ns(shards_[hit.shard].store.deadline(hit.it->second));
+          sim::Time::ns(shards_[hit.shard].store.deadline(hit.slot->entry));
       transaction->held.push_back(
-          HeldEntry{hit.it->first, hit.it->second.tuple, expires_at});
+          HeldEntry{hit.slot->id, hit.slot->entry.tuple, expires_at});
     }
     // The stored buffers move out to the caller.
     return erase_entry(hit, /*for_good=*/!held);
@@ -314,7 +314,7 @@ void SpaceEngine::blocking_match(Template tmpl, sim::Time timeout,
     ++(take ? stats_.takes : stats_.reads);
     record_match(hit.shard, take, 0);
     deliver(std::move(callback),
-            take ? erase_entry(hit) : hit.it->second.tuple);
+            take ? erase_entry(hit) : hit.slot->entry.tuple);
     return;
   }
   if (timeout <= sim::Time::zero()) {
@@ -393,7 +393,7 @@ std::optional<Lease> SpaceEngine::renew(std::uint64_t tuple_id,
   if (!hit) return std::nullopt;
   const sim::Time expires_at =
       extension == kLeaseForever ? sim::Time::max() : sim_->now() + extension;
-  shards_[hit.shard].store.rearm(hit.it, expires_at.count_ns());
+  shards_[hit.shard].store.rearm(hit.ref, expires_at.count_ns());
   if (expires_at != sim::Time::max()) reschedule_wheel();
   ++stats_.renewals;
   return Lease{tuple_id, expires_at};

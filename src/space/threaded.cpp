@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/obs/metrics.hpp"
-#include "src/sim/bridge.hpp"
 #include "src/util/assert.hpp"
 
 namespace tb::space {
@@ -354,14 +353,17 @@ void ThreadedSpaceEngine::worker_loop(int shard_idx) {
     // Idle (or the shard is owned elsewhere — its owner drains, and
     // release_own wakes us if anything is left). Dekker sleep: advertise,
     // fence, re-check every wake condition, then wait bounded by the
-    // published wheel horizon.
+    // published wheel horizon. A backlog is work for this worker only
+    // while the word is free: going round again while another thread owns
+    // the shard would spin a CPU against it.
     std::unique_lock<std::mutex> lk(sh.park_mu);
     sh.worker_asleep.store(true, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     const std::int64_t wn = sh.wheel_next.load(std::memory_order_relaxed);
     const bool handoff = sh.handoff_req.load(std::memory_order_relaxed);
-    if (sh.stop.load(std::memory_order_relaxed) ||
-        (!handoff && !sh.ring.approx_empty()) ||
+    const bool backlog = !sh.ring.approx_empty() &&
+                         sh.owner.load(std::memory_order_relaxed) == 0;
+    if (sh.stop.load(std::memory_order_relaxed) || (!handoff && backlog) ||
         (!handoff && wn >= 0 && wn <= steady_now_ns())) {
       sh.worker_asleep.store(false, std::memory_order_relaxed);
       continue;
@@ -391,8 +393,8 @@ void ThreadedSpaceEngine::service_shard_wheel(int shard_idx) {
                      due.push_back(payload);
                    });
   for (const std::uint64_t id : due) {
-    const auto it = sh.store.find(id);
-    if (it == sh.store.end()) continue;  // defensive: cancels are exact
+    const SlotRef ref = sh.store.find(id);
+    if (ref == kNoSlot) continue;  // defensive: cancels are exact
     // The reclamation *is* the expiry's linearization point: visibility in
     // threaded mode is presence, and the replay pre-pass arms the oracle
     // with exactly this ticket-space duration (oplog.hpp).
@@ -400,7 +402,7 @@ void ThreadedSpaceEngine::service_shard_wheel(int shard_idx) {
     record(ticket, Kind::kLeaseExpire,
            [&](OpRecord& rec) { rec.target = id; });
     ++sh.stats.expirations;
-    erase_entry({shard_idx, it});
+    erase_entry({shard_idx, ref});
   }
 }
 
@@ -498,12 +500,12 @@ void ThreadedSpaceEngine::publish(std::uint64_t id, Tuple tuple,
 
 Tuple ThreadedSpaceEngine::erase_entry(Hit hit) {
   entry_count_.fetch_sub(1, std::memory_order_relaxed);
-  return shards_[static_cast<std::size_t>(hit.shard)]->store.erase(hit.it);
+  return shards_[static_cast<std::size_t>(hit.shard)]->store.erase(hit.ref);
 }
 
 Tuple ThreadedSpaceEngine::consume(Hit hit, bool take, Stats& stats) {
   ++(take ? stats.takes : stats.reads);
-  return take ? erase_entry(hit) : hit.it->second.tuple;
+  return take ? erase_entry(hit) : hit.slot->entry.tuple;
 }
 
 Lease ThreadedSpaceEngine::write(Tuple tuple, std::uint64_t txn) {
@@ -550,7 +552,7 @@ std::optional<Tuple> ThreadedSpaceEngine::match_one(const Template& tmpl,
   if (const Hit hit =
           Scan(stores_, tmpl, kAllVisible, &stats.scan_steps).next()) {
     if (take && txn != nullptr) {
-      txn->held.emplace_back(hit.it->first, hit.it->second.tuple);
+      txn->held.emplace_back(hit.slot->id, hit.slot->entry.tuple);
     }
     result = consume(hit, take, stats);
   } else if (txn != nullptr) {
@@ -948,18 +950,6 @@ void ThreadedSpaceEngine::collect_notifications(const Tuple& tuple,
 }
 
 void ThreadedSpaceEngine::fire_collected(FireBatch fire) {
-  if (fire.empty()) return;
-  if (bridge_ != nullptr) {
-    // One bridge post per drain: the whole delivery batch crosses the
-    // producer/kernel boundary under a single lock + wakeup.
-    std::vector<sim::detail::EventFn> fns;
-    fns.reserve(fire.size());
-    for (auto& [callback, tuple] : fire) {
-      fns.push_back([cb = std::move(callback), t = std::move(tuple)] { cb(t); });
-    }
-    bridge_->post_batch(std::move(fns));
-    return;
-  }
   for (auto& [callback, tuple] : fire) {
     callback(tuple);
   }
@@ -1005,9 +995,6 @@ bool ThreadedSpaceEngine::cancel_notify(std::uint64_t registration) {
   return ok;
 }
 
-void ThreadedSpaceEngine::set_completion_bridge(sim::RealtimeBridge* bridge) {
-  bridge_ = bridge;
-}
 
 // --- leases -----------------------------------------------------------------
 
@@ -1024,7 +1011,7 @@ std::optional<Lease> ThreadedSpaceEngine::renew(std::uint64_t tuple_id,
     const std::int64_t deadline = extension == kLeaseForever
                                       ? kNoDeadline
                                       : steady_now_ns() + extension.count_ns();
-    shards_[static_cast<std::size_t>(hit.shard)]->store.rearm(hit.it,
+    shards_[static_cast<std::size_t>(hit.shard)]->store.rearm(hit.ref,
                                                               deadline);
     ++barrier_stats_.renewals;
     out = Lease{tuple_id, sim::Time::ns(deadline)};
@@ -1120,8 +1107,11 @@ std::vector<Tuple> ThreadedSpaceEngine::snapshot() {
   const std::uint64_t ticket = next_ticket();
   std::vector<Tuple> out;
   out.reserve(entry_count_.load(std::memory_order_relaxed));
-  Scan scan(stores_, kAllVisible);
-  while (const Hit hit = scan.next()) out.push_back(hit.it->second.tuple);
+  {
+    // Scoped: the Scan must end before the shards are released.
+    Scan scan(stores_, kAllVisible);
+    while (const Hit hit = scan.next()) out.push_back(hit.slot->entry.tuple);
+  }
   // The cut is itself a linearized op: the replay rebuilds the oracle's
   // space at this ticket and compares cuts, so mid-run consistency is
   // checked, not just the final state.

@@ -80,9 +80,6 @@
 #include "src/space/tuple.hpp"
 #include "src/util/mpsc_ring.hpp"
 
-namespace tb::sim {
-class RealtimeBridge;
-}
 namespace tb::obs {
 class Registry;
 }
@@ -155,9 +152,8 @@ class ThreadedSpaceEngine {
   // --- notify --------------------------------------------------------------
 
   /// Registers a listener for every matching write (forever lease).
-  /// Callbacks run on engine or client threads — or on the simulation
-  /// kernel thread when a completion bridge is installed — and must not
-  /// call back into this engine.
+  /// Callbacks run on engine or client threads and must not call back into
+  /// this engine.
   std::uint64_t notify(Template tmpl, NotifyCallback callback);
   bool cancel_notify(std::uint64_t registration);
 
@@ -171,12 +167,6 @@ class ThreadedSpaceEngine {
 
   /// Cancels the lease, removing the tuple. All-shard op. False when gone.
   bool cancel(std::uint64_t tuple_id);
-
-  /// Routes notify deliveries through a sim::RealtimeBridge so a
-  /// RealTimeRunner loop receives them on its kernel thread. Each drain
-  /// posts its whole delivery batch in one bridge call. Install before
-  /// registering listeners; the bridge must outlive the engine.
-  void set_completion_bridge(sim::RealtimeBridge* bridge);
 
   // --- introspection -------------------------------------------------------
 
@@ -238,7 +228,7 @@ class ThreadedSpaceEngine {
   };
 
   /// Notification deliveries collected while holding shard state; flushed
-  /// after the ownership release (one bridge post per drain).
+  /// after the ownership release.
   using FireBatch = std::vector<std::pair<NotifyCallback, Tuple>>;
 
   struct Shard {
@@ -355,8 +345,8 @@ class ThreadedSpaceEngine {
   /// Collects matching notify callbacks (cross_mu_ held); deliver after
   /// the exclusive section via fire_collected().
   void collect_notifications(const Tuple& tuple, FireBatch* fire);
-  /// Delivers a drain's collected notifications: one post_batch through
-  /// the bridge, or direct invocation. Call with no shard state held.
+  /// Delivers a drain's collected notifications. Call with no shard state
+  /// held.
   void fire_collected(FireBatch fire);
   /// Completes a served waiter: logs the blocked-op record and wakes the
   /// parked client.
@@ -413,7 +403,6 @@ class ThreadedSpaceEngine {
 
   SpaceConfig config_;
   OpLog* log_ = nullptr;
-  sim::RealtimeBridge* bridge_ = nullptr;
   /// Epoch for lease deadlines: every shard wheel is keyed in ns since
   /// this instant, so deadlines are small positive int64s.
   std::chrono::steady_clock::time_point epoch_ =

@@ -8,16 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <random>
 #include <set>
-#include <thread>
 #include <vector>
 
-#include "src/sim/bridge.hpp"
-#include "src/sim/realtime.hpp"
 #include "src/sim/simulator.hpp"
 
 namespace tb::sim {
@@ -204,74 +199,6 @@ TEST(SimQueueStress, CancelEverythingLeavesQueueReusable) {
   sim.run();
   EXPECT_TRUE(ran);
   EXPECT_EQ(sim.cancelled_events(), 1'000u);
-}
-
-TEST(SimQueueStress, CrossThreadScheduleInViaRealtimeBridge) {
-  // The kernel is single-threaded by contract; schedule_in from another
-  // thread must go through the realtime bridge (sim/bridge.hpp). Several
-  // producer threads post zero-delay and delayed work; the kernel thread
-  // drives a bridged RealTimeRunner. Checks: every injection fires, a
-  // single producer's zero-delay posts keep their issue order (bridge
-  // batches preserve arrival order), and the kernel counters stay
-  // consistent with what was installed.
-  Simulator sim;
-  RealtimeBridge bridge;
-  RealTimeRunner runner(sim, /*scale=*/1000.0);
-  runner.attach_bridge(&bridge);
-
-  constexpr int kProducers = 3;
-  constexpr int kPerProducer = 200;
-  std::vector<std::vector<int>> fired(kProducers);
-  std::atomic<int> total_fired{0};
-
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&bridge, &fired, &total_fired, p] {
-      std::mt19937_64 rng(0xB21D6Eull + static_cast<std::uint64_t>(p));
-      for (int i = 0; i < kPerProducer; ++i) {
-        auto fn = [&fired, &total_fired, p, i] {
-          fired[static_cast<std::size_t>(p)].push_back(i);
-          total_fired.fetch_add(1, std::memory_order_relaxed);
-        };
-        if (rng() % 4 == 0) {
-          bridge.schedule_in(Time::us(static_cast<std::int64_t>(rng() % 50)),
-                             std::move(fn));
-        } else {
-          bridge.post(std::move(fn));
-        }
-        if (i % 64 == 0) std::this_thread::yield();
-      }
-    });
-  }
-
-  // Drive the kernel in short real-time windows until everything fired.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(10);
-  while (total_fired.load(std::memory_order_relaxed) <
-             kProducers * kPerProducer &&
-         std::chrono::steady_clock::now() < deadline) {
-    runner.run_until(sim.now() + Time::ms(10));
-  }
-  for (std::thread& t : producers) t.join();
-  // Producers are joined: drain any stragglers deterministically.
-  bridge.drain(sim);
-  sim.run();
-
-  ASSERT_EQ(total_fired.load(), kProducers * kPerProducer);
-  EXPECT_EQ(bridge.pending(), 0u);
-  EXPECT_EQ(bridge.posted(), bridge.drained());
-  EXPECT_EQ(sim.executed_events(),
-            static_cast<std::uint64_t>(kProducers * kPerProducer));
-  for (int p = 0; p < kProducers; ++p) {
-    // Each producer observed all its own completions; zero-delay posts from
-    // one producer never reorder, and delayed ones only move later — so the
-    // per-producer sequence must contain every index exactly once.
-    std::vector<int> sorted = fired[static_cast<std::size_t>(p)];
-    std::sort(sorted.begin(), sorted.end());
-    ASSERT_EQ(sorted.size(), static_cast<std::size_t>(kPerProducer));
-    for (int i = 0; i < kPerProducer; ++i) EXPECT_EQ(sorted[static_cast<std::size_t>(i)], i);
-  }
 }
 
 }  // namespace

@@ -18,8 +18,6 @@
 #include <vector>
 
 #include "src/obs/metrics.hpp"
-#include "src/sim/bridge.hpp"
-#include "src/sim/realtime.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/space/oplog.hpp"
 #include "src/util/assert.hpp"
@@ -369,42 +367,6 @@ TEST(ThreadedSpaceEngine, NotifyCountsMatchesAndCancelStops) {
   space.write(make_tuple("alarm", std::int64_t{3}));
   std::this_thread::sleep_for(20ms);
   EXPECT_EQ(hits.load(), 2u);
-}
-
-TEST(ThreadedSpaceEngine, NotifyDeliversOnKernelThreadViaBridge) {
-  sim::Simulator sim;
-  sim::RealtimeBridge bridge;
-  sim::RealTimeRunner runner(sim, /*scale=*/1000.0);
-  runner.attach_bridge(&bridge);
-
-  ThreadedSpaceEngine space(threaded_config(2));
-  space.set_completion_bridge(&bridge);
-
-  // Callbacks must run on the kernel (runner) thread, not an engine thread.
-  const std::thread::id kernel_id = std::this_thread::get_id();
-  std::atomic<int> delivered{0};
-  std::atomic<bool> wrong_thread{false};
-  space.notify(any_named("tick", 1), [&](const Tuple&) {
-    if (std::this_thread::get_id() != kernel_id) wrong_thread.store(true);
-    delivered.fetch_add(1);
-  });
-
-  std::thread writer([&space] {
-    for (int i = 0; i < 3; ++i) {
-      space.write(make_tuple("tick", std::int64_t{i}));
-      std::this_thread::sleep_for(5ms);
-    }
-  });
-  // Generous sim window; at scale 1000 this paces ~100 ms of wall time —
-  // plenty for the three injections to arrive and run.
-  const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (delivered.load() < 3 &&
-         std::chrono::steady_clock::now() < deadline) {
-    runner.run_until(sim.now() + sim::Time::ms(100));
-  }
-  writer.join();
-  EXPECT_EQ(delivered.load(), 3);
-  EXPECT_FALSE(wrong_thread.load());
 }
 
 TEST(ThreadedSpaceEngine, MetricsExposeInboxDepthAndAppliedOps) {
